@@ -43,7 +43,6 @@ from .trees import (
     tree_alpha,
     tree_decomposition,
     tree_nu,
-    tree_support,
 )
 from .unicyclic import (
     NullBasis,
@@ -110,7 +109,6 @@ __all__ = [
     "tree_alpha",
     "tree_decomposition",
     "tree_nu",
-    "tree_support",
     "type1_null_basis",
     "type2_null_basis",
     "unicyclic_nullity",

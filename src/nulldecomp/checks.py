@@ -2,16 +2,18 @@
 expressed as a named boolean check over one graph.
 
 The checks pit independent computation routes against each other: constructed
-kernel bases against RREF kernels, structural decompositions against
-basis-derived ones, closed formulas against brute-force search, and the
-arithmetic identities that make the case analysis exhaustive.  A failure here
+kernel bases against RREF kernels, structural decompositions (built from
+maximum matchings) against basis-derived ones, closed formulas against
+brute-force search, and the arithmetic identities that make the case analysis
+exhaustive.  Every check that reads a support does so off an exact RREF
+kernel, never off the matching route it is meant to test.  A failure here
 always means a bug somewhere, which is exactly what the fuzzing campaign is
 hunting for.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Hashable
 
 from .decomposition import (
     CASE_TII_4K,
@@ -35,7 +37,7 @@ from .oracle import (
     max_independent_intersection,
     maximum_independent_sets,
 )
-from .trees import tree_alpha, tree_decomposition, tree_nu, tree_support
+from .trees import TreeDecomposition, forest_decomposition, tree_alpha, tree_decomposition, tree_nu
 from .unicyclic import (
     EXTENDED_FOREST,
     EXTENDED_PENDANT,
@@ -73,20 +75,28 @@ def _guarded(checks: dict[str, bool], name: str, thunk: Callable[[], bool]) -> N
         checks[name] = False
 
 
+def _kernel_decomposition(g: Graph, vertices) -> TreeDecomposition:
+    """Decomposition of an induced forest read off its canonical kernel, in g's indices."""
+    vs = sorted(vertices)
+    d = decomposition_from_basis(g.induced_subgraph(vs))
+    parts = (frozenset(vs[j] for j in part) for part in (d.support, d.core, d.n_vertices))
+    return TreeDecomposition(*parts, d.nullity)
+
+
 def _forest_checks(
     g: Graph, enum_budget: OracleBudget, search_budget: OracleBudget, oracle: bool
 ) -> dict[str, bool]:
     checks: dict[str, bool] = {}
     matrix = g.adjacency_matrix()
     basis = rref_null_basis(g)
-    d = tree_decomposition(g)
+    d = decomposition_from_basis(g)
 
     checks["basis_exact"] = all(is_zero_vector(mat_vec(matrix, v)) for v in basis.vectors)
-    checks["basis_count"] = len(basis.vectors) == d.nullity
+    checks["basis_count"] = len(basis.vectors) == tree_decomposition(g).nullity
     checks["even_n_set"] = len(d.n_vertices) % 2 == 0
     checks["support_independent"] = g.is_independent_set(d.support)
     checks["supp_core_disjoint"] = not (d.support & d.core)
-    _guarded(checks, "supported_neighbor_after_deletion", lambda: _forest_neighbor_support(g))
+    _guarded(checks, "supported_neighbor_after_deletion", lambda: _forest_neighbor_support(g, d.support))
     _guarded(checks, "formula_sum", lambda: tree_alpha(g) + tree_nu(g) == g.n)
 
     if oracle and g.n <= search_budget.max_vertices:
@@ -113,21 +123,17 @@ def _forest_checks(
     return checks
 
 
-def _forest_neighbor_support(g: Graph) -> bool:
+def _forest_neighbor_support(g: Graph, support: frozenset[int]) -> bool:
     """Every off-support vertex of a forest has a supported neighbor once deleted.
 
     Checked per component: for v outside the support of its tree T, the set
     N(v) intersected with the support of T - v must be nonempty.
     """
-    support = tree_support(g)
     for comp in g.components():
         for v in comp:
             if v in support:
                 continue
-            rest = sorted(set(comp) - {v})
-            sub = g.induced_subgraph(rest)
-            sub_support = {rest[j] for j in tree_support(sub)}
-            if not (set(g.neighbors(v)) & sub_support):
+            if not (set(g.neighbors(v)) & _kernel_decomposition(g, set(comp) - {v}).support):
                 return False
     return True
 
@@ -179,109 +185,80 @@ def _unicyclic_checks(
     # Whole-graph counts split along the class's natural cut: at the witness's
     # pendant tree for Type I, at the cycle for Type II.  Doubled to stay
     # integral.
+    everything = frozenset(range(g.n))
+    forest_vs = everything - cycle_set
     if cls.tag != TYPE2:
-        pend_d = tree_decomposition(g.induced_subgraph(sorted(pend[cls.witness])))
-        rest_d = tree_decomposition(
-            g.induced_subgraph(sorted(set(range(g.n)) - pend[cls.witness]))
-        )
-        halves = len(pend_d.n_vertices) + len(rest_d.n_vertices)
-        checks["alpha_splits_at_witness"] = 2 * alpha(g, d_basis) == 2 * (
-            len(pend_d.support) + len(rest_d.support)
-        ) + halves
-        checks["nu_splits_at_witness"] = 2 * nu(g, d_basis) == 2 * (
-            len(pend_d.core) + len(rest_d.core)
-        ) + halves
+        cut, base = [pend[cls.witness], everything - pend[cls.witness]], 0
+        alpha_name, nu_name = "alpha_splits_at_witness", "nu_splits_at_witness"
     else:
-        cut_d = tree_decomposition(g.delete_vertices(cycle_set))
-        base = 2 * (cls.cycle.length // 2)
-        checks["alpha_splits_at_cycle"] = 2 * alpha(g, d_basis) == base + 2 * len(
-            cut_d.support
-        ) + len(cut_d.n_vertices)
-        checks["nu_splits_at_cycle"] = 2 * nu(g, d_basis) == base + 2 * len(
-            cut_d.core
-        ) + len(cut_d.n_vertices)
+        cut, base = [forest_vs], 2 * (cls.cycle.length // 2)
+        alpha_name, nu_name = "alpha_splits_at_cycle", "nu_splits_at_cycle"
+    parts = [forest_decomposition(g, vs) for vs in cut]
+    checks[alpha_name] = 2 * alpha(g, d_basis) == base + sum(map(_double_alpha, parts))
+    checks[nu_name] = 2 * nu(g, d_basis) == base + sum(map(_double_nu, parts))
 
-    # Pendant-tree identities around off-support cycle vertices.
-    off_support_roots = []
-    for v in cls.cycle.vertices:
-        tree_vs = sorted(pend[v])
-        tree = g.induced_subgraph(tree_vs)
-        sup = {tree_vs[j] for j in tree_support(tree)}
-        if v not in sup:
-            off_support_roots.append((v, tree_vs, sup))
-    if off_support_roots:
-        checks["supported_neighbor_after_deletion"] = True
-        checks["support_survives_root_deletion"] = True
-        checks["alpha_stable_under_root_deletion"] = True
-        checks["nu_drops_under_root_deletion"] = True
-        for v, tree_vs, sup in off_support_roots:
-            rest = sorted(set(tree_vs) - {v})
-            sub = g.induced_subgraph(rest)
-            sub_support = {rest[j] for j in tree_support(sub)}
-            if not (set(g.neighbors(v)) & sub_support):
-                checks["supported_neighbor_after_deletion"] = False
-            if not sup <= sub_support:
-                checks["support_survives_root_deletion"] = False
-            whole = tree_decomposition(g.induced_subgraph(tree_vs))
-            deleted = tree_decomposition(sub)
-            if 2 * len(whole.support) + len(whole.n_vertices) != 2 * len(
-                deleted.support
-            ) + len(deleted.n_vertices):
-                checks["alpha_stable_under_root_deletion"] = False
-            if 2 * len(whole.core) + len(whole.n_vertices) != 2 * len(deleted.core) + len(
-                deleted.n_vertices
-            ) + 2:
-                checks["nu_drops_under_root_deletion"] = False
+    # Pendant-tree identities around off-support cycle vertices, on kernels.
+    pendant = {v: _kernel_decomposition(g, pend[v]) for v in cls.cycle.vertices}
+    roots = [v for v in cls.cycle.vertices if v not in pendant[v].support]
+    if roots:
+        deleted = {v: _kernel_decomposition(g, pend[v] - {v}) for v in roots}
+        checks["supported_neighbor_after_deletion"] = all(
+            set(g.neighbors(v)) & deleted[v].support for v in roots
+        )
+        checks["support_survives_root_deletion"] = all(
+            pendant[v].support <= deleted[v].support for v in roots
+        )
+        checks["alpha_stable_under_root_deletion"] = all(
+            _double_alpha(pendant[v]) == _double_alpha(deleted[v]) for v in roots
+        )
+        checks["nu_drops_under_root_deletion"] = all(
+            _double_nu(pendant[v]) == _double_nu(deleted[v]) + 2 for v in roots
+        )
 
-    forest_vs = sorted(set(range(g.n)) - cycle_set)
-    forest = g.induced_subgraph(forest_vs)
     if cls.tag == TYPE2:
-        forest_support = {forest_vs[j] for j in tree_support(forest)}
+        forest_k = _kernel_decomposition(g, forest_vs)
         checks["cycle_tree_neighbors_unsupported"] = all(
-            u not in forest_support
+            u not in forest_k.support
             for v in cls.cycle.vertices
             for u in g.neighbors(v)
             if u in pend[v]
         )
-        pendant_supports: set[int] = set()
-        pendant_double_sum = 0
-        for v in cls.cycle.vertices:
-            tree_vs = sorted(pend[v])
-            td = tree_decomposition(g.induced_subgraph(tree_vs))
-            pendant_supports |= {tree_vs[j] for j in td.support}
-            pendant_double_sum += 2 * len(td.support) + len(td.n_vertices)
-        checks["forest_support_in_pendant_supports"] = forest_support <= pendant_supports
-        forest_d = tree_decomposition(forest)
-        checks["pendant_vs_forest_alpha_identity"] = pendant_double_sum == 2 * cls.cycle.length + 2 * len(
-            forest_d.support
-        ) + len(forest_d.n_vertices)
+        checks["forest_support_in_pendant_supports"] = forest_k.support <= frozenset().union(
+            *(d.support for d in pendant.values())
+        )
+        checks["pendant_vs_forest_alpha_identity"] = sum(map(_double_alpha, pendant.values())) == (
+            2 * cls.cycle.length + _double_alpha(forest_k)
+        )
 
     # Formulas and enumeration facts on the derived forests.
-    derived = [forest] + [
-        g.induced_subgraph(sorted(pend[v] - {v})) for v in cls.cycle.vertices
-    ]
-    derived = [f for f in derived if f.n]
     if oracle:
-        ok_formula, ok_eg, ok_mis = True, True, True
-        for f in derived:
-            if f.n <= search_budget.max_vertices:
-                try:
-                    if tree_alpha(f) != brute_alpha(f, search_budget):
-                        ok_formula = False
-                    if tree_nu(f) != brute_nu(f, search_budget):
-                        ok_formula = False
-                except NullDecompError:
-                    ok_formula = False
-            if f.n <= enum_budget.max_vertices:
-                sup = tree_support(f)
-                if edmonds_gallai_set(f, enum_budget) != sup:
-                    ok_eg = False
-                if max_independent_intersection(f, enum_budget) != sup:
-                    ok_mis = False
-        checks["derived_forest_formulas"] = ok_formula
-        checks["eg_equals_support"] = ok_eg
-        checks["mis_intersection_is_support"] = ok_mis
+        cuts = [forest_vs] + [pend[v] - {v} for v in cls.cycle.vertices]
+        derived = [g.induced_subgraph(vs) for vs in cuts if vs]
+        searched = [f for f in derived if f.n <= search_budget.max_vertices]
+        _guarded(checks, "derived_forest_formulas", lambda: all(
+            tree_alpha(f) == brute_alpha(f, search_budget) and tree_nu(f) == brute_nu(f, search_budget)
+            for f in searched
+        ))
+        enumerated = [
+            (f, decomposition_from_basis(f).support) for f in derived if f.n <= enum_budget.max_vertices
+        ]
+        checks["eg_equals_support"] = all(
+            edmonds_gallai_set(f, enum_budget) == sup for f, sup in enumerated
+        )
+        checks["mis_intersection_is_support"] = all(
+            max_independent_intersection(f, enum_budget) == sup for f, sup in enumerated
+        )
     return checks
+
+
+def _double_alpha(d) -> int:
+    """Twice a forest's independence number: 2 |support| + |N-vertices|."""
+    return 2 * len(d.support) + len(d.n_vertices)
+
+
+def _double_nu(d) -> int:
+    """Twice a forest's matching number: 2 |core| + |N-vertices|."""
+    return 2 * len(d.core) + len(d.n_vertices)
 
 
 def _parity_rule(case: str, d, cycle_length: int) -> bool:
@@ -299,22 +276,30 @@ def _parity_rule(case: str, d, cycle_length: int) -> bool:
     return value % 2 == 0
 
 
-def minimize_failing_graph(g: Graph, fails: Callable[[Graph], bool]) -> Graph:
-    """Greedy shrink: drop leaves while the failure predicate still holds.
+def minimize_failing_graph(g: Graph, fails: Callable[[Graph], Hashable]) -> Graph:
+    """Greedy shrink: drop leaves while the graph still fails the same way.
 
-    Leaf deletion preserves the unicyclic class, so the result stays a valid
+    ``fails`` gives a graph's failure signature, for example the set of its
+    failed check names; a ``NullDecompError`` it raises has the exception type
+    as signature.  A candidate is kept only when its signature equals the
+    original one, so the shrink cannot wander onto a different bug.  Leaf
+    deletion preserves the unicyclic class, so the result stays a valid
     reproduction for every unicyclic-only code path.
     """
+
+    def signature(h: Graph) -> Hashable:
+        try:
+            return fails(h)
+        except NullDecompError as exc:
+            return type(exc)
+
+    target = signature(g)
     current = g
     while True:
         for v in range(current.n):
             if current.degree(v) == 1:
                 candidate = current.delete_vertices([v])
-                try:
-                    still_failing = fails(candidate)
-                except NullDecompError:
-                    still_failing = True
-                if still_failing:
+                if signature(candidate) == target:
                     current = candidate
                     break
         else:

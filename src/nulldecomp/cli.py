@@ -115,6 +115,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _failed_checks(g: Graph) -> frozenset[str]:
+    return frozenset(name for name, ok in run_checks(g).items() if not ok)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.min_n > args.max_n:
         raise SpecInvalid(f"empty vertex range [{args.min_n}, {args.max_n}]")
@@ -128,19 +132,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             class_bias=_bias(args.force_type),
         )
         g = generate_unicyclic(spec)
-        checks = run_checks(g)
-        failed = sorted(name for name, ok in checks.items() if not ok)
-        if failed:
-            def still_fails(h: Graph) -> bool:
-                return not all(run_checks(h).values())
-
-            small = minimize_failing_graph(g, still_fails)
-            print(f"verify: FAILED on graph {index} (n={n}, seed={spec.seed})")
-            print(f"failed checks: {', '.join(failed)}")
-            print("minimized reproduction:")
-            print(small.to_edge_list(), end="")
-            return EXIT_VERIFY
-        passed += 1
+        try:
+            failed = _failed_checks(g)
+        except NullDecompError as exc:  # a raise inside the battery fails this graph
+            problem = f"run_checks raised {type(exc).__name__}: {exc}"
+        else:
+            if not failed:
+                passed += 1
+                continue
+            problem = f"failed checks: {', '.join(sorted(failed))}"
+        small = minimize_failing_graph(g, _failed_checks)
+        print(f"verify: FAILED on graph {index} (n={n}, seed={spec.seed})")
+        print(problem)
+        print("minimized reproduction:")
+        print(small.to_edge_list(), end="")
+        return EXIT_VERIFY
     print(f"verify: {passed}/{args.count} passed")
     return EXIT_OK
 
@@ -195,10 +201,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalCheckError as exc:
         print(f"internal invariant failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except NullDecompError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
+    except (NullDecompError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -5,11 +5,14 @@ numbers.
 Two independent routes produce the decomposition:
 
 * ``decomposition_from_basis`` reads the support straight off the canonical
-  kernel basis of the whole adjacency matrix.  This is the source of truth.
+  kernel basis of the whole adjacency matrix, in exact ``Fraction`` RREF.
+  This is the source of truth.
 * ``structural_decomposition`` assembles the same sets from pendant-tree and
   complement decompositions according to a six-way case split (four Type I
   cases by how the complement kernel behaves at the witness's cycle
-  neighbors, two Type II cases by cycle length mod 4).
+  neighbors, two Type II cases by cycle length mod 4).  Every piece is a
+  forest, decomposed through a maximum matching (``trees``), so this route
+  computes no kernel and runs in time linear in the graph.
 
 Their agreement on every unicyclic graph is one of the package's central
 verified properties.
@@ -20,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import CaseContradiction, NotUnicyclic, OddNSet, UnsupportedGraphClass
+from .errors import CaseContradiction, OddNSet, UnsupportedGraphClass
 from .graph import Graph, pendant_trees
 from .linalg import null_space_basis, support_indices
-from .trees import TreeDecomposition, tree_decomposition
-from .unicyclic import TYPE1, TYPE2, UnicyclicClass, classify, unicyclic_nullity
+from .trees import forest_decomposition
+from .unicyclic import TYPE1, TYPE2, UnicyclicClass, classify, recursion_nullity
 
 CASE_TI1 = "TI-1"
 CASE_TI2 = "TI-2"
@@ -59,36 +62,26 @@ class Decomposition:
         return self.support | self.core
 
 
-def _sub_decomposition(g: Graph, vertices: frozenset[int] | set[int]) -> TreeDecomposition:
-    """Decompose the induced forest, with the sets mapped back to g's indices."""
-    vs = sorted(vertices)
-    sub = g.induced_subgraph(vs)
-    d = tree_decomposition(sub)
-    back = {j: vs[j] for j in range(len(vs))}
-    return TreeDecomposition(
-        frozenset(back[j] for j in d.support),
-        frozenset(back[j] for j in d.core),
-        frozenset(back[j] for j in d.n_vertices),
-        d.nullity,
-    )
-
-
 def _case_tag(g: Graph, cls: UnicyclicClass) -> str:
-    """Select which of the six unicyclic cases applies."""
+    """Select which of the six unicyclic cases applies.
+
+    With witness v, pendant tree T_v and cycle neighbors u, w, TI-4 means some
+    kernel vector of A(G - T_v) has x_u + x_w != 0: e_u + e_w leaves the
+    column space, which is exactly when bordering with v lowers the nullity.
+    """
     if cls.tag == TYPE2:
         return CASE_TII_4K if cls.cycle.length % 4 == 0 else CASE_TII_NON4K
     v = cls.witness
     u, w = cls.cycle.neighbors_on_cycle(v)
     pend = pendant_trees(g, cls.cycle)[v]
-    rest_vertices = sorted(set(range(g.n)) - pend)
-    rest = g.induced_subgraph(rest_vertices)
-    pos = {vertex: j for j, vertex in enumerate(rest_vertices)}
-    basis = null_space_basis(rest.adjacency_matrix())
-    if any(vec[pos[u]] + vec[pos[w]] != 0 for vec in basis):
+    rest = frozenset(range(g.n)) - pend
+    rest_d = forest_decomposition(g, rest)
+    bordered = g.induced_subgraph(rest | {v})
+    if recursion_nullity(bordered, classify(bordered)) < rest_d.nullity:
         return CASE_TI4
-    if all(vec[pos[u]] == 0 and vec[pos[w]] == 0 for vec in basis):
+    if u not in rest_d.support and w not in rest_d.support:
         return CASE_TI1
-    pend_d = _sub_decomposition(g, pend)
+    pend_d = forest_decomposition(g, pend)
     if v in pend_d.core:
         return CASE_TI2
     if v in pend_d.n_vertices:
@@ -124,49 +117,35 @@ def decomposition_from_basis(g: Graph) -> Decomposition:
 
 
 def structural_decomposition(g: Graph) -> Decomposition:
-    """Decomposition assembled from subgraph decompositions, case by case."""
-    if not g.is_unicyclic():
-        raise NotUnicyclic(f"graph has {g.n} vertices and {g.edge_count} edges")
+    """Decomposition assembled from forest decompositions, case by case.
+
+    The nullity comes from the pendant-tree recursion alone; ``run_checks``
+    compares it with the rank (``nullity_recursion``).
+    """
     cls = classify(g)
     case = _case_tag(g, cls)
     pend = pendant_trees(g, cls.cycle)
-
-    if case in (CASE_TI1, CASE_TI2, CASE_TI3, CASE_TI4):
+    everything = frozenset(range(g.n))
+    cycle = cls.cycle.vertex_set()
+    to_core: frozenset[int] = frozenset()  # vertices the case moves into the core
+    to_n: frozenset[int] = frozenset()  # vertices the case adds to the N-vertices
+    if cls.tag == TYPE1:
         v = cls.witness
-        pend_vertices = pend[v]
-        rest_vertices = frozenset(range(g.n)) - pend_vertices
-        rest_d = _sub_decomposition(g, rest_vertices)
-        if case == CASE_TI4:
-            sub_d = _sub_decomposition(g, pend_vertices - {v})
-            support = sub_d.support | rest_d.support
-            core = sub_d.core | rest_d.core | {v}
-            n_vertices = sub_d.n_vertices | rest_d.n_vertices
-        else:
-            pend_d = _sub_decomposition(g, pend_vertices)
-            support = pend_d.support | rest_d.support
-            core = pend_d.core | rest_d.core
-            n_vertices = pend_d.n_vertices | rest_d.n_vertices
-            if case == CASE_TI3:
-                core |= {v}
-                n_vertices -= {v}
+        tree = pend[v] - {v} if case == CASE_TI4 else pend[v]
+        pieces = [tree, everything - pend[v]]
+        if case in (CASE_TI3, CASE_TI4):
+            to_core = frozenset({v})
     elif case == CASE_TII_NON4K:
-        forest_d = _sub_decomposition(g, frozenset(range(g.n)) - cls.cycle.vertex_set())
-        support = forest_d.support
-        core = forest_d.core
-        n_vertices = forest_d.n_vertices | cls.cycle.vertex_set()
+        pieces, to_n = [everything - cycle], cycle
     else:
-        support, core, n_vertices = set(), set(cls.cycle.vertices), set()
-        for v in cls.cycle.vertices:
-            tree_d = _sub_decomposition(g, pend[v])
-            support |= tree_d.support
-            core |= tree_d.core
-            n_vertices |= tree_d.n_vertices
+        pieces, to_core = [pend[v] for v in cls.cycle.vertices], cycle
+    parts = [forest_decomposition(g, vs) for vs in pieces]
     return Decomposition(
-        frozenset(support),
-        frozenset(core),
-        frozenset(n_vertices),
+        frozenset().union(*(d.support for d in parts)),
+        frozenset().union(to_core, *(d.core for d in parts)),
+        frozenset().union(to_n, *(d.n_vertices for d in parts)) - to_core,
         case,
-        unicyclic_nullity(g, cls),
+        recursion_nullity(g, cls),
         cls,
     )
 

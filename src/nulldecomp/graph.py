@@ -118,9 +118,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u, nbrs in enumerate(self.adjacency):
             for v in nbrs:

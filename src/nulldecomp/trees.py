@@ -1,11 +1,12 @@
 """Null decomposition of forests: support, core, N-vertices, closed formulas.
 
 The support of a graph is the set of vertices carrying a nonzero coordinate in
-some kernel vector of the adjacency matrix; by linearity it equals the union
-of supports over any kernel basis, so the canonical RREF basis suffices.  The
-core is the union of neighborhoods of supported vertices, and the N-vertices
-are everything else.  For forests these three sets partition the vertex set
-and yield exact formulas for the independence and matching numbers.
+some kernel vector of the adjacency matrix.  For a forest it is the set of
+vertices some maximum matching misses (Gallai-Edmonds), so a forest
+decomposition comes from a maximum matching, in linear time, with no kernel.
+The core is the union of neighborhoods of supported vertices, and the
+N-vertices are everything else.  For forests these three sets partition the
+vertex set and yield exact formulas for the independence and matching numbers.
 
 Every operation accepts any forest and distributes over components, since
 derived graphs elsewhere in the package (cycle complements, rooted-tree
@@ -16,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, EmptyBasis, InternalCheckError, NotForest, OddNSet
 from .graph import Graph
-from .linalg import Vector, null_space_basis, support_indices, vec_add, vec_scale
+from .linalg import Vector, support_indices, vec_add, vec_scale
 
 
 @dataclass(frozen=True)
@@ -33,29 +34,57 @@ class TreeDecomposition:
     nullity: int
 
 
-def _require_forest(t: Graph) -> None:
-    if not t.is_forest():
-        raise NotForest(f"graph with {t.n} vertices and {t.edge_count} edges contains a cycle")
+def forest_decomposition(g: Graph, vertices: Iterable[int]) -> TreeDecomposition:
+    """Decompose the forest that ``vertices`` induce in ``g``, in g's own indices.
 
-
-def tree_support(t: Graph) -> frozenset[int]:
-    """Vertices with a nonzero coordinate somewhere in the kernel of A(t)."""
-    _require_forest(t)
-    support: set[int] = set()
-    for vec in null_space_basis(t.adjacency_matrix()):
-        support.update(support_indices(vec))
-    return frozenset(support)
+    Leaves are matched to their parents bottom-up, which gives a maximum
+    matching of a forest.  The support D is then every vertex reached from an
+    exposed vertex by an even alternating path: each such path can be
+    switched to give a maximum matching that misses its end.  The nullity is
+    |F| - 2 * nu.  Raises NotForest when the vertices induce a cycle.
+    """
+    inside = set(vertices)
+    adjacency = g.adjacency
+    parent: dict[int, int] = {}
+    order: list[int] = []  # depth-first preorder: every vertex before its children
+    for root in inside:
+        if root in parent:
+            continue
+        parent[root] = -1
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            order.append(x)
+            for y in adjacency[x]:
+                if y not in inside or y == parent[x]:
+                    continue
+                if y in parent:
+                    raise NotForest(f"vertex set of size {len(inside)} induces a cycle")
+                parent[y] = x
+                stack.append(y)
+    mate: dict[int, int] = {}
+    for x in reversed(order):
+        p = parent[x]
+        if p >= 0 and x not in mate and p not in mate:
+            mate[x], mate[p] = p, x
+    support = {x for x in order if x not in mate}
+    frontier = list(support)
+    while frontier:
+        x = frontier.pop()
+        for y in adjacency[x]:
+            if y in inside and y != mate.get(x):
+                z = mate[y]  # y is matched, or the matching would not be maximum
+                if z not in support:
+                    support.add(z)
+                    frontier.append(z)
+    core = frozenset(y for x in support for y in adjacency[x] if y in inside)
+    n_vertices = frozenset(inside - support - core)
+    return TreeDecomposition(frozenset(support), core, n_vertices, len(inside) - len(mate))
 
 
 def tree_decomposition(t: Graph) -> TreeDecomposition:
-    _require_forest(t)
-    basis = null_space_basis(t.adjacency_matrix())
-    support: set[int] = set()
-    for vec in basis:
-        support.update(support_indices(vec))
-    core = t.neighborhood(support)
-    n_vertices = frozenset(range(t.n)) - support - core
-    return TreeDecomposition(frozenset(support), core, n_vertices, len(basis))
+    """Decomposition of a whole forest."""
+    return forest_decomposition(t, range(t.n))
 
 
 def tree_alpha(t: Graph) -> int:

@@ -15,8 +15,10 @@ subgraphs:
   extra vectors z1 and z2: alternating-sign sums of normalized full-support
   pendant-tree vectors over the odd and even cycle positions.
 
-Both constructions are verified elsewhere against the canonical RREF kernel
-(same span, exact annihilation).
+The class and the nullity recursion need only forest decompositions, which
+come from maximum matchings (``trees``); the bases take their vectors from
+exact RREF kernels of the subforests.  Both constructions are verified
+elsewhere against the canonical RREF kernel (same span, exact annihilation).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .errors import (
 )
 from .graph import CycleInfo, Graph, find_cycle, pendant_trees
 from .linalg import Vector, null_space_basis, nullity, vec_add, vec_scale
-from .trees import full_support_vector, tree_support
+from .trees import forest_decomposition, full_support_vector
 
 TYPE1 = "type1"
 TYPE2 = "type2"
@@ -76,13 +78,10 @@ class NullBasis:
 
 def classify(g: Graph) -> UnicyclicClass:
     """Decide Type I / Type II by testing each cycle vertex against its pendant tree."""
-    if not g.is_unicyclic():
-        raise NotUnicyclic(f"graph has {g.n} vertices and {g.edge_count} edges")
     cycle = find_cycle(g)
     pend = pendant_trees(g, cycle)
     for v in sorted(cycle.vertices):
-        tree = g.induced_subgraph(pend[v])
-        if tree.index_of(g.labels[v]) not in tree_support(tree):
+        if v not in forest_decomposition(g, pend[v]).support:
             return UnicyclicClass(TYPE1, cycle, witness=v)
     return UnicyclicClass(TYPE2, cycle)
 
@@ -111,23 +110,29 @@ def cycle_nullity(length: int) -> int:
     return 2 if length % 4 == 0 else 0
 
 
-def unicyclic_nullity(g: Graph, cls: UnicyclicClass | None = None) -> int:
-    """Nullity via the pendant-tree recursion, cross-checked against the rank.
+def recursion_nullity(g: Graph, cls: UnicyclicClass) -> int:
+    """Nullity via the pendant-tree recursion, from forest nullities alone.
 
     Type I with witness v: nullity(G) = nullity(G{v}) + nullity(G - G{v}).
     Type II: nullity(G) = nullity(G - C) + nullity(C).
+    """
+    everything = frozenset(range(g.n))
+    if cls.tag == TYPE1:
+        pend = pendant_trees(g, cls.cycle)[cls.witness]
+        rest = everything - pend
+        return forest_decomposition(g, pend).nullity + forest_decomposition(g, rest).nullity
+    forest = everything - cls.cycle.vertex_set()
+    return forest_decomposition(g, forest).nullity + cycle_nullity(cls.cycle.length)
+
+
+def unicyclic_nullity(g: Graph, cls: UnicyclicClass | None = None) -> int:
+    """Nullity via the pendant-tree recursion, cross-checked against the rank.
+
     A mismatch with the direct rank computation is a bug, never a data error.
     """
     if cls is None:
         cls = classify(g)
-    if cls.tag == TYPE1:
-        pend = pendant_trees(g, cls.cycle)[cls.witness]
-        tree = g.induced_subgraph(pend)
-        rest = g.delete_vertices(pend)
-        recursed = nullity(tree.adjacency_matrix()) + nullity(rest.adjacency_matrix())
-    else:
-        forest = g.delete_vertices(cls.cycle.vertices)
-        recursed = nullity(forest.adjacency_matrix()) + cycle_nullity(cls.cycle.length)
+    recursed = recursion_nullity(g, cls)
     direct = nullity(g.adjacency_matrix())
     if recursed != direct:
         raise RecursionMismatch(
@@ -183,7 +188,7 @@ def type1_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
         sub = g.induced_subgraph(sub_vertices)
         sub_pos = {vertex: j for j, vertex in enumerate(sub_vertices)}
         neighbor_positions = [sub_pos[t] for t in g.neighbors(v) if t in sub_pos]
-        if not (set(g.neighbors(v)) & {sub_vertices[j] for j in tree_support(sub)}):
+        if not (set(g.neighbors(v)) & forest_decomposition(g, sub_vertices).support):
             raise InternalCheckError(
                 "witness vertex has no supported neighbor in its deleted pendant tree"
             )

@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import json
 
-from nulldecomp import parse_edge_list
+from nulldecomp import checks, parse_edge_list
 from nulldecomp.cli import main
+from nulldecomp.errors import InternalCheckError
 
 from conftest import EXAMPLE_FOUR_CYCLE, EXAMPLE_TYPE1
 
@@ -139,3 +140,21 @@ def test_verify_with_bias(capsys):
         ["verify", "--count", "10", "--min-n", "6", "--max-n", "10", "--force-type", "1"],
     )
     assert code == 0 and "10/10 passed" in out
+
+
+def test_verify_reports_a_raise_inside_the_battery(capsys, monkeypatch):
+    def raising(g, cls=None):
+        raise InternalCheckError("planted invariant failure")
+
+    monkeypatch.setattr(checks, "constructed_null_basis", raising)
+    code, out, err = run(
+        capsys, ["verify", "--count", "5", "--min-n", "7", "--max-n", "9", "--seed", "3"]
+    )
+    assert code == 4 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == f"verify: FAILED on graph 0 (n=7, seed={3 * 1_000_003})"
+    assert lines[1] == "run_checks raised InternalCheckError: planted invariant failure"
+    assert lines[2] == "minimized reproduction:"
+    # Every graph raises the same way, so the shrink goes down to the bare cycle.
+    small = parse_edge_list("\n".join(lines[3:]))
+    assert small.is_unicyclic() and all(small.degree(v) == 2 for v in range(small.n))

@@ -5,19 +5,30 @@ import pytest
 from nulldecomp import (
     CASE_FOREST,
     CASE_TI1,
+    CASE_TI2,
     CASE_TI3,
+    CASE_TI4,
     CASE_TII_4K,
     CASE_TII_NON4K,
     Graph,
+    GeneratorSpec,
     alpha,
     analyze,
+    classify,
     decomposition_from_basis,
+    generate_unicyclic,
     n_graph,
     nu,
     s_graph,
+    null_space_basis,
+    pendant_trees,
     structural_decomposition,
 )
+from nulldecomp.decomposition import _case_tag
 from nulldecomp.errors import NotUnicyclic, UnsupportedGraphClass
+from nulldecomp.generator import FORCE_TYPE1
+from nulldecomp.linalg import support_indices
+from nulldecomp.unicyclic import TYPE1
 
 from conftest import cycle_graph, cycle_with_attachments, path_graph
 
@@ -176,3 +187,37 @@ def test_ti2_sets():
     assert labels(g, d.core) == {"c00", "c02"}
     assert d.n_vertices == frozenset()
     assert alpha(g) == 4 and nu(g) == 2
+
+
+def kernel_case_tag(g: Graph, cls) -> str:
+    """The Type I case by its definition, read off dense RREF kernels."""
+    v = cls.witness
+    u, w = cls.cycle.neighbors_on_cycle(v)
+    pend = pendant_trees(g, cls.cycle)[v]
+    rest_vertices = sorted(set(range(g.n)) - pend)
+    pos = {vertex: j for j, vertex in enumerate(rest_vertices)}
+    basis = null_space_basis(g.induced_subgraph(rest_vertices).adjacency_matrix())
+    if any(vec[pos[u]] + vec[pos[w]] != 0 for vec in basis):
+        return CASE_TI4
+    if all(vec[pos[u]] == 0 and vec[pos[w]] == 0 for vec in basis):
+        return CASE_TI1
+    tree_vertices = sorted(pend)
+    tree_basis = null_space_basis(g.induced_subgraph(tree_vertices).adjacency_matrix())
+    support = {tree_vertices[j] for vec in tree_basis for j in support_indices(vec)}
+    return CASE_TI2 if v in g.neighborhood(support) else CASE_TI3
+
+
+def test_case_tag_equals_kernel_definition(families):
+    sample = [
+        generate_unicyclic(GeneratorSpec(n=5 + i % 10, seed=9000 + i, class_bias=FORCE_TYPE1))
+        for i in range(150)
+    ]
+    sample += [g for case in (CASE_TI1, CASE_TI2, CASE_TI3, CASE_TI4) for g in families[case]]
+    seen = set()
+    for g in sample:
+        cls = classify(g)
+        assert cls.tag == TYPE1
+        expected = kernel_case_tag(g, cls)
+        assert _case_tag(g, cls) == expected, g.to_edge_list()
+        seen.add(expected)
+    assert seen == {CASE_TI1, CASE_TI2, CASE_TI3, CASE_TI4}

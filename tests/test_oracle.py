@@ -11,7 +11,7 @@ from nulldecomp import (
     max_independent_intersection,
     maximum_independent_sets,
     maximum_matchings,
-    tree_support,
+    tree_decomposition,
 )
 from nulldecomp.errors import BudgetExceeded
 
@@ -79,8 +79,6 @@ def test_nu_matches_exhaustive_small():
 
 def test_mis_facts_for_trees():
     # Core vertices miss some maximum independent set; N-vertices swing.
-    from nulldecomp import tree_decomposition
-
     for g in (path_graph(6), star_graph(4), path_graph(3)):
         d = tree_decomposition(g)
         mis = maximum_independent_sets(g)
@@ -93,8 +91,8 @@ def test_mis_facts_for_trees():
 
 def test_eg_equals_support_on_trees():
     for g in (path_graph(3), path_graph(6), star_graph(4)):
-        assert edmonds_gallai_set(g) == tree_support(g)
-        assert max_independent_intersection(g) == tree_support(g)
+        assert edmonds_gallai_set(g) == tree_decomposition(g).support
+        assert max_independent_intersection(g) == tree_decomposition(g).support
 
 
 def test_time_limit():

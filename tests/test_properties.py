@@ -27,8 +27,8 @@ from nulldecomp import (
     same_span,
     structural_decomposition,
     tree_alpha,
+    tree_decomposition,
     tree_nu,
-    tree_support,
     unicyclic_nullity,
 )
 from nulldecomp.linalg import is_zero_vector
@@ -119,7 +119,7 @@ def test_support_independence_dichotomy(g):
 @common
 @given(forests())
 def test_forest_support_independent_and_formulas(f):
-    support = tree_support(f)
+    support = tree_decomposition(f).support
     assert f.is_independent_set(support)
     assert tree_alpha(f) + tree_nu(f) == f.n
     if f.n <= 13:

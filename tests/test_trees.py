@@ -3,19 +3,25 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nulldecomp import (
     Graph,
+    GeneratorSpec,
+    find_cycle,
     full_support_vector,
+    generate_unicyclic,
+    pendant_trees,
     tree_alpha,
     tree_decomposition,
     tree_nu,
-    tree_support,
 )
 from nulldecomp.errors import EmptyBasis, NotForest
-from nulldecomp.linalg import null_space_basis
+from nulldecomp.linalg import null_space_basis, support_indices
+from nulldecomp.trees import TreeDecomposition, forest_decomposition
 
-from conftest import cycle_graph, path_graph, star_graph
+from conftest import cycle_graph, cycle_with_attachments, path_graph, star_graph
 
 
 def labels_of(g: Graph, indices) -> set[str]:
@@ -24,21 +30,21 @@ def labels_of(g: Graph, indices) -> set[str]:
 
 def test_support_path3():
     g = path_graph(3)
-    assert labels_of(g, tree_support(g)) == {"p00", "p02"}
+    assert labels_of(g, tree_decomposition(g).support) == {"p00", "p02"}
 
 
 def test_support_path2_empty():
-    assert tree_support(path_graph(2)) == frozenset()
+    assert tree_decomposition(path_graph(2)).support == frozenset()
 
 
 def test_support_star():
     g = star_graph(3)
-    assert labels_of(g, tree_support(g)) == {"x00", "x01", "x02"}
+    assert labels_of(g, tree_decomposition(g).support) == {"x00", "x01", "x02"}
 
 
 def test_support_rejects_cycles():
     with pytest.raises(NotForest):
-        tree_support(cycle_graph(4))
+        tree_decomposition(cycle_graph(4)).support
     with pytest.raises(NotForest):
         tree_decomposition(cycle_graph(4))
 
@@ -125,5 +131,80 @@ def test_full_support_matches_union_on_tree_kernels():
     for g in (star_graph(4), path_graph(9)):
         basis = null_space_basis(g.adjacency_matrix())
         combined = full_support_vector(basis)
-        union = tree_support(g)
+        union = tree_decomposition(g).support
         assert {i for i, x in enumerate(combined) if x != 0} == set(union)
+
+
+# -- the matching route against the kernel --------------------------------
+
+
+def kernel_decomposition(g: Graph, vertices) -> TreeDecomposition:
+    """The decomposition read off the canonical kernel of the induced subgraph, in g's indices."""
+    vs = sorted(vertices)
+    basis = null_space_basis(g.induced_subgraph(vs).adjacency_matrix())
+    support = frozenset(vs[j] for vec in basis for j in support_indices(vec))
+    core = g.neighborhood(support) & frozenset(vs)
+    return TreeDecomposition(support, core, frozenset(vs) - support - core, len(basis))
+
+
+@st.composite
+def forests_with_subsets(draw):
+    """A random forest on up to 16 vertices and a random subset of its vertices."""
+    n = draw(st.integers(min_value=1, max_value=16))
+    labels = [f"f{i:02d}" for i in range(n)]
+    edges = []
+    for i in range(1, n):
+        parent = draw(st.integers(min_value=-1, max_value=i - 1))  # -1 starts a new tree
+        if parent >= 0:
+            edges.append((labels[parent], labels[i]))
+    g = Graph.from_edges(edges, isolated=labels)
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return g, [v for v in range(n) if keep[v]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(forests_with_subsets())
+def test_forest_decomposition_matches_kernel_on_random_forests(drawn):
+    g, subset = drawn
+    assert forest_decomposition(g, range(g.n)) == kernel_decomposition(g, range(g.n))
+    assert forest_decomposition(g, subset) == kernel_decomposition(g, subset)
+
+
+def unicyclic_pieces(g: Graph) -> list[frozenset[int]]:
+    """Every forest the structural layer decomposes: T_v, T_v - v, G - T_v and G - C."""
+    cycle = find_cycle(g)
+    everything = frozenset(range(g.n))
+    pieces = [everything - cycle.vertex_set()]
+    for v, tree in pendant_trees(g, cycle).items():
+        pieces += [tree, tree - {v}, everything - tree]
+    return pieces
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=3, max_value=14), st.integers(min_value=0, max_value=10_000))
+def test_forest_decomposition_matches_kernel_on_unicyclic_pieces(n, seed):
+    g = generate_unicyclic(GeneratorSpec(n=n, seed=seed))
+    for piece in unicyclic_pieces(g):
+        assert forest_decomposition(g, piece) == kernel_decomposition(g, piece)
+
+
+def test_forest_decomposition_matches_kernel_on_seeded_sample():
+    for i in range(120):
+        g = generate_unicyclic(GeneratorSpec(n=3 + i % 12, seed=7000 + i))
+        for piece in unicyclic_pieces(g):
+            assert forest_decomposition(g, piece) == kernel_decomposition(g, piece), (
+                g.to_edge_list(),
+                sorted(piece),
+            )
+
+
+def test_forest_decomposition_rejects_the_cycle():
+    g = cycle_with_attachments(5, tails={0: 2, 2: 1})
+    cycle = find_cycle(g).vertex_set()
+    with pytest.raises(NotForest):
+        forest_decomposition(g, cycle)
+    with pytest.raises(NotForest):
+        forest_decomposition(g, range(g.n))
+    assert forest_decomposition(g, cycle - {min(cycle)}).nullity == kernel_decomposition(
+        g, cycle - {min(cycle)}
+    ).nullity
