@@ -20,9 +20,7 @@ from .decomposition import (
     alpha,
     analyze,
     decomposition_from_basis,
-    n_graph,
     nu,
-    s_graph,
     structural_decomposition,
 )
 from .generator import GeneratorSpec, generate_unicyclic
@@ -54,7 +52,6 @@ from .unicyclic import (
     rref_null_basis,
     type1_null_basis,
     type2_null_basis,
-    unicyclic_nullity,
 )
 from .checks import run_checks
 
@@ -94,7 +91,6 @@ __all__ = [
     "max_independent_intersection",
     "maximum_independent_sets",
     "maximum_matchings",
-    "n_graph",
     "nu",
     "null_space_basis",
     "nullity",
@@ -103,7 +99,6 @@ __all__ = [
     "rref",
     "rref_null_basis",
     "run_checks",
-    "s_graph",
     "same_span",
     "structural_decomposition",
     "tree_alpha",
@@ -111,5 +106,4 @@ __all__ = [
     "tree_nu",
     "type1_null_basis",
     "type2_null_basis",
-    "unicyclic_nullity",
 ]

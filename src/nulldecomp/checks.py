@@ -6,13 +6,20 @@ kernel bases against RREF kernels, structural decompositions (built from
 maximum matchings) against basis-derived ones, closed formulas against
 brute-force search, and the arithmetic identities that make the case analysis
 exhaustive.  Every check that reads a support does so off an exact RREF
-kernel, never off the matching route it is meant to test.  A failure here
-always means a bug somewhere, which is exactly what the fuzzing campaign is
-hunting for.
+kernel, never off the matching route it is meant to test.
+
+Each matrix is reduced once per graph.  The canonical basis of A(G) also
+gives the kernel-read decomposition and the nullity check, and each derived
+forest the identities read (pendant trees, T_v - v, G - C) gets one induced
+subgraph and one kernel decomposition, shared by every check on that vertex
+set.  The constructed bases keep their own subforest kernels: they are the
+route under test.  A failure here always means a bug somewhere, which is
+exactly what the fuzzing campaign is hunting for.
 """
 
 from __future__ import annotations
 
+from functools import cache, partial
 from typing import Callable, Hashable
 
 from .decomposition import (
@@ -25,7 +32,7 @@ from .decomposition import (
     nu,
 )
 from .errors import NullDecompError
-from .graph import Graph, pendant_trees
+from .graph import Graph
 from .linalg import is_zero_vector, mat_vec, same_span
 from .oracle import (
     ENUMERATION_BUDGET,
@@ -44,8 +51,8 @@ from .unicyclic import (
     TYPE2,
     classify,
     constructed_null_basis,
+    recursion_nullity,
     rref_null_basis,
-    unicyclic_nullity,
 )
 
 
@@ -75,12 +82,13 @@ def _guarded(checks: dict[str, bool], name: str, thunk: Callable[[], bool]) -> N
         checks[name] = False
 
 
-def _kernel_decomposition(g: Graph, vertices) -> TreeDecomposition:
-    """Decomposition of an induced forest read off its canonical kernel, in g's indices."""
+def _kernel_decomposition(g: Graph, vertices) -> tuple[Graph, TreeDecomposition]:
+    """The forest ``vertices`` induce, and its kernel-read decomposition in g's indices."""
     vs = sorted(vertices)
-    d = decomposition_from_basis(g.induced_subgraph(vs))
+    f = g.induced_subgraph(vs)
+    d = decomposition_from_basis(f)
     parts = (frozenset(vs[j] for j in part) for part in (d.support, d.core, d.n_vertices))
-    return TreeDecomposition(*parts, d.nullity)
+    return f, TreeDecomposition(*parts, d.nullity)
 
 
 def _forest_checks(
@@ -89,7 +97,7 @@ def _forest_checks(
     checks: dict[str, bool] = {}
     matrix = g.adjacency_matrix()
     basis = rref_null_basis(g)
-    d = decomposition_from_basis(g)
+    d = decomposition_from_basis(g, basis.vectors)
 
     checks["basis_exact"] = all(is_zero_vector(mat_vec(matrix, v)) for v in basis.vectors)
     checks["basis_count"] = len(basis.vectors) == tree_decomposition(g).nullity
@@ -133,7 +141,7 @@ def _forest_neighbor_support(g: Graph, support: frozenset[int]) -> bool:
         for v in comp:
             if v in support:
                 continue
-            if not (set(g.neighbors(v)) & _kernel_decomposition(g, set(comp) - {v}).support):
+            if not (set(g.neighbors(v)) & _kernel_decomposition(g, set(comp) - {v})[1].support):
                 return False
     return True
 
@@ -145,7 +153,8 @@ def _unicyclic_checks(
     cls = classify(g)
     matrix = g.adjacency_matrix()
     cycle_set = cls.cycle.vertex_set()
-    pend = pendant_trees(g, cls.cycle)
+    pend = cls.pendant_trees
+    kernel = cache(partial(_kernel_decomposition, g))  # built once per vertex set
 
     constructed = constructed_null_basis(g, cls)
     canonical = rref_null_basis(g)
@@ -153,7 +162,7 @@ def _unicyclic_checks(
         is_zero_vector(mat_vec(matrix, v)) for v in constructed.vectors
     )
     checks["basis_count"] = len(constructed.vectors) == len(canonical.vectors)
-    _guarded(checks, "nullity_recursion", lambda: unicyclic_nullity(g, cls) >= 0)
+    _guarded(checks, "nullity_recursion", lambda: recursion_nullity(g, cls) == len(canonical.vectors))
     checks["span_equality"] = same_span(constructed.vectors, canonical.vectors)
     tag = EXTENDED_PENDANT if cls.tag != TYPE2 else EXTENDED_FOREST
     name = "pendant_extension_null" if cls.tag != TYPE2 else "forest_extension_null"
@@ -163,7 +172,7 @@ def _unicyclic_checks(
         if prov == tag
     )
 
-    d_basis = decomposition_from_basis(g)
+    d_basis = decomposition_from_basis(g, canonical.vectors)
     d_struct = structural_decomposition(g)
     checks["structural_matches_basis"] = (
         d_basis.support == d_struct.support
@@ -198,10 +207,10 @@ def _unicyclic_checks(
     checks[nu_name] = 2 * nu(g, d_basis) == base + sum(map(_double_nu, parts))
 
     # Pendant-tree identities around off-support cycle vertices, on kernels.
-    pendant = {v: _kernel_decomposition(g, pend[v]) for v in cls.cycle.vertices}
+    pendant = {v: kernel(pend[v])[1] for v in cls.cycle.vertices}
     roots = [v for v in cls.cycle.vertices if v not in pendant[v].support]
     if roots:
-        deleted = {v: _kernel_decomposition(g, pend[v] - {v}) for v in roots}
+        deleted = {v: kernel(pend[v] - {v})[1] for v in roots}
         checks["supported_neighbor_after_deletion"] = all(
             set(g.neighbors(v)) & deleted[v].support for v in roots
         )
@@ -216,7 +225,7 @@ def _unicyclic_checks(
         )
 
     if cls.tag == TYPE2:
-        forest_k = _kernel_decomposition(g, forest_vs)
+        forest_k = kernel(forest_vs)[1]
         checks["cycle_tree_neighbors_unsupported"] = all(
             u not in forest_k.support
             for v in cls.cycle.vertices
@@ -230,23 +239,23 @@ def _unicyclic_checks(
             2 * cls.cycle.length + _double_alpha(forest_k)
         )
 
-    # Formulas and enumeration facts on the derived forests.
+    # Formulas and enumeration facts on the derived forests, compared by
+    # label: the oracles answer in the subgraph's indices, the kernels in g's.
     if oracle:
         cuts = [forest_vs] + [pend[v] - {v} for v in cls.cycle.vertices]
-        derived = [g.induced_subgraph(vs) for vs in cuts if vs]
-        searched = [f for f in derived if f.n <= search_budget.max_vertices]
+        derived = [vs for vs in cuts if vs]
+        searched = [kernel(vs)[0] for vs in derived if len(vs) <= search_budget.max_vertices]
         _guarded(checks, "derived_forest_formulas", lambda: all(
             tree_alpha(f) == brute_alpha(f, search_budget) and tree_nu(f) == brute_nu(f, search_budget)
             for f in searched
         ))
-        enumerated = [
-            (f, decomposition_from_basis(f).support) for f in derived if f.n <= enum_budget.max_vertices
-        ]
+        enumerated = [kernel(vs) for vs in derived if len(vs) <= enum_budget.max_vertices]
         checks["eg_equals_support"] = all(
-            edmonds_gallai_set(f, enum_budget) == sup for f, sup in enumerated
+            f.label_set(edmonds_gallai_set(f, enum_budget)) == g.label_set(d.support) for f, d in enumerated
         )
         checks["mis_intersection_is_support"] = all(
-            max_independent_intersection(f, enum_budget) == sup for f, sup in enumerated
+            f.label_set(max_independent_intersection(f, enum_budget)) == g.label_set(d.support)
+            for f, d in enumerated
         )
     return checks
 
@@ -280,17 +289,17 @@ def minimize_failing_graph(g: Graph, fails: Callable[[Graph], Hashable]) -> Grap
     """Greedy shrink: drop leaves while the graph still fails the same way.
 
     ``fails`` gives a graph's failure signature, for example the set of its
-    failed check names; a ``NullDecompError`` it raises has the exception type
-    as signature.  A candidate is kept only when its signature equals the
-    original one, so the shrink cannot wander onto a different bug.  Leaf
-    deletion preserves the unicyclic class, so the result stays a valid
-    reproduction for every unicyclic-only code path.
+    failed check names; an exception it raises has its type as signature.
+    A candidate is kept only when its signature equals the original one, so
+    the shrink cannot wander onto a different bug.  Leaf deletion preserves
+    the unicyclic class, so the result stays a valid reproduction for every
+    unicyclic-only code path.
     """
 
     def signature(h: Graph) -> Hashable:
         try:
             return fails(h)
-        except NullDecompError as exc:
+        except Exception as exc:
             return type(exc)
 
     target = signature(g)

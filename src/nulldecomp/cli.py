@@ -43,7 +43,12 @@ EXIT_VERIFY = 4
 
 
 def _read_graph(source: str) -> Graph:
-    text = sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8")
+    try:
+        text = sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8")
+        text.encode("utf-8")  # stdin may have decoded bad bytes to lone surrogates
+    except UnicodeError:
+        name = "standard input" if source == "-" else source
+        raise EdgeListError(f"{name} is not UTF-8 text") from None
     return parse_edge_list(text)
 
 
@@ -120,6 +125,8 @@ def _failed_checks(g: Graph) -> frozenset[str]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.count < 0:
+        raise SpecInvalid(f"negative graph count {args.count}")
     if args.min_n > args.max_n:
         raise SpecInvalid(f"empty vertex range [{args.min_n}, {args.max_n}]")
     passed = 0
@@ -134,7 +141,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         g = generate_unicyclic(spec)
         try:
             failed = _failed_checks(g)
-        except NullDecompError as exc:  # a raise inside the battery fails this graph
+        except Exception as exc:  # any raise inside the battery fails this graph
             problem = f"run_checks raised {type(exc).__name__}: {exc}"
         else:
             if not failed:

@@ -21,12 +21,12 @@ verified properties.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .errors import CaseContradiction, OddNSet, UnsupportedGraphClass
-from .graph import Graph, pendant_trees
-from .linalg import null_space_basis, support_indices
-from .trees import forest_decomposition
+from .errors import CaseContradiction, UnsupportedGraphClass
+from .graph import Graph
+from .linalg import Vector, null_space_basis, support_indices
+from .trees import forest_decomposition, tree_alpha, tree_nu
 from .unicyclic import TYPE1, TYPE2, UnicyclicClass, classify, recursion_nullity
 
 CASE_TI1 = "TI-1"
@@ -45,9 +45,8 @@ TYPE2_CASES = (CASE_TII_NON4K, CASE_TII_4K)
 class Decomposition:
     """Support, core, and N-vertices of a graph, with case and class tags.
 
-    ``support | core`` induces the S-graph, the rest the N-graph.  Support and
-    core are disjoint except in the TII-4k case, where they intersect exactly
-    in the cycle.
+    Support and core are disjoint except in the TII-4k case, where they
+    intersect exactly in the cycle.
     """
 
     support: frozenset[int]
@@ -56,10 +55,6 @@ class Decomposition:
     case: str
     nullity: int
     cls: UnicyclicClass | None = None
-
-    @property
-    def s_graph_vertices(self) -> frozenset[int]:
-        return self.support | self.core
 
 
 def _case_tag(g: Graph, cls: UnicyclicClass) -> str:
@@ -73,7 +68,7 @@ def _case_tag(g: Graph, cls: UnicyclicClass) -> str:
         return CASE_TII_4K if cls.cycle.length % 4 == 0 else CASE_TII_NON4K
     v = cls.witness
     u, w = cls.cycle.neighbors_on_cycle(v)
-    pend = pendant_trees(g, cls.cycle)[v]
+    pend = cls.pendant_trees[v]
     rest = frozenset(range(g.n)) - pend
     rest_d = forest_decomposition(g, rest)
     bordered = g.induced_subgraph(rest | {v})
@@ -91,11 +86,12 @@ def _case_tag(g: Graph, cls: UnicyclicClass) -> str:
     )
 
 
-def decomposition_from_basis(g: Graph) -> Decomposition:
-    """Decomposition read off the canonical kernel basis of A(g).
+def decomposition_from_basis(g: Graph, basis: Sequence[Vector] | None = None) -> Decomposition:
+    """Decomposition read off a kernel basis of A(g), by default the canonical one.
 
     Accepts forests and unicyclic graphs; anything else is out of scope for
-    the decomposition theory.
+    the decomposition theory.  A caller that already holds a basis of A(g)
+    passes it in, and A(g) is not reduced again.
     """
     if g.is_forest():
         cls = None
@@ -107,13 +103,12 @@ def decomposition_from_basis(g: Graph) -> Decomposition:
         raise UnsupportedGraphClass(
             f"graph with {g.n} vertices and {g.edge_count} edges is neither a forest nor unicyclic"
         )
-    basis = null_space_basis(g.adjacency_matrix())
-    support: set[int] = set()
-    for vec in basis:
-        support.update(support_indices(vec))
+    if basis is None:
+        basis = null_space_basis(g.adjacency_matrix())
+    support = frozenset().union(*map(support_indices, basis))
     core = g.neighborhood(support)
     n_vertices = frozenset(range(g.n)) - support - core
-    return Decomposition(frozenset(support), core, n_vertices, case, len(basis), cls)
+    return Decomposition(support, core, n_vertices, case, len(basis), cls)
 
 
 def structural_decomposition(g: Graph) -> Decomposition:
@@ -124,7 +119,7 @@ def structural_decomposition(g: Graph) -> Decomposition:
     """
     cls = classify(g)
     case = _case_tag(g, cls)
-    pend = pendant_trees(g, cls.cycle)
+    pend = cls.pendant_trees
     everything = frozenset(range(g.n))
     cycle = cls.cycle.vertex_set()
     to_core: frozenset[int] = frozenset()  # vertices the case moves into the core
@@ -150,16 +145,6 @@ def structural_decomposition(g: Graph) -> Decomposition:
     )
 
 
-def s_graph(g: Graph, d: Decomposition) -> Graph:
-    """Induced subgraph on the closed neighborhood of the support."""
-    return g.induced_subgraph(d.s_graph_vertices)
-
-
-def n_graph(g: Graph, d: Decomposition) -> Graph:
-    """Induced subgraph on the N-vertices (everything off the support's closed neighborhood)."""
-    return g.induced_subgraph(d.n_vertices)
-
-
 def _ceil_half(value: int) -> int:
     return -((-value) // 2)
 
@@ -174,9 +159,7 @@ def alpha(g: Graph, d: Decomposition | None = None) -> int:
     if d is None:
         d = decomposition_from_basis(g)
     if d.case == CASE_FOREST:
-        if len(d.n_vertices) % 2:
-            raise OddNSet(f"odd N-vertex set of size {len(d.n_vertices)} on a forest")
-        return len(d.support) + len(d.n_vertices) // 2
+        return tree_alpha(g, d)
     if d.cls.cycle.vertex_set() <= d.n_vertices:
         return len(d.support) + len(d.n_vertices) // 2
     return len(d.support) + _ceil_half(len(d.n_vertices) - len(d.support & d.core))
@@ -187,9 +170,7 @@ def nu(g: Graph, d: Decomposition | None = None) -> int:
     if d is None:
         d = decomposition_from_basis(g)
     if d.case == CASE_FOREST:
-        if len(d.n_vertices) % 2:
-            raise OddNSet(f"odd N-vertex set of size {len(d.n_vertices)} on a forest")
-        return len(d.core) + len(d.n_vertices) // 2
+        return tree_nu(g, d)
     return len(d.core) + (len(d.n_vertices) - len(d.support & d.core)) // 2
 
 

@@ -83,10 +83,6 @@ class OddNSet(InternalCheckError):
     pass
 
 
-class RecursionMismatch(InternalCheckError):
-    pass
-
-
 class NormalizationFailure(InternalCheckError):
     pass
 

@@ -87,20 +87,28 @@ def tree_decomposition(t: Graph) -> TreeDecomposition:
     return forest_decomposition(t, range(t.n))
 
 
-def tree_alpha(t: Graph) -> int:
-    """Independence number of a forest: |support| + |N-vertices| / 2."""
-    d = tree_decomposition(t)
+def _half_n_vertices(d) -> int:
+    """Half the N-vertices of a forest decomposition, which always number evenly."""
     if len(d.n_vertices) % 2:
         raise OddNSet(f"odd N-vertex set of size {len(d.n_vertices)} on a forest")
-    return len(d.support) + len(d.n_vertices) // 2
+    return len(d.n_vertices) // 2
 
 
-def tree_nu(t: Graph) -> int:
-    """Matching number of a forest: |core| + |N-vertices| / 2."""
-    d = tree_decomposition(t)
-    if len(d.n_vertices) % 2:
-        raise OddNSet(f"odd N-vertex set of size {len(d.n_vertices)} on a forest")
-    return len(d.core) + len(d.n_vertices) // 2
+def tree_alpha(t: Graph, d=None) -> int:
+    """Independence number of a forest: |support| + |N-vertices| / 2.
+
+    The sets are read off ``d``, by default ``tree_decomposition(t)``.
+    """
+    if d is None:
+        d = tree_decomposition(t)
+    return len(d.support) + _half_n_vertices(d)
+
+
+def tree_nu(t: Graph, d=None) -> int:
+    """Matching number of a forest: |core| + |N-vertices| / 2, with ``d`` as in tree_alpha."""
+    if d is None:
+        d = tree_decomposition(t)
+    return len(d.core) + _half_n_vertices(d)
 
 
 def full_support_vector(

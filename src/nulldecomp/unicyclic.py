@@ -23,20 +23,19 @@ elsewhere against the canonical RREF kernel (same span, exact annihilation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     DimensionMismatch,
     InternalCheckError,
     NormalizationFailure,
     NotUnicyclic,
-    RecursionMismatch,
     WrongType,
 )
 from .graph import CycleInfo, Graph, find_cycle, pendant_trees
-from .linalg import Vector, null_space_basis, nullity, vec_add, vec_scale
+from .linalg import Vector, null_space_basis, vec_add, vec_scale
 from .trees import forest_decomposition, full_support_vector
 
 TYPE1 = "type1"
@@ -57,11 +56,14 @@ class UnicyclicClass:
 
     The witness is the smallest-index cycle vertex that lies outside the
     support of its pendant tree.  Any qualifying vertex would do; fixing the
-    smallest keeps every downstream construction reproducible.
+    smallest keeps every downstream construction reproducible.  The pendant
+    trees the classification tested ride along for every later construction;
+    they follow from the graph and the cycle, so equality and hashing skip them.
     """
 
     tag: str
     cycle: CycleInfo
+    pendant_trees: Mapping[int, frozenset[int]] = field(compare=False, repr=False)
     witness: int | None = None
 
 
@@ -82,8 +84,8 @@ def classify(g: Graph) -> UnicyclicClass:
     pend = pendant_trees(g, cycle)
     for v in sorted(cycle.vertices):
         if v not in forest_decomposition(g, pend[v]).support:
-            return UnicyclicClass(TYPE1, cycle, witness=v)
-    return UnicyclicClass(TYPE2, cycle)
+            return UnicyclicClass(TYPE1, cycle, pend, witness=v)
+    return UnicyclicClass(TYPE2, cycle, pend)
 
 
 def extend_vector(x: Sequence[Fraction], h_vertices: Sequence[int], g: Graph) -> Vector:
@@ -118,27 +120,11 @@ def recursion_nullity(g: Graph, cls: UnicyclicClass) -> int:
     """
     everything = frozenset(range(g.n))
     if cls.tag == TYPE1:
-        pend = pendant_trees(g, cls.cycle)[cls.witness]
+        pend = cls.pendant_trees[cls.witness]
         rest = everything - pend
         return forest_decomposition(g, pend).nullity + forest_decomposition(g, rest).nullity
     forest = everything - cls.cycle.vertex_set()
     return forest_decomposition(g, forest).nullity + cycle_nullity(cls.cycle.length)
-
-
-def unicyclic_nullity(g: Graph, cls: UnicyclicClass | None = None) -> int:
-    """Nullity via the pendant-tree recursion, cross-checked against the rank.
-
-    A mismatch with the direct rank computation is a bug, never a data error.
-    """
-    if cls is None:
-        cls = classify(g)
-    recursed = recursion_nullity(g, cls)
-    direct = nullity(g.adjacency_matrix())
-    if recursed != direct:
-        raise RecursionMismatch(
-            f"pendant-tree recursion gives {recursed}, direct rank gives {direct}"
-        )
-    return direct
 
 
 def rref_null_basis(g: Graph) -> NullBasis:
@@ -156,7 +142,7 @@ def type1_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
     v = cls.witness
     u, w = cls.cycle.neighbors_on_cycle(v)
 
-    pend_vertices = sorted(pendant_trees(g, cls.cycle)[v])
+    pend_vertices = sorted(cls.pendant_trees[v])
     tree = g.induced_subgraph(pend_vertices)
     rest_vertices = sorted(set(range(g.n)) - set(pend_vertices))
     rest = g.induced_subgraph(rest_vertices)
@@ -229,10 +215,9 @@ def type2_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
         provenance.append(EXTENDED_FOREST)
 
     if cls.cycle.length % 4 == 0:
-        pend = pendant_trees(g, cls.cycle)
         normalized: dict[int, Vector] = {}
         for v in cyc:
-            tree_vertices = sorted(pend[v])
+            tree_vertices = sorted(cls.pendant_trees[v])
             tree = g.induced_subgraph(tree_vertices)
             pos_v = tree_vertices.index(v)
             x = full_support_vector(null_space_basis(tree.adjacency_matrix()))

@@ -27,9 +27,9 @@ from nulldecomp import (
     structural_decomposition,
     tree_alpha,
     tree_nu,
-    unicyclic_nullity,
 )
 from nulldecomp.linalg import is_zero_vector
+from nulldecomp.unicyclic import recursion_nullity
 
 from conftest import cycle_graph
 
@@ -89,7 +89,7 @@ def test_criterion_4_cycle_nullity():
         expected = 2 if n % 4 == 0 else 0
         g = cycle_graph(n)
         assert nullity(g.adjacency_matrix()) == expected, n
-        assert unicyclic_nullity(g) == expected, n
+        assert recursion_nullity(g, classify(g)) == expected, n
     _report(4, "cycle nullities up to length 17", started, 1.0)
 
 
@@ -103,7 +103,7 @@ def test_criterion_5_basis_exactness_and_span(random_corpus):
         for vec in basis.vectors:
             assert is_zero_vector(mat_vec(matrix, vec)), g.to_edge_list()
         rank_deficiency = nullity(matrix)
-        assert len(basis.vectors) == rank_deficiency == unicyclic_nullity(g, cls)
+        assert len(basis.vectors) == rank_deficiency == recursion_nullity(g, cls)
         assert same_span(basis.vectors, null_space_basis(matrix)), g.to_edge_list()
     _report(5, "constructed bases exact + span equality on 500 random graphs", started, 60.0)
 

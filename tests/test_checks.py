@@ -1,11 +1,14 @@
-"""The failure minimizer keeps the failure it started from."""
+"""The check battery: the failure minimizer keeps the failure it started
+from, and one run reduces each matrix once."""
 
 from __future__ import annotations
 
+from nulldecomp import checks, classify, linalg, run_checks
 from nulldecomp.checks import minimize_failing_graph
-from nulldecomp.errors import CaseContradiction, RecursionMismatch
+from nulldecomp.errors import CaseContradiction, NormalizationFailure
+from nulldecomp.unicyclic import recursion_nullity
 
-from conftest import cycle_with_attachments
+from conftest import cycle_with_attachments, path_graph
 
 
 def pendant_path_graph():
@@ -39,7 +42,7 @@ def test_minimizer_holds_the_exception_type():
     def failed_checks(h):
         if h.n >= 7:
             raise CaseContradiction("the bug being shrunk")
-        raise RecursionMismatch("a different bug")
+        raise NormalizationFailure("a different bug")
 
     assert minimize_failing_graph(pendant_path_graph(), failed_checks).n == 7
 
@@ -49,3 +52,33 @@ def test_minimizer_shrinks_a_steady_failure_to_the_cycle():
         return frozenset({"span_equality"})
 
     assert minimize_failing_graph(pendant_path_graph(), failed_checks).n == 4
+
+
+def _full_matrix_reductions(monkeypatch, g) -> int:
+    """How many times one ``run_checks(g)`` hands the whole n x n A(g) to ``rref``."""
+    whole = g.adjacency_matrix()
+    seen = []
+    original = linalg.rref
+
+    def counting(matrix):
+        seen.append([list(row) for row in matrix] == whole)
+        return original(matrix)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    run_checks(g)
+    return sum(seen)
+
+
+def test_run_checks_reduces_a_forest_matrix_once(monkeypatch):
+    assert _full_matrix_reductions(monkeypatch, path_graph(7)) == 1
+
+
+def test_run_checks_reduces_a_unicyclic_matrix_once(monkeypatch, ex_type1):
+    assert _full_matrix_reductions(monkeypatch, ex_type1) == 1
+
+
+def test_nullity_recursion_fails_on_an_off_by_one_recursion(monkeypatch, ex_four_cycle):
+    assert run_checks(ex_four_cycle)["nullity_recursion"]
+    true_nullity = recursion_nullity(ex_four_cycle, classify(ex_four_cycle))
+    monkeypatch.setattr(checks, "recursion_nullity", lambda g, cls: true_nullity + 1)
+    assert run_checks(ex_four_cycle)["nullity_recursion"] is False

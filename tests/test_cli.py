@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import io
 import json
+import sys
+
+import pytest
 
 from nulldecomp import checks, parse_edge_list
 from nulldecomp.cli import main
@@ -11,9 +15,6 @@ from conftest import EXAMPLE_FOUR_CYCLE, EXAMPLE_TYPE1
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
-        import io
-        import sys
-
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code = main(argv)
     captured = capsys.readouterr()
@@ -142,9 +143,11 @@ def test_verify_with_bias(capsys):
     assert code == 0 and "10/10 passed" in out
 
 
-def test_verify_reports_a_raise_inside_the_battery(capsys, monkeypatch):
+def _verify_with_a_raising_battery(capsys, monkeypatch, exc: Exception) -> list[str]:
+    """Run a campaign whose battery raises ``exc``; return the report lines after its checks."""
+
     def raising(g, cls=None):
-        raise InternalCheckError("planted invariant failure")
+        raise exc
 
     monkeypatch.setattr(checks, "constructed_null_basis", raising)
     code, out, err = run(
@@ -153,8 +156,44 @@ def test_verify_reports_a_raise_inside_the_battery(capsys, monkeypatch):
     assert code == 4 and err == ""
     lines = out.splitlines()
     assert lines[0] == f"verify: FAILED on graph 0 (n=7, seed={3 * 1_000_003})"
-    assert lines[1] == "run_checks raised InternalCheckError: planted invariant failure"
     assert lines[2] == "minimized reproduction:"
     # Every graph raises the same way, so the shrink goes down to the bare cycle.
     small = parse_edge_list("\n".join(lines[3:]))
     assert small.is_unicyclic() and all(small.degree(v) == 2 for v in range(small.n))
+    return lines
+
+
+def test_verify_reports_a_raise_inside_the_battery(capsys, monkeypatch):
+    planted = InternalCheckError("planted invariant failure")
+    lines = _verify_with_a_raising_battery(capsys, monkeypatch, planted)
+    assert lines[1] == "run_checks raised InternalCheckError: planted invariant failure"
+
+
+def test_verify_reports_any_exception_inside_the_battery(capsys, monkeypatch):
+    lines = _verify_with_a_raising_battery(capsys, monkeypatch, KeyError("planted lookup bug"))
+    assert lines[1] == "run_checks raised KeyError: 'planted lookup bug'"
+
+
+def test_verify_negative_count_exit_2(capsys):
+    code, out, err = run(capsys, ["verify", "--count", "-5"])
+    assert code == 2 and out == ""
+    assert err == "error: negative graph count -5\n"
+
+
+def test_analyze_non_utf8_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "g.edges"
+    path.write_bytes(b"\xffa b\n")
+    code, out, err = run(capsys, ["analyze", str(path)])
+    assert code == 2 and out == ""
+    assert err == f"error: {path} is not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+def test_analyze_non_utf8_stdin_exit_2(capsys, monkeypatch, errors):
+    # A UTF-8 locale reads stdin strictly; Python's C-locale coercion reads it
+    # with surrogateescape, which turns bad bytes into lone surrogates.
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xffa b\n"), encoding="utf-8", errors=errors)
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run(capsys, ["analyze", "-"])
+    assert code == 2 and out == ""
+    assert err == "error: standard input is not UTF-8 text\n"

@@ -17,9 +17,7 @@ from nulldecomp import (
     classify,
     decomposition_from_basis,
     generate_unicyclic,
-    n_graph,
     nu,
-    s_graph,
     null_space_basis,
     pendant_trees,
     structural_decomposition,
@@ -58,10 +56,6 @@ def test_example_star_decomposition(ex_star):
     assert labels(ex_star, d.core) == {"v6"}
     assert len(d.n_vertices) == 14
     assert d.case == CASE_TI1
-    gs = s_graph(ex_star, d)
-    assert gs.n == 4 and gs.edge_count == 3
-    gn = n_graph(ex_star, d)
-    assert gn.n == 14
 
 
 def test_example_five_cycle_decomposition(ex_five_cycle):
@@ -97,9 +91,6 @@ def test_plain_c4():
     assert d.support == d.core == frozenset(range(4))
     assert d.n_vertices == frozenset()
     assert alpha(g) == 2 and nu(g) == 2
-    gs = s_graph(g, d)
-    assert gs.n == 4 and gs.edge_count == 4
-    assert n_graph(g, d).n == 0
 
 
 def test_structural_agrees_on_examples(ex_type1, ex_star, ex_five_cycle, ex_four_cycle):
@@ -138,13 +129,6 @@ def test_forest_route():
     assert alpha(g) == 2 and nu(g) == 1
     two = Graph.from_edges([("a", "b")])
     assert alpha(two) == 1 and nu(two) == 1
-
-
-def test_empty_support_s_graph():
-    g = path_graph(4)
-    d = decomposition_from_basis(g)
-    assert s_graph(g, d).n == 0
-    assert n_graph(g, d) == g
 
 
 def test_report_shape(ex_four_cycle):

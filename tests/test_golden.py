@@ -1,0 +1,122 @@
+"""Golden outputs: refactors must leave every user-visible byte unchanged.
+
+For the conftest examples and a seeded corpus of unicyclic graphs and forests
+(n 5-30, every case TI-1 .. TII-4k and Forest), ``tests/golden/outputs.json``
+holds the sha256 of the exact output of ``analyze --json``, of
+``basis --json`` with each method, and of the sorted ``run_checks`` map.
+
+The file was recorded once and is not meant to be regenerated to make a
+change pass.  A new output format that changes it on purpose is recorded with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from nulldecomp import GeneratorSpec, Graph, find_cycle, generate_unicyclic, parse_edge_list, run_checks
+from nulldecomp.cli import main
+from nulldecomp.generator import ANY, FORCE_TYPE1, FORCE_TYPE2
+
+from conftest import EXAMPLE_FIVE_CYCLE, EXAMPLE_FOUR_CYCLE, EXAMPLE_STAR_SGRAPH, EXAMPLE_TYPE1
+
+GOLDEN = Path(__file__).parent / "golden" / "outputs.json"
+COMMANDS = {
+    "analyze": ["analyze", "--json"],
+    "basis_structural": ["basis", "--json", "--method", "structural"],
+    "basis_rref": ["basis", "--json", "--method", "rref"],
+}
+ALL_CASES = {"TI-1", "TI-2", "TI-3", "TI-4", "TII-non4k", "TII-4k", "Forest"}
+
+
+def corpus() -> dict[str, Graph]:
+    """The four conftest examples, 40 seeded unicyclic graphs and six forests cut from them."""
+    graphs = {
+        "example_type1": parse_edge_list(EXAMPLE_TYPE1),
+        "example_star": parse_edge_list(EXAMPLE_STAR_SGRAPH),
+        "example_five_cycle": parse_edge_list(EXAMPLE_FIVE_CYCLE),
+        "example_four_cycle": parse_edge_list(EXAMPLE_FOUR_CYCLE),
+    }
+    biases = (ANY, FORCE_TYPE1, FORCE_TYPE2)
+    for i in range(40):
+        n = 5 + (i * 7) % 26
+        length = (None, 4, None, 6, 8, None)[i % 6]
+        if length is not None and length > n:
+            length = None
+        spec = GeneratorSpec(n=n, cycle_length=length, seed=100 + i, class_bias=biases[i % 3])
+        g = generate_unicyclic(spec)
+        graphs[f"seed{100 + i}"] = g
+        cycle = find_cycle(g).vertices
+        if i % 10 == 0:  # a tree: the graph less one cycle edge
+            cut = {g.labels[cycle[0]], g.labels[cycle[1]]}
+            graphs[f"seed{100 + i}_tree"] = Graph.from_edges(
+                (g.labels[u], g.labels[v]) for u, v in g.edges() if {g.labels[u], g.labels[v]} != cut
+            )
+        elif i % 10 == 5 and g.n > len(cycle):  # a forest: the graph less its cycle
+            graphs[f"seed{100 + i}_forest"] = g.delete_vertices(cycle)
+    return graphs
+
+
+CORPUS = corpus()
+
+
+def _cli_output(argv: list[str], edges: str) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.edges"
+        path.write_text(edges, encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([argv[0], str(path), *argv[1:]])
+    assert code == 0, (argv, code)
+    return out.getvalue()
+
+
+def outputs(g: Graph) -> dict[str, str]:
+    """Every golden output of one graph, as text."""
+    edges = g.to_edge_list()
+    texts = {key: _cli_output(argv, edges) for key, argv in COMMANDS.items()}
+    texts["checks"] = json.dumps(sorted(run_checks(g).items()))
+    return texts
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def record() -> dict:
+    golden = {}
+    for name, g in CORPUS.items():
+        texts = outputs(g)
+        golden[name] = {"case": json.loads(texts["analyze"])["case"]}
+        golden[name].update((key, _digest(text)) for key, text in texts.items())
+    return golden
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_corpus_covers_every_case(golden):
+    assert set(golden) == set(CORPUS)
+    assert {entry["case"] for entry in golden.values()} == ALL_CASES
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_outputs_match_golden(golden, name):
+    texts = outputs(CORPUS[name])
+    for key, text in texts.items():
+        assert _digest(text) == golden[name][key], f"{name}: {key} changed:\n{text}"
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -29,9 +29,9 @@ from nulldecomp import (
     tree_alpha,
     tree_decomposition,
     tree_nu,
-    unicyclic_nullity,
 )
 from nulldecomp.linalg import is_zero_vector
+from nulldecomp.unicyclic import recursion_nullity
 
 
 @st.composite
@@ -81,7 +81,7 @@ def test_pendant_trees_partition(g):
 def test_constructed_basis_is_exact_and_spans(g):
     basis = constructed_null_basis(g)
     matrix = g.adjacency_matrix()
-    assert len(basis.vectors) == nullity(matrix) == unicyclic_nullity(g)
+    assert len(basis.vectors) == nullity(matrix) == recursion_nullity(g, classify(g))
     for vec in basis.vectors:
         assert is_zero_vector(mat_vec(matrix, vec))
     assert same_span(basis.vectors, null_space_basis(matrix))

@@ -18,7 +18,6 @@ from nulldecomp import (
     same_span,
     type1_null_basis,
     type2_null_basis,
-    unicyclic_nullity,
 )
 from nulldecomp.errors import DimensionMismatch, NotUnicyclic, WrongType
 from nulldecomp.linalg import is_zero_vector
@@ -30,6 +29,7 @@ from nulldecomp.unicyclic import (
     EXTENDED_PENDANT,
     TYPE1,
     TYPE2,
+    recursion_nullity,
 )
 
 from conftest import cycle_graph, cycle_with_attachments, path_graph
@@ -89,9 +89,8 @@ def test_cycle_nullity_closed_form():
 
 
 def test_unicyclic_nullity_examples(ex_four_cycle):
-    assert unicyclic_nullity(cycle_graph(4)) == 2
-    assert unicyclic_nullity(cycle_graph(5)) == 0
-    assert unicyclic_nullity(ex_four_cycle) == 5
+    for g, expected in ((cycle_graph(4), 2), (cycle_graph(5), 0), (ex_four_cycle, 5)):
+        assert recursion_nullity(g, classify(g)) == nullity(g.adjacency_matrix()) == expected
 
 
 def test_type1_basis_zero_sum_branch():
