@@ -4,9 +4,12 @@ numbers.
 
 Two independent routes produce the decomposition:
 
-* ``decomposition_from_basis`` reads the support straight off the canonical
-  kernel basis of the whole adjacency matrix, in exact ``Fraction`` RREF.
-  This is the source of truth.
+* ``decomposition_from_basis`` reads the support straight off a kernel
+  basis of the whole adjacency matrix.  By default, and so in ``analyze``,
+  that is the canonical basis from the exact sparse elimination over
+  adjacency lists (``linalg.sparse_null_basis``); the check battery passes
+  the dense RREF kernel instead, so its reading never shares the production
+  kernel.  This is the source of truth.
 * ``structural_decomposition`` assembles the same sets from pendant-tree and
   complement decompositions according to a six-way case split (four Type I
   cases by how the complement kernel behaves at the witness's cycle
@@ -20,12 +23,12 @@ verified properties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from .errors import CaseContradiction, UnsupportedGraphClass
 from .graph import Graph
-from .linalg import Vector, null_space_basis, support_indices
+from .linalg import Vector, sparse_null_basis, support_indices
 from .trees import forest_decomposition, tree_alpha, tree_nu
 from .unicyclic import TYPE1, TYPE2, UnicyclicClass, classify, recursion_nullity
 
@@ -90,8 +93,10 @@ def decomposition_from_basis(g: Graph, basis: Sequence[Vector] | None = None) ->
     """Decomposition read off a kernel basis of A(g), by default the canonical one.
 
     Accepts forests and unicyclic graphs; anything else is out of scope for
-    the decomposition theory.  A caller that already holds a basis of A(g)
-    passes it in, and A(g) is not reduced again.
+    the decomposition theory, and is refused before any kernel is computed.
+    A caller that already holds a basis of A(g) passes it in, and A(g) is
+    not reduced again; without one the canonical basis comes from the sparse
+    elimination over g's adjacency lists.
     """
     if g.is_forest():
         cls = None
@@ -104,7 +109,7 @@ def decomposition_from_basis(g: Graph, basis: Sequence[Vector] | None = None) ->
             f"graph with {g.n} vertices and {g.edge_count} edges is neither a forest nor unicyclic"
         )
     if basis is None:
-        basis = null_space_basis(g.adjacency_matrix())
+        basis = sparse_null_basis(g.adjacency, range(g.n))
     support = frozenset().union(*map(support_indices, basis))
     core = g.neighborhood(support)
     n_vertices = frozenset(range(g.n)) - support - core
@@ -234,13 +239,15 @@ class AnalysisReport:
 def analyze(g: Graph, *, verify: bool = False) -> AnalysisReport:
     """Decompose ``g`` and evaluate the closed formulas; optionally self-verify.
 
-    With ``verify`` the report carries the full pass/fail map of structural,
-    spectral, and oracle cross-checks (oracle checks only within budget).
+    The decomposition is read off the canonical kernel from the sparse
+    elimination.  With ``verify`` the report carries the full pass/fail map
+    of structural, spectral, and oracle cross-checks (oracle checks only
+    within budget), which compare against the dense reference kernel.
     """
     d = decomposition_from_basis(g)
     report = AnalysisReport(g, d, alpha(g, d), nu(g, d))
     if verify:
         from .checks import run_checks
 
-        return AnalysisReport(g, d, report.alpha, report.nu, run_checks(g))
+        return replace(report, checks=run_checks(g))
     return report

@@ -5,6 +5,15 @@ decidable, exact test.  That exactness is what the rest of the package is built
 on: supports are defined through exact zero/nonzero coordinates, which no
 floating-point elimination can provide.
 
+Two routes give the same canonical kernel basis.  ``sparse_null_basis``
+serves the production path (``analyze`` and ``rref_null_basis``): it
+eliminates over rows built straight from adjacency lists, touching only
+nonzero entries, so a graph's sparsity is never expanded into a dense
+matrix.  The dense ``rref`` / ``null_space_basis`` on lists of lists is the
+independent reference that the check battery (``checks``) and
+``same_span`` use; the constructed Type I / Type II bases still use it too.
+The RREF is unique, so both return equal Fractions, tuple for tuple.
+
 Matrices are plain lists of lists of Fractions; vectors are tuples of
 Fractions.  All functions are pure and never mutate their arguments.
 """
@@ -85,6 +94,56 @@ def null_space_basis(matrix: Sequence[Sequence[Fraction]]) -> list[Vector]:
             coords[pivot_col] = -reduced[row_idx][free]
         basis.append(tuple(coords))
     return basis
+
+
+def sparse_null_basis(adjacency: Sequence[Sequence[int]], vertices: Iterable[int]) -> list[Vector]:
+    """Canonical kernel basis of the adjacency matrix of the subgraph ``vertices`` induce.
+
+    Coordinates follow ``sorted(vertices)``, and the result equals
+    ``null_space_basis`` of that induced subgraph's dense adjacency matrix.
+    Each row is a ``{column: Fraction}`` dict of its nonzero entries, and
+    every column keeps the set of rows that are nonzero in it.  Gauss-Jordan
+    elimination runs over the columns in ascending order and takes the first
+    row not yet used as a pivot, as ``rref`` does; only the rows with a
+    nonzero in the pivot column are touched.
+    """
+    vs = sorted(set(vertices))
+    pos = {v: j for j, v in enumerate(vs)}
+    rows = [{pos[w]: ONE for w in adjacency[v] if w in pos} for v in vs]
+    holders = [set(row) for row in rows]  # column -> rows nonzero there; A is symmetric
+    used = [False] * len(vs)
+    pivots: dict[int, int] = {}  # pivot column -> its row
+    free: list[int] = []
+    for c in range(len(vs)):
+        r = min((i for i in holders[c] if not used[i]), default=None)
+        if r is None:
+            free.append(c)
+            continue
+        used[r] = True
+        pivots[c] = r
+        prow = rows[r]
+        if prow[c] != 1:
+            inv = ONE / prow[c]
+            prow = rows[r] = {k: x * inv for k, x in prow.items()}
+        for i in holders[c] - {r}:
+            row = rows[i]
+            factor = row[c]
+            for k, y in prow.items():
+                x = row.get(k, ZERO) - factor * y
+                if x:
+                    row[k] = x
+                    holders[k].add(i)
+                else:
+                    del row[k]
+                    holders[k].discard(i)
+    basis = {f: [ZERO] * len(vs) for f in free}
+    for c, r in pivots.items():
+        for k, x in rows[r].items():
+            if k != c:  # every other entry of a pivot row sits in a free column
+                basis[k][c] = -x
+    for f in free:
+        basis[f][f] = ONE
+    return [tuple(basis[f]) for f in free]
 
 
 def mat_vec(matrix: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> Vector:

@@ -16,9 +16,12 @@ subgraphs:
   pendant-tree vectors over the odd and even cycle positions.
 
 The class and the nullity recursion need only forest decompositions, which
-come from maximum matchings (``trees``); the bases take their vectors from
-exact RREF kernels of the subforests.  Both constructions are verified
-elsewhere against the canonical RREF kernel (same span, exact annihilation).
+come from maximum matchings (``trees``).  ``rref_null_basis`` eliminates
+straight over the graph's adjacency lists (``linalg.sparse_null_basis``),
+with no dense matrix.  The Type I / Type II bases still take their vectors
+from dense RREF kernels of induced subforests.  Both constructions are
+verified in ``checks`` against the dense RREF kernel of A(G) (same span,
+exact annihilation).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .errors import (
     WrongType,
 )
 from .graph import CycleInfo, Graph, find_cycle, pendant_trees
-from .linalg import Vector, null_space_basis, vec_add, vec_scale
+from .linalg import Vector, null_space_basis, sparse_null_basis, vec_add, vec_scale
 from .trees import forest_decomposition, full_support_vector
 
 TYPE1 = "type1"
@@ -129,7 +132,7 @@ def recursion_nullity(g: Graph, cls: UnicyclicClass) -> int:
 
 def rref_null_basis(g: Graph) -> NullBasis:
     """Canonical kernel basis of A(g), tagged RrefCanonical.  Works on any graph."""
-    vectors = tuple(null_space_basis(g.adjacency_matrix()))
+    vectors = tuple(sparse_null_basis(g.adjacency, range(g.n)))
     return NullBasis(vectors, (RREF_CANONICAL,) * len(vectors))
 
 

@@ -6,8 +6,9 @@ random corpus used by the campaign-style tests.
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
-from nulldecomp import Graph, GeneratorSpec, generate_unicyclic, parse_edge_list
+from nulldecomp import Graph, GeneratorSpec, find_cycle, generate_unicyclic, parse_edge_list, pendant_trees
 
 # 18-vertex Type I example: 4-cycle e-g-f-v with an 11-vertex tree at v.
 EXAMPLE_TYPE1 = """
@@ -157,6 +158,31 @@ def cycle_with_attachments(length: int, tails: dict[int, int] = {}, leaves: dict
         for j in range(count):
             edges.append((labels[pos], f"u{pos:02d}x{j:02d}"))
     return Graph.from_edges(edges)
+
+
+@st.composite
+def forests_with_subsets(draw):
+    """A random forest on up to 16 vertices and a random subset of its vertices."""
+    n = draw(st.integers(min_value=1, max_value=16))
+    labels = [f"f{i:02d}" for i in range(n)]
+    edges = []
+    for i in range(1, n):
+        parent = draw(st.integers(min_value=-1, max_value=i - 1))  # -1 starts a new tree
+        if parent >= 0:
+            edges.append((labels[parent], labels[i]))
+    g = Graph.from_edges(edges, isolated=labels)
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return g, [v for v in range(n) if keep[v]]
+
+
+def unicyclic_pieces(g: Graph) -> list[frozenset[int]]:
+    """Every forest the structural layer decomposes: T_v, T_v - v, G - T_v and G - C."""
+    cycle = find_cycle(g)
+    everything = frozenset(range(g.n))
+    pieces = [everything - cycle.vertex_set()]
+    for v, tree in pendant_trees(g, cycle).items():
+        pieces += [tree, tree - {v}, everything - tree]
+    return pieces
 
 
 def case_families() -> dict[str, list[Graph]]:

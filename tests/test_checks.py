@@ -82,3 +82,13 @@ def test_nullity_recursion_fails_on_an_off_by_one_recursion(monkeypatch, ex_four
     true_nullity = recursion_nullity(ex_four_cycle, classify(ex_four_cycle))
     monkeypatch.setattr(checks, "recursion_nullity", lambda g, cls: true_nullity + 1)
     assert run_checks(ex_four_cycle)["nullity_recursion"] is False
+
+
+def test_a_guarded_check_that_raises_any_exception_fails(monkeypatch, ex_four_cycle):
+    def planted(g, cls):
+        raise StopIteration("planted")
+
+    monkeypatch.setattr(checks, "recursion_nullity", planted)
+    result = run_checks(ex_four_cycle)
+    assert result["nullity_recursion"] is False
+    assert all(ok for name, ok in result.items() if name != "nullity_recursion")

@@ -174,6 +174,18 @@ def test_verify_reports_any_exception_inside_the_battery(capsys, monkeypatch):
     assert lines[1] == "run_checks raised KeyError: 'planted lookup bug'"
 
 
+def test_analyze_verify_reports_a_raise_inside_the_battery(tmp_path, capsys, monkeypatch):
+    def raising(g):
+        raise KeyError("planted")
+
+    monkeypatch.setattr(checks, "structural_decomposition", raising)
+    path = tmp_path / "g.edges"
+    path.write_text("a b\nb c\nc a\nc d\n")
+    code, out, err = run(capsys, ["analyze", str(path), "--verify"])
+    assert code == 4 and out == ""
+    assert err == "run_checks raised KeyError: 'planted'\n"
+
+
 def test_verify_negative_count_exit_2(capsys):
     code, out, err = run(capsys, ["verify", "--count", "-5"])
     assert code == 2 and out == ""

@@ -17,12 +17,13 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from nulldecomp import GeneratorSpec, Graph, find_cycle, generate_unicyclic, parse_edge_list, run_checks
+from nulldecomp import GeneratorSpec, Graph, find_cycle, generate_unicyclic, linalg, parse_edge_list, run_checks
 from nulldecomp.cli import main
 from nulldecomp.generator import ANY, FORCE_TYPE1, FORCE_TYPE2
 
@@ -115,6 +116,45 @@ def test_outputs_match_golden(golden, name):
     texts = outputs(CORPUS[name])
     for key, text in texts.items():
         assert _digest(text) == golden[name][key], f"{name}: {key} changed:\n{text}"
+
+
+# -- tripwires: the production kernels and the battery's reference stay apart --
+
+EXAMPLES = ("example_type1", "example_star", "example_five_cycle", "example_four_cycle")
+
+
+@pytest.mark.parametrize("name", EXAMPLES + ("seed100_tree", "seed125_forest"))
+def test_whole_graph_kernels_need_no_dense_elimination(golden, monkeypatch, name):
+    # The constructed Type I / Type II bases still reduce dense subforest
+    # matrices, so `basis --method structural` is held to this only on forests.
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense elimination on the production path")
+
+    monkeypatch.setattr(linalg, "rref", refuse)
+    monkeypatch.setattr(Graph, "adjacency_matrix", refuse)
+    g = CORPUS[name]
+    keys = ["analyze", "basis_rref"] + (["basis_structural"] if g.is_forest() else [])
+    for key in keys:
+        assert _digest(_cli_output(COMMANDS[key], g.to_edge_list())) == golden[name][key], key
+
+
+@pytest.mark.parametrize("name", ["example_type1", "seed125_forest"])
+def test_battery_does_not_share_the_sparse_kernel(monkeypatch, name):
+    real = linalg.sparse_null_basis
+
+    def one_short(adjacency, vertices):
+        return real(adjacency, vertices)[:-1]
+
+    g = CORPUS[name]
+    assert all(run_checks(g).values())
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("nulldecomp") and getattr(module, "sparse_null_basis", None) is real:
+            monkeypatch.setattr(module, "sparse_null_basis", one_short)
+    checks = run_checks(g)
+    if g.is_forest():  # its production basis is now one vector short of its nullity
+        assert checks["basis_count"] is False
+    else:  # the battery and the constructed bases read only dense kernels
+        assert all(checks.values())
 
 
 if __name__ == "__main__":

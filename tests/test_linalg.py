@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
-from nulldecomp import mat_vec, null_space_basis, nullity, rref, same_span
-from nulldecomp.linalg import is_zero_vector, row_space_signature
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import cycle_graph, path_graph
+from nulldecomp import Graph, GeneratorSpec, generate_unicyclic, mat_vec, null_space_basis, nullity, rref, same_span
+from nulldecomp.linalg import is_zero_vector, row_space_signature, sparse_null_basis
+
+from conftest import cycle_graph, forests_with_subsets, path_graph, unicyclic_pieces
 
 
 def frac_matrix(rows):
@@ -97,3 +101,104 @@ def test_same_span():
     assert not same_span(a, [(Fraction(1), Fraction(1))])
     assert same_span([], [])
     assert row_space_signature([(Fraction(0), Fraction(0))]) == ()
+
+
+# -- the sparse production kernel against the dense reference ----------------
+
+
+def assert_sparse_matches_dense(g: Graph, vertices) -> None:
+    """Same canonical basis, tuple for tuple, and every coordinate a Fraction."""
+    vertices = sorted(vertices)
+    sparse = sparse_null_basis(g.adjacency, vertices)
+    assert sparse == null_space_basis(g.induced_subgraph(vertices).adjacency_matrix()), (
+        g.to_edge_list(),
+        vertices,
+    )
+    assert all(type(x) is Fraction for vec in sparse for x in vec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(forests_with_subsets())
+def test_sparse_kernel_matches_dense_on_random_forests(drawn):
+    g, subset = drawn
+    assert_sparse_matches_dense(g, range(g.n))
+    assert_sparse_matches_dense(g, subset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=3, max_value=14), st.integers(min_value=0, max_value=10_000))
+def test_sparse_kernel_matches_dense_on_unicyclic_pieces(n, seed):
+    g = generate_unicyclic(GeneratorSpec(n=n, seed=seed))
+    assert_sparse_matches_dense(g, range(g.n))
+    for piece in unicyclic_pieces(g):
+        assert_sparse_matches_dense(g, piece)
+
+
+def test_sparse_kernel_matches_dense_on_seeded_unicyclic_pieces():
+    for i in range(100):
+        g = generate_unicyclic(GeneratorSpec(n=3 + i % 16, seed=9000 + i))
+        assert_sparse_matches_dense(g, range(g.n))
+        for piece in unicyclic_pieces(g):
+            assert_sparse_matches_dense(g, piece)
+
+
+@st.composite
+def graphs_with_subsets(draw):
+    """A random graph on up to 11 vertices, usually with several cycles, and a vertex subset."""
+    n = draw(st.integers(min_value=1, max_value=11))
+    labels = [f"g{i:02d}" for i in range(n)]
+    pairs = list(combinations(labels, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edges([pair for pair, k in zip(pairs, keep) if k], isolated=labels)
+    subset = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return g, [v for v in range(n) if subset[v]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_subsets())
+def test_sparse_kernel_matches_dense_on_graphs_with_cycles(drawn):
+    g, subset = drawn
+    assert_sparse_matches_dense(g, range(g.n))
+    assert_sparse_matches_dense(g, subset)
+
+
+def test_sparse_kernel_matches_dense_on_several_cycles():
+    # A unicyclic graph with chords added is what `basis --method rref` may get.
+    for i in range(40):
+        g = generate_unicyclic(GeneratorSpec(n=6 + i % 20, seed=500 + i))
+        chords = [(g.labels[j], g.labels[(j * 7 + 3) % g.n]) for j in range(0, g.n, 3)]
+        edges = {frozenset((g.labels[u], g.labels[v])) for u, v in g.edges()}
+        edges |= {frozenset(c) for c in chords if c[0] != c[1]}
+        h = Graph.from_edges(tuple(sorted(e)) for e in edges)
+        assert h.edge_count > h.n
+        assert_sparse_matches_dense(h, range(h.n))
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph.from_edges(combinations([f"k{i}" for i in range(n)], 2))
+
+
+def test_sparse_kernel_edge_cases():
+    one = Graph.from_edges([], isolated=["v"])
+    isolated = Graph.from_edges([("a", "b")], isolated=["x", "y", "z"])
+    for g, vertices in [
+        (path_graph(4), []),
+        (one, [0]),
+        (isolated, range(isolated.n)),
+        (isolated, [0, 2, 4]),
+        (complete_graph(5), range(5)),
+        (cycle_graph(8), range(8)),
+    ]:
+        assert_sparse_matches_dense(g, vertices)
+    assert sparse_null_basis(path_graph(4).adjacency, []) == []
+    assert sparse_null_basis(one.adjacency, [0]) == [(Fraction(1),)]
+    assert len(sparse_null_basis(isolated.adjacency, range(isolated.n))) == 3
+    assert sparse_null_basis(complete_graph(5).adjacency, range(5)) == []
+    assert len(sparse_null_basis(cycle_graph(8).adjacency, range(8))) == 2
+
+
+def test_sparse_kernel_takes_any_iterable_of_vertices():
+    g = cycle_graph(8)
+    expected = sparse_null_basis(g.adjacency, [1, 2, 3, 5])
+    assert sparse_null_basis(g.adjacency, {5, 3, 2, 1}) == expected
+    assert sparse_null_basis(g.adjacency, (v for v in (5, 1, 3, 2))) == expected

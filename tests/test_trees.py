@@ -12,7 +12,6 @@ from nulldecomp import (
     find_cycle,
     full_support_vector,
     generate_unicyclic,
-    pendant_trees,
     tree_alpha,
     tree_decomposition,
     tree_nu,
@@ -21,7 +20,14 @@ from nulldecomp.errors import EmptyBasis, NotForest
 from nulldecomp.linalg import null_space_basis, support_indices
 from nulldecomp.trees import TreeDecomposition, forest_decomposition
 
-from conftest import cycle_graph, cycle_with_attachments, path_graph, star_graph
+from conftest import (
+    cycle_graph,
+    cycle_with_attachments,
+    forests_with_subsets,
+    path_graph,
+    star_graph,
+    unicyclic_pieces,
+)
 
 
 def labels_of(g: Graph, indices) -> set[str]:
@@ -147,37 +153,12 @@ def kernel_decomposition(g: Graph, vertices) -> TreeDecomposition:
     return TreeDecomposition(support, core, frozenset(vs) - support - core, len(basis))
 
 
-@st.composite
-def forests_with_subsets(draw):
-    """A random forest on up to 16 vertices and a random subset of its vertices."""
-    n = draw(st.integers(min_value=1, max_value=16))
-    labels = [f"f{i:02d}" for i in range(n)]
-    edges = []
-    for i in range(1, n):
-        parent = draw(st.integers(min_value=-1, max_value=i - 1))  # -1 starts a new tree
-        if parent >= 0:
-            edges.append((labels[parent], labels[i]))
-    g = Graph.from_edges(edges, isolated=labels)
-    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return g, [v for v in range(n) if keep[v]]
-
-
 @settings(max_examples=200, deadline=None)
 @given(forests_with_subsets())
 def test_forest_decomposition_matches_kernel_on_random_forests(drawn):
     g, subset = drawn
     assert forest_decomposition(g, range(g.n)) == kernel_decomposition(g, range(g.n))
     assert forest_decomposition(g, subset) == kernel_decomposition(g, subset)
-
-
-def unicyclic_pieces(g: Graph) -> list[frozenset[int]]:
-    """Every forest the structural layer decomposes: T_v, T_v - v, G - T_v and G - C."""
-    cycle = find_cycle(g)
-    everything = frozenset(range(g.n))
-    pieces = [everything - cycle.vertex_set()]
-    for v, tree in pendant_trees(g, cycle).items():
-        pieces += [tree, tree - {v}, everything - tree]
-    return pieces
 
 
 @settings(max_examples=60, deadline=None)
