@@ -10,9 +10,10 @@ kernel, never off the matching route it is meant to test.
 
 Every kernel the battery reads comes from the dense reference
 ``linalg.null_space_basis``, never from ``linalg.sparse_null_basis``, which
-builds the production kernels of ``analyze`` and ``rref_null_basis``.  A
-bug in the sparse elimination therefore shows up as a mismatch here instead
-of being checked against itself.
+builds the production kernels of ``analyze`` and ``rref_null_basis``.
+``basis_count`` holds the production basis (``rref_null_basis``) to that
+reference tuple for tuple, so a bug in the sparse elimination fails a check
+instead of being checked against itself.
 
 The reference reduces each matrix once per graph.  The canonical basis of
 A(G) also gives the kernel-read decomposition and the nullity check, and
@@ -103,10 +104,13 @@ def _forest_checks(
     checks: dict[str, bool] = {}
     matrix = g.adjacency_matrix()
     basis = rref_null_basis(g)  # the production route for a forest
-    d = decomposition_from_basis(g, null_space_basis(matrix))
+    canonical = null_space_basis(matrix)
+    d = decomposition_from_basis(g, canonical)
 
     checks["basis_exact"] = all(is_zero_vector(mat_vec(matrix, v)) for v in basis.vectors)
-    checks["basis_count"] = len(basis.vectors) == tree_decomposition(g).nullity
+    checks["basis_count"] = (
+        basis.vectors == tuple(canonical) and len(canonical) == tree_decomposition(g).nullity
+    )
     checks["even_n_set"] = len(d.n_vertices) % 2 == 0
     checks["support_independent"] = g.is_independent_set(d.support)
     checks["supp_core_disjoint"] = not (d.support & d.core)
@@ -167,7 +171,9 @@ def _unicyclic_checks(
     checks["basis_exact"] = all(
         is_zero_vector(mat_vec(matrix, v)) for v in constructed.vectors
     )
-    checks["basis_count"] = len(constructed.vectors) == len(canonical)
+    checks["basis_count"] = (
+        len(constructed.vectors) == len(canonical) and rref_null_basis(g).vectors == tuple(canonical)
+    )
     _guarded(checks, "nullity_recursion", lambda: recursion_nullity(g, cls) == len(canonical))
     checks["span_equality"] = same_span(constructed.vectors, canonical)
     tag = EXTENDED_PENDANT if cls.tag != TYPE2 else EXTENDED_FOREST

@@ -23,7 +23,7 @@ verified properties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import CaseContradiction, UnsupportedGraphClass
@@ -109,7 +109,7 @@ def decomposition_from_basis(g: Graph, basis: Sequence[Vector] | None = None) ->
             f"graph with {g.n} vertices and {g.edge_count} edges is neither a forest nor unicyclic"
         )
     if basis is None:
-        basis = sparse_null_basis(g.adjacency, range(g.n))
+        basis = sparse_null_basis(g.adjacency)
     support = frozenset().union(*map(support_indices, basis))
     core = g.neighborhood(support)
     n_vertices = frozenset(range(g.n)) - support - core
@@ -236,18 +236,13 @@ class AnalysisReport:
         return "\n".join(lines) + "\n"
 
 
-def analyze(g: Graph, *, verify: bool = False) -> AnalysisReport:
-    """Decompose ``g`` and evaluate the closed formulas; optionally self-verify.
+def analyze(g: Graph) -> AnalysisReport:
+    """Decompose ``g`` and evaluate the closed formulas.
 
     The decomposition is read off the canonical kernel from the sparse
-    elimination.  With ``verify`` the report carries the full pass/fail map
-    of structural, spectral, and oracle cross-checks (oracle checks only
-    within budget), which compare against the dense reference kernel.
+    elimination.  The report's ``checks`` map starts empty; a caller that
+    wants the cross-check battery runs ``checks.run_checks(g)`` and
+    attaches its map, as ``analyze --verify`` does.
     """
     d = decomposition_from_basis(g)
-    report = AnalysisReport(g, d, alpha(g, d), nu(g, d))
-    if verify:
-        from .checks import run_checks
-
-        return replace(report, checks=run_checks(g))
-    return report
+    return AnalysisReport(g, d, alpha(g, d), nu(g, d))

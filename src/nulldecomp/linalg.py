@@ -96,25 +96,23 @@ def null_space_basis(matrix: Sequence[Sequence[Fraction]]) -> list[Vector]:
     return basis
 
 
-def sparse_null_basis(adjacency: Sequence[Sequence[int]], vertices: Iterable[int]) -> list[Vector]:
-    """Canonical kernel basis of the adjacency matrix of the subgraph ``vertices`` induce.
+def sparse_null_basis(adjacency: Sequence[Sequence[int]]) -> list[Vector]:
+    """Canonical kernel basis of the adjacency matrix of a graph given by its adjacency lists.
 
-    Coordinates follow ``sorted(vertices)``, and the result equals
-    ``null_space_basis`` of that induced subgraph's dense adjacency matrix.
-    Each row is a ``{column: Fraction}`` dict of its nonzero entries, and
-    every column keeps the set of rows that are nonzero in it.  Gauss-Jordan
-    elimination runs over the columns in ascending order and takes the first
-    row not yet used as a pivot, as ``rref`` does; only the rows with a
-    nonzero in the pivot column are touched.
+    The result equals ``null_space_basis`` of the graph's dense adjacency
+    matrix.  Each row is a ``{column: Fraction}`` dict of its nonzero
+    entries, and every column keeps the set of rows that are nonzero in it.
+    Gauss-Jordan elimination runs over the columns in ascending order and
+    takes the first row not yet used as a pivot, as ``rref`` does; only the
+    rows with a nonzero in the pivot column are touched.
     """
-    vs = sorted(set(vertices))
-    pos = {v: j for j, v in enumerate(vs)}
-    rows = [{pos[w]: ONE for w in adjacency[v] if w in pos} for v in vs]
+    n = len(adjacency)
+    rows = [{w: ONE for w in adjacency[v]} for v in range(n)]
     holders = [set(row) for row in rows]  # column -> rows nonzero there; A is symmetric
-    used = [False] * len(vs)
+    used = [False] * n
     pivots: dict[int, int] = {}  # pivot column -> its row
     free: list[int] = []
-    for c in range(len(vs)):
+    for c in range(n):
         r = min((i for i in holders[c] if not used[i]), default=None)
         if r is None:
             free.append(c)
@@ -136,7 +134,7 @@ def sparse_null_basis(adjacency: Sequence[Sequence[int]], vertices: Iterable[int
                 else:
                     del row[k]
                     holders[k].discard(i)
-    basis = {f: [ZERO] * len(vs) for f in free}
+    basis = {f: [ZERO] * n for f in free}
     for c, r in pivots.items():
         for k, x in rows[r].items():
             if k != c:  # every other entry of a pivot row sits in a free column

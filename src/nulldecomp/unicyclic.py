@@ -19,9 +19,9 @@ The class and the nullity recursion need only forest decompositions, which
 come from maximum matchings (``trees``).  ``rref_null_basis`` eliminates
 straight over the graph's adjacency lists (``linalg.sparse_null_basis``),
 with no dense matrix.  The Type I / Type II bases still take their vectors
-from dense RREF kernels of induced subforests.  Both constructions are
-verified in ``checks`` against the dense RREF kernel of A(G) (same span,
-exact annihilation).
+from dense RREF kernels of induced subforests.  ``checks`` verifies all of
+them against the dense RREF kernel of A(G): the constructed bases by span
+and exact annihilation, ``rref_null_basis`` tuple for tuple.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def recursion_nullity(g: Graph, cls: UnicyclicClass) -> int:
 
 def rref_null_basis(g: Graph) -> NullBasis:
     """Canonical kernel basis of A(g), tagged RrefCanonical.  Works on any graph."""
-    vectors = tuple(sparse_null_basis(g.adjacency, range(g.n)))
+    vectors = tuple(sparse_null_basis(g.adjacency))
     return NullBasis(vectors, (RREF_CANONICAL,) * len(vectors))
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from nulldecomp import (
@@ -20,6 +22,7 @@ from nulldecomp import (
     nu,
     null_space_basis,
     pendant_trees,
+    run_checks,
     structural_decomposition,
 )
 from nulldecomp.decomposition import _case_tag
@@ -146,7 +149,7 @@ def test_report_shape(ex_four_cycle):
 
 
 def test_report_verified(ex_four_cycle):
-    report = analyze(ex_four_cycle, verify=True)
+    report = replace(analyze(ex_four_cycle), checks=run_checks(ex_four_cycle))
     assert report.checks and all(report.checks.values())
 
 
