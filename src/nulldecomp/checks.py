@@ -19,10 +19,14 @@ The reference reduces each matrix once per graph.  The canonical basis of
 A(G) also gives the kernel-read decomposition and the nullity check, and
 each derived forest the identities read (pendant trees, T_v - v, G - C)
 gets one induced subgraph and one kernel decomposition, shared by every
-check on that vertex set.  The constructed bases keep their own subforest
-kernels: they are the route under test.  A failure here always means a bug
-somewhere, which is exactly what the fuzzing campaign is hunting for; a
-check that raises any exception counts as failed.
+check on that vertex set.  The graph is classified once, inside
+``decomposition_from_basis``, and every route under test takes that
+classification; ``structural_matches_basis`` holds its case to the case's
+kernel definition, read off the reference kernels of G - T_v and T_v.  The
+constructed bases keep their own subforest kernels: they are the route
+under test.  A failure here always means a bug somewhere, which is exactly
+what the fuzzing campaign is hunting for; a check that raises any
+exception counts as failed.
 """
 
 from __future__ import annotations
@@ -30,21 +34,12 @@ from __future__ import annotations
 from functools import cache, partial
 from typing import Callable, Hashable
 
-from .decomposition import (
-    CASE_TII_4K,
-    CASE_TII_NON4K,
-    CASE_TI3,
-    decomposition_from_basis,
-    structural_decomposition,
-    alpha,
-    nu,
-)
+from .decomposition import decomposition_from_basis, structural_decomposition, alpha, nu
 from .graph import Graph
 from .linalg import is_zero_vector, mat_vec, null_space_basis, same_span
 from .oracle import (
     ENUMERATION_BUDGET,
     SEARCH_BUDGET,
-    OracleBudget,
     brute_alpha,
     brute_nu,
     edmonds_gallai_set,
@@ -53,33 +48,32 @@ from .oracle import (
 )
 from .trees import TreeDecomposition, forest_decomposition, tree_alpha, tree_decomposition, tree_nu
 from .unicyclic import (
+    CASE_TI1,
+    CASE_TI2,
+    CASE_TI3,
+    CASE_TI4,
+    CASE_TII_4K,
+    CASE_TII_NON4K,
     EXTENDED_FOREST,
     EXTENDED_PENDANT,
     TYPE2,
-    classify,
+    UnicyclicClass,
     constructed_null_basis,
     recursion_nullity,
     rref_null_basis,
 )
 
 
-def run_checks(
-    g: Graph,
-    *,
-    enum_budget: OracleBudget | None = None,
-    search_budget: OracleBudget | None = None,
-    oracle: bool = True,
-) -> dict[str, bool]:
+def run_checks(g: Graph) -> dict[str, bool]:
     """Run every applicable check on a forest or unicyclic graph.
 
     Oracle-backed checks are included only when the graph (or derived
-    subgraph) fits the corresponding budget; everything else always runs.
+    subgraph) fits the oracle's vertex budget (``ENUMERATION_BUDGET``,
+    ``SEARCH_BUDGET``); everything else always runs.
     """
-    enum_budget = enum_budget or ENUMERATION_BUDGET
-    search_budget = search_budget or SEARCH_BUDGET
     if g.is_forest():
-        return _forest_checks(g, enum_budget, search_budget, oracle)
-    return _unicyclic_checks(g, enum_budget, search_budget, oracle)
+        return _forest_checks(g)
+    return _unicyclic_checks(g)
 
 
 def _guarded(checks: dict[str, bool], name: str, thunk: Callable[[], bool]) -> None:
@@ -98,9 +92,7 @@ def _kernel_decomposition(g: Graph, vertices) -> tuple[Graph, TreeDecomposition]
     return f, TreeDecomposition(*parts, d.nullity)
 
 
-def _forest_checks(
-    g: Graph, enum_budget: OracleBudget, search_budget: OracleBudget, oracle: bool
-) -> dict[str, bool]:
+def _forest_checks(g: Graph) -> dict[str, bool]:
     checks: dict[str, bool] = {}
     matrix = g.adjacency_matrix()
     basis = rref_null_basis(g)  # the production route for a forest
@@ -117,21 +109,21 @@ def _forest_checks(
     _guarded(checks, "supported_neighbor_after_deletion", lambda: _forest_neighbor_support(g, d.support))
     _guarded(checks, "formula_sum", lambda: tree_alpha(g) + tree_nu(g) == g.n)
 
-    if oracle and g.n <= search_budget.max_vertices:
-        _guarded(checks, "alpha_oracle", lambda: tree_alpha(g) == brute_alpha(g, search_budget))
-        _guarded(checks, "nu_oracle", lambda: tree_nu(g) == brute_nu(g, search_budget))
-    if oracle and g.n <= enum_budget.max_vertices:
+    if g.n <= SEARCH_BUDGET.max_vertices:
+        _guarded(checks, "alpha_oracle", lambda: tree_alpha(g) == brute_alpha(g, SEARCH_BUDGET))
+        _guarded(checks, "nu_oracle", lambda: tree_nu(g) == brute_nu(g, SEARCH_BUDGET))
+    if g.n <= ENUMERATION_BUDGET.max_vertices:
         _guarded(
             checks,
             "eg_equals_support",
-            lambda: edmonds_gallai_set(g, enum_budget) == d.support,
+            lambda: edmonds_gallai_set(g, ENUMERATION_BUDGET) == d.support,
         )
         _guarded(
             checks,
             "mis_intersection_is_support",
-            lambda: max_independent_intersection(g, enum_budget) == d.support,
+            lambda: max_independent_intersection(g, ENUMERATION_BUDGET) == d.support,
         )
-        mis = maximum_independent_sets(g, enum_budget)
+        mis = maximum_independent_sets(g, ENUMERATION_BUDGET)
         checks["core_absent_from_some_mis"] = all(
             any(v not in s for s in mis) for v in d.core
         )
@@ -156,25 +148,26 @@ def _forest_neighbor_support(g: Graph, support: frozenset[int]) -> bool:
     return True
 
 
-def _unicyclic_checks(
-    g: Graph, enum_budget: OracleBudget, search_budget: OracleBudget, oracle: bool
-) -> dict[str, bool]:
+def _unicyclic_checks(g: Graph) -> dict[str, bool]:
     checks: dict[str, bool] = {}
-    cls = classify(g)
     matrix = g.adjacency_matrix()
+    canonical = null_space_basis(matrix)
+    d_basis = decomposition_from_basis(g, canonical)
+    cls = d_basis.cls  # the battery's one classification of g
     cycle_set = cls.cycle.vertex_set()
     pend = cls.pendant_trees
     kernel = cache(partial(_kernel_decomposition, g))  # built once per vertex set
 
     constructed = constructed_null_basis(g, cls)
-    canonical = null_space_basis(matrix)
     checks["basis_exact"] = all(
         is_zero_vector(mat_vec(matrix, v)) for v in constructed.vectors
     )
     checks["basis_count"] = (
         len(constructed.vectors) == len(canonical) and rref_null_basis(g).vectors == tuple(canonical)
     )
-    _guarded(checks, "nullity_recursion", lambda: recursion_nullity(g, cls) == len(canonical))
+    _guarded(
+        checks, "nullity_recursion", lambda: recursion_nullity(g, pend, cls.witness) == len(canonical)
+    )
     checks["span_equality"] = same_span(constructed.vectors, canonical)
     tag = EXTENDED_PENDANT if cls.tag != TYPE2 else EXTENDED_FOREST
     name = "pendant_extension_null" if cls.tag != TYPE2 else "forest_extension_null"
@@ -184,13 +177,15 @@ def _unicyclic_checks(
         if prov == tag
     )
 
-    d_basis = decomposition_from_basis(g, canonical)
-    d_struct = structural_decomposition(g)
+    # Off-support cycle vertices on the reference kernels of the pendant trees.
+    pendant = {v: kernel(pend[v])[1] for v in cls.cycle.vertices}
+    roots = [v for v in cls.cycle.vertices if v not in pendant[v].support]
+    d_struct = structural_decomposition(g, cls)
     checks["structural_matches_basis"] = (
         d_basis.support == d_struct.support
         and d_basis.core == d_struct.core
         and d_basis.n_vertices == d_struct.n_vertices
-        and d_basis.case == d_struct.case
+        and d_struct.case == _kernel_case(g, cls, min(roots, default=None), pendant)
     )
     checks["support_dichotomy"] = g.is_independent_set(d_basis.support) == (
         d_basis.case != CASE_TII_4K
@@ -199,9 +194,9 @@ def _unicyclic_checks(
     checks["supp_core_rule"] = (d_basis.support & d_basis.core) == expected_overlap
     checks["parity_rule"] = _parity_rule(d_basis.case, d_basis, cls.cycle.length)
 
-    if oracle and g.n <= search_budget.max_vertices:
-        _guarded(checks, "alpha_oracle", lambda: alpha(g, d_basis) == brute_alpha(g, search_budget))
-        _guarded(checks, "nu_oracle", lambda: nu(g, d_basis) == brute_nu(g, search_budget))
+    if g.n <= SEARCH_BUDGET.max_vertices:
+        _guarded(checks, "alpha_oracle", lambda: alpha(g, d_basis) == brute_alpha(g, SEARCH_BUDGET))
+        _guarded(checks, "nu_oracle", lambda: nu(g, d_basis) == brute_nu(g, SEARCH_BUDGET))
 
     # Whole-graph counts split along the class's natural cut: at the witness's
     # pendant tree for Type I, at the cycle for Type II.  Doubled to stay
@@ -219,8 +214,6 @@ def _unicyclic_checks(
     checks[nu_name] = 2 * nu(g, d_basis) == base + sum(map(_double_nu, parts))
 
     # Pendant-tree identities around off-support cycle vertices, on kernels.
-    pendant = {v: kernel(pend[v])[1] for v in cls.cycle.vertices}
-    roots = [v for v in cls.cycle.vertices if v not in pendant[v].support]
     if roots:
         deleted = {v: kernel(pend[v] - {v})[1] for v in roots}
         checks["supported_neighbor_after_deletion"] = all(
@@ -253,23 +246,46 @@ def _unicyclic_checks(
 
     # Formulas and enumeration facts on the derived forests, compared by
     # label: the oracles answer in the subgraph's indices, the kernels in g's.
-    if oracle:
-        cuts = [forest_vs] + [pend[v] - {v} for v in cls.cycle.vertices]
-        derived = [vs for vs in cuts if vs]
-        searched = [kernel(vs)[0] for vs in derived if len(vs) <= search_budget.max_vertices]
-        _guarded(checks, "derived_forest_formulas", lambda: all(
-            tree_alpha(f) == brute_alpha(f, search_budget) and tree_nu(f) == brute_nu(f, search_budget)
-            for f in searched
-        ))
-        enumerated = [kernel(vs) for vs in derived if len(vs) <= enum_budget.max_vertices]
-        checks["eg_equals_support"] = all(
-            f.label_set(edmonds_gallai_set(f, enum_budget)) == g.label_set(d.support) for f, d in enumerated
-        )
-        checks["mis_intersection_is_support"] = all(
-            f.label_set(max_independent_intersection(f, enum_budget)) == g.label_set(d.support)
-            for f, d in enumerated
-        )
+    cuts = [forest_vs] + [pend[v] - {v} for v in cls.cycle.vertices]
+    derived = [vs for vs in cuts if vs]
+    searched = [kernel(vs)[0] for vs in derived if len(vs) <= SEARCH_BUDGET.max_vertices]
+    _guarded(checks, "derived_forest_formulas", lambda: all(
+        tree_alpha(f) == brute_alpha(f, SEARCH_BUDGET) and tree_nu(f) == brute_nu(f, SEARCH_BUDGET)
+        for f in searched
+    ))
+    enumerated = [kernel(vs) for vs in derived if len(vs) <= ENUMERATION_BUDGET.max_vertices]
+    checks["eg_equals_support"] = all(
+        f.label_set(edmonds_gallai_set(f, ENUMERATION_BUDGET)) == g.label_set(d.support)
+        for f, d in enumerated
+    )
+    checks["mis_intersection_is_support"] = all(
+        f.label_set(max_independent_intersection(f, ENUMERATION_BUDGET)) == g.label_set(d.support)
+        for f, d in enumerated
+    )
     return checks
+
+
+def _kernel_case(g: Graph, cls: UnicyclicClass, witness: int | None, pendant) -> str:
+    """The unicyclic case by its definition, read off the reference kernels.
+
+    ``witness`` is the smallest cycle vertex off the kernel support of its
+    pendant tree, None when there is none (Type II: the case is the cycle
+    length mod 4).  With pendant tree T_v and cycle neighbors u, w of the
+    witness v: TI-4 when some kernel vector of A(G - T_v) has x_u + x_w != 0,
+    TI-1 when all of them vanish at u and w, otherwise TI-2 when v is in the
+    core of T_v (``pendant[v]``, its kernel decomposition) and TI-3 when not.
+    """
+    if witness is None:
+        return CASE_TII_4K if cls.cycle.length % 4 == 0 else CASE_TII_NON4K
+    u, w = cls.cycle.neighbors_on_cycle(witness)
+    rest = sorted(frozenset(range(g.n)) - cls.pendant_trees[witness])
+    pos_u, pos_w = rest.index(u), rest.index(w)
+    basis = null_space_basis(g.induced_subgraph(rest).adjacency_matrix())
+    if any(vec[pos_u] + vec[pos_w] != 0 for vec in basis):
+        return CASE_TI4
+    if all(vec[pos_u] == vec[pos_w] == 0 for vec in basis):
+        return CASE_TI1
+    return CASE_TI2 if witness in pendant[witness].core else CASE_TI3
 
 
 def _double_alpha(d) -> int:

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .generator import ANY, FORCE_TYPE1, FORCE_TYPE2, GeneratorSpec, generate_unicyclic
 from .graph import Graph, parse_edge_list
-from .unicyclic import constructed_null_basis, rref_null_basis
+from .unicyclic import classify, constructed_null_basis, rref_null_basis
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -80,7 +80,7 @@ def _cmd_basis(args: argparse.Namespace) -> int:
             raise UnsupportedGraphClass(
                 "structural basis construction needs a forest or unicyclic graph"
             )
-        basis = constructed_null_basis(g)
+        basis = constructed_null_basis(g, classify(g) if g.is_unicyclic() else None)
     if args.json:
         payload = {
             "nullity": len(basis.vectors),

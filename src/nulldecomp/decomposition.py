@@ -11,11 +11,12 @@ Two independent routes produce the decomposition:
   the dense RREF kernel instead, so its reading never shares the production
   kernel.  This is the source of truth.
 * ``structural_decomposition`` assembles the same sets from pendant-tree and
-  complement decompositions according to a six-way case split (four Type I
-  cases by how the complement kernel behaves at the witness's cycle
-  neighbors, two Type II cases by cycle length mod 4).  Every piece is a
-  forest, decomposed through a maximum matching (``trees``), so this route
-  computes no kernel and runs in time linear in the graph.
+  complement decompositions according to the six-way case split that
+  ``unicyclic.classify`` decides (four Type I cases by how the complement
+  kernel behaves at the witness's cycle neighbors, two Type II cases by
+  cycle length mod 4), from the classification the caller holds.  Every
+  piece is a forest, decomposed through a maximum matching (``trees``), so
+  this route computes no kernel and runs in time linear in the graph.
 
 Their agreement on every unicyclic graph is one of the package's central
 verified properties.
@@ -26,22 +27,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .errors import CaseContradiction, UnsupportedGraphClass
+from .errors import UnsupportedGraphClass
 from .graph import Graph
 from .linalg import Vector, sparse_null_basis, support_indices
 from .trees import forest_decomposition, tree_alpha, tree_nu
-from .unicyclic import TYPE1, TYPE2, UnicyclicClass, classify, recursion_nullity
+from .unicyclic import (
+    CASE_TI3,
+    CASE_TI4,
+    CASE_TII_NON4K,
+    TYPE1,
+    UnicyclicClass,
+    classify,
+    recursion_nullity,
+)
 
-CASE_TI1 = "TI-1"
-CASE_TI2 = "TI-2"
-CASE_TI3 = "TI-3"
-CASE_TI4 = "TI-4"
-CASE_TII_NON4K = "TII-non4k"
-CASE_TII_4K = "TII-4k"
 CASE_FOREST = "Forest"
-
-TYPE1_CASES = (CASE_TI1, CASE_TI2, CASE_TI3, CASE_TI4)
-TYPE2_CASES = (CASE_TII_NON4K, CASE_TII_4K)
 
 
 @dataclass(frozen=True)
@@ -60,35 +60,6 @@ class Decomposition:
     cls: UnicyclicClass | None = None
 
 
-def _case_tag(g: Graph, cls: UnicyclicClass) -> str:
-    """Select which of the six unicyclic cases applies.
-
-    With witness v, pendant tree T_v and cycle neighbors u, w, TI-4 means some
-    kernel vector of A(G - T_v) has x_u + x_w != 0: e_u + e_w leaves the
-    column space, which is exactly when bordering with v lowers the nullity.
-    """
-    if cls.tag == TYPE2:
-        return CASE_TII_4K if cls.cycle.length % 4 == 0 else CASE_TII_NON4K
-    v = cls.witness
-    u, w = cls.cycle.neighbors_on_cycle(v)
-    pend = cls.pendant_trees[v]
-    rest = frozenset(range(g.n)) - pend
-    rest_d = forest_decomposition(g, rest)
-    bordered = g.induced_subgraph(rest | {v})
-    if recursion_nullity(bordered, classify(bordered)) < rest_d.nullity:
-        return CASE_TI4
-    if u not in rest_d.support and w not in rest_d.support:
-        return CASE_TI1
-    pend_d = forest_decomposition(g, pend)
-    if v in pend_d.core:
-        return CASE_TI2
-    if v in pend_d.n_vertices:
-        return CASE_TI3
-    raise CaseContradiction(
-        f"witness {g.labels[v]!r} matches no Type I case; support test inconsistent"
-    )
-
-
 def decomposition_from_basis(g: Graph, basis: Sequence[Vector] | None = None) -> Decomposition:
     """Decomposition read off a kernel basis of A(g), by default the canonical one.
 
@@ -103,7 +74,7 @@ def decomposition_from_basis(g: Graph, basis: Sequence[Vector] | None = None) ->
         case = CASE_FOREST
     elif g.is_unicyclic():
         cls = classify(g)
-        case = _case_tag(g, cls)
+        case = cls.case
     else:
         raise UnsupportedGraphClass(
             f"graph with {g.n} vertices and {g.edge_count} edges is neither a forest nor unicyclic"
@@ -116,14 +87,14 @@ def decomposition_from_basis(g: Graph, basis: Sequence[Vector] | None = None) ->
     return Decomposition(support, core, n_vertices, case, len(basis), cls)
 
 
-def structural_decomposition(g: Graph) -> Decomposition:
-    """Decomposition assembled from forest decompositions, case by case.
+def structural_decomposition(g: Graph, cls: UnicyclicClass) -> Decomposition:
+    """Decomposition of a unicyclic graph assembled from forest decompositions, case by case.
 
-    The nullity comes from the pendant-tree recursion alone; ``run_checks``
-    compares it with the rank (``nullity_recursion``).
+    ``cls`` is g's classification, which fixes the case.  The nullity comes
+    from the pendant-tree recursion alone; ``run_checks`` compares it with
+    the rank (``nullity_recursion``).
     """
-    cls = classify(g)
-    case = _case_tag(g, cls)
+    case = cls.case
     pend = cls.pendant_trees
     everything = frozenset(range(g.n))
     cycle = cls.cycle.vertex_set()
@@ -145,7 +116,7 @@ def structural_decomposition(g: Graph) -> Decomposition:
         frozenset().union(to_core, *(d.core for d in parts)),
         frozenset().union(to_n, *(d.n_vertices for d in parts)) - to_core,
         case,
-        recursion_nullity(g, cls),
+        recursion_nullity(g, pend, cls.witness),
         cls,
     )
 
@@ -191,9 +162,8 @@ class AnalysisReport:
 
     @property
     def class_tag(self) -> str:
-        if self.decomposition.case == CASE_FOREST:
-            return "forest"
-        return TYPE1 if self.decomposition.case in TYPE1_CASES else TYPE2
+        cls = self.decomposition.cls
+        return cls.tag if cls else "forest"
 
     def to_dict(self) -> dict:
         g, d = self.graph, self.decomposition

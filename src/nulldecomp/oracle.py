@@ -15,7 +15,6 @@ against exhaustive edge-subset maximization for every graph up to 12 vertices.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
@@ -25,24 +24,10 @@ from .graph import Graph
 @dataclass(frozen=True)
 class OracleBudget:
     max_vertices: int = 14
-    time_limit: float | None = None  # seconds
 
 
 ENUMERATION_BUDGET = OracleBudget(max_vertices=14)
 SEARCH_BUDGET = OracleBudget(max_vertices=22)
-
-
-class _Deadline:
-    def __init__(self, budget: OracleBudget):
-        self.expires = None if budget.time_limit is None else time.monotonic() + budget.time_limit
-        self._tick = 0
-
-    def check(self) -> None:
-        if self.expires is None:
-            return
-        self._tick += 1
-        if self._tick % 256 == 0 and time.monotonic() > self.expires:
-            raise BudgetExceeded("oracle time limit exceeded")
 
 
 def _require_budget(g: Graph, budget: OracleBudget) -> None:
@@ -63,7 +48,6 @@ def brute_alpha(g: Graph, budget: OracleBudget | None = None) -> int:
     budget = budget or SEARCH_BUDGET
     _require_budget(g, budget)
     adj = _adjacency_masks(g)
-    deadline = _Deadline(budget)
     memo: dict[int, int] = {}
 
     def rec(mask: int) -> int:
@@ -72,7 +56,6 @@ def brute_alpha(g: Graph, budget: OracleBudget | None = None) -> int:
         cached = memo.get(mask)
         if cached is not None:
             return cached
-        deadline.check()
         best_v, best_deg = -1, None
         m = mask
         while m:
@@ -105,14 +88,12 @@ def brute_nu(g: Graph, budget: OracleBudget | None = None) -> int:
     budget = budget or SEARCH_BUDGET
     _require_budget(g, budget)
     adj = _adjacency_masks(g)
-    deadline = _Deadline(budget)
     memo: dict[int, int] = {}
 
     def rec(mask: int) -> int:
         cached = memo.get(mask)
         if cached is not None:
             return cached
-        deadline.check()
         best_v, best_deg = -1, 0
         leaf = -1
         m = mask
@@ -149,11 +130,9 @@ def maximum_independent_sets(g: Graph, budget: OracleBudget | None = None) -> li
     budget = budget or ENUMERATION_BUDGET
     _require_budget(g, budget)
     adj = _adjacency_masks(g)
-    deadline = _Deadline(budget)
     best = -1
     hits: list[int] = []
     for subset in range(1 << g.n):
-        deadline.check()
         size = subset.bit_count()
         if size < best:
             continue
@@ -181,11 +160,9 @@ def maximum_matchings(g: Graph, budget: OracleBudget | None = None) -> list[froz
     _require_budget(g, budget)
     edges = list(g.edges())
     edge_masks = [(1 << u) | (1 << v) for u, v in edges]
-    deadline = _Deadline(budget)
     best = -1
     hits: list[int] = []
     for subset in range(1 << len(edges)):
-        deadline.check()
         size = subset.bit_count()
         if size < best:
             continue

@@ -15,11 +15,15 @@ subgraphs:
   extra vectors z1 and z2: alternating-sign sums of normalized full-support
   pendant-tree vectors over the odd and even cycle positions.
 
-The class and the nullity recursion need only forest decompositions, which
-come from maximum matchings (``trees``).  ``rref_null_basis`` eliminates
-straight over the graph's adjacency lists (``linalg.sparse_null_basis``),
-with no dense matrix.  The Type I / Type II bases still take their vectors
-from dense RREF kernels of induced subforests.  ``checks`` verifies all of
+``classify`` is the one place that decides a graph's class, witness and
+case; its result carries the cycle and pendant trees that every later
+construction reads.  The class, the case and the nullity recursion need
+only forest decompositions, which come from maximum matchings (``trees``).
+Each forest they decompose is a vertex set of the graph itself, so no
+subgraph is built.  ``rref_null_basis`` eliminates straight over the
+graph's adjacency lists (``linalg.sparse_null_basis``), with no dense
+matrix.  The Type I / Type II bases still take their vectors from dense
+RREF kernels of induced subforests.  ``checks`` verifies all of
 them against the dense RREF kernel of A(G): the constructed bases by span
 and exact annihilation, ``rref_null_basis`` tuple for tuple.
 """
@@ -31,6 +35,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import (
+    CaseContradiction,
     DimensionMismatch,
     InternalCheckError,
     NormalizationFailure,
@@ -44,6 +49,13 @@ from .trees import forest_decomposition, full_support_vector
 TYPE1 = "type1"
 TYPE2 = "type2"
 
+CASE_TI1 = "TI-1"
+CASE_TI2 = "TI-2"
+CASE_TI3 = "TI-3"
+CASE_TI4 = "TI-4"
+CASE_TII_NON4K = "TII-non4k"
+CASE_TII_4K = "TII-4k"
+
 # Provenance tags describing how each basis vector was constructed.
 RREF_CANONICAL = "RrefCanonical"
 EXTENDED_PENDANT = "ExtendedPendant"
@@ -55,16 +67,19 @@ CYCLE_ALTERNATING = "CycleAlternating"
 
 @dataclass(frozen=True)
 class UnicyclicClass:
-    """Classification result: the tag, the cycle, and (for Type I) a witness.
+    """Classification result: the tag, the case, the cycle, and (for Type I) a witness.
 
     The witness is the smallest-index cycle vertex that lies outside the
     support of its pendant tree.  Any qualifying vertex would do; fixing the
-    smallest keeps every downstream construction reproducible.  The pendant
-    trees the classification tested ride along for every later construction;
-    they follow from the graph and the cycle, so equality and hashing skip them.
+    smallest keeps every downstream construction reproducible.  The case is
+    one of TI-1 to TI-4 for Type I and TII-non4k / TII-4k for Type II.  The
+    pendant trees the classification tested ride along for every later
+    construction; they follow from the graph and the cycle, so equality and
+    hashing skip them.
     """
 
     tag: str
+    case: str
     cycle: CycleInfo
     pendant_trees: Mapping[int, frozenset[int]] = field(compare=False, repr=False)
     witness: int | None = None
@@ -82,13 +97,47 @@ class NullBasis:
 
 
 def classify(g: Graph) -> UnicyclicClass:
-    """Decide Type I / Type II by testing each cycle vertex against its pendant tree."""
+    """Decide Type I / Type II and the case by testing each cycle vertex against its pendant tree."""
     cycle = find_cycle(g)
     pend = pendant_trees(g, cycle)
-    for v in sorted(cycle.vertices):
-        if v not in forest_decomposition(g, pend[v]).support:
-            return UnicyclicClass(TYPE1, cycle, pend, witness=v)
-    return UnicyclicClass(TYPE2, cycle, pend)
+    order = sorted(cycle.vertices)
+    outside = (v for v in order if v not in forest_decomposition(g, pend[v]).support)
+    v = next(outside, None)
+    if v is None:
+        case = CASE_TII_4K if cycle.length % 4 == 0 else CASE_TII_NON4K
+        return UnicyclicClass(TYPE2, case, cycle, pend)
+    case = _type1_case(g, cycle, pend, v, next(outside, None))
+    return UnicyclicClass(TYPE1, case, cycle, pend, v)
+
+
+def _type1_case(
+    g: Graph, cycle: CycleInfo, pend: Mapping[int, frozenset[int]], v: int, next_witness: int | None
+) -> str:
+    """Select which of the four Type I cases applies at witness v.
+
+    With pendant tree T_v and cycle neighbors u, w, TI-4 means some kernel
+    vector of A(G - T_v) has x_u + x_w != 0: e_u + e_w leaves the column
+    space, which is exactly when bordering with v lowers the nullity.  The
+    bordered graph G[(V - T_v) + v] has G's cycle and pendant trees, except
+    that T_v shrinks to {v}.  A lone vertex is its own support, and every
+    cycle vertex before v lies in its tree's support, so the bordered graph's
+    witness is ``next_witness``: the next cycle vertex, in index order,
+    outside its tree's support.
+    """
+    u, w = cycle.neighbors_on_cycle(v)
+    rest_d = forest_decomposition(g, frozenset(range(g.n)) - pend[v])
+    if recursion_nullity(g, {**pend, v: frozenset({v})}, next_witness) < rest_d.nullity:
+        return CASE_TI4
+    if u not in rest_d.support and w not in rest_d.support:
+        return CASE_TI1
+    pend_d = forest_decomposition(g, pend[v])
+    if v in pend_d.core:
+        return CASE_TI2
+    if v in pend_d.n_vertices:
+        return CASE_TI3
+    raise CaseContradiction(
+        f"witness {g.labels[v]!r} matches no Type I case; support test inconsistent"
+    )
 
 
 def extend_vector(x: Sequence[Fraction], h_vertices: Sequence[int], g: Graph) -> Vector:
@@ -115,19 +164,26 @@ def cycle_nullity(length: int) -> int:
     return 2 if length % 4 == 0 else 0
 
 
-def recursion_nullity(g: Graph, cls: UnicyclicClass) -> int:
-    """Nullity via the pendant-tree recursion, from forest nullities alone.
+def recursion_nullity(
+    g: Graph, pendant_trees: Mapping[int, frozenset[int]], witness: int | None
+) -> int:
+    """Nullity of a unicyclic graph via the pendant-tree recursion, from forest nullities alone.
+
+    The graph is the one ``g`` induces on the union of ``pendant_trees``,
+    which maps each of its cycle vertices to the tree hanging there;
+    ``witness`` is its Type I witness, or None when it is Type II.  For g
+    itself that is ``recursion_nullity(g, cls.pendant_trees, cls.witness)``.
 
     Type I with witness v: nullity(G) = nullity(G{v}) + nullity(G - G{v}).
     Type II: nullity(G) = nullity(G - C) + nullity(C).
     """
-    everything = frozenset(range(g.n))
-    if cls.tag == TYPE1:
-        pend = cls.pendant_trees[cls.witness]
-        rest = everything - pend
-        return forest_decomposition(g, pend).nullity + forest_decomposition(g, rest).nullity
-    forest = everything - cls.cycle.vertex_set()
-    return forest_decomposition(g, forest).nullity + cycle_nullity(cls.cycle.length)
+    everything = frozenset().union(*pendant_trees.values())
+    if witness is not None:
+        tree = pendant_trees[witness]
+        rest = everything - tree
+        return forest_decomposition(g, tree).nullity + forest_decomposition(g, rest).nullity
+    forest = everything - frozenset(pendant_trees)
+    return forest_decomposition(g, forest).nullity + cycle_nullity(len(pendant_trees))
 
 
 def rref_null_basis(g: Graph) -> NullBasis:
@@ -242,12 +298,14 @@ def type2_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
     return NullBasis(tuple(vectors), tuple(provenance))
 
 
-def constructed_null_basis(g: Graph, cls: UnicyclicClass | None = None) -> NullBasis:
-    """Dispatch to the Type I or Type II construction; forests get the canonical basis."""
+def constructed_null_basis(g: Graph, cls: UnicyclicClass | None) -> NullBasis:
+    """Dispatch on g's classification to the Type I or Type II construction.
+
+    A forest has no classification (``cls`` is None, as in
+    ``Decomposition.cls``) and gets the canonical basis.
+    """
     if g.is_forest():
         return rref_null_basis(g)
-    if cls is None:
-        cls = classify(g)
     if cls.tag == TYPE1:
         return type1_null_basis(g, cls)
     return type2_null_basis(g, cls)

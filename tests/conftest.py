@@ -8,7 +8,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
-from nulldecomp import Graph, GeneratorSpec, find_cycle, generate_unicyclic, parse_edge_list, pendant_trees
+from nulldecomp import Graph, GeneratorSpec, generate_unicyclic, parse_edge_list
+from nulldecomp.graph import find_cycle, pendant_trees
 
 # 18-vertex Type I example: 4-cycle e-g-f-v with an 11-vertex tree at v.
 EXAMPLE_TYPE1 = """

@@ -9,26 +9,12 @@ from __future__ import annotations
 
 import time
 
-from nulldecomp import (
-    alpha,
-    brute_alpha,
-    brute_nu,
-    classify,
-    constructed_null_basis,
-    decomposition_from_basis,
-    find_cycle,
-    mat_vec,
-    nu,
-    null_space_basis,
-    nullity,
-    pendant_trees,
-    run_checks,
-    same_span,
-    structural_decomposition,
-    tree_alpha,
-    tree_nu,
-)
-from nulldecomp.linalg import is_zero_vector
+from nulldecomp import classify, constructed_null_basis, run_checks
+from nulldecomp.decomposition import alpha, decomposition_from_basis, nu, structural_decomposition
+from nulldecomp.graph import find_cycle, pendant_trees
+from nulldecomp.linalg import is_zero_vector, mat_vec, null_space_basis, nullity, same_span
+from nulldecomp.oracle import brute_alpha, brute_nu
+from nulldecomp.trees import tree_alpha, tree_nu
 from nulldecomp.unicyclic import recursion_nullity
 
 from conftest import cycle_graph
@@ -89,7 +75,8 @@ def test_criterion_4_cycle_nullity():
         expected = 2 if n % 4 == 0 else 0
         g = cycle_graph(n)
         assert nullity(g.adjacency_matrix()) == expected, n
-        assert recursion_nullity(g, classify(g)) == expected, n
+        cls = classify(g)
+        assert recursion_nullity(g, cls.pendant_trees, cls.witness) == expected, n
     _report(4, "cycle nullities up to length 17", started, 1.0)
 
 
@@ -103,7 +90,7 @@ def test_criterion_5_basis_exactness_and_span(random_corpus):
         for vec in basis.vectors:
             assert is_zero_vector(mat_vec(matrix, vec)), g.to_edge_list()
         rank_deficiency = nullity(matrix)
-        assert len(basis.vectors) == rank_deficiency == recursion_nullity(g, cls)
+        assert len(basis.vectors) == rank_deficiency == recursion_nullity(g, cls.pendant_trees, cls.witness)
         assert same_span(basis.vectors, null_space_basis(matrix)), g.to_edge_list()
     _report(5, "constructed bases exact + span equality on 500 random graphs", started, 60.0)
 
@@ -163,7 +150,7 @@ def test_criterion_8_structural_vs_basis_with_case_coverage(
     hits = {case: 0 for case in ("TI-1", "TI-2", "TI-3", "TI-4", "TII-non4k", "TII-4k")}
     for g in corpus:
         a = decomposition_from_basis(g)
-        b = structural_decomposition(g)
+        b = structural_decomposition(g, a.cls)
         assert (a.support, a.core, a.n_vertices, a.case) == (
             b.support,
             b.core,

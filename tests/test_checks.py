@@ -1,9 +1,15 @@
 """The check battery: the failure minimizer keeps the failure it started
-from, and one run reduces each matrix once."""
+from, one run reduces each matrix once and classifies the graph once, and
+the case is held to its kernel definition."""
 
 from __future__ import annotations
 
-from nulldecomp import checks, classify, linalg, run_checks
+import sys
+from dataclasses import replace
+
+import pytest
+
+from nulldecomp import checks, classify, decomposition, linalg, run_checks
 from nulldecomp.checks import minimize_failing_graph
 from nulldecomp.errors import CaseContradiction, NormalizationFailure
 from nulldecomp.unicyclic import recursion_nullity
@@ -79,16 +85,43 @@ def test_run_checks_reduces_a_unicyclic_matrix_once(monkeypatch, ex_type1):
 
 def test_nullity_recursion_fails_on_an_off_by_one_recursion(monkeypatch, ex_four_cycle):
     assert run_checks(ex_four_cycle)["nullity_recursion"]
-    true_nullity = recursion_nullity(ex_four_cycle, classify(ex_four_cycle))
-    monkeypatch.setattr(checks, "recursion_nullity", lambda g, cls: true_nullity + 1)
+    cls = classify(ex_four_cycle)
+    true_nullity = recursion_nullity(ex_four_cycle, cls.pendant_trees, cls.witness)
+    monkeypatch.setattr(checks, "recursion_nullity", lambda *args: true_nullity + 1)
     assert run_checks(ex_four_cycle)["nullity_recursion"] is False
 
 
 def test_a_guarded_check_that_raises_any_exception_fails(monkeypatch, ex_four_cycle):
-    def planted(g, cls):
+    def planted(*args):
         raise StopIteration("planted")
 
     monkeypatch.setattr(checks, "recursion_nullity", planted)
     result = run_checks(ex_four_cycle)
     assert result["nullity_recursion"] is False
     assert all(ok for name, ok in result.items() if name != "nullity_recursion")
+
+
+@pytest.mark.parametrize("example", ["ex_type1", "ex_four_cycle"])
+def test_run_checks_classifies_once(monkeypatch, request, example):
+    g = request.getfixturevalue(example)
+    calls = []
+
+    def counting(h):
+        calls.append(h)
+        return classify(h)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nulldecomp") and getattr(module, "classify", None) is classify:
+            monkeypatch.setattr(module, "classify", counting)
+    assert all(run_checks(g).values())
+    assert calls == [g]
+
+
+@pytest.mark.parametrize("case, planted", [("TI-4", "TI-1"), ("TI-1", "TI-2"), ("TI-2", "TI-1")])
+def test_structural_matches_basis_fails_on_a_wrong_case(monkeypatch, families, case, planted):
+    # TI-1 and TI-2 assemble the same sets, so only the case's kernel
+    # definition tells those two plants apart.
+    g = families[case][0]
+    assert run_checks(g)["structural_matches_basis"]
+    monkeypatch.setattr(decomposition, "classify", lambda h: replace(classify(h), case=planted))
+    assert run_checks(g)["structural_matches_basis"] is False

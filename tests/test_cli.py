@@ -146,7 +146,7 @@ def test_verify_with_bias(capsys):
 def _verify_with_a_raising_battery(capsys, monkeypatch, exc: Exception) -> list[str]:
     """Run a campaign whose battery raises ``exc``; return the report lines after its checks."""
 
-    def raising(g, cls=None):
+    def raising(g, cls):
         raise exc
 
     monkeypatch.setattr(checks, "constructed_null_basis", raising)
@@ -175,7 +175,7 @@ def test_verify_reports_any_exception_inside_the_battery(capsys, monkeypatch):
 
 
 def test_analyze_verify_reports_a_raise_inside_the_battery(tmp_path, capsys, monkeypatch):
-    def raising(g):
+    def raising(g, cls):
         raise KeyError("planted")
 
     monkeypatch.setattr(checks, "structural_decomposition", raising)

@@ -4,32 +4,27 @@ from dataclasses import replace
 
 import pytest
 
-from nulldecomp import (
+from nulldecomp import Graph, GeneratorSpec, analyze, classify, generate_unicyclic, run_checks
+from nulldecomp.decomposition import (
     CASE_FOREST,
+    alpha,
+    decomposition_from_basis,
+    nu,
+    structural_decomposition,
+)
+from nulldecomp.errors import NotUnicyclic, UnsupportedGraphClass
+from nulldecomp.generator import FORCE_TYPE1
+from nulldecomp.graph import pendant_trees
+from nulldecomp.linalg import null_space_basis, support_indices
+from nulldecomp.unicyclic import (
     CASE_TI1,
     CASE_TI2,
     CASE_TI3,
     CASE_TI4,
     CASE_TII_4K,
     CASE_TII_NON4K,
-    Graph,
-    GeneratorSpec,
-    alpha,
-    analyze,
-    classify,
-    decomposition_from_basis,
-    generate_unicyclic,
-    nu,
-    null_space_basis,
-    pendant_trees,
-    run_checks,
-    structural_decomposition,
+    TYPE1,
 )
-from nulldecomp.decomposition import _case_tag
-from nulldecomp.errors import NotUnicyclic, UnsupportedGraphClass
-from nulldecomp.generator import FORCE_TYPE1
-from nulldecomp.linalg import support_indices
-from nulldecomp.unicyclic import TYPE1
 
 from conftest import cycle_graph, cycle_with_attachments, path_graph
 
@@ -99,7 +94,7 @@ def test_plain_c4():
 def test_structural_agrees_on_examples(ex_type1, ex_star, ex_five_cycle, ex_four_cycle):
     for g in (ex_type1, ex_star, ex_five_cycle, ex_four_cycle):
         a = decomposition_from_basis(g)
-        b = structural_decomposition(g)
+        b = structural_decomposition(g, a.cls)
         assert (a.support, a.core, a.n_vertices, a.case) == (
             b.support,
             b.core,
@@ -109,8 +104,9 @@ def test_structural_agrees_on_examples(ex_type1, ex_star, ex_five_cycle, ex_four
 
 
 def test_structural_rejects_forest():
+    g = path_graph(4)
     with pytest.raises(NotUnicyclic):
-        structural_decomposition(path_graph(4))
+        structural_decomposition(g, classify(g))
 
 
 def test_unsupported_graph_class():
@@ -163,12 +159,12 @@ def test_alpha_ge_support_outside_tii4k(ex_type1, ex_star):
 def test_case_examples_from_families(families):
     for case, graphs in families.items():
         for g in graphs:
-            assert structural_decomposition(g).case == case
+            assert structural_decomposition(g, classify(g)).case == case
 
 
 def test_ti2_sets():
     g = cycle_with_attachments(4, leaves={0: 2})
-    d = structural_decomposition(g)
+    d = structural_decomposition(g, classify(g))
     assert d.case == "TI-2"
     assert labels(g, d.support) == {"u00x00", "u00x01", "c01", "c03"}
     assert labels(g, d.core) == {"c00", "c02"}
@@ -205,6 +201,6 @@ def test_case_tag_equals_kernel_definition(families):
         cls = classify(g)
         assert cls.tag == TYPE1
         expected = kernel_case_tag(g, cls)
-        assert _case_tag(g, cls) == expected, g.to_edge_list()
+        assert cls.case == expected, g.to_edge_list()
         seen.add(expected)
     assert seen == {CASE_TI1, CASE_TI2, CASE_TI3, CASE_TI4}

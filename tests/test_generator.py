@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from nulldecomp import GeneratorSpec, classify, find_cycle, generate_unicyclic
+from nulldecomp import GeneratorSpec, classify, generate_unicyclic
 from nulldecomp.errors import SpecInvalid
 from nulldecomp.generator import FORCE_TYPE1, FORCE_TYPE2
+from nulldecomp.graph import find_cycle
 
 
 def test_forced_c4():

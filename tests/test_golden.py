@@ -23,9 +23,10 @@ from pathlib import Path
 
 import pytest
 
-from nulldecomp import GeneratorSpec, Graph, find_cycle, generate_unicyclic, linalg, parse_edge_list, run_checks
+from nulldecomp import GeneratorSpec, Graph, generate_unicyclic, linalg, parse_edge_list, run_checks
 from nulldecomp.cli import main
 from nulldecomp.generator import ANY, FORCE_TYPE1, FORCE_TYPE2
+from nulldecomp.graph import find_cycle
 
 from conftest import EXAMPLE_FIVE_CYCLE, EXAMPLE_FOUR_CYCLE, EXAMPLE_STAR_SGRAPH, EXAMPLE_TYPE1
 
@@ -118,20 +119,23 @@ def test_outputs_match_golden(golden, name):
         assert _digest(text) == golden[name][key], f"{name}: {key} changed:\n{text}"
 
 
-# -- tripwires: the production kernels and the battery's reference stay apart --
+# -- tripwires: the production kernels and the battery's reference stay apart,
+# -- and classification reads g itself, never a subgraph built from it
 
 EXAMPLES = ("example_type1", "example_star", "example_five_cycle", "example_four_cycle")
 
 
-@pytest.mark.parametrize("name", EXAMPLES + ("seed100_tree", "seed125_forest"))
+@pytest.mark.parametrize("name", EXAMPLES + ("seed103", "seed100_tree", "seed125_forest"))
 def test_whole_graph_kernels_need_no_dense_elimination(golden, monkeypatch, name):
     # The constructed Type I / Type II bases still reduce dense subforest
     # matrices, so `basis --method structural` is held to this only on forests.
+    # seed103 is a TI-4 graph: its case reads the bordered graph G[(V - T_v) + v].
     def refuse(*args, **kwargs):
-        raise AssertionError("dense elimination on the production path")
+        raise AssertionError("dense elimination or a subgraph on the production path")
 
     monkeypatch.setattr(linalg, "rref", refuse)
     monkeypatch.setattr(Graph, "adjacency_matrix", refuse)
+    monkeypatch.setattr(Graph, "induced_subgraph", refuse)
     g = CORPUS[name]
     keys = ["analyze", "basis_rref"] + (["basis_structural"] if g.is_forest() else [])
     for key in keys:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from nulldecomp import Graph, find_cycle, parse_edge_list, pendant_trees
+from nulldecomp import Graph, parse_edge_list
 from nulldecomp.errors import (
     DuplicateEdge,
     EmptyInput,
@@ -11,6 +11,7 @@ from nulldecomp.errors import (
     SelfLoop,
     UnknownVertex,
 )
+from nulldecomp.graph import find_cycle, pendant_trees
 
 from conftest import cycle_graph, path_graph
 

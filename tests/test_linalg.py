@@ -7,8 +7,17 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nulldecomp import Graph, GeneratorSpec, generate_unicyclic, mat_vec, null_space_basis, nullity, rref, same_span
-from nulldecomp.linalg import is_zero_vector, row_space_signature, sparse_null_basis
+from nulldecomp import Graph, GeneratorSpec, generate_unicyclic
+from nulldecomp.linalg import (
+    is_zero_vector,
+    mat_vec,
+    null_space_basis,
+    nullity,
+    row_space_signature,
+    rref,
+    same_span,
+    sparse_null_basis,
+)
 
 from conftest import cycle_graph, forests_with_subsets, path_graph, unicyclic_pieces
 

@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from nulldecomp import (
-    Graph,
+from nulldecomp import Graph
+from nulldecomp.oracle import (
     OracleBudget,
     brute_alpha,
     brute_nu,
@@ -11,9 +11,9 @@ from nulldecomp import (
     max_independent_intersection,
     maximum_independent_sets,
     maximum_matchings,
-    tree_decomposition,
 )
 from nulldecomp.errors import BudgetExceeded
+from nulldecomp.trees import tree_decomposition
 
 from conftest import cycle_graph, path_graph, star_graph
 
@@ -94,8 +94,3 @@ def test_eg_equals_support_on_trees():
         assert edmonds_gallai_set(g) == tree_decomposition(g).support
         assert max_independent_intersection(g) == tree_decomposition(g).support
 
-
-def test_time_limit():
-    g = cycle_graph(14)
-    with pytest.raises(BudgetExceeded):
-        maximum_independent_sets(g, OracleBudget(max_vertices=14, time_limit=0.0))

@@ -6,32 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nulldecomp import (
-    CASE_TII_4K,
     GeneratorSpec,
-    alpha,
-    brute_alpha,
-    brute_nu,
     classify,
     constructed_null_basis,
-    decomposition_from_basis,
-    find_cycle,
     generate_unicyclic,
-    mat_vec,
-    nu,
-    null_space_basis,
-    nullity,
     parse_edge_list,
-    pendant_trees,
-    rref,
     run_checks,
-    same_span,
-    structural_decomposition,
-    tree_alpha,
-    tree_decomposition,
-    tree_nu,
 )
-from nulldecomp.linalg import is_zero_vector
-from nulldecomp.unicyclic import recursion_nullity
+from nulldecomp.decomposition import alpha, decomposition_from_basis, nu, structural_decomposition
+from nulldecomp.graph import find_cycle, pendant_trees
+from nulldecomp.linalg import is_zero_vector, mat_vec, null_space_basis, nullity, rref, same_span
+from nulldecomp.oracle import brute_alpha, brute_nu
+from nulldecomp.trees import tree_alpha, tree_decomposition, tree_nu
+from nulldecomp.unicyclic import CASE_TII_4K, recursion_nullity
 
 
 @st.composite
@@ -79,9 +66,10 @@ def test_pendant_trees_partition(g):
 @common
 @given(unicyclic_graphs())
 def test_constructed_basis_is_exact_and_spans(g):
-    basis = constructed_null_basis(g)
+    cls = classify(g)
+    basis = constructed_null_basis(g, cls)
     matrix = g.adjacency_matrix()
-    assert len(basis.vectors) == nullity(matrix) == recursion_nullity(g, classify(g))
+    assert len(basis.vectors) == nullity(matrix) == recursion_nullity(g, cls.pendant_trees, cls.witness)
     for vec in basis.vectors:
         assert is_zero_vector(mat_vec(matrix, vec))
     assert same_span(basis.vectors, null_space_basis(matrix))
@@ -91,7 +79,7 @@ def test_constructed_basis_is_exact_and_spans(g):
 @given(unicyclic_graphs())
 def test_structural_equals_basis_decomposition(g):
     a = decomposition_from_basis(g)
-    b = structural_decomposition(g)
+    b = structural_decomposition(g, a.cls)
     assert (a.support, a.core, a.n_vertices, a.case) == (b.support, b.core, b.n_vertices, b.case)
 
 
@@ -148,7 +136,7 @@ def test_check_battery_over_seeded_sample():
 @given(unicyclic_graphs(max_n=12))
 def test_recursive_matching_search_matches_exhaustive(g):
     # Self-validation of the search shortcut against edge-subset enumeration.
-    from nulldecomp import maximum_matchings
+    from nulldecomp.oracle import maximum_matchings
 
     matchings = maximum_matchings(g)
     assert brute_nu(g) == len(next(iter(matchings)))

@@ -6,19 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nulldecomp import (
-    Graph,
-    GeneratorSpec,
-    find_cycle,
+from nulldecomp import Graph, GeneratorSpec, generate_unicyclic
+from nulldecomp.errors import EmptyBasis, NotForest
+from nulldecomp.graph import find_cycle
+from nulldecomp.linalg import null_space_basis, support_indices
+from nulldecomp.trees import (
+    TreeDecomposition,
+    forest_decomposition,
     full_support_vector,
-    generate_unicyclic,
     tree_alpha,
     tree_decomposition,
     tree_nu,
 )
-from nulldecomp.errors import EmptyBasis, NotForest
-from nulldecomp.linalg import null_space_basis, support_indices
-from nulldecomp.trees import TreeDecomposition, forest_decomposition
 
 from conftest import (
     cycle_graph,

@@ -4,23 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from nulldecomp import (
-    Graph,
-    classify,
-    constructed_null_basis,
-    cycle_nullity,
-    extend_vector,
-    mat_vec,
-    null_space_basis,
-    nullity,
-    parse_edge_list,
-    rref_null_basis,
-    same_span,
-    type1_null_basis,
-    type2_null_basis,
-)
+from nulldecomp import Graph, classify, constructed_null_basis, parse_edge_list
 from nulldecomp.errors import DimensionMismatch, NotUnicyclic, WrongType
-from nulldecomp.linalg import is_zero_vector
+from nulldecomp.linalg import is_zero_vector, mat_vec, null_space_basis, nullity, same_span
 from nulldecomp.unicyclic import (
     CORRECTED,
     CYCLE_ALTERNATING,
@@ -29,7 +15,12 @@ from nulldecomp.unicyclic import (
     EXTENDED_PENDANT,
     TYPE1,
     TYPE2,
+    cycle_nullity,
+    extend_vector,
     recursion_nullity,
+    rref_null_basis,
+    type1_null_basis,
+    type2_null_basis,
 )
 
 from conftest import cycle_graph, cycle_with_attachments, path_graph
@@ -90,7 +81,9 @@ def test_cycle_nullity_closed_form():
 
 def test_unicyclic_nullity_examples(ex_four_cycle):
     for g, expected in ((cycle_graph(4), 2), (cycle_graph(5), 0), (ex_four_cycle, 5)):
-        assert recursion_nullity(g, classify(g)) == nullity(g.adjacency_matrix()) == expected
+        cls = classify(g)
+        recursion = recursion_nullity(g, cls.pendant_trees, cls.witness)
+        assert recursion == nullity(g.adjacency_matrix()) == expected
 
 
 def test_type1_basis_zero_sum_branch():
@@ -178,9 +171,9 @@ def test_wrong_type_errors(ex_type1, ex_four_cycle):
 
 
 def test_constructed_basis_dispatch(ex_type1, ex_four_cycle):
-    assert CORRECTED not in constructed_null_basis(ex_four_cycle).provenance
+    assert CORRECTED not in constructed_null_basis(ex_four_cycle, classify(ex_four_cycle)).provenance
     for g in (ex_type1, ex_four_cycle, path_graph(5)):
-        basis = constructed_null_basis(g)
+        basis = constructed_null_basis(g, classify(g) if g.is_unicyclic() else None)
         assert len(basis.vectors) == nullity(g.adjacency_matrix())
 
 
