@@ -16,17 +16,19 @@ reference tuple for tuple, so a bug in the sparse elimination fails a check
 instead of being checked against itself.
 
 The reference reduces each matrix once per graph.  The canonical basis of
-A(G) also gives the kernel-read decomposition and the nullity check, and
-each derived forest the identities read (pendant trees, T_v - v, G - C)
-gets one induced subgraph and one kernel decomposition, shared by every
-check on that vertex set.  The graph is classified once, inside
+A(G) also gives the kernel-read decomposition and the nullity check.  Each
+derived forest the identities read (pendant trees, T_v - v, G - C) gets one
+kernel from ``linalg.null_basis_on``, the one helper that also gives the
+constructed bases their subforest kernels, and its support, core and
+N-vertices are read straight off those vectors in g's indices, shared by
+every check on that vertex set.  A subgraph is built only where an oracle
+needs a ``Graph``.  The graph is classified once, inside
 ``decomposition_from_basis``, and every route under test takes that
 classification; ``structural_matches_basis`` holds its case to the case's
-kernel definition, read off the reference kernels of G - T_v and T_v.  The
-constructed bases keep their own subforest kernels: they are the route
-under test.  A failure here always means a bug somewhere, which is exactly
-what the fuzzing campaign is hunting for; a check that raises any
-exception counts as failed.
+kernel definition, read off the reference kernels of G - T_v and T_v.  A
+failure here always means a bug somewhere, which is exactly what the
+fuzzing campaign is hunting for; a check that raises any exception counts
+as failed.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Callable, Hashable
 
 from .decomposition import decomposition_from_basis, structural_decomposition, alpha, nu
 from .graph import Graph
-from .linalg import is_zero_vector, mat_vec, null_space_basis, same_span
+from .linalg import is_zero_vector, mat_vec, null_basis_on, null_space_basis, same_span, support_indices
 from .oracle import (
     ENUMERATION_BUDGET,
     SEARCH_BUDGET,
@@ -83,13 +85,12 @@ def _guarded(checks: dict[str, bool], name: str, thunk: Callable[[], bool]) -> N
         checks[name] = False
 
 
-def _kernel_decomposition(g: Graph, vertices) -> tuple[Graph, TreeDecomposition]:
-    """The forest ``vertices`` induce, and its kernel-read decomposition in g's indices."""
-    vs = sorted(vertices)
-    f = g.induced_subgraph(vs)
-    d = decomposition_from_basis(f, null_space_basis(f.adjacency_matrix()))
-    parts = (frozenset(vs[j] for j in part) for part in (d.support, d.core, d.n_vertices))
-    return f, TreeDecomposition(*parts, d.nullity)
+def _kernel_decomposition(g: Graph, vertices: frozenset[int]) -> TreeDecomposition:
+    """Support, core and N-vertices of the forest ``vertices`` induce, read off its reference kernel."""
+    basis = null_basis_on(g.adjacency, vertices)
+    support = frozenset().union(*map(support_indices, basis))
+    core = g.neighborhood(support) & vertices
+    return TreeDecomposition(support, core, vertices - support - core, len(basis))
 
 
 def _forest_checks(g: Graph) -> dict[str, bool]:
@@ -109,10 +110,10 @@ def _forest_checks(g: Graph) -> dict[str, bool]:
     _guarded(checks, "supported_neighbor_after_deletion", lambda: _forest_neighbor_support(g, d.support))
     _guarded(checks, "formula_sum", lambda: tree_alpha(g) + tree_nu(g) == g.n)
 
-    if g.n <= SEARCH_BUDGET.max_vertices:
+    if g.n <= SEARCH_BUDGET:
         _guarded(checks, "alpha_oracle", lambda: tree_alpha(g) == brute_alpha(g, SEARCH_BUDGET))
         _guarded(checks, "nu_oracle", lambda: tree_nu(g) == brute_nu(g, SEARCH_BUDGET))
-    if g.n <= ENUMERATION_BUDGET.max_vertices:
+    if g.n <= ENUMERATION_BUDGET:
         _guarded(
             checks,
             "eg_equals_support",
@@ -143,7 +144,7 @@ def _forest_neighbor_support(g: Graph, support: frozenset[int]) -> bool:
         for v in comp:
             if v in support:
                 continue
-            if not (set(g.neighbors(v)) & _kernel_decomposition(g, set(comp) - {v})[1].support):
+            if not (set(g.neighbors(v)) & _kernel_decomposition(g, frozenset(comp) - {v}).support):
                 return False
     return True
 
@@ -156,7 +157,7 @@ def _unicyclic_checks(g: Graph) -> dict[str, bool]:
     cls = d_basis.cls  # the battery's one classification of g
     cycle_set = cls.cycle.vertex_set()
     pend = cls.pendant_trees
-    kernel = cache(partial(_kernel_decomposition, g))  # built once per vertex set
+    kernel = cache(partial(_kernel_decomposition, g))  # reduced once per vertex set
 
     constructed = constructed_null_basis(g, cls)
     checks["basis_exact"] = all(
@@ -178,14 +179,14 @@ def _unicyclic_checks(g: Graph) -> dict[str, bool]:
     )
 
     # Off-support cycle vertices on the reference kernels of the pendant trees.
-    pendant = {v: kernel(pend[v])[1] for v in cls.cycle.vertices}
+    pendant = {v: kernel(pend[v]) for v in cls.cycle.vertices}
     roots = [v for v in cls.cycle.vertices if v not in pendant[v].support]
     d_struct = structural_decomposition(g, cls)
     checks["structural_matches_basis"] = (
         d_basis.support == d_struct.support
         and d_basis.core == d_struct.core
         and d_basis.n_vertices == d_struct.n_vertices
-        and d_struct.case == _kernel_case(g, cls, min(roots, default=None), pendant)
+        and d_struct.case == _kernel_case(g, cls, pendant)
     )
     checks["support_dichotomy"] = g.is_independent_set(d_basis.support) == (
         d_basis.case != CASE_TII_4K
@@ -194,7 +195,7 @@ def _unicyclic_checks(g: Graph) -> dict[str, bool]:
     checks["supp_core_rule"] = (d_basis.support & d_basis.core) == expected_overlap
     checks["parity_rule"] = _parity_rule(d_basis.case, d_basis, cls.cycle.length)
 
-    if g.n <= SEARCH_BUDGET.max_vertices:
+    if g.n <= SEARCH_BUDGET:
         _guarded(checks, "alpha_oracle", lambda: alpha(g, d_basis) == brute_alpha(g, SEARCH_BUDGET))
         _guarded(checks, "nu_oracle", lambda: nu(g, d_basis) == brute_nu(g, SEARCH_BUDGET))
 
@@ -215,7 +216,7 @@ def _unicyclic_checks(g: Graph) -> dict[str, bool]:
 
     # Pendant-tree identities around off-support cycle vertices, on kernels.
     if roots:
-        deleted = {v: kernel(pend[v] - {v})[1] for v in roots}
+        deleted = {v: kernel(pend[v] - {v}) for v in roots}
         checks["supported_neighbor_after_deletion"] = all(
             set(g.neighbors(v)) & deleted[v].support for v in roots
         )
@@ -230,7 +231,7 @@ def _unicyclic_checks(g: Graph) -> dict[str, bool]:
         )
 
     if cls.tag == TYPE2:
-        forest_k = kernel(forest_vs)[1]
+        forest_k = kernel(forest_vs)
         checks["cycle_tree_neighbors_unsupported"] = all(
             u not in forest_k.support
             for v in cls.cycle.vertices
@@ -245,15 +246,16 @@ def _unicyclic_checks(g: Graph) -> dict[str, bool]:
         )
 
     # Formulas and enumeration facts on the derived forests, compared by
-    # label: the oracles answer in the subgraph's indices, the kernels in g's.
+    # label: the oracles take a built subgraph and answer in its indices, the
+    # kernels answer in g's.
     cuts = [forest_vs] + [pend[v] - {v} for v in cls.cycle.vertices]
-    derived = [vs for vs in cuts if vs]
-    searched = [kernel(vs)[0] for vs in derived if len(vs) <= SEARCH_BUDGET.max_vertices]
+    # The enumeration budget is the smaller, so every enumerated forest is searched too.
+    searched = {vs: g.induced_subgraph(vs) for vs in cuts if 0 < len(vs) <= SEARCH_BUDGET}
     _guarded(checks, "derived_forest_formulas", lambda: all(
         tree_alpha(f) == brute_alpha(f, SEARCH_BUDGET) and tree_nu(f) == brute_nu(f, SEARCH_BUDGET)
-        for f in searched
+        for f in searched.values()
     ))
-    enumerated = [kernel(vs) for vs in derived if len(vs) <= ENUMERATION_BUDGET.max_vertices]
+    enumerated = [(f, kernel(vs)) for vs, f in searched.items() if len(vs) <= ENUMERATION_BUDGET]
     checks["eg_equals_support"] = all(
         f.label_set(edmonds_gallai_set(f, ENUMERATION_BUDGET)) == g.label_set(d.support)
         for f, d in enumerated
@@ -265,25 +267,25 @@ def _unicyclic_checks(g: Graph) -> dict[str, bool]:
     return checks
 
 
-def _kernel_case(g: Graph, cls: UnicyclicClass, witness: int | None, pendant) -> str:
+def _kernel_case(g: Graph, cls: UnicyclicClass, pendant) -> str:
     """The unicyclic case by its definition, read off the reference kernels.
 
-    ``witness`` is the smallest cycle vertex off the kernel support of its
-    pendant tree, None when there is none (Type II: the case is the cycle
-    length mod 4).  With pendant tree T_v and cycle neighbors u, w of the
-    witness v: TI-4 when some kernel vector of A(G - T_v) has x_u + x_w != 0,
-    TI-1 when all of them vanish at u and w, otherwise TI-2 when v is in the
-    core of T_v (``pendant[v]``, its kernel decomposition) and TI-3 when not.
+    ``pendant`` maps each cycle vertex to the kernel decomposition of its
+    pendant tree.  The witness v is the smallest cycle vertex off that
+    support; with none the graph is Type II and the case is the cycle length
+    mod 4.  With pendant tree T_v and cycle neighbors u, w of v: TI-4 when
+    some kernel vector of A(G - T_v) has x_u + x_w != 0, TI-1 when all of
+    them vanish at u and w, otherwise TI-2 when v is in the core of T_v and
+    TI-3 when not.
     """
+    witness = min((v for v, d in pendant.items() if v not in d.support), default=None)
     if witness is None:
         return CASE_TII_4K if cls.cycle.length % 4 == 0 else CASE_TII_NON4K
     u, w = cls.cycle.neighbors_on_cycle(witness)
-    rest = sorted(frozenset(range(g.n)) - cls.pendant_trees[witness])
-    pos_u, pos_w = rest.index(u), rest.index(w)
-    basis = null_space_basis(g.induced_subgraph(rest).adjacency_matrix())
-    if any(vec[pos_u] + vec[pos_w] != 0 for vec in basis):
+    basis = null_basis_on(g.adjacency, frozenset(range(g.n)) - cls.pendant_trees[witness])
+    if any(vec[u] + vec[w] != 0 for vec in basis):
         return CASE_TI4
-    if all(vec[pos_u] == vec[pos_w] == 0 for vec in basis):
+    if all(vec[u] == vec[w] == 0 for vec in basis):
         return CASE_TI1
     return CASE_TI2 if witness in pendant[witness].core else CASE_TI3
 

@@ -76,11 +76,13 @@ def _cmd_basis(args: argparse.Namespace) -> int:
     if args.method == "rref":
         basis = rref_null_basis(g)
     else:
-        if not (g.is_forest() or g.is_unicyclic()):
+        try:
+            cls = None if g.is_forest() else classify(g)
+        except NotUnicyclic:
             raise UnsupportedGraphClass(
                 "structural basis construction needs a forest or unicyclic graph"
-            )
-        basis = constructed_null_basis(g, classify(g) if g.is_unicyclic() else None)
+            ) from None
+        basis = constructed_null_basis(g, cls)
     if args.json:
         payload = {
             "nullity": len(basis.vectors),

@@ -51,15 +51,16 @@ class Graph:
             raise ValueError("adjacency length does not match label count")
         if any(self.labels[i] > self.labels[i + 1] for i in range(n - 1)):
             raise ValueError("labels not sorted")
+        neighbor_sets = [set(nbrs) for nbrs in self.adjacency]
         for i, nbrs in enumerate(self.adjacency):
-            if list(nbrs) != sorted(set(nbrs)):
+            if list(nbrs) != sorted(neighbor_sets[i]):
                 raise ValueError(f"adjacency list of vertex {i} not sorted/distinct")
-            if i in nbrs:
+            if i in neighbor_sets[i]:
                 raise ValueError(f"self-loop at vertex {i}")
             for j in nbrs:
                 if not 0 <= j < n:
                     raise ValueError(f"neighbor index {j} out of range")
-                if i not in self.adjacency[j]:
+                if i not in neighbor_sets[j]:
                     raise ValueError(f"asymmetric edge {i}-{j}")
 
     @staticmethod

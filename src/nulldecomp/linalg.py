@@ -11,8 +11,13 @@ eliminates over rows built straight from adjacency lists, touching only
 nonzero entries, so a graph's sparsity is never expanded into a dense
 matrix.  The dense ``rref`` / ``null_space_basis`` on lists of lists is the
 independent reference that the check battery (``checks``) and
-``same_span`` use; the constructed Type I / Type II bases still use it too.
-The RREF is unique, so both return equal Fractions, tuple for tuple.
+``same_span`` use.  ``null_basis_on`` is the one place that takes the kernel
+of the subgraph a vertex set induces: it builds that subgraph's dense matrix
+straight from the whole graph's adjacency lists and returns vectors in the
+whole graph's indices.  Every subforest kernel, those the constructed
+Type I / Type II bases assemble and those the check battery reads, comes
+from it.  The RREF is unique, so both routes return equal Fractions, tuple
+for tuple.
 
 Matrices are plain lists of lists of Fractions; vectors are tuples of
 Fractions.  All functions are pure and never mutate their arguments.
@@ -92,6 +97,26 @@ def null_space_basis(matrix: Sequence[Sequence[Fraction]]) -> list[Vector]:
         coords[free] = ONE
         for row_idx, pivot_col in enumerate(pivots):
             coords[pivot_col] = -reduced[row_idx][free]
+        basis.append(tuple(coords))
+    return basis
+
+
+def null_basis_on(adjacency: Sequence[Sequence[int]], vertices: Iterable[int]) -> list[Vector]:
+    """Canonical kernel basis of the subgraph that ``vertices`` induce, in the whole graph's indices.
+
+    ``adjacency`` holds the whole graph's adjacency lists.  Row and column j
+    of the subgraph's dense matrix belong to the j-th smallest vertex, as in
+    ``Graph.induced_subgraph``, and ``null_space_basis`` reduces it.  Each
+    kernel vector comes back over all ``len(adjacency)`` vertices, with its
+    coordinate j at that vertex and zeros off ``vertices``.
+    """
+    vs = sorted(set(vertices))
+    matrix = [[ONE if w in nbrs else ZERO for w in vs] for nbrs in (set(adjacency[v]) for v in vs)]
+    basis: list[Vector] = []
+    for vec in null_space_basis(matrix):
+        coords = [ZERO] * len(adjacency)
+        for v, x in zip(vs, vec):
+            coords[v] = x
         basis.append(tuple(coords))
     return basis
 

@@ -15,37 +15,29 @@ against exhaustive edge-subset maximization for every graph up to 12 vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import BudgetExceeded
 from .graph import Graph
 
-
-@dataclass(frozen=True)
-class OracleBudget:
-    max_vertices: int = 14
-
-
-ENUMERATION_BUDGET = OracleBudget(max_vertices=14)
-SEARCH_BUDGET = OracleBudget(max_vertices=22)
+# The most vertices each tier accepts.
+ENUMERATION_BUDGET = 14
+SEARCH_BUDGET = 22
 
 
-def _require_budget(g: Graph, budget: OracleBudget) -> None:
-    if g.n > budget.max_vertices:
-        raise BudgetExceeded(f"{g.n} vertices exceeds oracle budget of {budget.max_vertices}")
+def _require_budget(g: Graph, budget: int) -> None:
+    if g.n > budget:
+        raise BudgetExceeded(f"{g.n} vertices exceeds oracle budget of {budget}")
 
 
 def _adjacency_masks(g: Graph) -> list[int]:
     return [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
 
 
-def brute_alpha(g: Graph, budget: OracleBudget | None = None) -> int:
+def brute_alpha(g: Graph, budget: int = SEARCH_BUDGET) -> int:
     """Exact independence number by branch and bound with degree pruning.
 
     Vertices of degree at most one in the remaining subgraph are always safe
     to take, which collapses forests and unicyclic graphs without branching.
     """
-    budget = budget or SEARCH_BUDGET
     _require_budget(g, budget)
     adj = _adjacency_masks(g)
     memo: dict[int, int] = {}
@@ -78,14 +70,13 @@ def brute_alpha(g: Graph, budget: OracleBudget | None = None) -> int:
     return rec((1 << g.n) - 1)
 
 
-def brute_nu(g: Graph, budget: OracleBudget | None = None) -> int:
+def brute_nu(g: Graph, budget: int = SEARCH_BUDGET) -> int:
     """Exact matching number by recursive search with leaf reduction.
 
     A degree-one vertex can always be matched along its unique edge without
     losing optimality; otherwise branch on a highest-degree vertex being
     unmatched or matched to each neighbor in turn.
     """
-    budget = budget or SEARCH_BUDGET
     _require_budget(g, budget)
     adj = _adjacency_masks(g)
     memo: dict[int, int] = {}
@@ -125,9 +116,8 @@ def brute_nu(g: Graph, budget: OracleBudget | None = None) -> int:
     return rec((1 << g.n) - 1)
 
 
-def maximum_independent_sets(g: Graph, budget: OracleBudget | None = None) -> list[frozenset[int]]:
+def maximum_independent_sets(g: Graph, budget: int = ENUMERATION_BUDGET) -> list[frozenset[int]]:
     """All maximum independent sets, by exhausting vertex subsets."""
-    budget = budget or ENUMERATION_BUDGET
     _require_budget(g, budget)
     adj = _adjacency_masks(g)
     best = -1
@@ -154,9 +144,8 @@ def maximum_independent_sets(g: Graph, budget: OracleBudget | None = None) -> li
     return [frozenset(_bits(mask)) for mask in hits]
 
 
-def maximum_matchings(g: Graph, budget: OracleBudget | None = None) -> list[frozenset[tuple[int, int]]]:
+def maximum_matchings(g: Graph, budget: int = ENUMERATION_BUDGET) -> list[frozenset[tuple[int, int]]]:
     """All maximum matchings, by exhausting edge subsets."""
-    budget = budget or ENUMERATION_BUDGET
     _require_budget(g, budget)
     edges = list(g.edges())
     edge_masks = [(1 << u) | (1 << v) for u, v in edges]
@@ -186,7 +175,7 @@ def maximum_matchings(g: Graph, budget: OracleBudget | None = None) -> list[froz
     return [frozenset(edges[e] for e in _bits(mask)) for mask in hits]
 
 
-def edmonds_gallai_set(g: Graph, budget: OracleBudget | None = None) -> frozenset[int]:
+def edmonds_gallai_set(g: Graph, budget: int = ENUMERATION_BUDGET) -> frozenset[int]:
     """Vertices missed by at least one maximum matching."""
     missed: set[int] = set()
     everything = frozenset(range(g.n))
@@ -196,7 +185,7 @@ def edmonds_gallai_set(g: Graph, budget: OracleBudget | None = None) -> frozense
     return frozenset(missed)
 
 
-def max_independent_intersection(g: Graph, budget: OracleBudget | None = None) -> frozenset[int]:
+def max_independent_intersection(g: Graph, budget: int = ENUMERATION_BUDGET) -> frozenset[int]:
     """Intersection of all maximum independent sets."""
     sets = maximum_independent_sets(g, budget)
     out = set(sets[0]) if sets else set()

@@ -22,28 +22,29 @@ only forest decompositions, which come from maximum matchings (``trees``).
 Each forest they decompose is a vertex set of the graph itself, so no
 subgraph is built.  ``rref_null_basis`` eliminates straight over the
 graph's adjacency lists (``linalg.sparse_null_basis``), with no dense
-matrix.  The Type I / Type II bases still take their vectors from dense
-RREF kernels of induced subforests.  ``checks`` verifies all of
-them against the dense RREF kernel of A(G): the constructed bases by span
-and exact annihilation, ``rref_null_basis`` tuple for tuple.
+matrix.  The Type I / Type II bases take every subforest kernel from the one
+helper ``linalg.null_basis_on``, which reads g's adjacency lists and answers
+in g's own indices, so they build no subgraph, pad no vector and keep no
+position map.  ``checks`` verifies all of them against the dense RREF
+kernel of A(G): the constructed bases by span and exact annihilation,
+``rref_null_basis`` tuple for tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import (
     CaseContradiction,
-    DimensionMismatch,
     InternalCheckError,
     NormalizationFailure,
     NotUnicyclic,
     WrongType,
 )
 from .graph import CycleInfo, Graph, find_cycle, pendant_trees
-from .linalg import Vector, null_space_basis, sparse_null_basis, vec_add, vec_scale
+from .linalg import Vector, null_basis_on, sparse_null_basis, vec_add, vec_scale
 from .trees import forest_decomposition, full_support_vector
 
 TYPE1 = "type1"
@@ -140,25 +141,6 @@ def _type1_case(
     )
 
 
-def extend_vector(x: Sequence[Fraction], h_vertices: Sequence[int], g: Graph) -> Vector:
-    """Zero-pad a subgraph vector to the full vertex set of ``g``.
-
-    ``h_vertices`` are g-indices in ascending order; coordinate j of ``x``
-    belongs to ``h_vertices[j]`` (the order induced subgraphs inherit).
-    """
-    positions = list(h_vertices)
-    if len(x) != len(positions):
-        raise DimensionMismatch(
-            f"vector has {len(x)} coordinates for {len(positions)} vertices"
-        )
-    if any(not 0 <= v < g.n for v in positions):
-        raise DimensionMismatch("subgraph vertex index out of range")
-    coords = [Fraction(0)] * g.n
-    for value, v in zip(x, positions):
-        coords[v] = Fraction(value)
-    return tuple(coords)
-
-
 def cycle_nullity(length: int) -> int:
     """Nullity of a plain cycle: 2 when the length is divisible by 4, else 0."""
     return 2 if length % 4 == 0 else 0
@@ -193,26 +175,19 @@ def rref_null_basis(g: Graph) -> NullBasis:
 
 
 def type1_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
-    """Kernel basis of a Type I unicyclic graph built from subgraph kernels."""
+    """Kernel basis of a Type I unicyclic graph built from subforest kernels."""
     if cls.tag != TYPE1:
         raise WrongType("type1_null_basis needs a Type I classification")
     if not g.is_unicyclic():
         raise NotUnicyclic(f"graph has {g.n} vertices and {g.edge_count} edges")
     v = cls.witness
     u, w = cls.cycle.neighbors_on_cycle(v)
-
-    pend_vertices = sorted(cls.pendant_trees[v])
-    tree = g.induced_subgraph(pend_vertices)
-    rest_vertices = sorted(set(range(g.n)) - set(pend_vertices))
-    rest = g.induced_subgraph(rest_vertices)
-    rest_pos = {vertex: j for j, vertex in enumerate(rest_vertices)}
-    pos_u, pos_w = rest_pos[u], rest_pos[w]
-
-    tree_basis = null_space_basis(tree.adjacency_matrix())
-    rest_basis = null_space_basis(rest.adjacency_matrix())
+    tree = cls.pendant_trees[v]
+    tree_basis = null_basis_on(g.adjacency, tree)
+    rest_basis = null_basis_on(g.adjacency, frozenset(range(g.n)) - tree)
 
     def cycle_sum(vec: Vector) -> Fraction:
-        return vec[pos_u] + vec[pos_w]
+        return vec[u] + vec[w]
 
     vectors: list[Vector] = []
     provenance: list[str] = []
@@ -220,72 +195,52 @@ def type1_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
     pivot = next((vec for vec in rest_basis if cycle_sum(vec) != 0), None)
     if pivot is None:
         # Every complement kernel vector already extends to a kernel vector.
-        for vec in rest_basis:
-            vectors.append(extend_vector(vec, rest_vertices, g))
-            provenance.append(EXTENDED_COMPLEMENT)
+        vectors.extend(rest_basis)
+        provenance.extend([EXTENDED_COMPLEMENT] * len(rest_basis))
     else:
         zero_sum = [
             vec_add(vec, vec_scale(-cycle_sum(vec) / cycle_sum(pivot), pivot))
             for vec in rest_basis
             if vec is not pivot
         ]
-        sub_vertices = sorted(set(pend_vertices) - {v})
-        sub = g.induced_subgraph(sub_vertices)
-        sub_pos = {vertex: j for j, vertex in enumerate(sub_vertices)}
-        neighbor_positions = [sub_pos[t] for t in g.neighbors(v) if t in sub_pos]
-        if not (set(g.neighbors(v)) & forest_decomposition(g, sub_vertices).support):
+        sub = tree - {v}
+        neighbors = [t for t in g.neighbors(v) if t in sub]
+        if not (set(neighbors) & forest_decomposition(g, sub).support):
             raise InternalCheckError(
                 "witness vertex has no supported neighbor in its deleted pendant tree"
             )
-        sub_basis = null_space_basis(sub.adjacency_matrix())
         # The neighbor-sum must be nonzero or the corrected vector collapses
         # into the span of the extended pendant-tree kernel.
-        y = full_support_vector(sub_basis, nonzero_sum_indices=neighbor_positions)
-        coeff = -sum(y[j] for j in neighbor_positions) / cycle_sum(pivot)
-        corrected = vec_add(
-            vec_scale(coeff, extend_vector(pivot, rest_vertices, g)),
-            extend_vector(y, sub_vertices, g),
-        )
-        vectors.append(corrected)
+        y = full_support_vector(null_basis_on(g.adjacency, sub), nonzero_sum_indices=neighbors)
+        coeff = -sum(y[t] for t in neighbors) / cycle_sum(pivot)
+        vectors.append(vec_add(vec_scale(coeff, pivot), y))
         provenance.append(CORRECTED)
-        for vec in zero_sum:
-            vectors.append(extend_vector(vec, rest_vertices, g))
-            provenance.append(EXTENDED_COMPLEMENT)
-    for vec in tree_basis:
-        vectors.append(extend_vector(vec, pend_vertices, g))
-        provenance.append(EXTENDED_PENDANT)
+        vectors.extend(zero_sum)
+        provenance.extend([EXTENDED_COMPLEMENT] * len(zero_sum))
+    vectors.extend(tree_basis)
+    provenance.extend([EXTENDED_PENDANT] * len(tree_basis))
     return NullBasis(tuple(vectors), tuple(provenance))
 
 
 def type2_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
-    """Kernel basis of a Type II unicyclic graph built from subgraph kernels."""
+    """Kernel basis of a Type II unicyclic graph built from subforest kernels."""
     if cls.tag != TYPE2:
         raise WrongType("type2_null_basis needs a Type II classification")
     if not g.is_unicyclic():
         raise NotUnicyclic(f"graph has {g.n} vertices and {g.edge_count} edges")
     cyc = cls.cycle.vertices
-    forest_vertices = sorted(set(range(g.n)) - set(cyc))
-    forest = g.induced_subgraph(forest_vertices)
-
-    vectors: list[Vector] = []
-    provenance: list[str] = []
-    for vec in null_space_basis(forest.adjacency_matrix()):
-        vectors.append(extend_vector(vec, forest_vertices, g))
-        provenance.append(EXTENDED_FOREST)
+    vectors = null_basis_on(g.adjacency, frozenset(range(g.n)) - cls.cycle.vertex_set())
+    provenance = [EXTENDED_FOREST] * len(vectors)
 
     if cls.cycle.length % 4 == 0:
         normalized: dict[int, Vector] = {}
         for v in cyc:
-            tree_vertices = sorted(cls.pendant_trees[v])
-            tree = g.induced_subgraph(tree_vertices)
-            pos_v = tree_vertices.index(v)
-            x = full_support_vector(null_space_basis(tree.adjacency_matrix()))
-            if x[pos_v] == 0:
+            x = full_support_vector(null_basis_on(g.adjacency, cls.pendant_trees[v]))
+            if x[v] == 0:
                 raise NormalizationFailure(
                     f"full-support vector vanishes at cycle vertex {g.labels[v]!r}"
                 )
-            x = vec_scale(1 / x[pos_v], x)
-            normalized[v] = extend_vector(x, tree_vertices, g)
+            normalized[v] = vec_scale(1 / x[v], x)
         half = cls.cycle.length // 2
         z1: Vector = tuple(Fraction(0) for _ in range(g.n))
         z2: Vector = tuple(Fraction(0) for _ in range(g.n))
@@ -304,7 +259,7 @@ def constructed_null_basis(g: Graph, cls: UnicyclicClass | None) -> NullBasis:
     A forest has no classification (``cls`` is None, as in
     ``Decomposition.cls``) and gets the canonical basis.
     """
-    if g.is_forest():
+    if cls is None:
         return rref_null_basis(g)
     if cls.tag == TYPE1:
         return type1_null_basis(g, cls)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 from nulldecomp import Graph, GeneratorSpec, generate_unicyclic, parse_edge_list
+from nulldecomp.checks import _kernel_case, _kernel_decomposition
 from nulldecomp.graph import find_cycle, pendant_trees
 
 # 18-vertex Type I example: 4-cycle e-g-f-v with an 11-vertex tree at v.
@@ -184,6 +185,16 @@ def unicyclic_pieces(g: Graph) -> list[frozenset[int]]:
     for v, tree in pendant_trees(g, cycle).items():
         pieces += [tree, tree - {v}, everything - tree]
     return pieces
+
+
+def kernel_case(g: Graph, cls) -> str:
+    """g's case by its kernel definition (``checks._kernel_case``), off the reference kernels.
+
+    Tests hold a case computed elsewhere to this: reading ``cls.case`` twice
+    can never disagree.
+    """
+    pendant = {v: _kernel_decomposition(g, tree) for v, tree in cls.pendant_trees.items()}
+    return _kernel_case(g, cls, pendant)
 
 
 def case_families() -> dict[str, list[Graph]]:

@@ -17,7 +17,7 @@ from nulldecomp.oracle import brute_alpha, brute_nu
 from nulldecomp.trees import tree_alpha, tree_nu
 from nulldecomp.unicyclic import recursion_nullity
 
-from conftest import cycle_graph
+from conftest import cycle_graph, kernel_case
 
 
 def _report(number: int, title: str, started: float, limit: float) -> None:
@@ -157,6 +157,7 @@ def test_criterion_8_structural_vs_basis_with_case_coverage(
             b.n_vertices,
             b.case,
         ), g.to_edge_list()
+        assert b.case == kernel_case(g, a.cls), g.to_edge_list()
         hits[a.case] += 1
     assert all(count >= 10 for count in hits.values()), hits
     print(f"case coverage: {hits}")

@@ -65,6 +65,13 @@ def test_analyze_unsupported_class_exit_3(capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("edges", ["a b\nb c\nc d\nd a\na c\n", "a b\nb c\nc a\nx\n"])
+def test_basis_structural_unsupported_class_exit_3(capsys, monkeypatch, edges):
+    code, out, err = run(capsys, ["basis", "-"], stdin=edges, monkeypatch=monkeypatch)
+    assert code == 3 and out == ""
+    assert err == "error: structural basis construction needs a forest or unicyclic graph\n"
+
+
 def test_basis_structural_c4(capsys, monkeypatch):
     c4 = "1 2\n2 3\n3 4\n4 1\n"
     code, out, _ = run(

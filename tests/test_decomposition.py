@@ -26,7 +26,7 @@ from nulldecomp.unicyclic import (
     TYPE1,
 )
 
-from conftest import cycle_graph, cycle_with_attachments, path_graph
+from conftest import cycle_graph, cycle_with_attachments, kernel_case, path_graph
 
 
 def labels(g: Graph, s) -> set[str]:
@@ -101,6 +101,7 @@ def test_structural_agrees_on_examples(ex_type1, ex_star, ex_five_cycle, ex_four
             b.n_vertices,
             b.case,
         )
+        assert b.case == kernel_case(g, a.cls)
 
 
 def test_structural_rejects_forest():

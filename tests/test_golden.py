@@ -142,6 +142,20 @@ def test_whole_graph_kernels_need_no_dense_elimination(golden, monkeypatch, name
         assert _digest(_cli_output(COMMANDS[key], g.to_edge_list())) == golden[name][key], key
 
 
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_constructed_bases_build_no_subgraph(golden, monkeypatch, name):
+    # Every subforest kernel of the Type I / Type II bases comes from
+    # linalg.null_basis_on, which reads g's adjacency lists.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a subgraph or a whole-graph dense matrix on the constructed basis path")
+
+    monkeypatch.setattr(Graph, "adjacency_matrix", refuse)
+    monkeypatch.setattr(Graph, "induced_subgraph", refuse)
+    g = CORPUS[name]
+    text = _cli_output(COMMANDS["basis_structural"], g.to_edge_list())
+    assert _digest(text) == golden[name]["basis_structural"]
+
+
 @pytest.mark.parametrize("name", ["example_type1", "seed125_forest"])
 def test_battery_catches_a_faulty_sparse_kernel(monkeypatch, name):
     real = linalg.sparse_null_basis

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from nulldecomp import Graph, parse_edge_list
@@ -162,3 +164,19 @@ def test_edge_list_round_trip(ex_type1, ex_five_cycle):
 def test_round_trip_with_isolated_vertices():
     g = Graph.from_edges([("a", "b")], isolated=["q", "z"])
     assert parse_edge_list(g.to_edge_list()) == g
+
+
+def test_asymmetric_adjacency_rejected():
+    with pytest.raises(ValueError, match="asymmetric edge 0-1"):
+        Graph(("a", "b", "c"), ((1,), (), ()))
+    with pytest.raises(ValueError, match="asymmetric edge"):
+        Graph(("a", "b", "c"), ((1, 2), (0, 2), (1,)))
+
+
+def test_large_star_builds_in_linear_time():
+    # Each leaf's edge is checked against the hub's 40k neighbors, so the
+    # symmetry check must not scan that list once per leaf.
+    started = time.perf_counter()
+    g = Graph.from_edges(("hub", f"leaf{i:05d}") for i in range(40_000))
+    assert time.perf_counter() - started < 2.0
+    assert g.n == 40_001 and g.degree(g.index_of("hub")) == 40_000

@@ -11,6 +11,7 @@ from nulldecomp import Graph, GeneratorSpec, generate_unicyclic
 from nulldecomp.linalg import (
     is_zero_vector,
     mat_vec,
+    null_basis_on,
     null_space_basis,
     nullity,
     row_space_signature,
@@ -199,3 +200,44 @@ def test_sparse_kernel_edge_cases():
     assert len(sparse_null_basis(isolated.adjacency)) == 3
     assert sparse_null_basis(complete_graph(5).adjacency) == []
     assert len(sparse_null_basis(cycle_graph(8).adjacency)) == 2
+
+
+# -- the kernel over a vertex set against the subgraph it induces ------------
+
+
+def assert_kernel_on_matches_subgraph(g: Graph, vertices) -> None:
+    """The dense kernel of the induced subgraph, coordinate j placed at vertex vs[j], tuple for tuple."""
+    vs = sorted(vertices)
+    expected = []
+    for vec in null_space_basis(g.induced_subgraph(vs).adjacency_matrix()):
+        coords = [Fraction(0)] * g.n
+        for v, x in zip(vs, vec):
+            coords[v] = x
+        expected.append(tuple(coords))
+    got = null_basis_on(g.adjacency, frozenset(vertices))
+    assert got == expected, (g.to_edge_list(), vs)
+    assert all(type(x) is Fraction for vec in got for x in vec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(forests_with_subsets())
+def test_kernel_on_vertex_set_matches_subgraph_on_random_forests(drawn):
+    g, subset = drawn
+    for vertices in (subset, [], range(g.n)):
+        assert_kernel_on_matches_subgraph(g, vertices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=3, max_value=14), st.integers(min_value=0, max_value=10_000))
+def test_kernel_on_vertex_set_matches_subgraph_on_unicyclic_pieces(n, seed):
+    g = generate_unicyclic(GeneratorSpec(n=n, seed=seed))
+    for vertices in unicyclic_pieces(g) + [frozenset(), frozenset(range(g.n))]:
+        assert_kernel_on_matches_subgraph(g, vertices)
+
+
+def test_kernel_on_vertex_set_edge_cases():
+    g = cycle_graph(4)
+    assert null_basis_on(g.adjacency, []) == []
+    assert null_basis_on((), []) == []
+    assert null_basis_on(g.adjacency, [2]) == [(0, 0, 1, 0)]
+    assert null_basis_on(g.adjacency, range(4)) == null_space_basis(g.adjacency_matrix())

@@ -4,7 +4,6 @@ import pytest
 
 from nulldecomp import Graph
 from nulldecomp.oracle import (
-    OracleBudget,
     brute_alpha,
     brute_nu,
     edmonds_gallai_set,
@@ -34,9 +33,9 @@ def test_brute_nu_examples(ex_type1):
 def test_budget_enforced():
     g = path_graph(6)
     with pytest.raises(BudgetExceeded):
-        brute_alpha(g, OracleBudget(max_vertices=5))
+        brute_alpha(g, 5)
     with pytest.raises(BudgetExceeded):
-        edmonds_gallai_set(g, OracleBudget(max_vertices=5))
+        edmonds_gallai_set(g, 5)
 
 
 def test_edmonds_gallai_examples():

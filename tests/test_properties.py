@@ -20,6 +20,8 @@ from nulldecomp.oracle import brute_alpha, brute_nu
 from nulldecomp.trees import tree_alpha, tree_decomposition, tree_nu
 from nulldecomp.unicyclic import CASE_TII_4K, recursion_nullity
 
+from conftest import kernel_case
+
 
 @st.composite
 def unicyclic_graphs(draw, min_n=5, max_n=13):
@@ -81,6 +83,7 @@ def test_structural_equals_basis_decomposition(g):
     a = decomposition_from_basis(g)
     b = structural_decomposition(g, a.cls)
     assert (a.support, a.core, a.n_vertices, a.case) == (b.support, b.core, b.n_vertices, b.case)
+    assert b.case == kernel_case(g, a.cls)
 
 
 @common

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nulldecomp import Graph, classify, constructed_null_basis, parse_edge_list
-from nulldecomp.errors import DimensionMismatch, NotUnicyclic, WrongType
+from nulldecomp.errors import NotUnicyclic, WrongType
 from nulldecomp.linalg import is_zero_vector, mat_vec, null_space_basis, nullity, same_span
 from nulldecomp.unicyclic import (
     CORRECTED,
@@ -16,7 +16,6 @@ from nulldecomp.unicyclic import (
     TYPE1,
     TYPE2,
     cycle_nullity,
-    extend_vector,
     recursion_nullity,
     rref_null_basis,
     type1_null_basis,
@@ -55,24 +54,6 @@ def test_classify_smallest_witness():
 def test_classify_rejects_non_unicyclic():
     with pytest.raises(NotUnicyclic):
         classify(path_graph(4))
-
-
-def test_extend_vector():
-    g = cycle_graph(5)
-    vec = (Fraction(1), Fraction(0), Fraction(-1))
-    out = extend_vector(vec, [0, 2, 4], g)
-    assert out == (Fraction(1), 0, Fraction(0), 0, Fraction(-1))
-    assert extend_vector(vec, [0, 1, 2], g)[:3] == vec
-    with pytest.raises(DimensionMismatch):
-        extend_vector(vec, [0, 1], g)
-    with pytest.raises(DimensionMismatch):
-        extend_vector(vec, [0, 1, 99], g)
-
-
-def test_extend_identity_when_whole_graph():
-    g = cycle_graph(4)
-    vec = tuple(Fraction(i) for i in (1, 2, 3, 4))
-    assert extend_vector(vec, range(4), g) == vec
 
 
 def test_cycle_nullity_closed_form():
