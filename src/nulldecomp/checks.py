@@ -15,20 +15,20 @@ builds the production kernels of ``analyze`` and ``rref_null_basis``.
 reference tuple for tuple, so a bug in the sparse elimination fails a check
 instead of being checked against itself.
 
-The reference reduces each matrix once per graph.  The canonical basis of
-A(G) also gives the kernel-read decomposition and the nullity check.  Each
-derived forest the identities read (pendant trees, T_v - v, G - C) gets one
-kernel from ``linalg.null_basis_on``, the one helper that also gives the
-constructed bases their subforest kernels, and its support, core and
-N-vertices are read straight off those vectors in g's indices, shared by
-every check on that vertex set.  A subgraph is built only where an oracle
-needs a ``Graph``.  The graph is classified once, inside
-``decomposition_from_basis``, and every route under test takes that
-classification; ``structural_matches_basis`` holds its case to the case's
-kernel definition, read off the reference kernels of G - T_v and T_v.  A
-failure here always means a bug somewhere, which is exactly what the
-fuzzing campaign is hunting for; a check that raises any exception counts
-as failed.
+``run_checks`` reduces A(G) and reads its decomposition once, classifying
+the graph once inside ``decomposition_from_basis``; every route under test
+takes that classification.  Each derived forest the identities read
+(pendant trees, T_v - v, G - C) gets one reference kernel from
+``linalg.null_basis_on``, read by ``decomposition.kernel_decomposition`` and
+shared by every check on that vertex set.  The constructed bases reduce the
+same vertex sets again on purpose: they are the production construction
+under test, bound for a sparse kernel, so the battery never shares their
+kernels.  A subgraph is built only where an oracle needs a ``Graph``.
+Every identity on independence and matching numbers reads
+``decomposition.alpha`` / ``nu``.  ``structural_matches_basis`` holds the
+case to its kernel definition on G - T_v and T_v.  A failure here always
+means a bug somewhere, which is exactly what the fuzzing campaign is
+hunting for; a check that raises any exception counts as failed.
 """
 
 from __future__ import annotations
@@ -36,9 +36,16 @@ from __future__ import annotations
 from functools import cache, partial
 from typing import Callable, Hashable
 
-from .decomposition import decomposition_from_basis, structural_decomposition, alpha, nu
+from .decomposition import (
+    Decomposition,
+    alpha,
+    decomposition_from_basis,
+    kernel_decomposition,
+    nu,
+    structural_decomposition,
+)
 from .graph import Graph
-from .linalg import is_zero_vector, mat_vec, null_basis_on, null_space_basis, same_span, support_indices
+from .linalg import Matrix, Vector, is_zero_vector, mat_vec, null_basis_on, null_space_basis, same_span
 from .oracle import (
     ENUMERATION_BUDGET,
     SEARCH_BUDGET,
@@ -48,7 +55,7 @@ from .oracle import (
     max_independent_intersection,
     maximum_independent_sets,
 )
-from .trees import TreeDecomposition, forest_decomposition, tree_alpha, tree_decomposition, tree_nu
+from .trees import forest_decomposition, tree_decomposition
 from .unicyclic import (
     CASE_TI1,
     CASE_TI2,
@@ -73,9 +80,12 @@ def run_checks(g: Graph) -> dict[str, bool]:
     subgraph) fits the oracle's vertex budget (``ENUMERATION_BUDGET``,
     ``SEARCH_BUDGET``); everything else always runs.
     """
-    if g.is_forest():
-        return _forest_checks(g)
-    return _unicyclic_checks(g)
+    matrix = g.adjacency_matrix()
+    canonical = null_space_basis(matrix)
+    d = decomposition_from_basis(g, canonical)
+    if d.cls is None:
+        return _forest_checks(g, matrix, canonical, d)
+    return _unicyclic_checks(g, matrix, canonical, d)
 
 
 def _guarded(checks: dict[str, bool], name: str, thunk: Callable[[], bool]) -> None:
@@ -85,34 +95,27 @@ def _guarded(checks: dict[str, bool], name: str, thunk: Callable[[], bool]) -> N
         checks[name] = False
 
 
-def _kernel_decomposition(g: Graph, vertices: frozenset[int]) -> TreeDecomposition:
-    """Support, core and N-vertices of the forest ``vertices`` induce, read off its reference kernel."""
-    basis = null_basis_on(g.adjacency, vertices)
-    support = frozenset().union(*map(support_indices, basis))
-    core = g.neighborhood(support) & vertices
-    return TreeDecomposition(support, core, vertices - support - core, len(basis))
+def _kernel_decomposition(g: Graph, vertices: frozenset[int]) -> Decomposition:
+    """Decomposition of the forest ``vertices`` induce, read off its reference kernel."""
+    return kernel_decomposition(g, null_basis_on(g.adjacency, vertices), vertices)
 
 
-def _forest_checks(g: Graph) -> dict[str, bool]:
+def _forest_checks(g: Graph, matrix: Matrix, canonical: list[Vector], d: Decomposition) -> dict[str, bool]:
     checks: dict[str, bool] = {}
-    matrix = g.adjacency_matrix()
     basis = rref_null_basis(g)  # the production route for a forest
-    canonical = null_space_basis(matrix)
-    d = decomposition_from_basis(g, canonical)
+    t = tree_decomposition(g)  # the matching route the formulas are held to
 
     checks["basis_exact"] = all(is_zero_vector(mat_vec(matrix, v)) for v in basis.vectors)
-    checks["basis_count"] = (
-        basis.vectors == tuple(canonical) and len(canonical) == tree_decomposition(g).nullity
-    )
+    checks["basis_count"] = basis.vectors == tuple(canonical) and len(canonical) == t.nullity
     checks["even_n_set"] = len(d.n_vertices) % 2 == 0
     checks["support_independent"] = g.is_independent_set(d.support)
     checks["supp_core_disjoint"] = not (d.support & d.core)
     _guarded(checks, "supported_neighbor_after_deletion", lambda: _forest_neighbor_support(g, d.support))
-    _guarded(checks, "formula_sum", lambda: tree_alpha(g) + tree_nu(g) == g.n)
+    _guarded(checks, "formula_sum", lambda: alpha(t) + nu(t) == g.n)
 
     if g.n <= SEARCH_BUDGET:
-        _guarded(checks, "alpha_oracle", lambda: tree_alpha(g) == brute_alpha(g, SEARCH_BUDGET))
-        _guarded(checks, "nu_oracle", lambda: tree_nu(g) == brute_nu(g, SEARCH_BUDGET))
+        _guarded(checks, "alpha_oracle", lambda: alpha(t) == brute_alpha(g, SEARCH_BUDGET))
+        _guarded(checks, "nu_oracle", lambda: nu(t) == brute_nu(g, SEARCH_BUDGET))
     if g.n <= ENUMERATION_BUDGET:
         _guarded(
             checks,
@@ -149,20 +152,18 @@ def _forest_neighbor_support(g: Graph, support: frozenset[int]) -> bool:
     return True
 
 
-def _unicyclic_checks(g: Graph) -> dict[str, bool]:
+def _unicyclic_checks(
+    g: Graph, matrix: Matrix, canonical: list[Vector], d_basis: Decomposition
+) -> dict[str, bool]:
     checks: dict[str, bool] = {}
-    matrix = g.adjacency_matrix()
-    canonical = null_space_basis(matrix)
-    d_basis = decomposition_from_basis(g, canonical)
     cls = d_basis.cls  # the battery's one classification of g
     cycle_set = cls.cycle.vertex_set()
     pend = cls.pendant_trees
     kernel = cache(partial(_kernel_decomposition, g))  # reduced once per vertex set
 
     constructed = constructed_null_basis(g, cls)
-    checks["basis_exact"] = all(
-        is_zero_vector(mat_vec(matrix, v)) for v in constructed.vectors
-    )
+    annihilated = [is_zero_vector(mat_vec(matrix, v)) for v in constructed.vectors]
+    checks["basis_exact"] = all(annihilated)
     checks["basis_count"] = (
         len(constructed.vectors) == len(canonical) and rref_null_basis(g).vectors == tuple(canonical)
     )
@@ -172,11 +173,7 @@ def _unicyclic_checks(g: Graph) -> dict[str, bool]:
     checks["span_equality"] = same_span(constructed.vectors, canonical)
     tag = EXTENDED_PENDANT if cls.tag != TYPE2 else EXTENDED_FOREST
     name = "pendant_extension_null" if cls.tag != TYPE2 else "forest_extension_null"
-    checks[name] = all(
-        is_zero_vector(mat_vec(matrix, vec))
-        for vec, prov in zip(constructed.vectors, constructed.provenance)
-        if prov == tag
-    )
+    checks[name] = all(ok for ok, prov in zip(annihilated, constructed.provenance) if prov == tag)
 
     # Off-support cycle vertices on the reference kernels of the pendant trees.
     pendant = {v: kernel(pend[v]) for v in cls.cycle.vertices}
@@ -193,26 +190,25 @@ def _unicyclic_checks(g: Graph) -> dict[str, bool]:
     )
     expected_overlap = cycle_set if d_basis.case == CASE_TII_4K else frozenset()
     checks["supp_core_rule"] = (d_basis.support & d_basis.core) == expected_overlap
-    checks["parity_rule"] = _parity_rule(d_basis.case, d_basis, cls.cycle.length)
+    checks["parity_rule"] = _parity_rule(d_basis)
 
     if g.n <= SEARCH_BUDGET:
-        _guarded(checks, "alpha_oracle", lambda: alpha(g, d_basis) == brute_alpha(g, SEARCH_BUDGET))
-        _guarded(checks, "nu_oracle", lambda: nu(g, d_basis) == brute_nu(g, SEARCH_BUDGET))
+        _guarded(checks, "alpha_oracle", lambda: alpha(d_basis) == brute_alpha(g, SEARCH_BUDGET))
+        _guarded(checks, "nu_oracle", lambda: nu(d_basis) == brute_nu(g, SEARCH_BUDGET))
 
     # Whole-graph counts split along the class's natural cut: at the witness's
-    # pendant tree for Type I, at the cycle for Type II.  Doubled to stay
-    # integral.
+    # pendant tree for Type I, at the cycle for Type II.
     everything = frozenset(range(g.n))
     forest_vs = everything - cycle_set
     if cls.tag != TYPE2:
         cut, base = [pend[cls.witness], everything - pend[cls.witness]], 0
         alpha_name, nu_name = "alpha_splits_at_witness", "nu_splits_at_witness"
     else:
-        cut, base = [forest_vs], 2 * (cls.cycle.length // 2)
+        cut, base = [forest_vs], cls.cycle.length // 2
         alpha_name, nu_name = "alpha_splits_at_cycle", "nu_splits_at_cycle"
     parts = [forest_decomposition(g, vs) for vs in cut]
-    checks[alpha_name] = 2 * alpha(g, d_basis) == base + sum(map(_double_alpha, parts))
-    checks[nu_name] = 2 * nu(g, d_basis) == base + sum(map(_double_nu, parts))
+    _guarded(checks, alpha_name, lambda: alpha(d_basis) == base + sum(map(alpha, parts)))
+    _guarded(checks, nu_name, lambda: nu(d_basis) == base + sum(map(nu, parts)))
 
     # Pendant-tree identities around off-support cycle vertices, on kernels.
     if roots:
@@ -223,12 +219,12 @@ def _unicyclic_checks(g: Graph) -> dict[str, bool]:
         checks["support_survives_root_deletion"] = all(
             pendant[v].support <= deleted[v].support for v in roots
         )
-        checks["alpha_stable_under_root_deletion"] = all(
-            _double_alpha(pendant[v]) == _double_alpha(deleted[v]) for v in roots
-        )
-        checks["nu_drops_under_root_deletion"] = all(
-            _double_nu(pendant[v]) == _double_nu(deleted[v]) + 2 for v in roots
-        )
+        _guarded(checks, "alpha_stable_under_root_deletion", lambda: all(
+            alpha(pendant[v]) == alpha(deleted[v]) for v in roots
+        ))
+        _guarded(checks, "nu_drops_under_root_deletion", lambda: all(
+            nu(pendant[v]) == nu(deleted[v]) + 1 for v in roots
+        ))
 
     if cls.tag == TYPE2:
         forest_k = kernel(forest_vs)
@@ -241,9 +237,9 @@ def _unicyclic_checks(g: Graph) -> dict[str, bool]:
         checks["forest_support_in_pendant_supports"] = forest_k.support <= frozenset().union(
             *(d.support for d in pendant.values())
         )
-        checks["pendant_vs_forest_alpha_identity"] = sum(map(_double_alpha, pendant.values())) == (
-            2 * cls.cycle.length + _double_alpha(forest_k)
-        )
+        _guarded(checks, "pendant_vs_forest_alpha_identity", lambda: (
+            sum(map(alpha, pendant.values())) == cls.cycle.length + alpha(forest_k)
+        ))
 
     # Formulas and enumeration facts on the derived forests, compared by
     # label: the oracles take a built subgraph and answer in its indices, the
@@ -252,8 +248,8 @@ def _unicyclic_checks(g: Graph) -> dict[str, bool]:
     # The enumeration budget is the smaller, so every enumerated forest is searched too.
     searched = {vs: g.induced_subgraph(vs) for vs in cuts if 0 < len(vs) <= SEARCH_BUDGET}
     _guarded(checks, "derived_forest_formulas", lambda: all(
-        tree_alpha(f) == brute_alpha(f, SEARCH_BUDGET) and tree_nu(f) == brute_nu(f, SEARCH_BUDGET)
-        for f in searched.values()
+        alpha(t) == brute_alpha(f, SEARCH_BUDGET) and nu(t) == brute_nu(f, SEARCH_BUDGET)
+        for f, t in zip(searched.values(), map(tree_decomposition, searched.values()))
     ))
     enumerated = [(f, kernel(vs)) for vs, f in searched.items() if len(vs) <= ENUMERATION_BUDGET]
     checks["eg_equals_support"] = all(
@@ -290,17 +286,7 @@ def _kernel_case(g: Graph, cls: UnicyclicClass, pendant) -> str:
     return CASE_TI2 if witness in pendant[witness].core else CASE_TI3
 
 
-def _double_alpha(d) -> int:
-    """Twice a forest's independence number: 2 |support| + |N-vertices|."""
-    return 2 * len(d.support) + len(d.n_vertices)
-
-
-def _double_nu(d) -> int:
-    """Twice a forest's matching number: 2 |core| + |N-vertices|."""
-    return 2 * len(d.core) + len(d.n_vertices)
-
-
-def _parity_rule(case: str, d, cycle_length: int) -> bool:
+def _parity_rule(d: Decomposition) -> bool:
     """Floor/ceil arguments have the parity the case analysis proves.
 
     The argument |N| - |support ∩ core| is even in TI-1, TI-2, TI-4 and
@@ -308,10 +294,10 @@ def _parity_rule(case: str, d, cycle_length: int) -> bool:
     parity (the forest contribution to N is always even).
     """
     value = len(d.n_vertices) - len(d.support & d.core)
-    if case == CASE_TI3:
+    if d.case == CASE_TI3:
         return value % 2 == 1
-    if case == CASE_TII_NON4K:
-        return value % 2 == cycle_length % 2
+    if d.case == CASE_TII_NON4K:
+        return value % 2 == d.cls.cycle.length % 2
     return value % 2 == 0
 
 

@@ -2,14 +2,15 @@
 case analysis, and the closed formulas for the independence and matching
 numbers.
 
-Two independent routes produce the decomposition:
+Two independent routes produce the one record ``trees.Decomposition``:
 
-* ``decomposition_from_basis`` reads the support straight off a kernel
-  basis of the whole adjacency matrix.  By default, and so in ``analyze``,
-  that is the canonical basis from the exact sparse elimination over
-  adjacency lists (``linalg.sparse_null_basis``); the check battery passes
-  the dense RREF kernel instead, so its reading never shares the production
-  kernel.  This is the source of truth.
+* ``decomposition_from_basis`` reads the sets off a kernel basis of the
+  whole adjacency matrix through ``kernel_decomposition``, the one kernel
+  reading.  By default, and so in ``analyze``, that is the canonical basis
+  from the exact sparse elimination over adjacency lists
+  (``linalg.sparse_null_basis``); the check battery passes the dense RREF
+  kernel instead, so its reading never shares the production kernel.  This
+  is the source of truth.
 * ``structural_decomposition`` assembles the same sets from pendant-tree and
   complement decompositions according to the six-way case split that
   ``unicyclic.classify`` decides (four Type I cases by how the complement
@@ -19,18 +20,18 @@ Two independent routes produce the decomposition:
   this route computes no kernel and runs in time linear in the graph.
 
 Their agreement on every unicyclic graph is one of the package's central
-verified properties.
+verified properties.  ``alpha`` and ``nu`` read nothing but a decomposition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
-from .errors import UnsupportedGraphClass
+from .errors import OddNSet, UnsupportedGraphClass
 from .graph import Graph
 from .linalg import Vector, sparse_null_basis, support_indices
-from .trees import forest_decomposition, tree_alpha, tree_nu
+from .trees import CASE_FOREST, Decomposition, forest_decomposition
 from .unicyclic import (
     CASE_TI3,
     CASE_TI4,
@@ -41,23 +42,16 @@ from .unicyclic import (
     recursion_nullity,
 )
 
-CASE_FOREST = "Forest"
 
+def kernel_decomposition(g: Graph, basis: Sequence[Vector], vertices: frozenset[int]) -> Decomposition:
+    """Decomposition of the subgraph ``vertices`` induce, read off a kernel basis of it in g's indices.
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Support, core, and N-vertices of a graph, with case and class tags.
-
-    Support and core are disjoint except in the TII-4k case, where they
-    intersect exactly in the cycle.
+    Support: the union of the basis supports; core: their neighbors in
+    ``vertices``; N-vertices: the rest; nullity: the number of vectors.
     """
-
-    support: frozenset[int]
-    core: frozenset[int]
-    n_vertices: frozenset[int]
-    case: str
-    nullity: int
-    cls: UnicyclicClass | None = None
+    support = frozenset().union(*map(support_indices, basis))
+    core = g.neighborhood(support) & vertices
+    return Decomposition(support, core, vertices - support - core, len(basis))
 
 
 def decomposition_from_basis(g: Graph, basis: Sequence[Vector] | None = None) -> Decomposition:
@@ -81,10 +75,7 @@ def decomposition_from_basis(g: Graph, basis: Sequence[Vector] | None = None) ->
         )
     if basis is None:
         basis = sparse_null_basis(g.adjacency)
-    support = frozenset().union(*map(support_indices, basis))
-    core = g.neighborhood(support)
-    n_vertices = frozenset(range(g.n)) - support - core
-    return Decomposition(support, core, n_vertices, case, len(basis), cls)
+    return replace(kernel_decomposition(g, basis, frozenset(range(g.n))), case=case, cls=cls)
 
 
 def structural_decomposition(g: Graph, cls: UnicyclicClass) -> Decomposition:
@@ -115,39 +106,34 @@ def structural_decomposition(g: Graph, cls: UnicyclicClass) -> Decomposition:
         frozenset().union(*(d.support for d in parts)),
         frozenset().union(to_core, *(d.core for d in parts)),
         frozenset().union(to_n, *(d.n_vertices for d in parts)) - to_core,
-        case,
         recursion_nullity(g, pend, cls.witness),
+        case,
         cls,
     )
 
 
-def _ceil_half(value: int) -> int:
-    return -((-value) // 2)
+def _unpaired(d: Decomposition) -> int:
+    """|N| - |support ∩ core|, which the formulas halve; a forest's is |N|, always even."""
+    if d.cls is None and len(d.n_vertices) % 2:
+        raise OddNSet(f"odd N-vertex set of size {len(d.n_vertices)} on a forest")
+    return len(d.n_vertices) - len(d.support & d.core)
 
 
-def alpha(g: Graph, d: Decomposition | None = None) -> int:
+def alpha(d: Decomposition) -> int:
     """Independence number from the decomposition alone.
 
-    Forests: |support| + |N|/2 per component.  Unicyclic graphs: when the
-    whole cycle sits among the N-vertices the same floor formula applies;
-    otherwise the count is |support| + ceil((|N| - |support ∩ core|) / 2).
+    |support| + ceil((|N| - |support ∩ core|) / 2), or |support| + floor(|N| / 2)
+    when the whole cycle sits among the N-vertices.  On a forest both read
+    |support| + |N| / 2.
     """
-    if d is None:
-        d = decomposition_from_basis(g)
-    if d.case == CASE_FOREST:
-        return tree_alpha(g, d)
-    if d.cls.cycle.vertex_set() <= d.n_vertices:
+    if d.cls is not None and d.cls.cycle.vertex_set() <= d.n_vertices:
         return len(d.support) + len(d.n_vertices) // 2
-    return len(d.support) + _ceil_half(len(d.n_vertices) - len(d.support & d.core))
+    return len(d.support) + (_unpaired(d) + 1) // 2
 
 
-def nu(g: Graph, d: Decomposition | None = None) -> int:
-    """Matching number: |core| + floor((|N| - |support ∩ core|) / 2)."""
-    if d is None:
-        d = decomposition_from_basis(g)
-    if d.case == CASE_FOREST:
-        return tree_nu(g, d)
-    return len(d.core) + (len(d.n_vertices) - len(d.support & d.core)) // 2
+def nu(d: Decomposition) -> int:
+    """Matching number: |core| + floor((|N| - |support ∩ core|) / 2), on a forest |core| + |N| / 2."""
+    return len(d.core) + _unpaired(d) // 2
 
 
 @dataclass(frozen=True)
@@ -215,4 +201,4 @@ def analyze(g: Graph) -> AnalysisReport:
     attaches its map, as ``analyze --verify`` does.
     """
     d = decomposition_from_basis(g)
-    return AnalysisReport(g, d, alpha(g, d), nu(g, d))
+    return AnalysisReport(g, d, alpha(d), nu(d))

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: RREF, rank, and canonical null-space bases.
+"""Exact rational linear algebra: RREF and canonical null-space bases.
 
 Everything runs over ``fractions.Fraction``, so "this coordinate is zero" is a
 decidable, exact test.  That exactness is what the rest of the package is built
@@ -65,16 +65,6 @@ def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, int, tuple[int, 
         if r == n_rows:
             break
     return rows, r, tuple(pivots)
-
-
-def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    return rref(matrix)[1]
-
-
-def nullity(matrix: Sequence[Sequence[Fraction]]) -> int:
-    """Dimension of the kernel: columns minus rank."""
-    n_cols = len(matrix[0]) if matrix else 0
-    return n_cols - rank(matrix)
 
 
 def null_space_basis(matrix: Sequence[Sequence[Fraction]]) -> list[Vector]:

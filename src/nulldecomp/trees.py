@@ -1,4 +1,4 @@
-"""Null decomposition of forests: support, core, N-vertices, closed formulas.
+"""Null decomposition of forests: support, core and N-vertices, and the one record of them.
 
 The support of a graph is the set of vertices carrying a nonzero coordinate in
 some kernel vector of the adjacency matrix.  For a forest it is the set of
@@ -6,7 +6,9 @@ vertices some maximum matching misses (Gallai-Edmonds), so a forest
 decomposition comes from a maximum matching, in linear time, with no kernel.
 The core is the union of neighborhoods of supported vertices, and the
 N-vertices are everything else.  For forests these three sets partition the
-vertex set and yield exact formulas for the independence and matching numbers.
+vertex set.  ``Decomposition`` records them for forests and unicyclic graphs
+alike; it lives here because ``decomposition`` and ``unicyclic`` import this
+module.
 
 Every operation accepts any forest and distributes over components, since
 derived graphs elsewhere in the package (cycle complements, rooted-tree
@@ -19,22 +21,30 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, EmptyBasis, InternalCheckError, NotForest, OddNSet
+from .errors import DimensionMismatch, EmptyBasis, InternalCheckError, NotForest
 from .graph import Graph
 from .linalg import Vector, support_indices, vec_add, vec_scale
 
+CASE_FOREST = "Forest"
+
 
 @dataclass(frozen=True)
-class TreeDecomposition:
-    """Support / core / N-vertex partition of a forest, with its nullity."""
+class Decomposition:
+    """Support, core and N-vertices of a forest or unicyclic graph, with its nullity.
+
+    A unicyclic graph carries its case and class; a forest has case ``Forest``
+    and no class.  Support and core meet only in the cycle of a TII-4k graph.
+    """
 
     support: frozenset[int]
     core: frozenset[int]
     n_vertices: frozenset[int]
     nullity: int
+    case: str = CASE_FOREST
+    cls: "UnicyclicClass | None" = None  # unicyclic imports this module
 
 
-def forest_decomposition(g: Graph, vertices: Iterable[int]) -> TreeDecomposition:
+def forest_decomposition(g: Graph, vertices: Iterable[int]) -> Decomposition:
     """Decompose the forest that ``vertices`` induce in ``g``, in g's own indices.
 
     Leaves are matched to their parents bottom-up, which gives a maximum
@@ -79,36 +89,12 @@ def forest_decomposition(g: Graph, vertices: Iterable[int]) -> TreeDecomposition
                     frontier.append(z)
     core = frozenset(y for x in support for y in adjacency[x] if y in inside)
     n_vertices = frozenset(inside - support - core)
-    return TreeDecomposition(frozenset(support), core, n_vertices, len(inside) - len(mate))
+    return Decomposition(frozenset(support), core, n_vertices, len(inside) - len(mate))
 
 
-def tree_decomposition(t: Graph) -> TreeDecomposition:
+def tree_decomposition(t: Graph) -> Decomposition:
     """Decomposition of a whole forest."""
     return forest_decomposition(t, range(t.n))
-
-
-def _half_n_vertices(d) -> int:
-    """Half the N-vertices of a forest decomposition, which always number evenly."""
-    if len(d.n_vertices) % 2:
-        raise OddNSet(f"odd N-vertex set of size {len(d.n_vertices)} on a forest")
-    return len(d.n_vertices) // 2
-
-
-def tree_alpha(t: Graph, d=None) -> int:
-    """Independence number of a forest: |support| + |N-vertices| / 2.
-
-    The sets are read off ``d``, by default ``tree_decomposition(t)``.
-    """
-    if d is None:
-        d = tree_decomposition(t)
-    return len(d.support) + _half_n_vertices(d)
-
-
-def tree_nu(t: Graph, d=None) -> int:
-    """Matching number of a forest: |core| + |N-vertices| / 2, with ``d`` as in tree_alpha."""
-    if d is None:
-        d = tree_decomposition(t)
-    return len(d.core) + _half_n_vertices(d)
 
 
 def full_support_vector(

@@ -12,9 +12,9 @@ import time
 from nulldecomp import classify, constructed_null_basis, run_checks
 from nulldecomp.decomposition import alpha, decomposition_from_basis, nu, structural_decomposition
 from nulldecomp.graph import find_cycle, pendant_trees
-from nulldecomp.linalg import is_zero_vector, mat_vec, null_space_basis, nullity, same_span
+from nulldecomp.linalg import is_zero_vector, mat_vec, null_space_basis, rref, same_span
 from nulldecomp.oracle import brute_alpha, brute_nu
-from nulldecomp.trees import tree_alpha, tree_nu
+from nulldecomp.trees import tree_decomposition
 from nulldecomp.unicyclic import recursion_nullity
 
 from conftest import cycle_graph, kernel_case
@@ -33,8 +33,8 @@ def test_criterion_1_golden_type1(ex_type1):
     assert g.label_set(d.support) == {"a", "b", "e", "f", "i"}
     assert g.label_set(d.core) == {"c", "v", "g", "h"}
     assert len(d.n_vertices) == 9
-    assert alpha(g, d) == 10
-    assert nu(g, d) == 8
+    assert alpha(d) == 10
+    assert nu(d) == 8
     _report(1, "18-vertex Type I golden example", started, 1.0)
 
 
@@ -48,8 +48,8 @@ def test_criterion_2_golden_type2_five_cycle(ex_five_cycle):
     assert len(d.support) == 11
     assert len(d.core) == 5
     assert len(d.n_vertices) == 9
-    assert alpha(g, d) == 15
-    assert nu(g, d) == 9
+    assert alpha(d) == 15
+    assert nu(d) == 9
     _report(2, "25-vertex Type II golden example", started, 1.0)
 
 
@@ -63,8 +63,8 @@ def test_criterion_3_golden_type2_four_cycle(ex_four_cycle):
     assert g.label_set(d.n_vertices) == {"g", "h"}
     assert g.label_set(d.support & d.core) == {"u", "v", "w", "z"}
     assert g.label_set(find_cycle(g).vertices) == {"u", "v", "w", "z"}
-    assert alpha(g, d) == 9
-    assert nu(g, d) == 6
+    assert alpha(d) == 9
+    assert nu(d) == 6
     assert d.nullity == 5
     _report(3, "15-vertex Type II golden example", started, 1.0)
 
@@ -74,7 +74,7 @@ def test_criterion_4_cycle_nullity():
     for n in range(3, 18):
         expected = 2 if n % 4 == 0 else 0
         g = cycle_graph(n)
-        assert nullity(g.adjacency_matrix()) == expected, n
+        assert len(null_space_basis(g.adjacency_matrix())) == expected, n
         cls = classify(g)
         assert recursion_nullity(g, cls.pendant_trees, cls.witness) == expected, n
     _report(4, "cycle nullities up to length 17", started, 1.0)
@@ -89,7 +89,7 @@ def test_criterion_5_basis_exactness_and_span(random_corpus):
         matrix = g.adjacency_matrix()
         for vec in basis.vectors:
             assert is_zero_vector(mat_vec(matrix, vec)), g.to_edge_list()
-        rank_deficiency = nullity(matrix)
+        rank_deficiency = g.n - rref(matrix)[1]
         assert len(basis.vectors) == rank_deficiency == recursion_nullity(g, cls.pendant_trees, cls.witness)
         assert same_span(basis.vectors, null_space_basis(matrix)), g.to_edge_list()
     _report(5, "constructed bases exact + span equality on 500 random graphs", started, 60.0)
@@ -99,8 +99,8 @@ def test_criterion_6_formulas_vs_oracle(random_corpus):
     started = time.perf_counter()
     for g in random_corpus:
         d = decomposition_from_basis(g)
-        assert alpha(g, d) == brute_alpha(g), g.to_edge_list()
-        assert nu(g, d) == brute_nu(g), g.to_edge_list()
+        assert alpha(d) == brute_alpha(g), g.to_edge_list()
+        assert nu(d) == brute_nu(g), g.to_edge_list()
         cycle = d.cls.cycle
         pend = pendant_trees(g, cycle)
         derived = [g.delete_vertices(cycle.vertices)]
@@ -108,8 +108,9 @@ def test_criterion_6_formulas_vs_oracle(random_corpus):
         for forest in derived:
             if forest.n == 0:
                 continue
-            assert tree_alpha(forest) == brute_alpha(forest), forest.to_edge_list()
-            assert tree_nu(forest) == brute_nu(forest), forest.to_edge_list()
+            t = tree_decomposition(forest)
+            assert alpha(t) == brute_alpha(forest), forest.to_edge_list()
+            assert nu(t) == brute_nu(forest), forest.to_edge_list()
     _report(6, "closed formulas match brute force on corpus + derived forests", started, 120.0)
 
 

@@ -1,6 +1,7 @@
 """The check battery: the failure minimizer keeps the failure it started
-from, one run reduces each matrix once and classifies the graph once, and
-the case is held to its kernel definition."""
+from, one run reduces each matrix once and classifies the graph once, the
+case is held to its kernel definition, and a formula that raises fails its
+check."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import pytest
 from nulldecomp import checks, classify, decomposition, linalg, run_checks
 from nulldecomp.checks import minimize_failing_graph
 from nulldecomp.errors import CaseContradiction, NormalizationFailure
+from nulldecomp.trees import Decomposition
 from nulldecomp.unicyclic import recursion_nullity
 
 from conftest import cycle_with_attachments, path_graph
@@ -125,3 +127,16 @@ def test_structural_matches_basis_fails_on_a_wrong_case(monkeypatch, families, c
     assert run_checks(g)["structural_matches_basis"]
     monkeypatch.setattr(decomposition, "classify", lambda h: replace(classify(h), case=planted))
     assert run_checks(g)["structural_matches_basis"] is False
+
+
+@pytest.mark.parametrize("example, cut", [("ex_type1", "witness"), ("ex_four_cycle", "cycle")])
+def test_an_odd_n_set_in_a_split_fails_the_split_checks(monkeypatch, request, example, cut):
+    # alpha and nu raise OddNSet on a forest with an odd N-set; the battery
+    # must report the split identities as failed, not raise.
+    g = request.getfixturevalue(example)
+    odd = Decomposition(frozenset(), frozenset(), frozenset({0}), 0)
+    monkeypatch.setattr(checks, "forest_decomposition", lambda h, vertices: odd)
+    result = run_checks(g)
+    split = {f"alpha_splits_at_{cut}", f"nu_splits_at_{cut}"}
+    assert {name: result[name] for name in split} == dict.fromkeys(split, False)
+    assert all(ok for name, ok in result.items() if name not in split)

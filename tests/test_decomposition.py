@@ -7,12 +7,13 @@ import pytest
 from nulldecomp import Graph, GeneratorSpec, analyze, classify, generate_unicyclic, run_checks
 from nulldecomp.decomposition import (
     CASE_FOREST,
+    Decomposition,
     alpha,
     decomposition_from_basis,
     nu,
     structural_decomposition,
 )
-from nulldecomp.errors import NotUnicyclic, UnsupportedGraphClass
+from nulldecomp.errors import NotUnicyclic, OddNSet, UnsupportedGraphClass
 from nulldecomp.generator import FORCE_TYPE1
 from nulldecomp.graph import pendant_trees
 from nulldecomp.linalg import null_space_basis, support_indices
@@ -44,8 +45,9 @@ def test_example_type1_decomposition(ex_type1):
 
 
 def test_example_type1_formulas(ex_type1):
-    assert alpha(ex_type1) == 10
-    assert nu(ex_type1) == 8
+    d = decomposition_from_basis(ex_type1)
+    assert alpha(d) == 10
+    assert nu(d) == 8
 
 
 def test_example_star_decomposition(ex_star):
@@ -67,8 +69,8 @@ def test_example_five_cycle_decomposition(ex_five_cycle):
     assert labels(ex_five_cycle, d.n_vertices) == set("abcdenopq")
     assert (len(d.support), len(d.core), len(d.n_vertices)) == (11, 5, 9)
     assert d.case == CASE_TII_NON4K
-    assert alpha(ex_five_cycle) == 15
-    assert nu(ex_five_cycle) == 9
+    assert alpha(d) == 15
+    assert nu(d) == 9
 
 
 def test_example_four_cycle_decomposition(ex_four_cycle):
@@ -79,8 +81,8 @@ def test_example_four_cycle_decomposition(ex_four_cycle):
     assert d.case == CASE_TII_4K
     assert labels(ex_four_cycle, d.support & d.core) == {"u", "v", "w", "z"}
     assert d.nullity == 5
-    assert alpha(ex_four_cycle) == 9
-    assert nu(ex_four_cycle) == 6
+    assert alpha(d) == 9
+    assert nu(d) == 6
 
 
 def test_plain_c4():
@@ -88,7 +90,7 @@ def test_plain_c4():
     d = decomposition_from_basis(g)
     assert d.support == d.core == frozenset(range(4))
     assert d.n_vertices == frozenset()
-    assert alpha(g) == 2 and nu(g) == 2
+    assert alpha(d) == 2 and nu(d) == 2
 
 
 def test_structural_agrees_on_examples(ex_type1, ex_star, ex_five_cycle, ex_four_cycle):
@@ -116,19 +118,23 @@ def test_unsupported_graph_class():
     )
     with pytest.raises(UnsupportedGraphClass):
         decomposition_from_basis(theta)
-    with pytest.raises(UnsupportedGraphClass):
-        alpha(theta)
-    with pytest.raises(UnsupportedGraphClass):
-        nu(theta)
 
 
 def test_forest_route():
     g = path_graph(3)
     d = decomposition_from_basis(g)
     assert d.case == CASE_FOREST and d.cls is None
-    assert alpha(g) == 2 and nu(g) == 1
-    two = Graph.from_edges([("a", "b")])
+    assert alpha(d) == 2 and nu(d) == 1
+    two = decomposition_from_basis(Graph.from_edges([("a", "b")]))
     assert alpha(two) == 1 and nu(two) == 1
+
+
+def test_formulas_refuse_an_odd_n_set_on_a_forest():
+    odd = Decomposition(frozenset({0}), frozenset({1}), frozenset({2, 3, 4}), 1)
+    with pytest.raises(OddNSet):
+        alpha(odd)
+    with pytest.raises(OddNSet):
+        nu(odd)
 
 
 def test_report_shape(ex_four_cycle):
@@ -154,7 +160,7 @@ def test_alpha_ge_support_outside_tii4k(ex_type1, ex_star):
     for g in (ex_type1, ex_star, cycle_graph(6)):
         d = decomposition_from_basis(g)
         assert d.case != CASE_TII_4K
-        assert alpha(g, d) >= len(d.support)
+        assert alpha(d) >= len(d.support)
 
 
 def test_case_examples_from_families(families):
@@ -170,7 +176,7 @@ def test_ti2_sets():
     assert labels(g, d.support) == {"u00x00", "u00x01", "c01", "c03"}
     assert labels(g, d.core) == {"c00", "c02"}
     assert d.n_vertices == frozenset()
-    assert alpha(g) == 4 and nu(g) == 2
+    assert alpha(d) == 4 and nu(d) == 2
 
 
 def kernel_case_tag(g: Graph, cls) -> str:

@@ -15,9 +15,9 @@ from nulldecomp import (
 )
 from nulldecomp.decomposition import alpha, decomposition_from_basis, nu, structural_decomposition
 from nulldecomp.graph import find_cycle, pendant_trees
-from nulldecomp.linalg import is_zero_vector, mat_vec, null_space_basis, nullity, rref, same_span
+from nulldecomp.linalg import is_zero_vector, mat_vec, null_space_basis, rref, same_span
 from nulldecomp.oracle import brute_alpha, brute_nu
-from nulldecomp.trees import tree_alpha, tree_decomposition, tree_nu
+from nulldecomp.trees import tree_decomposition
 from nulldecomp.unicyclic import CASE_TII_4K, recursion_nullity
 
 from conftest import kernel_case
@@ -71,7 +71,8 @@ def test_constructed_basis_is_exact_and_spans(g):
     cls = classify(g)
     basis = constructed_null_basis(g, cls)
     matrix = g.adjacency_matrix()
-    assert len(basis.vectors) == nullity(matrix) == recursion_nullity(g, cls.pendant_trees, cls.witness)
+    nullity = len(null_space_basis(matrix))
+    assert len(basis.vectors) == nullity == recursion_nullity(g, cls.pendant_trees, cls.witness)
     for vec in basis.vectors:
         assert is_zero_vector(mat_vec(matrix, vec))
     assert same_span(basis.vectors, null_space_basis(matrix))
@@ -90,9 +91,9 @@ def test_structural_equals_basis_decomposition(g):
 @given(unicyclic_graphs(max_n=12))
 def test_formulas_match_oracle(g):
     d = decomposition_from_basis(g)
-    assert alpha(g, d) == brute_alpha(g)
-    assert nu(g, d) == brute_nu(g)
-    assert alpha(g, d) + nu(g, d) <= g.n
+    assert alpha(d) == brute_alpha(g)
+    assert nu(d) == brute_nu(g)
+    assert alpha(d) + nu(d) <= g.n
 
 
 @common
@@ -110,12 +111,12 @@ def test_support_independence_dichotomy(g):
 @common
 @given(forests())
 def test_forest_support_independent_and_formulas(f):
-    support = tree_decomposition(f).support
-    assert f.is_independent_set(support)
-    assert tree_alpha(f) + tree_nu(f) == f.n
+    d = tree_decomposition(f)
+    assert f.is_independent_set(d.support)
+    assert alpha(d) + nu(d) == f.n
     if f.n <= 13:
-        assert tree_alpha(f) == brute_alpha(f)
-        assert tree_nu(f) == brute_nu(f)
+        assert alpha(d) == brute_alpha(f)
+        assert nu(d) == brute_nu(f)
 
 
 @common

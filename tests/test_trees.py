@@ -10,14 +10,8 @@ from nulldecomp import Graph, GeneratorSpec, generate_unicyclic
 from nulldecomp.errors import EmptyBasis, NotForest
 from nulldecomp.graph import find_cycle
 from nulldecomp.linalg import null_space_basis, support_indices
-from nulldecomp.trees import (
-    TreeDecomposition,
-    forest_decomposition,
-    full_support_vector,
-    tree_alpha,
-    tree_decomposition,
-    tree_nu,
-)
+from nulldecomp.decomposition import alpha, nu
+from nulldecomp.trees import Decomposition, forest_decomposition, full_support_vector, tree_decomposition
 
 from conftest import (
     cycle_graph,
@@ -83,14 +77,15 @@ def test_decomposition_forest_distributes():
 
 
 def test_alpha_nu_examples():
-    assert tree_alpha(path_graph(3)) == 2 and tree_nu(path_graph(3)) == 1
-    assert tree_alpha(path_graph(4)) == 2 and tree_nu(path_graph(4)) == 2
-    assert tree_alpha(star_graph(3)) == 3 and tree_nu(star_graph(3)) == 1
+    for g, expected in ((path_graph(3), (2, 1)), (path_graph(4), (2, 2)), (star_graph(3), (3, 1))):
+        d = tree_decomposition(g)
+        assert (alpha(d), nu(d)) == expected
 
 
 def test_alpha_plus_nu_is_order():
     for g in (path_graph(3), path_graph(8), star_graph(5)):
-        assert tree_alpha(g) + tree_nu(g) == g.n
+        d = tree_decomposition(g)
+        assert alpha(d) + nu(d) == g.n
 
 
 def vecs(*rows):
@@ -143,13 +138,13 @@ def test_full_support_matches_union_on_tree_kernels():
 # -- the matching route against the kernel --------------------------------
 
 
-def kernel_decomposition(g: Graph, vertices) -> TreeDecomposition:
+def kernel_decomposition(g: Graph, vertices) -> Decomposition:
     """The decomposition read off the canonical kernel of the induced subgraph, in g's indices."""
     vs = sorted(vertices)
     basis = null_space_basis(g.induced_subgraph(vs).adjacency_matrix())
     support = frozenset(vs[j] for vec in basis for j in support_indices(vec))
     core = g.neighborhood(support) & frozenset(vs)
-    return TreeDecomposition(support, core, frozenset(vs) - support - core, len(basis))
+    return Decomposition(support, core, frozenset(vs) - support - core, len(basis))
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,7 +6,7 @@ import pytest
 
 from nulldecomp import Graph, classify, constructed_null_basis, parse_edge_list
 from nulldecomp.errors import NotUnicyclic, WrongType
-from nulldecomp.linalg import is_zero_vector, mat_vec, null_space_basis, nullity, same_span
+from nulldecomp.linalg import is_zero_vector, mat_vec, null_space_basis, same_span
 from nulldecomp.unicyclic import (
     CORRECTED,
     CYCLE_ALTERNATING,
@@ -64,7 +64,7 @@ def test_unicyclic_nullity_examples(ex_four_cycle):
     for g, expected in ((cycle_graph(4), 2), (cycle_graph(5), 0), (ex_four_cycle, 5)):
         cls = classify(g)
         recursion = recursion_nullity(g, cls.pendant_trees, cls.witness)
-        assert recursion == nullity(g.adjacency_matrix()) == expected
+        assert recursion == len(null_space_basis(g.adjacency_matrix())) == expected
 
 
 def test_type1_basis_zero_sum_branch():
@@ -155,7 +155,7 @@ def test_constructed_basis_dispatch(ex_type1, ex_four_cycle):
     assert CORRECTED not in constructed_null_basis(ex_four_cycle, classify(ex_four_cycle)).provenance
     for g in (ex_type1, ex_four_cycle, path_graph(5)):
         basis = constructed_null_basis(g, classify(g) if g.is_unicyclic() else None)
-        assert len(basis.vectors) == nullity(g.adjacency_matrix())
+        assert len(basis.vectors) == len(null_space_basis(g.adjacency_matrix()))
 
 
 def test_degenerate_full_support_regression():
@@ -167,7 +167,7 @@ def test_degenerate_full_support_regression():
     assert g.labels[cls.witness] == "v"
     basis = type1_null_basis(g, cls)
     matrix = g.adjacency_matrix()
-    assert len(basis.vectors) == nullity(matrix)
+    assert len(basis.vectors) == len(null_space_basis(matrix))
     for vec in basis.vectors:
         assert is_zero_vector(mat_vec(matrix, vec))
     assert same_span(basis.vectors, rref_null_basis(g).vectors)
