@@ -65,7 +65,7 @@ from .unicyclic import (
     CASE_TII_NON4K,
     EXTENDED_FOREST,
     EXTENDED_PENDANT,
-    TYPE2,
+    TYPE1,
     UnicyclicClass,
     constructed_null_basis,
     recursion_nullity,
@@ -114,20 +114,14 @@ def _forest_checks(g: Graph, matrix: Matrix, canonical: list[Vector], d: Decompo
     _guarded(checks, "formula_sum", lambda: alpha(t) + nu(t) == g.n)
 
     if g.n <= SEARCH_BUDGET:
-        _guarded(checks, "alpha_oracle", lambda: alpha(t) == brute_alpha(g, SEARCH_BUDGET))
-        _guarded(checks, "nu_oracle", lambda: nu(t) == brute_nu(g, SEARCH_BUDGET))
+        _guarded(checks, "alpha_oracle", lambda: alpha(t) == brute_alpha(g))
+        _guarded(checks, "nu_oracle", lambda: nu(t) == brute_nu(g))
     if g.n <= ENUMERATION_BUDGET:
+        _guarded(checks, "eg_equals_support", lambda: edmonds_gallai_set(g) == d.support)
         _guarded(
-            checks,
-            "eg_equals_support",
-            lambda: edmonds_gallai_set(g, ENUMERATION_BUDGET) == d.support,
+            checks, "mis_intersection_is_support", lambda: max_independent_intersection(g) == d.support
         )
-        _guarded(
-            checks,
-            "mis_intersection_is_support",
-            lambda: max_independent_intersection(g, ENUMERATION_BUDGET) == d.support,
-        )
-        mis = maximum_independent_sets(g, ENUMERATION_BUDGET)
+        mis = maximum_independent_sets(g)
         checks["core_absent_from_some_mis"] = all(
             any(v not in s for s in mis) for v in d.core
         )
@@ -171,9 +165,6 @@ def _unicyclic_checks(
         checks, "nullity_recursion", lambda: recursion_nullity(g, pend, cls.witness) == len(canonical)
     )
     checks["span_equality"] = same_span(constructed.vectors, canonical)
-    tag = EXTENDED_PENDANT if cls.tag != TYPE2 else EXTENDED_FOREST
-    name = "pendant_extension_null" if cls.tag != TYPE2 else "forest_extension_null"
-    checks[name] = all(ok for ok, prov in zip(annihilated, constructed.provenance) if prov == tag)
 
     # Off-support cycle vertices on the reference kernels of the pendant trees.
     pendant = {v: kernel(pend[v]) for v in cls.cycle.vertices}
@@ -193,22 +184,38 @@ def _unicyclic_checks(
     checks["parity_rule"] = _parity_rule(d_basis)
 
     if g.n <= SEARCH_BUDGET:
-        _guarded(checks, "alpha_oracle", lambda: alpha(d_basis) == brute_alpha(g, SEARCH_BUDGET))
-        _guarded(checks, "nu_oracle", lambda: nu(d_basis) == brute_nu(g, SEARCH_BUDGET))
+        _guarded(checks, "alpha_oracle", lambda: alpha(d_basis) == brute_alpha(g))
+        _guarded(checks, "nu_oracle", lambda: nu(d_basis) == brute_nu(g))
 
-    # Whole-graph counts split along the class's natural cut: at the witness's
-    # pendant tree for Type I, at the cycle for Type II.
+    # The one class branch.  Whole-graph counts split along the class's
+    # natural cut: at the witness's pendant tree for Type I, at the cycle for
+    # Type II.  The class also names the constructed vectors that extend a
+    # subforest kernel by zeros, and Type II has identities of its own.
     everything = frozenset(range(g.n))
     forest_vs = everything - cycle_set
-    if cls.tag != TYPE2:
-        cut, base = [pend[cls.witness], everything - pend[cls.witness]], 0
-        alpha_name, nu_name = "alpha_splits_at_witness", "nu_splits_at_witness"
+    if cls.tag == TYPE1:
+        cut, base, at = [pend[cls.witness], everything - pend[cls.witness]], 0, "witness"
+        extension, extended = "pendant_extension_null", EXTENDED_PENDANT
     else:
-        cut, base = [forest_vs], cls.cycle.length // 2
-        alpha_name, nu_name = "alpha_splits_at_cycle", "nu_splits_at_cycle"
+        cut, base, at = [forest_vs], cls.cycle.length // 2, "cycle"
+        extension, extended = "forest_extension_null", EXTENDED_FOREST
+        forest_k = kernel(forest_vs)
+        checks["cycle_tree_neighbors_unsupported"] = all(
+            u not in forest_k.support
+            for v in cls.cycle.vertices
+            for u in g.neighbors(v)
+            if u in pend[v]
+        )
+        checks["forest_support_in_pendant_supports"] = forest_k.support <= frozenset().union(
+            *(d.support for d in pendant.values())
+        )
+        _guarded(checks, "pendant_vs_forest_alpha_identity", lambda: (
+            sum(map(alpha, pendant.values())) == cls.cycle.length + alpha(forest_k)
+        ))
+    checks[extension] = all(ok for ok, prov in zip(annihilated, constructed.provenance) if prov == extended)
     parts = [forest_decomposition(g, vs) for vs in cut]
-    _guarded(checks, alpha_name, lambda: alpha(d_basis) == base + sum(map(alpha, parts)))
-    _guarded(checks, nu_name, lambda: nu(d_basis) == base + sum(map(nu, parts)))
+    _guarded(checks, f"alpha_splits_at_{at}", lambda: alpha(d_basis) == base + sum(map(alpha, parts)))
+    _guarded(checks, f"nu_splits_at_{at}", lambda: nu(d_basis) == base + sum(map(nu, parts)))
 
     # Pendant-tree identities around off-support cycle vertices, on kernels.
     if roots:
@@ -226,21 +233,6 @@ def _unicyclic_checks(
             nu(pendant[v]) == nu(deleted[v]) + 1 for v in roots
         ))
 
-    if cls.tag == TYPE2:
-        forest_k = kernel(forest_vs)
-        checks["cycle_tree_neighbors_unsupported"] = all(
-            u not in forest_k.support
-            for v in cls.cycle.vertices
-            for u in g.neighbors(v)
-            if u in pend[v]
-        )
-        checks["forest_support_in_pendant_supports"] = forest_k.support <= frozenset().union(
-            *(d.support for d in pendant.values())
-        )
-        _guarded(checks, "pendant_vs_forest_alpha_identity", lambda: (
-            sum(map(alpha, pendant.values())) == cls.cycle.length + alpha(forest_k)
-        ))
-
     # Formulas and enumeration facts on the derived forests, compared by
     # label: the oracles take a built subgraph and answer in its indices, the
     # kernels answer in g's.
@@ -248,16 +240,16 @@ def _unicyclic_checks(
     # The enumeration budget is the smaller, so every enumerated forest is searched too.
     searched = {vs: g.induced_subgraph(vs) for vs in cuts if 0 < len(vs) <= SEARCH_BUDGET}
     _guarded(checks, "derived_forest_formulas", lambda: all(
-        alpha(t) == brute_alpha(f, SEARCH_BUDGET) and nu(t) == brute_nu(f, SEARCH_BUDGET)
+        alpha(t) == brute_alpha(f) and nu(t) == brute_nu(f)
         for f, t in zip(searched.values(), map(tree_decomposition, searched.values()))
     ))
     enumerated = [(f, kernel(vs)) for vs, f in searched.items() if len(vs) <= ENUMERATION_BUDGET]
     checks["eg_equals_support"] = all(
-        f.label_set(edmonds_gallai_set(f, ENUMERATION_BUDGET)) == g.label_set(d.support)
+        f.label_set(edmonds_gallai_set(f)) == g.label_set(d.support)
         for f, d in enumerated
     )
     checks["mis_intersection_is_support"] = all(
-        f.label_set(max_independent_intersection(f, ENUMERATION_BUDGET)) == g.label_set(d.support)
+        f.label_set(max_independent_intersection(f)) == g.label_set(d.support)
         for f, d in enumerated
     )
     return checks

@@ -28,7 +28,6 @@ from .errors import (
     EdgeListError,
     InternalCheckError,
     NotForest,
-    NotUnicyclic,
     NullDecompError,
     SpecInvalid,
     UnsupportedGraphClass,
@@ -76,37 +75,25 @@ def _cmd_basis(args: argparse.Namespace) -> int:
     if args.method == "rref":
         basis = rref_null_basis(g)
     else:
-        try:
-            cls = None if g.is_forest() else classify(g)
-        except NotUnicyclic:
-            raise UnsupportedGraphClass(
-                "structural basis construction needs a forest or unicyclic graph"
-            ) from None
-        basis = constructed_null_basis(g, cls)
+        basis = constructed_null_basis(g, classify(g))
+    # Nonzero coordinates of each vector, label -> exact value, in index order.
+    vectors = [
+        (prov, {g.labels[i]: str(x) for i, x in enumerate(vec) if x != 0})
+        for vec, prov in zip(basis.vectors, basis.provenance)
+    ]
     if args.json:
         payload = {
-            "nullity": len(basis.vectors),
-            "vectors": [
-                {
-                    "provenance": prov,
-                    "coordinates": {
-                        g.labels[i]: str(x) for i, x in enumerate(vec) if x != 0
-                    },
-                }
-                for vec, prov in zip(basis.vectors, basis.provenance)
-            ],
+            "nullity": len(vectors),
+            "vectors": [{"provenance": prov, "coordinates": coords} for prov, coords in vectors],
         }
         print(json.dumps(payload, sort_keys=True))
         return EXIT_OK
-    if not basis.vectors:
+    if not vectors:
         print("nullity 0, empty basis")
         return EXIT_OK
-    print(f"nullity {len(basis.vectors)}, basis:")
-    for vec, prov in zip(basis.vectors, basis.provenance):
-        coords = " ".join(
-            f"{g.labels[i]}={x}" for i, x in enumerate(vec) if x != 0
-        )
-        print(f"[{prov}] {coords}")
+    print(f"nullity {len(vectors)}, basis:")
+    for prov, coords in vectors:
+        print(f"[{prov}] " + " ".join(f"{label}={x}" for label, x in coords.items()))
     return EXIT_OK
 
 
@@ -211,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     except EdgeListError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (UnsupportedGraphClass, NotUnicyclic, NotForest) as exc:
+    except (UnsupportedGraphClass, NotForest) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CLASS
     except InternalCheckError as exc:

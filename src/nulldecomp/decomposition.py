@@ -15,9 +15,13 @@ Two independent routes produce the one record ``trees.Decomposition``:
   complement decompositions according to the six-way case split that
   ``unicyclic.classify`` decides (four Type I cases by how the complement
   kernel behaves at the witness's cycle neighbors, two Type II cases by
-  cycle length mod 4), from the classification the caller holds.  Every
-  piece is a forest, decomposed through a maximum matching (``trees``), so
-  this route computes no kernel and runs in time linear in the graph.
+  cycle length mod 4), from the classification the caller holds; a forest
+  (class None) is one piece.  Every piece is a forest, decomposed through a
+  maximum matching (``trees``), so this route computes no kernel and runs
+  in time linear in the graph.
+
+Both take the graph's class from ``classify``, which refuses any graph that
+is neither a forest nor unicyclic; neither checks the class again.
 
 Their agreement on every unicyclic graph is one of the package's central
 verified properties.  ``alpha`` and ``nu`` read nothing but a decomposition.
@@ -28,10 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
-from .errors import OddNSet, UnsupportedGraphClass
+from .errors import OddNSet
 from .graph import Graph
 from .linalg import Vector, sparse_null_basis, support_indices
-from .trees import CASE_FOREST, Decomposition, forest_decomposition
+from .trees import CASE_FOREST, Decomposition, forest_decomposition, tree_decomposition  # noqa: F401 (CASE_FOREST re-exported)
 from .unicyclic import (
     CASE_TI3,
     CASE_TI4,
@@ -57,34 +61,27 @@ def kernel_decomposition(g: Graph, basis: Sequence[Vector], vertices: frozenset[
 def decomposition_from_basis(g: Graph, basis: Sequence[Vector] | None = None) -> Decomposition:
     """Decomposition read off a kernel basis of A(g), by default the canonical one.
 
-    Accepts forests and unicyclic graphs; anything else is out of scope for
-    the decomposition theory, and is refused before any kernel is computed.
-    A caller that already holds a basis of A(g) passes it in, and A(g) is
-    not reduced again; without one the canonical basis comes from the sparse
-    elimination over g's adjacency lists.
+    ``classify`` refuses a graph that is neither a forest nor unicyclic
+    before any kernel is computed.  A caller that already holds a basis of
+    A(g) passes it in, and A(g) is not reduced again; without one the
+    canonical basis comes from the sparse elimination over g's adjacency
+    lists.
     """
-    if g.is_forest():
-        cls = None
-        case = CASE_FOREST
-    elif g.is_unicyclic():
-        cls = classify(g)
-        case = cls.case
-    else:
-        raise UnsupportedGraphClass(
-            f"graph with {g.n} vertices and {g.edge_count} edges is neither a forest nor unicyclic"
-        )
+    cls = classify(g)
     if basis is None:
         basis = sparse_null_basis(g.adjacency)
-    return replace(kernel_decomposition(g, basis, frozenset(range(g.n))), case=case, cls=cls)
+    return replace(kernel_decomposition(g, basis, frozenset(range(g.n))), cls=cls)
 
 
-def structural_decomposition(g: Graph, cls: UnicyclicClass) -> Decomposition:
-    """Decomposition of a unicyclic graph assembled from forest decompositions, case by case.
+def structural_decomposition(g: Graph, cls: UnicyclicClass | None) -> Decomposition:
+    """Decomposition of g assembled from forest decompositions, case by case.
 
-    ``cls`` is g's classification, which fixes the case.  The nullity comes
-    from the pendant-tree recursion alone; ``run_checks`` compares it with
-    the rank (``nullity_recursion``).
+    ``cls`` is ``classify(g)``, which fixes the case; None gives the forest
+    decomposition of g.  The nullity comes from the pendant-tree recursion
+    alone; ``run_checks`` compares it with the rank (``nullity_recursion``).
     """
+    if cls is None:
+        return tree_decomposition(g)
     case = cls.case
     pend = cls.pendant_trees
     everything = frozenset(range(g.n))
@@ -107,7 +104,6 @@ def structural_decomposition(g: Graph, cls: UnicyclicClass) -> Decomposition:
         frozenset().union(to_core, *(d.core for d in parts)),
         frozenset().union(to_n, *(d.n_vertices for d in parts)) - to_core,
         recursion_nullity(g, pend, cls.witness),
-        case,
         cls,
     )
 

@@ -43,15 +43,7 @@ class NotForest(NullDecompError):
     pass
 
 
-class NotUnicyclic(NullDecompError):
-    pass
-
-
 class UnsupportedGraphClass(NullDecompError):
-    pass
-
-
-class WrongType(NullDecompError):
     pass
 
 

@@ -10,6 +10,10 @@ a line with a single token declares an isolated vertex; blank lines and lines
 starting with ``#`` are ignored.
 
 Graphs are immutable; every operation is a pure function returning new values.
+
+Outside this module only ``unicyclic.classify`` reads the class tests
+(``is_forest``, ``is_unicyclic``); ``find_cycle`` and ``pendant_trees`` give
+it the cycle structure of a unicyclic graph.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ from .errors import (
     DuplicateEdge,
     EmptyInput,
     MalformedLine,
-    NotUnicyclic,
     SelfLoop,
     UnknownVertex,
+    UnsupportedGraphClass,
 )
 from .linalg import Matrix
 
@@ -268,9 +272,10 @@ def find_cycle(g: Graph) -> CycleInfo:
     """The unique cycle of a unicyclic graph, canonically oriented.
 
     Found by peeling degree-1 vertices until only the cycle remains.
+    Raises ``UnsupportedGraphClass`` when g is not unicyclic.
     """
     if not g.is_unicyclic():
-        raise NotUnicyclic(f"graph has {g.n} vertices and {g.edge_count} edges")
+        raise UnsupportedGraphClass(f"graph with {g.n} vertices and {g.edge_count} edges is not unicyclic")
     degrees = [g.degree(v) for v in range(g.n)]
     alive = set(range(g.n))
     queue = [v for v in range(g.n) if degrees[v] == 1]
@@ -294,29 +299,22 @@ def find_cycle(g: Graph) -> CycleInfo:
     return CycleInfo(tuple(walk))
 
 
-def pendant_trees(g: Graph, cycle: CycleInfo | None = None) -> dict[int, frozenset[int]]:
+def pendant_trees(g: Graph, cycle: CycleInfo) -> dict[int, frozenset[int]]:
     """Map each cycle vertex v to the vertex set of the tree hanging at v.
 
-    Computed by deleting the cycle edges: each remaining component holds
-    exactly one cycle vertex and is that vertex's pendant tree.  The sets
-    partition the vertex set.
+    Each tree grows from v without entering another cycle vertex.  That is
+    exact: a vertex off the cycle that touched a second cycle vertex would
+    close a second cycle.  The sets partition the vertex set.
     """
-    if cycle is None:
-        cycle = find_cycle(g)
-    cyc = cycle.vertices
-    cycle_edges = {
-        frozenset((cyc[i], cyc[(i + 1) % len(cyc)])) for i in range(len(cyc))
-    }
+    on_cycle = cycle.vertex_set()
     result: dict[int, frozenset[int]] = {}
-    for v in cyc:
+    for v in cycle.vertices:
         comp = {v}
         stack = [v]
         while stack:
-            x = stack.pop()
-            for w in g.neighbors(x):
-                if w in comp or frozenset((x, w)) in cycle_edges:
-                    continue
-                comp.add(w)
-                stack.append(w)
+            for w in g.neighbors(stack.pop()):
+                if w not in comp and w not in on_cycle:
+                    comp.add(w)
+                    stack.append(w)
         result[v] = frozenset(comp)
     return result

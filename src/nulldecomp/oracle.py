@@ -2,12 +2,14 @@
 
 Two tiers, matching what each consumer needs:
 
-* full enumeration (default budget 14 vertices) for set-valued answers:
-  all maximum independent sets, all maximum matchings, the set of vertices
-  missed by some maximum matching, the intersection of all maximum
+* full enumeration (``ENUMERATION_BUDGET``, 14 vertices) for set-valued
+  answers: all maximum independent sets, all maximum matchings, the set of
+  vertices missed by some maximum matching, the intersection of all maximum
   independent sets;
-* exact recursive search with degree-one reductions (default budget 22
+* exact recursive search with degree-one reductions (``SEARCH_BUDGET``, 22
   vertices) when only the numbers alpha and nu are needed.
+
+Each function refuses a graph above its tier's budget with ``BudgetExceeded``.
 
 The recursive matching search is not a shortcut taken on faith: tests pin it
 against exhaustive edge-subset maximization for every graph up to 12 vertices.
@@ -32,13 +34,13 @@ def _adjacency_masks(g: Graph) -> list[int]:
     return [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
 
 
-def brute_alpha(g: Graph, budget: int = SEARCH_BUDGET) -> int:
+def brute_alpha(g: Graph) -> int:
     """Exact independence number by branch and bound with degree pruning.
 
     Vertices of degree at most one in the remaining subgraph are always safe
     to take, which collapses forests and unicyclic graphs without branching.
     """
-    _require_budget(g, budget)
+    _require_budget(g, SEARCH_BUDGET)
     adj = _adjacency_masks(g)
     memo: dict[int, int] = {}
 
@@ -70,14 +72,14 @@ def brute_alpha(g: Graph, budget: int = SEARCH_BUDGET) -> int:
     return rec((1 << g.n) - 1)
 
 
-def brute_nu(g: Graph, budget: int = SEARCH_BUDGET) -> int:
+def brute_nu(g: Graph) -> int:
     """Exact matching number by recursive search with leaf reduction.
 
     A degree-one vertex can always be matched along its unique edge without
     losing optimality; otherwise branch on a highest-degree vertex being
     unmatched or matched to each neighbor in turn.
     """
-    _require_budget(g, budget)
+    _require_budget(g, SEARCH_BUDGET)
     adj = _adjacency_masks(g)
     memo: dict[int, int] = {}
 
@@ -116,9 +118,9 @@ def brute_nu(g: Graph, budget: int = SEARCH_BUDGET) -> int:
     return rec((1 << g.n) - 1)
 
 
-def maximum_independent_sets(g: Graph, budget: int = ENUMERATION_BUDGET) -> list[frozenset[int]]:
+def maximum_independent_sets(g: Graph) -> list[frozenset[int]]:
     """All maximum independent sets, by exhausting vertex subsets."""
-    _require_budget(g, budget)
+    _require_budget(g, ENUMERATION_BUDGET)
     adj = _adjacency_masks(g)
     best = -1
     hits: list[int] = []
@@ -144,9 +146,9 @@ def maximum_independent_sets(g: Graph, budget: int = ENUMERATION_BUDGET) -> list
     return [frozenset(_bits(mask)) for mask in hits]
 
 
-def maximum_matchings(g: Graph, budget: int = ENUMERATION_BUDGET) -> list[frozenset[tuple[int, int]]]:
+def maximum_matchings(g: Graph) -> list[frozenset[tuple[int, int]]]:
     """All maximum matchings, by exhausting edge subsets."""
-    _require_budget(g, budget)
+    _require_budget(g, ENUMERATION_BUDGET)
     edges = list(g.edges())
     edge_masks = [(1 << u) | (1 << v) for u, v in edges]
     best = -1
@@ -175,19 +177,19 @@ def maximum_matchings(g: Graph, budget: int = ENUMERATION_BUDGET) -> list[frozen
     return [frozenset(edges[e] for e in _bits(mask)) for mask in hits]
 
 
-def edmonds_gallai_set(g: Graph, budget: int = ENUMERATION_BUDGET) -> frozenset[int]:
+def edmonds_gallai_set(g: Graph) -> frozenset[int]:
     """Vertices missed by at least one maximum matching."""
     missed: set[int] = set()
     everything = frozenset(range(g.n))
-    for matching in maximum_matchings(g, budget):
+    for matching in maximum_matchings(g):
         saturated = {v for edge in matching for v in edge}
         missed |= everything - saturated
     return frozenset(missed)
 
 
-def max_independent_intersection(g: Graph, budget: int = ENUMERATION_BUDGET) -> frozenset[int]:
+def max_independent_intersection(g: Graph) -> frozenset[int]:
     """Intersection of all maximum independent sets."""
-    sets = maximum_independent_sets(g, budget)
+    sets = maximum_independent_sets(g)
     out = set(sets[0]) if sets else set()
     for s in sets[1:]:
         out &= s

@@ -32,16 +32,20 @@ CASE_FOREST = "Forest"
 class Decomposition:
     """Support, core and N-vertices of a forest or unicyclic graph, with its nullity.
 
-    A unicyclic graph carries its case and class; a forest has case ``Forest``
-    and no class.  Support and core meet only in the cycle of a TII-4k graph.
+    A unicyclic graph carries its class, and its case is the class's; a
+    forest has no class and case ``Forest``.  Support and core meet only in
+    the cycle of a TII-4k graph.
     """
 
     support: frozenset[int]
     core: frozenset[int]
     n_vertices: frozenset[int]
     nullity: int
-    case: str = CASE_FOREST
     cls: "UnicyclicClass | None" = None  # unicyclic imports this module
+
+    @property
+    def case(self) -> str:
+        return self.cls.case if self.cls else CASE_FOREST
 
 
 def forest_decomposition(g: Graph, vertices: Iterable[int]) -> Decomposition:

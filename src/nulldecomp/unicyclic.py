@@ -15,19 +15,22 @@ subgraphs:
   extra vectors z1 and z2: alternating-sign sums of normalized full-support
   pendant-tree vectors over the odd and even cycle positions.
 
-``classify`` is the one place that decides a graph's class, witness and
-case; its result carries the cycle and pendant trees that every later
-construction reads.  The class, the case and the nullity recursion need
-only forest decompositions, which come from maximum matchings (``trees``).
-Each forest they decompose is a vertex set of the graph itself, so no
-subgraph is built.  ``rref_null_basis`` eliminates straight over the
-graph's adjacency lists (``linalg.sparse_null_basis``), with no dense
-matrix.  The Type I / Type II bases take every subforest kernel from the one
-helper ``linalg.null_basis_on``, which reads g's adjacency lists and answers
-in g's own indices, so they build no subgraph, pad no vector and keep no
-position map.  ``checks`` verifies all of them against the dense RREF
-kernel of A(G): the constructed bases by span and exact annihilation,
-``rref_null_basis`` tuple for tuple.
+``classify`` is the one place that decides a graph's class: None for a
+forest, the Type I / Type II class with its witness and case for a unicyclic
+graph, ``UnsupportedGraphClass`` for anything else.  Every route takes its
+result as it is and checks nothing again; the class carries the cycle and
+pendant trees that every later construction reads.  The class, the case and
+the nullity recursion need only forest decompositions, which come from
+maximum matchings (``trees``).  Each forest they decompose is a vertex set
+of the graph itself, so no subgraph is built.  ``rref_null_basis``
+eliminates straight over the graph's adjacency lists
+(``linalg.sparse_null_basis``), with no dense matrix.  The Type I / Type II
+bases, private to ``constructed_null_basis``, take every subforest kernel
+from the one helper ``linalg.null_basis_on``, which reads g's adjacency
+lists and answers in g's own indices, so they build no subgraph, pad no
+vector and keep no position map.  ``checks`` verifies all of them against
+the dense RREF kernel of A(G): the constructed bases by span and exact
+annihilation, ``rref_null_basis`` tuple for tuple.
 """
 
 from __future__ import annotations
@@ -36,13 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import (
-    CaseContradiction,
-    InternalCheckError,
-    NormalizationFailure,
-    NotUnicyclic,
-    WrongType,
-)
+from .errors import CaseContradiction, InternalCheckError, NormalizationFailure, UnsupportedGraphClass
 from .graph import CycleInfo, Graph, find_cycle, pendant_trees
 from .linalg import Vector, null_basis_on, sparse_null_basis, vec_add, vec_scale
 from .trees import forest_decomposition, full_support_vector
@@ -68,7 +65,7 @@ CYCLE_ALTERNATING = "CycleAlternating"
 
 @dataclass(frozen=True)
 class UnicyclicClass:
-    """Classification result: the tag, the case, the cycle, and (for Type I) a witness.
+    """Classification result: the case, the cycle, and (for Type I) a witness.
 
     The witness is the smallest-index cycle vertex that lies outside the
     support of its pendant tree.  Any qualifying vertex would do; fixing the
@@ -79,11 +76,15 @@ class UnicyclicClass:
     hashing skip them.
     """
 
-    tag: str
     case: str
     cycle: CycleInfo
     pendant_trees: Mapping[int, frozenset[int]] = field(compare=False, repr=False)
     witness: int | None = None
+
+    @property
+    def tag(self) -> str:
+        """Type II exactly when no cycle vertex is a witness."""
+        return TYPE2 if self.witness is None else TYPE1
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,18 @@ class NullBasis:
         return len(self.vectors)
 
 
-def classify(g: Graph) -> UnicyclicClass:
-    """Decide Type I / Type II and the case by testing each cycle vertex against its pendant tree."""
+def classify(g: Graph) -> UnicyclicClass | None:
+    """Decide g's class: None for a forest; for a unicyclic graph, Type I / Type II and the case.
+
+    The type comes from testing each cycle vertex against its pendant tree.
+    Any other graph raises ``UnsupportedGraphClass``.
+    """
+    if g.is_forest():
+        return None
+    if not g.is_unicyclic():
+        raise UnsupportedGraphClass(
+            f"graph with {g.n} vertices and {g.edge_count} edges is neither a forest nor unicyclic"
+        )
     cycle = find_cycle(g)
     pend = pendant_trees(g, cycle)
     order = sorted(cycle.vertices)
@@ -106,9 +117,8 @@ def classify(g: Graph) -> UnicyclicClass:
     v = next(outside, None)
     if v is None:
         case = CASE_TII_4K if cycle.length % 4 == 0 else CASE_TII_NON4K
-        return UnicyclicClass(TYPE2, case, cycle, pend)
-    case = _type1_case(g, cycle, pend, v, next(outside, None))
-    return UnicyclicClass(TYPE1, case, cycle, pend, v)
+        return UnicyclicClass(case, cycle, pend)
+    return UnicyclicClass(_type1_case(g, cycle, pend, v, next(outside, None)), cycle, pend, v)
 
 
 def _type1_case(
@@ -174,12 +184,8 @@ def rref_null_basis(g: Graph) -> NullBasis:
     return NullBasis(vectors, (RREF_CANONICAL,) * len(vectors))
 
 
-def type1_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
+def _type1_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
     """Kernel basis of a Type I unicyclic graph built from subforest kernels."""
-    if cls.tag != TYPE1:
-        raise WrongType("type1_null_basis needs a Type I classification")
-    if not g.is_unicyclic():
-        raise NotUnicyclic(f"graph has {g.n} vertices and {g.edge_count} edges")
     v = cls.witness
     u, w = cls.cycle.neighbors_on_cycle(v)
     tree = cls.pendant_trees[v]
@@ -222,12 +228,8 @@ def type1_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
     return NullBasis(tuple(vectors), tuple(provenance))
 
 
-def type2_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
+def _type2_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
     """Kernel basis of a Type II unicyclic graph built from subforest kernels."""
-    if cls.tag != TYPE2:
-        raise WrongType("type2_null_basis needs a Type II classification")
-    if not g.is_unicyclic():
-        raise NotUnicyclic(f"graph has {g.n} vertices and {g.edge_count} edges")
     cyc = cls.cycle.vertices
     vectors = null_basis_on(g.adjacency, frozenset(range(g.n)) - cls.cycle.vertex_set())
     provenance = [EXTENDED_FOREST] * len(vectors)
@@ -254,13 +256,13 @@ def type2_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
 
 
 def constructed_null_basis(g: Graph, cls: UnicyclicClass | None) -> NullBasis:
-    """Dispatch on g's classification to the Type I or Type II construction.
+    """Dispatch on ``classify(g)`` to the Type I or Type II construction.
 
-    A forest has no classification (``cls`` is None, as in
-    ``Decomposition.cls``) and gets the canonical basis.
+    A forest has no class (``cls`` is None, as in ``Decomposition.cls``) and
+    gets the canonical basis.  The class is taken as given, not checked.
     """
     if cls is None:
         return rref_null_basis(g)
     if cls.tag == TYPE1:
-        return type1_null_basis(g, cls)
-    return type2_null_basis(g, cls)
+        return _type1_null_basis(g, cls)
+    return _type2_null_basis(g, cls)

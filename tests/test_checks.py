@@ -1,10 +1,11 @@
 """The check battery: the failure minimizer keeps the failure it started
-from, one run reduces each matrix once and classifies the graph once, the
-case is held to its kernel definition, and a formula that raises fails its
-check."""
+from, one run reduces each matrix once and classifies the graph once (as
+do ``analyze`` and ``basis``), the case is held to its kernel definition,
+and a formula that raises fails its check."""
 
 from __future__ import annotations
 
+import io
 import sys
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ import pytest
 
 from nulldecomp import checks, classify, decomposition, linalg, run_checks
 from nulldecomp.checks import minimize_failing_graph
+from nulldecomp.cli import main
 from nulldecomp.errors import CaseContradiction, NormalizationFailure
 from nulldecomp.trees import Decomposition
 from nulldecomp.unicyclic import recursion_nullity
@@ -103,9 +105,10 @@ def test_a_guarded_check_that_raises_any_exception_fails(monkeypatch, ex_four_cy
     assert all(ok for name, ok in result.items() if name != "nullity_recursion")
 
 
-@pytest.mark.parametrize("example", ["ex_type1", "ex_four_cycle"])
-def test_run_checks_classifies_once(monkeypatch, request, example):
-    g = request.getfixturevalue(example)
+@pytest.mark.parametrize("example", ["ex_type1", "ex_four_cycle", "forest"])
+def test_run_checks_classifies_once(monkeypatch, capsys, request, example):
+    # So do `analyze` and `basis --method structural`, on a forest too.
+    g = path_graph(5) if example == "forest" else request.getfixturevalue(example)
     calls = []
 
     def counting(h):
@@ -117,6 +120,12 @@ def test_run_checks_classifies_once(monkeypatch, request, example):
             monkeypatch.setattr(module, "classify", counting)
     assert all(run_checks(g).values())
     assert calls == [g]
+    for argv in (["analyze", "-"], ["basis", "-", "--method", "structural"]):
+        calls.clear()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(g.to_edge_list()))
+        assert main(argv) == 0
+        assert calls == [g]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("case, planted", [("TI-4", "TI-1"), ("TI-1", "TI-2"), ("TI-2", "TI-1")])

@@ -65,11 +65,26 @@ def test_analyze_unsupported_class_exit_3(capsys, monkeypatch):
     assert code == 3
 
 
-@pytest.mark.parametrize("edges", ["a b\nb c\nc d\nd a\na c\n", "a b\nb c\nc a\nx\n"])
+UNSUPPORTED = {
+    "a b\nb c\nc d\nd a\na c\n": "error: graph with 4 vertices and 5 edges is neither a forest nor unicyclic\n",
+    "a b\nb c\nc a\nx\n": "error: graph with 4 vertices and 3 edges is neither a forest nor unicyclic\n",
+}
+
+
+@pytest.mark.parametrize("edges", list(UNSUPPORTED))
 def test_basis_structural_unsupported_class_exit_3(capsys, monkeypatch, edges):
     code, out, err = run(capsys, ["basis", "-"], stdin=edges, monkeypatch=monkeypatch)
     assert code == 3 and out == ""
-    assert err == "error: structural basis construction needs a forest or unicyclic graph\n"
+    assert err == UNSUPPORTED[edges]
+
+
+@pytest.mark.parametrize("edges", list(UNSUPPORTED))
+def test_analyze_and_basis_refuse_alike(capsys, monkeypatch, edges):
+    results = [
+        run(capsys, argv, stdin=edges, monkeypatch=monkeypatch)
+        for argv in (["analyze", "-"], ["analyze", "-", "--json"], ["basis", "-", "--method", "structural"])
+    ]
+    assert results == [(3, "", UNSUPPORTED[edges])] * 3
 
 
 def test_basis_structural_c4(capsys, monkeypatch):

@@ -1,8 +1,9 @@
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
 
 from nulldecomp import Graph, GeneratorSpec, analyze, classify, generate_unicyclic, run_checks
 from nulldecomp.decomposition import (
@@ -13,10 +14,11 @@ from nulldecomp.decomposition import (
     nu,
     structural_decomposition,
 )
-from nulldecomp.errors import NotUnicyclic, OddNSet, UnsupportedGraphClass
+from nulldecomp.errors import OddNSet, UnsupportedGraphClass
 from nulldecomp.generator import FORCE_TYPE1
 from nulldecomp.graph import pendant_trees
 from nulldecomp.linalg import null_space_basis, support_indices
+from nulldecomp.trees import tree_decomposition
 from nulldecomp.unicyclic import (
     CASE_TI1,
     CASE_TI2,
@@ -27,7 +29,7 @@ from nulldecomp.unicyclic import (
     TYPE1,
 )
 
-from conftest import cycle_graph, cycle_with_attachments, kernel_case, path_graph
+from conftest import cycle_graph, cycle_with_attachments, forests_with_subsets, kernel_case, path_graph
 
 
 def labels(g: Graph, s) -> set[str]:
@@ -106,18 +108,27 @@ def test_structural_agrees_on_examples(ex_type1, ex_star, ex_five_cycle, ex_four
         assert b.case == kernel_case(g, a.cls)
 
 
-def test_structural_rejects_forest():
-    g = path_graph(4)
-    with pytest.raises(NotUnicyclic):
-        structural_decomposition(g, classify(g))
+@settings(max_examples=100, deadline=None)
+@given(forests_with_subsets())
+def test_structural_decomposes_a_forest_by_matching(forest):
+    g, _ = forest
+    assert structural_decomposition(g, None) == tree_decomposition(g)
+    assert structural_decomposition(g, classify(g)) == decomposition_from_basis(g)
 
 
 def test_unsupported_graph_class():
     theta = Graph.from_edges(
         [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c")]
     )
-    with pytest.raises(UnsupportedGraphClass):
-        decomposition_from_basis(theta)
+    triangle_and_isolated = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "a")], isolated=["d"])
+    for g in (theta, triangle_and_isolated):
+        with pytest.raises(UnsupportedGraphClass, match="is neither a forest nor unicyclic"):
+            decomposition_from_basis(g)
+
+
+def test_decomposition_fields_hold_no_case(ex_type1):
+    assert [f.name for f in fields(Decomposition)] == ["support", "core", "n_vertices", "nullity", "cls"]
+    assert decomposition_from_basis(ex_type1).case == classify(ex_type1).case
 
 
 def test_forest_route():

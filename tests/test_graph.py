@@ -9,9 +9,9 @@ from nulldecomp.errors import (
     DuplicateEdge,
     EmptyInput,
     MalformedLine,
-    NotUnicyclic,
     SelfLoop,
     UnknownVertex,
+    UnsupportedGraphClass,
 )
 from nulldecomp.graph import find_cycle, pendant_trees
 
@@ -75,13 +75,13 @@ def test_find_cycle_examples(ex_type1, ex_four_cycle):
 
 
 def test_find_cycle_rejects_trees():
-    with pytest.raises(NotUnicyclic):
+    with pytest.raises(UnsupportedGraphClass, match="is not unicyclic"):
         find_cycle(path_graph(3))
 
 
 def test_pendant_trees_partition(ex_type1, ex_four_cycle):
     for g in (ex_type1, ex_four_cycle):
-        pend = pendant_trees(g)
+        pend = pendant_trees(g, find_cycle(g))
         sets = list(pend.values())
         assert sum(len(s) for s in sets) == g.n
         assert frozenset().union(*sets) == frozenset(range(g.n))
@@ -92,14 +92,17 @@ def test_pendant_trees_partition(ex_type1, ex_four_cycle):
 
 
 def test_pendant_trees_example_sets(ex_type1, ex_four_cycle):
-    pend = {ex_type1.labels[v]: ex_type1.label_set(s) for v, s in pendant_trees(ex_type1).items()}
+    pend = {
+        ex_type1.labels[v]: ex_type1.label_set(s)
+        for v, s in pendant_trees(ex_type1, find_cycle(ex_type1)).items()
+    }
     assert pend["e"] == {"e"}
     assert pend["f"] == {"f", "h", "i"}
     assert pend["g"] == {"g", "q", "r"}
     assert pend["v"] == {"v", "c", "a", "b", "d", "j", "l", "o", "m", "n", "p"}
     pend4 = {
         ex_four_cycle.labels[v]: ex_four_cycle.label_set(s)
-        for v, s in pendant_trees(ex_four_cycle).items()
+        for v, s in pendant_trees(ex_four_cycle, find_cycle(ex_four_cycle)).items()
     }
     assert pend4["v"] == {"v"}
     assert pend4["z"] == {"z", "a", "b"}
@@ -109,7 +112,7 @@ def test_pendant_trees_example_sets(ex_type1, ex_four_cycle):
 
 def test_pendant_trees_plain_cycle():
     c4 = cycle_graph(4)
-    assert all(s == {v} for v, s in pendant_trees(c4).items())
+    assert all(s == {v} for v, s in pendant_trees(c4, find_cycle(c4)).items())
 
 
 def test_induced_subgraph_identity_and_empty(ex_type1):

@@ -4,6 +4,8 @@ import pytest
 
 from nulldecomp import Graph
 from nulldecomp.oracle import (
+    ENUMERATION_BUDGET,
+    SEARCH_BUDGET,
     brute_alpha,
     brute_nu,
     edmonds_gallai_set,
@@ -31,11 +33,10 @@ def test_brute_nu_examples(ex_type1):
 
 
 def test_budget_enforced():
-    g = path_graph(6)
     with pytest.raises(BudgetExceeded):
-        brute_alpha(g, 5)
+        brute_alpha(path_graph(SEARCH_BUDGET + 1))
     with pytest.raises(BudgetExceeded):
-        edmonds_gallai_set(g, 5)
+        edmonds_gallai_set(path_graph(ENUMERATION_BUDGET + 1))
 
 
 def test_edmonds_gallai_examples():

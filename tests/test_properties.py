@@ -61,7 +61,7 @@ def test_adjacency_matrix_shape(g):
 @common
 @given(unicyclic_graphs())
 def test_pendant_trees_partition(g):
-    pend = pendant_trees(g)
+    pend = pendant_trees(g, find_cycle(g))
     assert sum(len(s) for s in pend.values()) == g.n
 
 

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from nulldecomp import Graph, classify, constructed_null_basis, parse_edge_list
-from nulldecomp.errors import NotUnicyclic, WrongType
+from nulldecomp.errors import UnsupportedGraphClass
 from nulldecomp.linalg import is_zero_vector, mat_vec, null_space_basis, same_span
 from nulldecomp.unicyclic import (
     CORRECTED,
@@ -18,11 +20,9 @@ from nulldecomp.unicyclic import (
     cycle_nullity,
     recursion_nullity,
     rref_null_basis,
-    type1_null_basis,
-    type2_null_basis,
 )
 
-from conftest import cycle_graph, cycle_with_attachments, path_graph
+from conftest import cycle_graph, cycle_with_attachments, forests_with_subsets, path_graph
 
 
 def coords(g: Graph, vec) -> dict[str, Fraction]:
@@ -52,8 +52,28 @@ def test_classify_smallest_witness():
 
 
 def test_classify_rejects_non_unicyclic():
-    with pytest.raises(NotUnicyclic):
-        classify(path_graph(4))
+    # Neither a forest nor unicyclic: the one refusal, with the one message.
+    theta = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c")])
+    triangle_and_isolated = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "a")], isolated=["d"])
+    for g in (theta, triangle_and_isolated):
+        with pytest.raises(UnsupportedGraphClass, match="is neither a forest nor unicyclic"):
+            classify(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(forests_with_subsets())
+def test_classify_reads_every_forest_as_none(forest):
+    g, _ = forest
+    assert classify(g) is None
+
+
+def test_class_fields_hold_no_tag():
+    assert [f.name for f in fields(classify(cycle_graph(4)))] == [
+        "case",
+        "cycle",
+        "pendant_trees",
+        "witness",
+    ]
 
 
 def test_cycle_nullity_closed_form():
@@ -72,7 +92,7 @@ def test_type1_basis_zero_sum_branch():
     # vanishing sum at the witness's cycle neighbors, so plain extension works.
     g = cycle_with_attachments(4, tails={0: 1})
     cls = classify(g)
-    basis = type1_null_basis(g, cls)
+    basis = constructed_null_basis(g, cls)
     assert len(basis.vectors) == 1
     assert basis.provenance == (EXTENDED_COMPLEMENT,)
     (vec,) = basis.vectors
@@ -88,7 +108,7 @@ def test_type1_basis_corrected_branch():
     g = parse_edge_list("v u\nu a\na b\nb c\nc w\nw v\nv l")
     cls = classify(g)
     assert g.labels[cls.witness] == "v"
-    basis = type1_null_basis(g, cls)
+    basis = constructed_null_basis(g, cls)
     assert basis.provenance == (CORRECTED,)
     (vec,) = basis.vectors
     assert coords(g, vec) == {
@@ -104,12 +124,12 @@ def test_type1_basis_empty_for_nonsingular():
     g = parse_edge_list("1 2\n2 3\n3 1\n1 4")
     cls = classify(g)
     assert cls.tag == TYPE1
-    assert type1_null_basis(g, cls).vectors == ()
+    assert constructed_null_basis(g, cls).vectors == ()
 
 
 def test_type1_pendant_vectors_present(ex_type1):
     cls = classify(ex_type1)
-    basis = type1_null_basis(ex_type1, cls)
+    basis = constructed_null_basis(ex_type1, cls)
     assert len(basis.vectors) == 2
     assert EXTENDED_PENDANT in basis.provenance
     matrix = ex_type1.adjacency_matrix()
@@ -120,7 +140,7 @@ def test_type1_pendant_vectors_present(ex_type1):
 
 def test_type2_basis_plain_c4_alternating():
     g = cycle_graph(4)
-    basis = type2_null_basis(g, classify(g))
+    basis = constructed_null_basis(g, classify(g))
     assert basis.provenance == (CYCLE_ALTERNATING, CYCLE_ALTERNATING)
     z1, z2 = basis.vectors
     assert coords(g, z1) == {"c00": Fraction(-1), "c02": Fraction(1)}
@@ -129,12 +149,12 @@ def test_type2_basis_plain_c4_alternating():
 
 def test_type2_basis_plain_c5_empty():
     g = cycle_graph(5)
-    assert type2_null_basis(g, classify(g)).vectors == ()
+    assert constructed_null_basis(g, classify(g)).vectors == ()
 
 
 def test_type2_basis_four_cycle_example(ex_four_cycle):
     g = ex_four_cycle
-    basis = type2_null_basis(g, classify(g))
+    basis = constructed_null_basis(g, classify(g))
     assert len(basis.vectors) == 5
     assert basis.provenance.count(EXTENDED_FOREST) == 3
     assert basis.provenance.count(CYCLE_ALTERNATING) == 2
@@ -144,17 +164,10 @@ def test_type2_basis_four_cycle_example(ex_four_cycle):
     assert same_span(basis.vectors, null_space_basis(matrix))
 
 
-def test_wrong_type_errors(ex_type1, ex_four_cycle):
-    with pytest.raises(WrongType):
-        type2_null_basis(ex_type1, classify(ex_type1))
-    with pytest.raises(WrongType):
-        type1_null_basis(ex_four_cycle, classify(ex_four_cycle))
-
-
 def test_constructed_basis_dispatch(ex_type1, ex_four_cycle):
     assert CORRECTED not in constructed_null_basis(ex_four_cycle, classify(ex_four_cycle)).provenance
     for g in (ex_type1, ex_four_cycle, path_graph(5)):
-        basis = constructed_null_basis(g, classify(g) if g.is_unicyclic() else None)
+        basis = constructed_null_basis(g, classify(g))
         assert len(basis.vectors) == len(null_space_basis(g.adjacency_matrix()))
 
 
@@ -165,7 +178,7 @@ def test_degenerate_full_support_regression():
     g = parse_edge_list("v u\nu x1\nx1 x2\nx2 x3\nx3 w\nw v\nv a\na m\nm b\nv c")
     cls = classify(g)
     assert g.labels[cls.witness] == "v"
-    basis = type1_null_basis(g, cls)
+    basis = constructed_null_basis(g, cls)
     matrix = g.adjacency_matrix()
     assert len(basis.vectors) == len(null_space_basis(matrix))
     for vec in basis.vectors:
