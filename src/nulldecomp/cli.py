@@ -32,14 +32,17 @@ from .errors import (
     SpecInvalid,
     UnsupportedGraphClass,
 )
-from .generator import ANY, FORCE_TYPE1, FORCE_TYPE2, GeneratorSpec, generate_unicyclic
+from .generator import GeneratorSpec, generate_unicyclic
 from .graph import Graph, parse_edge_list
-from .unicyclic import classify, constructed_null_basis, rref_null_basis
+from .unicyclic import TYPE1, TYPE2, classify, constructed_null_basis, rref_null_basis
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_CLASS = 3
 EXIT_VERIFY = 4
+
+# --force-type choice -> GeneratorSpec.class_bias
+_CLASS_BIAS = {None: None, "1": TYPE1, "2": TYPE2}
 
 
 def _read_graph(source: str) -> Graph:
@@ -97,20 +100,12 @@ def _cmd_basis(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _bias(force_type: str | None) -> str:
-    if force_type == "1":
-        return FORCE_TYPE1
-    if force_type == "2":
-        return FORCE_TYPE2
-    return ANY
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     spec = GeneratorSpec(
         n=args.n,
         cycle_length=args.cycle_length,
         seed=args.seed,
-        class_bias=_bias(args.force_type),
+        class_bias=_CLASS_BIAS[args.force_type],
     )
     print(generate_unicyclic(spec).to_edge_list(), end="")
     return EXIT_OK
@@ -132,7 +127,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             n=n,
             cycle_length=args.cycle_length,
             seed=args.seed * 1_000_003 + index,
-            class_bias=_bias(args.force_type),
+            class_bias=_CLASS_BIAS[args.force_type],
         )
         g = generate_unicyclic(spec)
         try:

@@ -13,11 +13,7 @@ from dataclasses import dataclass
 
 from .errors import BiasUnsatisfied, SpecInvalid
 from .graph import Graph
-from .unicyclic import TYPE1, classify
-
-ANY = "any"
-FORCE_TYPE1 = "force-type1"
-FORCE_TYPE2 = "force-type2"
+from .unicyclic import TYPE1, TYPE2, classify
 
 _MAX_BIAS_ATTEMPTS = 512
 
@@ -27,7 +23,7 @@ class GeneratorSpec:
     n: int
     cycle_length: int | None = None
     seed: int = 0
-    class_bias: str = ANY
+    class_bias: str | None = None  # TYPE1 / TYPE2 to require that class tag
 
 
 def _build(spec: GeneratorSpec, rng: random.Random) -> Graph:
@@ -53,17 +49,14 @@ def generate_unicyclic(spec: GeneratorSpec) -> Graph:
         raise SpecInvalid(
             f"cycle length {spec.cycle_length} not in [3, {spec.n}]"
         )
-    if spec.class_bias not in (ANY, FORCE_TYPE1, FORCE_TYPE2):
+    if spec.class_bias not in (None, TYPE1, TYPE2):
         raise SpecInvalid(f"unknown class bias {spec.class_bias!r}")
-    attempts = 1 if spec.class_bias == ANY else _MAX_BIAS_ATTEMPTS
+    attempts = 1 if spec.class_bias is None else _MAX_BIAS_ATTEMPTS
     for attempt in range(attempts):
         rng = random.Random(spec.seed * 1_000_003 + attempt)
         g = _build(spec, rng)
-        if spec.class_bias == ANY:
-            return g
-        tag = classify(g).tag
-        if (tag == TYPE1) == (spec.class_bias == FORCE_TYPE1):
+        if spec.class_bias is None or classify(g).tag == spec.class_bias:
             return g
     raise BiasUnsatisfied(
-        f"no {spec.class_bias} graph found in {attempts} attempts for n={spec.n}, seed={spec.seed}"
+        f"no force-{spec.class_bias} graph found in {attempts} attempts for n={spec.n}, seed={spec.seed}"
     )

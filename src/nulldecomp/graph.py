@@ -11,9 +11,9 @@ starting with ``#`` are ignored.
 
 Graphs are immutable; every operation is a pure function returning new values.
 
-Outside this module only ``unicyclic.classify`` reads the class tests
-(``is_forest``, ``is_unicyclic``); ``find_cycle`` and ``pendant_trees`` give
-it the cycle structure of a unicyclic graph.
+The class tests (``is_forest``, ``is_unicyclic``) have no caller in the
+package: ``unicyclic.classify`` decides the class, the cycle and the pendant
+trees in one leaf peel of its own.  Tests use them as its oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .errors import (
     MalformedLine,
     SelfLoop,
     UnknownVertex,
-    UnsupportedGraphClass,
 )
 from .linalg import Matrix
 
@@ -267,54 +266,3 @@ def parse_edge_list(text: str) -> Graph:
         raise EmptyInput("no vertices or edges in input")
     return Graph.from_edges(edges, isolated)
 
-
-def find_cycle(g: Graph) -> CycleInfo:
-    """The unique cycle of a unicyclic graph, canonically oriented.
-
-    Found by peeling degree-1 vertices until only the cycle remains.
-    Raises ``UnsupportedGraphClass`` when g is not unicyclic.
-    """
-    if not g.is_unicyclic():
-        raise UnsupportedGraphClass(f"graph with {g.n} vertices and {g.edge_count} edges is not unicyclic")
-    degrees = [g.degree(v) for v in range(g.n)]
-    alive = set(range(g.n))
-    queue = [v for v in range(g.n) if degrees[v] == 1]
-    while queue:
-        v = queue.pop()
-        alive.discard(v)
-        for w in g.neighbors(v):
-            if w in alive:
-                degrees[w] -= 1
-                if degrees[w] == 1:
-                    queue.append(w)
-    start = min(alive)
-    on_cycle = [w for w in g.neighbors(start) if w in alive]
-    walk = [start, min(on_cycle)]
-    while True:
-        prev, cur = walk[-2], walk[-1]
-        nxt = next(w for w in g.neighbors(cur) if w in alive and w != prev)
-        if nxt == start:
-            break
-        walk.append(nxt)
-    return CycleInfo(tuple(walk))
-
-
-def pendant_trees(g: Graph, cycle: CycleInfo) -> dict[int, frozenset[int]]:
-    """Map each cycle vertex v to the vertex set of the tree hanging at v.
-
-    Each tree grows from v without entering another cycle vertex.  That is
-    exact: a vertex off the cycle that touched a second cycle vertex would
-    close a second cycle.  The sets partition the vertex set.
-    """
-    on_cycle = cycle.vertex_set()
-    result: dict[int, frozenset[int]] = {}
-    for v in cycle.vertices:
-        comp = {v}
-        stack = [v]
-        while stack:
-            for w in g.neighbors(stack.pop()):
-                if w not in comp and w not in on_cycle:
-                    comp.add(w)
-                    stack.append(w)
-        result[v] = frozenset(comp)
-    return result

@@ -17,7 +17,8 @@ subgraphs:
 
 ``classify`` is the one place that decides a graph's class: None for a
 forest, the Type I / Type II class with its witness and case for a unicyclic
-graph, ``UnsupportedGraphClass`` for anything else.  Every route takes its
+graph, ``UnsupportedGraphClass`` for anything else.  One leaf peel decides
+which, and yields the cycle and the pendant trees.  Every route takes its
 result as it is and checks nothing again; the class carries the cycle and
 pendant trees that every later construction reads.  The class, the case and
 the nullity recursion need only forest decompositions, which come from
@@ -40,9 +41,9 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import CaseContradiction, InternalCheckError, NormalizationFailure, UnsupportedGraphClass
-from .graph import CycleInfo, Graph, find_cycle, pendant_trees
+from .graph import CycleInfo, Graph
 from .linalg import Vector, null_basis_on, sparse_null_basis, vec_add, vec_scale
-from .trees import forest_decomposition, full_support_vector
+from .trees import Decomposition, forest_decomposition, full_support_vector
 
 TYPE1 = "type1"
 TYPE2 = "type2"
@@ -101,30 +102,78 @@ class NullBasis:
 def classify(g: Graph) -> UnicyclicClass | None:
     """Decide g's class: None for a forest; for a unicyclic graph, Type I / Type II and the case.
 
-    The type comes from testing each cycle vertex against its pendant tree.
-    Any other graph raises ``UnsupportedGraphClass``.
+    The type comes from testing each cycle vertex against its pendant tree;
+    each pendant tree is decomposed once.  Any other graph raises
+    ``UnsupportedGraphClass``.
     """
-    if g.is_forest():
+    peeled = _peel(g)
+    if peeled is None:
         return None
-    if not g.is_unicyclic():
+    cycle, pend = peeled
+    decomposed = {v: forest_decomposition(g, tree) for v, tree in pend.items()}
+    outside = [v for v in sorted(cycle.vertices) if v not in decomposed[v].support]
+    if not outside:
+        case = CASE_TII_4K if cycle.length % 4 == 0 else CASE_TII_NON4K
+        return UnicyclicClass(case, cycle, pend)
+    v = outside[0]
+    next_witness = outside[1] if len(outside) > 1 else None
+    return UnicyclicClass(_type1_case(g, cycle, pend, decomposed[v], v, next_witness), cycle, pend, v)
+
+
+def _peel(g: Graph) -> tuple[CycleInfo, dict[int, frozenset[int]]] | None:
+    """Peel g down to its 2-core: None for a forest, else the cycle and pendant trees.
+
+    Vertices of degree at most 1 are removed until none is left; each keeps
+    as parent the one neighbor it still has when it goes.  An empty core
+    means a forest.  Peeling keeps |E| - |V| + #components fixed, so g is
+    unicyclic exactly when |E| = |V| and the core is one cycle: every core
+    vertex keeps two core neighbors and one walk visits them all.  The degree
+    test comes first, since a walk on any other core might never return.
+    A removed vertex belongs to its parent's pendant tree.
+    """
+    adjacency = g.adjacency
+    degree = [len(nbrs) for nbrs in adjacency]
+    removed = [False] * g.n
+    parent = list(range(g.n))
+    order = [v for v in range(g.n) if degree[v] <= 1]
+    for v in order:  # grows while it is read
+        removed[v] = True
+        for w in adjacency[v]:
+            if not removed[w]:
+                parent[v] = w
+                degree[w] -= 1
+                if degree[w] == 1:
+                    order.append(w)
+    if len(order) == g.n:
+        return None
+    core = [v for v in range(g.n) if not removed[v]]
+    walk = [core[0]]
+    if g.edge_count == g.n and all(degree[v] == 2 for v in core):
+        nxt = min(w for w in adjacency[walk[0]] if not removed[w])
+        while nxt != walk[0]:
+            walk.append(nxt)
+            nxt = next(w for w in adjacency[nxt] if not removed[w] and w != walk[-2])
+    if len(walk) != len(core):
         raise UnsupportedGraphClass(
             f"graph with {g.n} vertices and {g.edge_count} edges is neither a forest nor unicyclic"
         )
-    cycle = find_cycle(g)
-    pend = pendant_trees(g, cycle)
-    order = sorted(cycle.vertices)
-    outside = (v for v in order if v not in forest_decomposition(g, pend[v]).support)
-    v = next(outside, None)
-    if v is None:
-        case = CASE_TII_4K if cycle.length % 4 == 0 else CASE_TII_NON4K
-        return UnicyclicClass(case, cycle, pend)
-    return UnicyclicClass(_type1_case(g, cycle, pend, v, next(outside, None)), cycle, pend, v)
+    for v in reversed(order):  # a parent goes after its children, so it is resolved first
+        parent[v] = parent[parent[v]]
+    members: dict[int, list[int]] = {v: [] for v in walk}
+    for v in range(g.n):
+        members[parent[v]].append(v)
+    return CycleInfo(tuple(walk)), {v: frozenset(tree) for v, tree in members.items()}
 
 
 def _type1_case(
-    g: Graph, cycle: CycleInfo, pend: Mapping[int, frozenset[int]], v: int, next_witness: int | None
+    g: Graph,
+    cycle: CycleInfo,
+    pend: Mapping[int, frozenset[int]],
+    pend_d: Decomposition,
+    v: int,
+    next_witness: int | None,
 ) -> str:
-    """Select which of the four Type I cases applies at witness v.
+    """Select which of the four Type I cases applies at witness v, whose tree decomposes as pend_d.
 
     With pendant tree T_v and cycle neighbors u, w, TI-4 means some kernel
     vector of A(G - T_v) has x_u + x_w != 0: e_u + e_w leaves the column
@@ -141,7 +190,6 @@ def _type1_case(
         return CASE_TI4
     if u not in rest_d.support and w not in rest_d.support:
         return CASE_TI1
-    pend_d = forest_decomposition(g, pend[v])
     if v in pend_d.core:
         return CASE_TI2
     if v in pend_d.n_vertices:

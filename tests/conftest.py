@@ -8,9 +8,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
-from nulldecomp import Graph, GeneratorSpec, generate_unicyclic, parse_edge_list
+from nulldecomp import Graph, GeneratorSpec, classify, generate_unicyclic, parse_edge_list
 from nulldecomp.checks import _kernel_case, _kernel_decomposition
-from nulldecomp.graph import find_cycle, pendant_trees
 
 # 18-vertex Type I example: 4-cycle e-g-f-v with an 11-vertex tree at v.
 EXAMPLE_TYPE1 = """
@@ -179,10 +178,10 @@ def forests_with_subsets(draw):
 
 def unicyclic_pieces(g: Graph) -> list[frozenset[int]]:
     """Every forest the structural layer decomposes: T_v, T_v - v, G - T_v and G - C."""
-    cycle = find_cycle(g)
+    cls = classify(g)
     everything = frozenset(range(g.n))
-    pieces = [everything - cycle.vertex_set()]
-    for v, tree in pendant_trees(g, cycle).items():
+    pieces = [everything - cls.cycle.vertex_set()]
+    for v, tree in cls.pendant_trees.items():
         pieces += [tree, tree - {v}, everything - tree]
     return pieces
 

@@ -11,7 +11,6 @@ import time
 
 from nulldecomp import classify, constructed_null_basis, run_checks
 from nulldecomp.decomposition import alpha, decomposition_from_basis, nu, structural_decomposition
-from nulldecomp.graph import find_cycle, pendant_trees
 from nulldecomp.linalg import is_zero_vector, mat_vec, null_space_basis, rref, same_span
 from nulldecomp.oracle import brute_alpha, brute_nu
 from nulldecomp.trees import tree_decomposition
@@ -62,7 +61,7 @@ def test_criterion_3_golden_type2_four_cycle(ex_four_cycle):
     assert len(d.core) == 7
     assert g.label_set(d.n_vertices) == {"g", "h"}
     assert g.label_set(d.support & d.core) == {"u", "v", "w", "z"}
-    assert g.label_set(find_cycle(g).vertices) == {"u", "v", "w", "z"}
+    assert g.label_set(classify(g).cycle.vertices) == {"u", "v", "w", "z"}
     assert alpha(d) == 9
     assert nu(d) == 6
     assert d.nullity == 5
@@ -102,7 +101,7 @@ def test_criterion_6_formulas_vs_oracle(random_corpus):
         assert alpha(d) == brute_alpha(g), g.to_edge_list()
         assert nu(d) == brute_nu(g), g.to_edge_list()
         cycle = d.cls.cycle
-        pend = pendant_trees(g, cycle)
+        pend = d.cls.pendant_trees
         derived = [g.delete_vertices(cycle.vertices)]
         derived += [g.induced_subgraph(sorted(pend[v] - {v})) for v in cycle.vertices]
         for forest in derived:

@@ -15,8 +15,6 @@ from nulldecomp.decomposition import (
     structural_decomposition,
 )
 from nulldecomp.errors import OddNSet, UnsupportedGraphClass
-from nulldecomp.generator import FORCE_TYPE1
-from nulldecomp.graph import pendant_trees
 from nulldecomp.linalg import null_space_basis, support_indices
 from nulldecomp.trees import tree_decomposition
 from nulldecomp.unicyclic import (
@@ -194,7 +192,7 @@ def kernel_case_tag(g: Graph, cls) -> str:
     """The Type I case by its definition, read off dense RREF kernels."""
     v = cls.witness
     u, w = cls.cycle.neighbors_on_cycle(v)
-    pend = pendant_trees(g, cls.cycle)[v]
+    pend = cls.pendant_trees[v]
     rest_vertices = sorted(set(range(g.n)) - pend)
     pos = {vertex: j for j, vertex in enumerate(rest_vertices)}
     basis = null_space_basis(g.induced_subgraph(rest_vertices).adjacency_matrix())
@@ -210,7 +208,7 @@ def kernel_case_tag(g: Graph, cls) -> str:
 
 def test_case_tag_equals_kernel_definition(families):
     sample = [
-        generate_unicyclic(GeneratorSpec(n=5 + i % 10, seed=9000 + i, class_bias=FORCE_TYPE1))
+        generate_unicyclic(GeneratorSpec(n=5 + i % 10, seed=9000 + i, class_bias=TYPE1))
         for i in range(150)
     ]
     sample += [g for case in (CASE_TI1, CASE_TI2, CASE_TI3, CASE_TI4) for g in families[case]]

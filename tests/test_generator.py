@@ -4,14 +4,13 @@ import pytest
 
 from nulldecomp import GeneratorSpec, classify, generate_unicyclic
 from nulldecomp.errors import SpecInvalid
-from nulldecomp.generator import FORCE_TYPE1, FORCE_TYPE2
-from nulldecomp.graph import find_cycle
+from nulldecomp.unicyclic import TYPE1, TYPE2
 
 
 def test_forced_c4():
     g = generate_unicyclic(GeneratorSpec(n=4, cycle_length=4, seed=0))
     assert g.n == 4 and g.edge_count == 4
-    assert find_cycle(g).length == 4
+    assert classify(g).cycle.length == 4
 
 
 def test_deterministic_under_seed():
@@ -41,11 +40,11 @@ def test_generated_graphs_are_unicyclic():
 def test_cycle_length_respected():
     for length in (3, 5, 8):
         g = generate_unicyclic(GeneratorSpec(n=10, cycle_length=length, seed=3))
-        assert find_cycle(g).length == length
+        assert classify(g).cycle.length == length
 
 
 def test_class_bias():
-    g1 = generate_unicyclic(GeneratorSpec(n=10, seed=5, class_bias=FORCE_TYPE1))
+    g1 = generate_unicyclic(GeneratorSpec(n=10, seed=5, class_bias=TYPE1))
     assert classify(g1).tag == "type1"
-    g2 = generate_unicyclic(GeneratorSpec(n=10, seed=5, class_bias=FORCE_TYPE2))
+    g2 = generate_unicyclic(GeneratorSpec(n=10, seed=5, class_bias=TYPE2))
     assert classify(g2).tag == "type2"

@@ -23,10 +23,9 @@ from pathlib import Path
 
 import pytest
 
-from nulldecomp import GeneratorSpec, Graph, generate_unicyclic, linalg, parse_edge_list, run_checks
+from nulldecomp import GeneratorSpec, Graph, classify, generate_unicyclic, linalg, parse_edge_list, run_checks
 from nulldecomp.cli import main
-from nulldecomp.generator import ANY, FORCE_TYPE1, FORCE_TYPE2
-from nulldecomp.graph import find_cycle
+from nulldecomp.unicyclic import TYPE1, TYPE2
 
 from conftest import EXAMPLE_FIVE_CYCLE, EXAMPLE_FOUR_CYCLE, EXAMPLE_STAR_SGRAPH, EXAMPLE_TYPE1
 
@@ -47,7 +46,7 @@ def corpus() -> dict[str, Graph]:
         "example_five_cycle": parse_edge_list(EXAMPLE_FIVE_CYCLE),
         "example_four_cycle": parse_edge_list(EXAMPLE_FOUR_CYCLE),
     }
-    biases = (ANY, FORCE_TYPE1, FORCE_TYPE2)
+    biases = (None, TYPE1, TYPE2)
     for i in range(40):
         n = 5 + (i * 7) % 26
         length = (None, 4, None, 6, 8, None)[i % 6]
@@ -56,7 +55,7 @@ def corpus() -> dict[str, Graph]:
         spec = GeneratorSpec(n=n, cycle_length=length, seed=100 + i, class_bias=biases[i % 3])
         g = generate_unicyclic(spec)
         graphs[f"seed{100 + i}"] = g
-        cycle = find_cycle(g).vertices
+        cycle = classify(g).cycle.vertices
         if i % 10 == 0:  # a tree: the graph less one cycle edge
             cut = {g.labels[cycle[0]], g.labels[cycle[1]]}
             graphs[f"seed{100 + i}_tree"] = Graph.from_edges(

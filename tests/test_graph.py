@@ -4,16 +4,14 @@ import time
 
 import pytest
 
-from nulldecomp import Graph, parse_edge_list
+from nulldecomp import Graph, classify, parse_edge_list
 from nulldecomp.errors import (
     DuplicateEdge,
     EmptyInput,
     MalformedLine,
     SelfLoop,
     UnknownVertex,
-    UnsupportedGraphClass,
 )
-from nulldecomp.graph import find_cycle, pendant_trees
 
 from conftest import cycle_graph, path_graph
 
@@ -59,29 +57,28 @@ def test_is_unicyclic():
 
 def test_find_cycle_canonical_orientation():
     c4 = cycle_graph(4)
-    info = find_cycle(c4)
+    info = classify(c4).cycle
     assert info.length == 4
     assert info.vertices[0] == 0
     assert info.vertices[1] == min(w for w in c4.neighbors(0))
-    assert find_cycle(c4) == info  # deterministic
+    assert classify(c4).cycle == info  # deterministic
 
 
 def test_find_cycle_examples(ex_type1, ex_four_cycle):
-    info = find_cycle(ex_type1)
+    info = classify(ex_type1).cycle
     assert ex_type1.label_set(info.vertices) == {"v", "e", "g", "f"}
-    info4 = find_cycle(ex_four_cycle)
+    info4 = classify(ex_four_cycle).cycle
     assert ex_four_cycle.label_set(info4.vertices) == {"u", "v", "w", "z"}
     assert info4.length == 4
 
 
 def test_find_cycle_rejects_trees():
-    with pytest.raises(UnsupportedGraphClass, match="is not unicyclic"):
-        find_cycle(path_graph(3))
+    assert classify(path_graph(3)) is None
 
 
 def test_pendant_trees_partition(ex_type1, ex_four_cycle):
     for g in (ex_type1, ex_four_cycle):
-        pend = pendant_trees(g, find_cycle(g))
+        pend = classify(g).pendant_trees
         sets = list(pend.values())
         assert sum(len(s) for s in sets) == g.n
         assert frozenset().union(*sets) == frozenset(range(g.n))
@@ -94,7 +91,7 @@ def test_pendant_trees_partition(ex_type1, ex_four_cycle):
 def test_pendant_trees_example_sets(ex_type1, ex_four_cycle):
     pend = {
         ex_type1.labels[v]: ex_type1.label_set(s)
-        for v, s in pendant_trees(ex_type1, find_cycle(ex_type1)).items()
+        for v, s in classify(ex_type1).pendant_trees.items()
     }
     assert pend["e"] == {"e"}
     assert pend["f"] == {"f", "h", "i"}
@@ -102,7 +99,7 @@ def test_pendant_trees_example_sets(ex_type1, ex_four_cycle):
     assert pend["v"] == {"v", "c", "a", "b", "d", "j", "l", "o", "m", "n", "p"}
     pend4 = {
         ex_four_cycle.labels[v]: ex_four_cycle.label_set(s)
-        for v, s in pendant_trees(ex_four_cycle, find_cycle(ex_four_cycle)).items()
+        for v, s in classify(ex_four_cycle).pendant_trees.items()
     }
     assert pend4["v"] == {"v"}
     assert pend4["z"] == {"z", "a", "b"}
@@ -112,7 +109,7 @@ def test_pendant_trees_example_sets(ex_type1, ex_four_cycle):
 
 def test_pendant_trees_plain_cycle():
     c4 = cycle_graph(4)
-    assert all(s == {v} for v, s in pendant_trees(c4, find_cycle(c4)).items())
+    assert all(s == {v} for v, s in classify(c4).pendant_trees.items())
 
 
 def test_induced_subgraph_identity_and_empty(ex_type1):
@@ -132,7 +129,7 @@ def test_induced_subgraph_star(ex_star):
 
 
 def test_components(ex_four_cycle):
-    cycle_set = find_cycle(ex_four_cycle).vertex_set()
+    cycle_set = classify(ex_four_cycle).cycle.vertex_set()
     rest = ex_four_cycle.delete_vertices(cycle_set)
     comps = [rest.label_set(c) for c in rest.components()]
     assert sorted(map(sorted, comps)) == [

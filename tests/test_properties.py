@@ -14,7 +14,6 @@ from nulldecomp import (
     run_checks,
 )
 from nulldecomp.decomposition import alpha, decomposition_from_basis, nu, structural_decomposition
-from nulldecomp.graph import find_cycle, pendant_trees
 from nulldecomp.linalg import is_zero_vector, mat_vec, null_space_basis, rref, same_span
 from nulldecomp.oracle import brute_alpha, brute_nu
 from nulldecomp.trees import tree_decomposition
@@ -33,7 +32,7 @@ def unicyclic_graphs(draw, min_n=5, max_n=13):
 @st.composite
 def forests(draw):
     g = draw(unicyclic_graphs())
-    cycle = find_cycle(g)
+    cycle = classify(g).cycle
     drop = draw(st.sampled_from(sorted(cycle.vertices)))
     return g.delete_vertices([drop])
 
@@ -61,7 +60,7 @@ def test_adjacency_matrix_shape(g):
 @common
 @given(unicyclic_graphs())
 def test_pendant_trees_partition(g):
-    pend = pendant_trees(g, find_cycle(g))
+    pend = classify(g).pendant_trees
     assert sum(len(s) for s in pend.values()) == g.n
 
 
@@ -144,6 +143,6 @@ def test_recursive_matching_search_matches_exhaustive(g):
 
     matchings = maximum_matchings(g)
     assert brute_nu(g) == len(next(iter(matchings)))
-    forest = g.delete_vertices(find_cycle(g).vertices)
+    forest = g.delete_vertices(classify(g).cycle.vertices)
     if forest.n:
         assert brute_nu(forest) == len(next(iter(maximum_matchings(forest))))

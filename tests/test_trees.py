@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nulldecomp import Graph, GeneratorSpec, generate_unicyclic
+from nulldecomp import Graph, GeneratorSpec, classify, generate_unicyclic
 from nulldecomp.errors import EmptyBasis, NotForest
-from nulldecomp.graph import find_cycle
 from nulldecomp.linalg import null_space_basis, support_indices
 from nulldecomp.decomposition import alpha, nu
 from nulldecomp.trees import Decomposition, forest_decomposition, full_support_vector, tree_decomposition
@@ -175,7 +174,7 @@ def test_forest_decomposition_matches_kernel_on_seeded_sample():
 
 def test_forest_decomposition_rejects_the_cycle():
     g = cycle_with_attachments(5, tails={0: 2, 2: 1})
-    cycle = find_cycle(g).vertex_set()
+    cycle = classify(g).cycle.vertex_set()
     with pytest.raises(NotForest):
         forest_decomposition(g, cycle)
     with pytest.raises(NotForest):

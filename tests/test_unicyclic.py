@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from dataclasses import fields
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from nulldecomp import Graph, classify, constructed_null_basis, parse_edge_list
 from nulldecomp.errors import UnsupportedGraphClass
 from nulldecomp.linalg import is_zero_vector, mat_vec, null_space_basis, same_span
+from nulldecomp.trees import forest_decomposition
 from nulldecomp.unicyclic import (
     CORRECTED,
     CYCLE_ALTERNATING,
@@ -58,6 +60,61 @@ def test_classify_rejects_non_unicyclic():
     for g in (theta, triangle_and_isolated):
         with pytest.raises(UnsupportedGraphClass, match="is neither a forest nor unicyclic"):
             classify(g)
+
+
+def random_graph(rng: random.Random) -> Graph:
+    """n <= 12 vertices and n-3 to n+1 edges: forests, unicyclic, disconnected and multi-cycle graphs."""
+    n = rng.randint(1, 12)
+    m = rng.randint(max(0, n - 3), min(n + 1, n * (n - 1) // 2))
+    labels = [f"v{k:02d}" for k in range(n)]
+    pairs = [(labels[a], labels[b]) for a in range(n) for b in range(a + 1, n)]
+    return Graph.from_edges(rng.sample(pairs, m), isolated=labels)
+
+
+def test_classify_triage_matches_the_class_tests():
+    # The component-based class tests of Graph are the oracle for classify's own peel.
+    rng = random.Random(9)
+    outcomes = set()
+    for _ in range(2000):
+        g = random_graph(rng)
+        if g.is_forest():
+            assert classify(g) is None, g.to_edge_list()
+            outcomes.add("forest")
+            continue
+        if not g.is_unicyclic():
+            with pytest.raises(UnsupportedGraphClass) as err:
+                classify(g)
+            assert str(err.value) == (
+                f"graph with {g.n} vertices and {g.edge_count} edges is neither a forest nor unicyclic"
+            )
+            outcomes.add("refused")
+            continue
+        outcomes.add("unicyclic")
+        cls = classify(g)
+        cyc = cls.cycle.vertices
+        assert len(set(cyc)) == len(cyc) >= 3
+        assert all(cyc[i - 1] in g.neighbors(cyc[i]) for i in range(len(cyc))), g.to_edge_list()
+        assert cyc[0] == min(cyc) and cyc[1] < cyc[-1]
+        assert list(cls.pendant_trees) == list(cyc)
+        assert sorted(v for tree in cls.pendant_trees.values() for v in tree) == list(range(g.n))
+        for v, tree in cls.pendant_trees.items():
+            assert tree & set(cyc) == {v}
+            assert g.induced_subgraph(tree).is_connected()
+            forest_decomposition(g, tree)  # raises NotForest on a cycle
+    assert outcomes == {"forest", "refused", "unicyclic"}
+
+
+def test_classify_makes_no_component_pass(monkeypatch):
+    # The peel alone triages: a Graph.components call would raise the planted error.
+    def planted(self):
+        raise RuntimeError("Graph.components called")
+
+    monkeypatch.setattr(Graph, "components", planted)
+    assert classify(path_graph(4)) is None
+    assert classify(cycle_with_attachments(4, tails={0: 1})).tag == TYPE1
+    theta = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c")])
+    with pytest.raises(UnsupportedGraphClass):
+        classify(theta)
 
 
 @settings(max_examples=100, deadline=None)
