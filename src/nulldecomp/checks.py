@@ -9,26 +9,26 @@ exhaustive.  Every check that reads a support does so off an exact RREF
 kernel, never off the matching route it is meant to test.
 
 Every kernel the battery reads comes from the dense reference
-``linalg.null_space_basis``, never from ``linalg.sparse_null_basis``, which
-builds the production kernels of ``analyze`` and ``rref_null_basis``.
-``basis_count`` holds the production basis (``rref_null_basis``) to that
+``linalg.null_space_basis``, reducing matrices built here from g's
+adjacency lists, never from the sparse ``linalg.null_basis_on`` that builds
+every production kernel.  ``basis_count`` holds ``rref_null_basis`` to that
 reference tuple for tuple, so a bug in the sparse elimination fails a check
 instead of being checked against itself.
 
 ``run_checks`` reduces A(G) and reads its decomposition once, classifying
 the graph once inside ``decomposition_from_basis``; every route under test
 takes that classification.  Each derived forest the identities read
-(pendant trees, T_v - v, G - C) gets one reference kernel from
-``linalg.null_basis_on``, read by ``decomposition.kernel_decomposition`` and
-shared by every check on that vertex set.  The constructed bases reduce the
-same vertex sets again on purpose: they are the production construction
-under test, bound for a sparse kernel, so the battery never shares their
-kernels.  A subgraph is built only where an oracle needs a ``Graph``.
-Every identity on independence and matching numbers reads
-``decomposition.alpha`` / ``nu``.  ``structural_matches_basis`` holds the
-case to its kernel definition on G - T_v and T_v.  A failure here always
-means a bug somewhere, which is exactly what the fuzzing campaign is
-hunting for; a check that raises any exception counts as failed.
+(pendant trees, T_v - v, G - C) gets one reference kernel, read by
+``decomposition.kernel_decomposition`` and shared by every check on that
+vertex set.  The constructed bases, the production construction under
+test, take their own sparse kernels of those vertex sets; a construction
+that raises fails every check on its vectors.  A subgraph is built only
+where an oracle needs a ``Graph``.  Every identity on independence and
+matching numbers reads ``decomposition.alpha`` / ``nu``.
+``structural_matches_basis`` holds the case to its kernel definition on
+G - T_v and T_v.  A failure here always means a bug somewhere, which is
+exactly what the fuzzing campaign is hunting for; a check that raises any
+exception counts as failed.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .decomposition import (
     structural_decomposition,
 )
 from .graph import Graph
-from .linalg import Matrix, Vector, is_zero_vector, mat_vec, null_basis_on, null_space_basis, same_span
+from .linalg import ONE, ZERO, Matrix, Vector, is_zero_vector, mat_vec, null_space_basis, same_span
 from .oracle import (
     ENUMERATION_BUDGET,
     SEARCH_BUDGET,
@@ -95,9 +95,21 @@ def _guarded(checks: dict[str, bool], name: str, thunk: Callable[[], bool]) -> N
         checks[name] = False
 
 
+def _reference_kernel(g: Graph, vertices: frozenset[int]) -> list[Vector]:
+    """Dense RREF kernel of the subgraph ``vertices`` induce, in g's indices.
+
+    Row and column j of the matrix, built straight from g's adjacency lists,
+    belong to the j-th smallest vertex, as in ``Graph.induced_subgraph``.
+    """
+    vs = sorted(vertices)
+    matrix = [[ONE if w in nbrs else ZERO for w in vs] for nbrs in (set(g.adjacency[v]) for v in vs)]
+    placed = [dict(zip(vs, vec)) for vec in null_space_basis(matrix)]
+    return [tuple(at.get(v, ZERO) for v in range(g.n)) for at in placed]
+
+
 def _kernel_decomposition(g: Graph, vertices: frozenset[int]) -> Decomposition:
     """Decomposition of the forest ``vertices`` induce, read off its reference kernel."""
-    return kernel_decomposition(g, null_basis_on(g.adjacency, vertices), vertices)
+    return kernel_decomposition(g, _reference_kernel(g, vertices), vertices)
 
 
 def _forest_checks(g: Graph, matrix: Matrix, canonical: list[Vector], d: Decomposition) -> dict[str, bool]:
@@ -155,16 +167,20 @@ def _unicyclic_checks(
     pend = cls.pendant_trees
     kernel = cache(partial(_kernel_decomposition, g))  # reduced once per vertex set
 
-    constructed = constructed_null_basis(g, cls)
-    annihilated = [is_zero_vector(mat_vec(matrix, v)) for v in constructed.vectors]
-    checks["basis_exact"] = all(annihilated)
-    checks["basis_count"] = (
+    try:
+        constructed = constructed_null_basis(g, cls)
+    except Exception:  # a construction that raises fails every check on its vectors
+        constructed = None
+    built = constructed is not None
+    annihilated = [is_zero_vector(mat_vec(matrix, v)) for v in constructed.vectors] if built else []
+    checks["basis_exact"] = built and all(annihilated)
+    checks["basis_count"] = built and (
         len(constructed.vectors) == len(canonical) and rref_null_basis(g).vectors == tuple(canonical)
     )
     _guarded(
         checks, "nullity_recursion", lambda: recursion_nullity(g, pend, cls.witness) == len(canonical)
     )
-    checks["span_equality"] = same_span(constructed.vectors, canonical)
+    checks["span_equality"] = built and same_span(constructed.vectors, canonical)
 
     # Off-support cycle vertices on the reference kernels of the pendant trees.
     pendant = {v: kernel(pend[v]) for v in cls.cycle.vertices}
@@ -212,7 +228,9 @@ def _unicyclic_checks(
         _guarded(checks, "pendant_vs_forest_alpha_identity", lambda: (
             sum(map(alpha, pendant.values())) == cls.cycle.length + alpha(forest_k)
         ))
-    checks[extension] = all(ok for ok, prov in zip(annihilated, constructed.provenance) if prov == extended)
+    checks[extension] = built and all(
+        ok for ok, prov in zip(annihilated, constructed.provenance) if prov == extended
+    )
     parts = [forest_decomposition(g, vs) for vs in cut]
     _guarded(checks, f"alpha_splits_at_{at}", lambda: alpha(d_basis) == base + sum(map(alpha, parts)))
     _guarded(checks, f"nu_splits_at_{at}", lambda: nu(d_basis) == base + sum(map(nu, parts)))
@@ -270,7 +288,7 @@ def _kernel_case(g: Graph, cls: UnicyclicClass, pendant) -> str:
     if witness is None:
         return CASE_TII_4K if cls.cycle.length % 4 == 0 else CASE_TII_NON4K
     u, w = cls.cycle.neighbors_on_cycle(witness)
-    basis = null_basis_on(g.adjacency, frozenset(range(g.n)) - cls.pendant_trees[witness])
+    basis = _reference_kernel(g, frozenset(range(g.n)) - cls.pendant_trees[witness])
     if any(vec[u] + vec[w] != 0 for vec in basis):
         return CASE_TI4
     if all(vec[u] == vec[w] == 0 for vec in basis):

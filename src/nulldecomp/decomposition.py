@@ -8,9 +8,9 @@ Two independent routes produce the one record ``trees.Decomposition``:
   whole adjacency matrix through ``kernel_decomposition``, the one kernel
   reading.  By default, and so in ``analyze``, that is the canonical basis
   from the exact sparse elimination over adjacency lists
-  (``linalg.sparse_null_basis``); the check battery passes the dense RREF
-  kernel instead, so its reading never shares the production kernel.  This
-  is the source of truth.
+  (``linalg.null_basis_on`` over every vertex); the check battery passes the
+  dense RREF kernel instead, so its reading never shares the production
+  kernel.  This is the source of truth.
 * ``structural_decomposition`` assembles the same sets from pendant-tree and
   complement decompositions according to the six-way case split that
   ``unicyclic.classify`` decides (four Type I cases by how the complement
@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 
 from .errors import OddNSet
 from .graph import Graph
-from .linalg import Vector, sparse_null_basis, support_indices
+from .linalg import Vector, null_basis_on, support_indices
 from .trees import CASE_FOREST, Decomposition, forest_decomposition, tree_decomposition  # noqa: F401 (CASE_FOREST re-exported)
 from .unicyclic import (
     CASE_TI3,
@@ -69,7 +69,7 @@ def decomposition_from_basis(g: Graph, basis: Sequence[Vector] | None = None) ->
     """
     cls = classify(g)
     if basis is None:
-        basis = sparse_null_basis(g.adjacency)
+        basis = null_basis_on(g.adjacency, range(g.n))
     return replace(kernel_decomposition(g, basis, frozenset(range(g.n))), cls=cls)
 
 

@@ -5,19 +5,15 @@ decidable, exact test.  That exactness is what the rest of the package is built
 on: supports are defined through exact zero/nonzero coordinates, which no
 floating-point elimination can provide.
 
-Two routes give the same canonical kernel basis.  ``sparse_null_basis``
-serves the production path (``analyze`` and ``rref_null_basis``): it
-eliminates over rows built straight from adjacency lists, touching only
-nonzero entries, so a graph's sparsity is never expanded into a dense
-matrix.  The dense ``rref`` / ``null_space_basis`` on lists of lists is the
-independent reference that the check battery (``checks``) and
-``same_span`` use.  ``null_basis_on`` is the one place that takes the kernel
-of the subgraph a vertex set induces: it builds that subgraph's dense matrix
-straight from the whole graph's adjacency lists and returns vectors in the
-whole graph's indices.  Every subforest kernel, those the constructed
-Type I / Type II bases assemble and those the check battery reads, comes
-from it.  The RREF is unique, so both routes return equal Fractions, tuple
-for tuple.
+``null_basis_on(adjacency, vertices)`` is the one production kernel: the
+canonical kernel basis of the subgraph a vertex set induces, by sparse
+Gauss-Jordan elimination over rows built straight from the whole graph's
+adjacency lists, in the whole graph's indices.  ``analyze``,
+``rref_null_basis`` and every subforest kernel of the constructed Type I /
+Type II bases come from it; the whole-graph calls pass every vertex.  The
+dense ``rref`` / ``null_space_basis`` on lists of lists is the independent
+reference that the check battery (``checks``) and ``same_span`` use.  The
+RREF is unique, so both routes return equal Fractions, tuple for tuple.
 
 Matrices are plain lists of lists of Fractions; vectors are tuples of
 Fractions.  All functions are pure and never mutate their arguments.
@@ -94,45 +90,28 @@ def null_space_basis(matrix: Sequence[Sequence[Fraction]]) -> list[Vector]:
 def null_basis_on(adjacency: Sequence[Sequence[int]], vertices: Iterable[int]) -> list[Vector]:
     """Canonical kernel basis of the subgraph that ``vertices`` induce, in the whole graph's indices.
 
-    ``adjacency`` holds the whole graph's adjacency lists.  Row and column j
-    of the subgraph's dense matrix belong to the j-th smallest vertex, as in
-    ``Graph.induced_subgraph``, and ``null_space_basis`` reduces it.  Each
-    kernel vector comes back over all ``len(adjacency)`` vertices, with its
-    coordinate j at that vertex and zeros off ``vertices``.
-    """
-    vs = sorted(set(vertices))
-    matrix = [[ONE if w in nbrs else ZERO for w in vs] for nbrs in (set(adjacency[v]) for v in vs)]
-    basis: list[Vector] = []
-    for vec in null_space_basis(matrix):
-        coords = [ZERO] * len(adjacency)
-        for v, x in zip(vs, vec):
-            coords[v] = x
-        basis.append(tuple(coords))
-    return basis
-
-
-def sparse_null_basis(adjacency: Sequence[Sequence[int]]) -> list[Vector]:
-    """Canonical kernel basis of the adjacency matrix of a graph given by its adjacency lists.
-
-    The result equals ``null_space_basis`` of the graph's dense adjacency
-    matrix.  Each row is a ``{column: Fraction}`` dict of its nonzero
-    entries, and every column keeps the set of rows that are nonzero in it.
-    Gauss-Jordan elimination runs over the columns in ascending order and
-    takes the first row not yet used as a pivot, as ``rref`` does; only the
-    rows with a nonzero in the pivot column are touched.
+    ``adjacency`` holds the whole graph's adjacency lists.  The result equals
+    ``null_space_basis`` of the induced subgraph's dense matrix, coordinate j
+    placed at the j-th smallest vertex, zeros off ``vertices``.  Each row is
+    a ``{column: Fraction}`` dict of its nonzero entries, and every column
+    keeps the set of rows nonzero in it.  The columns are eliminated in
+    ascending order, each by the first row not yet used as a pivot; only
+    rows nonzero in the pivot column are touched.
     """
     n = len(adjacency)
-    rows = [{w: ONE for w in adjacency[v]} for v in range(n)]
-    holders = [set(row) for row in rows]  # column -> rows nonzero there; A is symmetric
-    used = [False] * n
+    keep = set(vertices)
+    order = sorted(keep)
+    rows = {v: {w: ONE for w in adjacency[v] if w in keep} for v in order}
+    holders = {v: set(row) for v, row in rows.items()}  # column -> rows nonzero there; A is symmetric
+    used: set[int] = set()
     pivots: dict[int, int] = {}  # pivot column -> its row
     free: list[int] = []
-    for c in range(n):
-        r = min((i for i in holders[c] if not used[i]), default=None)
+    for c in order:
+        r = min((i for i in holders[c] if i not in used), default=None)
         if r is None:
             free.append(c)
             continue
-        used[r] = True
+        used.add(r)
         pivots[c] = r
         prow = rows[r]
         if prow[c] != 1:

@@ -23,14 +23,13 @@ result as it is and checks nothing again; the class carries the cycle and
 pendant trees that every later construction reads.  The class, the case and
 the nullity recursion need only forest decompositions, which come from
 maximum matchings (``trees``).  Each forest they decompose is a vertex set
-of the graph itself, so no subgraph is built.  ``rref_null_basis``
-eliminates straight over the graph's adjacency lists
-(``linalg.sparse_null_basis``), with no dense matrix.  The Type I / Type II
-bases, private to ``constructed_null_basis``, take every subforest kernel
-from the one helper ``linalg.null_basis_on``, which reads g's adjacency
-lists and answers in g's own indices, so they build no subgraph, pad no
-vector and keep no position map.  ``checks`` verifies all of them against
-the dense RREF kernel of A(G): the constructed bases by span and exact
+of the graph itself, so no subgraph is built.  Every kernel here, of the
+whole graph for ``rref_null_basis`` and of each subforest the Type I /
+Type II bases (private to ``constructed_null_basis``) assemble, comes from
+the one sparse elimination ``linalg.null_basis_on``, which reads g's
+adjacency lists and answers in g's own indices: no dense matrix, no
+subgraph, no position map.  ``checks`` verifies all of them against the
+dense RREF kernel of A(G): the constructed bases by span and exact
 annihilation, ``rref_null_basis`` tuple for tuple.
 """
 
@@ -42,7 +41,7 @@ from typing import Mapping
 
 from .errors import CaseContradiction, InternalCheckError, NormalizationFailure, UnsupportedGraphClass
 from .graph import CycleInfo, Graph
-from .linalg import Vector, null_basis_on, sparse_null_basis, vec_add, vec_scale
+from .linalg import Vector, null_basis_on, vec_add, vec_scale
 from .trees import Decomposition, forest_decomposition, full_support_vector
 
 TYPE1 = "type1"
@@ -228,7 +227,7 @@ def recursion_nullity(
 
 def rref_null_basis(g: Graph) -> NullBasis:
     """Canonical kernel basis of A(g), tagged RrefCanonical.  Works on any graph."""
-    vectors = tuple(sparse_null_basis(g.adjacency))
+    vectors = tuple(null_basis_on(g.adjacency, range(g.n)))
     return NullBasis(vectors, (RREF_CANONICAL,) * len(vectors))
 
 

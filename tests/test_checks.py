@@ -1,7 +1,8 @@
 """The check battery: the failure minimizer keeps the failure it started
 from, one run reduces each matrix once and classifies the graph once (as
 do ``analyze`` and ``basis``), the case is held to its kernel definition,
-and a formula that raises fails its check."""
+a formula that raises fails its check, and a constructed basis that raises
+fails every check on its vectors."""
 
 from __future__ import annotations
 
@@ -103,6 +104,18 @@ def test_a_guarded_check_that_raises_any_exception_fails(monkeypatch, ex_four_cy
     result = run_checks(ex_four_cycle)
     assert result["nullity_recursion"] is False
     assert all(ok for name, ok in result.items() if name != "nullity_recursion")
+
+
+@pytest.mark.parametrize("example", ["ex_type1", "ex_four_cycle"])
+def test_a_constructed_basis_that_raises_fails_the_checks_on_its_vectors(monkeypatch, request, example):
+    def planted(*args):
+        raise NormalizationFailure("planted")
+
+    g = request.getfixturevalue(example)
+    monkeypatch.setattr(checks, "constructed_null_basis", planted)
+    result = run_checks(g)
+    on_vectors = {"basis_exact", "basis_count", "span_equality", "pendant_extension_null", "forest_extension_null"}
+    assert {name for name, ok in result.items() if not ok} == on_vectors & set(result)
 
 
 @pytest.mark.parametrize("example", ["ex_type1", "ex_four_cycle", "forest"])

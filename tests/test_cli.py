@@ -171,7 +171,7 @@ def _verify_with_a_raising_battery(capsys, monkeypatch, exc: Exception) -> list[
     def raising(g, cls):
         raise exc
 
-    monkeypatch.setattr(checks, "constructed_null_basis", raising)
+    monkeypatch.setattr(checks, "structural_decomposition", raising)
     code, out, err = run(
         capsys, ["verify", "--count", "5", "--min-n", "7", "--max-n", "9", "--seed", "3"]
     )

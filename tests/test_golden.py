@@ -14,6 +14,7 @@ change pass.  A new output format that changes it on purpose is recorded with
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -25,7 +26,8 @@ import pytest
 
 from nulldecomp import GeneratorSpec, Graph, classify, generate_unicyclic, linalg, parse_edge_list, run_checks
 from nulldecomp.cli import main
-from nulldecomp.unicyclic import TYPE1, TYPE2
+from nulldecomp.linalg import null_space_basis
+from nulldecomp.unicyclic import TYPE1, TYPE2, rref_null_basis
 
 from conftest import EXAMPLE_FIVE_CYCLE, EXAMPLE_FOUR_CYCLE, EXAMPLE_STAR_SGRAPH, EXAMPLE_TYPE1
 
@@ -126,9 +128,10 @@ EXAMPLES = ("example_type1", "example_star", "example_five_cycle", "example_four
 
 @pytest.mark.parametrize("name", EXAMPLES + ("seed103", "seed100_tree", "seed125_forest"))
 def test_whole_graph_kernels_need_no_dense_elimination(golden, monkeypatch, name):
-    # The constructed Type I / Type II bases still reduce dense subforest
-    # matrices, so `basis --method structural` is held to this only on forests.
-    # seed103 is a TI-4 graph: its case reads the bordered graph G[(V - T_v) + v].
+    # Every production kernel, of the whole graph and of each subforest the
+    # constructed Type I / Type II bases read, comes from the sparse
+    # elimination linalg.null_basis_on, so no command here reduces a dense
+    # matrix.  seed103 is a TI-4 graph: its corrected vector reads T_v - v.
     def refuse(*args, **kwargs):
         raise AssertionError("dense elimination or a subgraph on the production path")
 
@@ -136,8 +139,7 @@ def test_whole_graph_kernels_need_no_dense_elimination(golden, monkeypatch, name
     monkeypatch.setattr(Graph, "adjacency_matrix", refuse)
     monkeypatch.setattr(Graph, "induced_subgraph", refuse)
     g = CORPUS[name]
-    keys = ["analyze", "basis_rref"] + (["basis_structural"] if g.is_forest() else [])
-    for key in keys:
+    for key in ("analyze", "basis_rref", "basis_structural"):
         assert _digest(_cli_output(COMMANDS[key], g.to_edge_list())) == golden[name][key], key
 
 
@@ -155,19 +157,40 @@ def test_constructed_bases_build_no_subgraph(golden, monkeypatch, name):
     assert _digest(text) == golden[name]["basis_structural"]
 
 
+def _plant_kernel(monkeypatch, planted) -> None:
+    """Rebind every package module's ``null_basis_on`` to ``planted(real, adjacency, vertices)``."""
+    real = linalg.null_basis_on
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("nulldecomp") and getattr(module, "null_basis_on", None) is real:
+            monkeypatch.setattr(module, "null_basis_on", functools.partial(planted, real))
+
+
 @pytest.mark.parametrize("name", ["example_type1", "seed125_forest"])
 def test_battery_catches_a_faulty_sparse_kernel(monkeypatch, name):
-    real = linalg.sparse_null_basis
-
-    def one_short(adjacency):
-        return real(adjacency)[:-1]
+    def one_short(real, adjacency, vertices):
+        return real(adjacency, vertices)[:-1]
 
     g = CORPUS[name]
     assert all(run_checks(g).values())
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("nulldecomp") and getattr(module, "sparse_null_basis", None) is real:
-            monkeypatch.setattr(module, "sparse_null_basis", one_short)
+    _plant_kernel(monkeypatch, one_short)
     assert run_checks(g)["basis_count"] is False
+
+
+@pytest.mark.parametrize("name", ["example_type1", "example_four_cycle"])
+def test_battery_catches_a_short_subforest_kernel(monkeypatch, name):
+    # The whole-graph kernel stays right; only the subforest kernels the
+    # constructed basis assembles lose their last vector.
+    def one_short_below_g(real, adjacency, vertices):
+        vertices = frozenset(vertices)
+        basis = real(adjacency, vertices)
+        return basis if len(vertices) == len(adjacency) else basis[:-1]
+
+    g = CORPUS[name]
+    assert all(run_checks(g).values())
+    _plant_kernel(monkeypatch, one_short_below_g)
+    assert rref_null_basis(g).vectors == tuple(null_space_basis(g.adjacency_matrix()))
+    checks = run_checks(g)
+    assert checks["basis_count"] is False or checks["span_equality"] is False
 
 
 if __name__ == "__main__":

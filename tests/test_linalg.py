@@ -16,7 +16,6 @@ from nulldecomp.linalg import (
     row_space_signature,
     rref,
     same_span,
-    sparse_null_basis,
 )
 
 from conftest import cycle_graph, forests_with_subsets, path_graph, unicyclic_pieces
@@ -123,7 +122,7 @@ def assert_sparse_matches_dense(g: Graph, vertices=None) -> None:
     """
     if vertices is not None:
         g = g.induced_subgraph(sorted(vertices))
-    sparse = sparse_null_basis(g.adjacency)
+    sparse = null_basis_on(g.adjacency, range(g.n))
     assert sparse == null_space_basis(g.adjacency_matrix()), g.to_edge_list()
     assert all(type(x) is Fraction for vec in sparse for x in vec)
 
@@ -171,6 +170,8 @@ def test_sparse_kernel_matches_dense_on_graphs_with_cycles(drawn):
     g, subset = drawn
     assert_sparse_matches_dense(g)
     assert_sparse_matches_dense(g, subset)
+    for vertices in (subset, [], range(g.n)):
+        assert_kernel_on_matches_subgraph(g, vertices)
 
 
 def test_sparse_kernel_matches_dense_on_several_cycles():
@@ -195,14 +196,30 @@ def test_sparse_kernel_edge_cases():
     for g in [one, isolated, complete_graph(5), cycle_graph(8)]:
         assert_sparse_matches_dense(g)
     assert_sparse_matches_dense(isolated, [0, 2, 4])
-    assert sparse_null_basis(()) == []
-    assert sparse_null_basis(one.adjacency) == [(Fraction(1),)]
-    assert len(sparse_null_basis(isolated.adjacency)) == 3
-    assert sparse_null_basis(complete_graph(5).adjacency) == []
-    assert len(sparse_null_basis(cycle_graph(8).adjacency)) == 2
+    assert null_basis_on((), range(0)) == []
+    assert null_basis_on(one.adjacency, range(one.n)) == [(Fraction(1),)]
+    assert len(null_basis_on(isolated.adjacency, range(isolated.n))) == 3
+    assert null_basis_on(complete_graph(5).adjacency, range(5)) == []
+    assert len(null_basis_on(cycle_graph(8).adjacency, range(8))) == 2
 
 
 # -- the kernel over a vertex set against the subgraph it induces ------------
+
+
+def theta_graph() -> Graph:
+    """Two vertices joined by three paths of lengths 2, 2 and 3: three cycles."""
+    return Graph.from_edges(
+        [("a", "x"), ("x", "b"), ("a", "y"), ("y", "b"), ("a", "z1"), ("z1", "z2"), ("z2", "b")]
+    )
+
+
+def two_disjoint_cycles() -> Graph:
+    """A 4-cycle and an 8-cycle side by side, their vertices interleaved in index order."""
+    four = [f"v{2 * i:02d}" for i in range(4)]
+    eight = [f"v{2 * i + 1:02d}" for i in range(8)]
+    return Graph.from_edges(
+        [(c[i], c[(i + 1) % len(c)]) for c in (four, eight) for i in range(len(c))]
+    )
 
 
 def assert_kernel_on_matches_subgraph(g: Graph, vertices) -> None:
@@ -233,6 +250,19 @@ def test_kernel_on_vertex_set_matches_subgraph_on_unicyclic_pieces(n, seed):
     g = generate_unicyclic(GeneratorSpec(n=n, seed=seed))
     for vertices in unicyclic_pieces(g) + [frozenset(), frozenset(range(g.n))]:
         assert_kernel_on_matches_subgraph(g, vertices)
+
+
+def test_kernel_on_vertex_set_matches_subgraph_on_several_cycles():
+    for g in (theta_graph(), complete_graph(4), two_disjoint_cycles()):
+        everything = frozenset(range(g.n))
+        subsets = [everything, frozenset(), frozenset(range(0, g.n, 2))]
+        subsets += [everything - {v} for v in range(g.n)]
+        for vertices in subsets:
+            assert_kernel_on_matches_subgraph(g, vertices)
+    theta, cycles = theta_graph(), two_disjoint_cycles()
+    assert null_basis_on(complete_graph(4).adjacency, range(4)) == []
+    assert len(null_basis_on(theta.adjacency, range(theta.n))) == 1
+    assert len(null_basis_on(cycles.adjacency, range(cycles.n))) == 2 + 2
 
 
 def test_kernel_on_vertex_set_edge_cases():

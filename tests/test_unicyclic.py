@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from nulldecomp import Graph, classify, constructed_null_basis, parse_edge_list
+from nulldecomp import GeneratorSpec, Graph, classify, constructed_null_basis, generate_unicyclic, parse_edge_list
 from nulldecomp.errors import UnsupportedGraphClass
 from nulldecomp.linalg import is_zero_vector, mat_vec, null_space_basis, same_span
 from nulldecomp.trees import forest_decomposition
@@ -241,3 +242,15 @@ def test_degenerate_full_support_regression():
     for vec in basis.vectors:
         assert is_zero_vector(mat_vec(matrix, vec))
     assert same_span(basis.vectors, rref_null_basis(g).vectors)
+
+
+def test_constructed_basis_of_a_large_graph_builds_on_sparse_kernels():
+    # Every subforest kernel comes from the sparse elimination; with dense
+    # subforest kernels this took 20-26 s.
+    g = generate_unicyclic(GeneratorSpec(n=800, seed=3))
+    cls = classify(g)
+    assert cls.case == "TI-4"
+    started = time.perf_counter()
+    basis = constructed_null_basis(g, cls)
+    assert time.perf_counter() - started < 5.0
+    assert len(basis.vectors) == recursion_nullity(g, cls.pendant_trees, cls.witness) == 180
