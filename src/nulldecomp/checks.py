@@ -9,11 +9,11 @@ exhaustive.  Every check that reads a support does so off an exact RREF
 kernel, never off the matching route it is meant to test.
 
 Every kernel the battery reads comes from the dense reference
-``linalg.null_space_basis``, reducing matrices built here from g's
-adjacency lists, never from the sparse ``linalg.null_basis_on`` that builds
-every production kernel.  ``basis_count`` holds ``rref_null_basis`` to that
-reference tuple for tuple, so a bug in the sparse elimination fails a check
-instead of being checked against itself.
+``linalg.null_space_basis`` of a matrix ``_reference_kernel`` builds from
+g's adjacency lists, never from the sparse ``linalg.null_basis_on`` of every
+production kernel; A(G)·v sums v over those lists.  ``basis_count`` holds
+``rref_null_basis`` to that reference tuple for tuple, so a bug in the
+sparse elimination fails a check instead of being checked against itself.
 
 ``run_checks`` reduces A(G) and reads its decomposition once, classifying
 the graph once inside ``decomposition_from_basis``; every route under test
@@ -44,8 +44,9 @@ from .decomposition import (
     nu,
     structural_decomposition,
 )
+from .errors import DimensionMismatch
 from .graph import Graph
-from .linalg import ONE, ZERO, Matrix, Vector, is_zero_vector, mat_vec, null_space_basis, same_span
+from .linalg import ONE, ZERO, Vector, null_space_basis, same_span
 from .oracle import (
     ENUMERATION_BUDGET,
     SEARCH_BUDGET,
@@ -80,12 +81,11 @@ def run_checks(g: Graph) -> dict[str, bool]:
     subgraph) fits the oracle's vertex budget (``ENUMERATION_BUDGET``,
     ``SEARCH_BUDGET``); everything else always runs.
     """
-    matrix = g.adjacency_matrix()
-    canonical = null_space_basis(matrix)
+    canonical = _reference_kernel(g, frozenset(range(g.n)))
     d = decomposition_from_basis(g, canonical)
     if d.cls is None:
-        return _forest_checks(g, matrix, canonical, d)
-    return _unicyclic_checks(g, matrix, canonical, d)
+        return _forest_checks(g, canonical, d)
+    return _unicyclic_checks(g, canonical, d)
 
 
 def _guarded(checks: dict[str, bool], name: str, thunk: Callable[[], bool]) -> None:
@@ -107,17 +107,24 @@ def _reference_kernel(g: Graph, vertices: frozenset[int]) -> list[Vector]:
     return [tuple(at.get(v, ZERO) for v in range(g.n)) for at in placed]
 
 
+def _annihilated(g: Graph, vec: Vector) -> bool:
+    """A(G)·vec = 0, each row summed over one of g's adjacency lists: exact, O(m)."""
+    if len(vec) != g.n:
+        raise DimensionMismatch(f"graph has {g.n} vertices, vector has {len(vec)} coordinates")
+    return all(sum(vec[w] for w in nbrs) == 0 for nbrs in g.adjacency)
+
+
 def _kernel_decomposition(g: Graph, vertices: frozenset[int]) -> Decomposition:
     """Decomposition of the forest ``vertices`` induce, read off its reference kernel."""
     return kernel_decomposition(g, _reference_kernel(g, vertices), vertices)
 
 
-def _forest_checks(g: Graph, matrix: Matrix, canonical: list[Vector], d: Decomposition) -> dict[str, bool]:
+def _forest_checks(g: Graph, canonical: list[Vector], d: Decomposition) -> dict[str, bool]:
     checks: dict[str, bool] = {}
     basis = rref_null_basis(g)  # the production route for a forest
     t = tree_decomposition(g)  # the matching route the formulas are held to
 
-    checks["basis_exact"] = all(is_zero_vector(mat_vec(matrix, v)) for v in basis.vectors)
+    checks["basis_exact"] = all(_annihilated(g, v) for v in basis.vectors)
     checks["basis_count"] = basis.vectors == tuple(canonical) and len(canonical) == t.nullity
     checks["even_n_set"] = len(d.n_vertices) % 2 == 0
     checks["support_independent"] = g.is_independent_set(d.support)
@@ -158,9 +165,7 @@ def _forest_neighbor_support(g: Graph, support: frozenset[int]) -> bool:
     return True
 
 
-def _unicyclic_checks(
-    g: Graph, matrix: Matrix, canonical: list[Vector], d_basis: Decomposition
-) -> dict[str, bool]:
+def _unicyclic_checks(g: Graph, canonical: list[Vector], d_basis: Decomposition) -> dict[str, bool]:
     checks: dict[str, bool] = {}
     cls = d_basis.cls  # the battery's one classification of g
     cycle_set = cls.cycle.vertex_set()
@@ -172,7 +177,7 @@ def _unicyclic_checks(
     except Exception:  # a construction that raises fails every check on its vectors
         constructed = None
     built = constructed is not None
-    annihilated = [is_zero_vector(mat_vec(matrix, v)) for v in constructed.vectors] if built else []
+    annihilated = [_annihilated(g, v) for v in constructed.vectors] if built else []
     checks["basis_exact"] = built and all(annihilated)
     checks["basis_count"] = built and (
         len(constructed.vectors) == len(canonical) and rref_null_basis(g).vectors == tuple(canonical)

@@ -13,7 +13,8 @@ subgraphs:
 * Type II extends the kernel of the forest left after deleting the cycle.
   When the cycle length is a multiple of 4 the cycle itself contributes two
   extra vectors z1 and z2: alternating-sign sums of normalized full-support
-  pendant-tree vectors over the odd and even cycle positions.
+  pendant-tree vectors over the even and odd cycle positions.  The pendant
+  trees are disjoint, so each tree vector is written straight into place.
 
 ``classify`` is the one place that decides a graph's class: None for a
 forest, the Type I / Type II class with its witness and case for a unicyclic
@@ -39,9 +40,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import CaseContradiction, InternalCheckError, NormalizationFailure, UnsupportedGraphClass
+from .errors import CaseContradiction, NormalizationFailure, UnsupportedGraphClass
 from .graph import CycleInfo, Graph
-from .linalg import Vector, null_basis_on, vec_add, vec_scale
+from .linalg import ZERO, Vector, null_basis_on, vec_add, vec_scale
 from .trees import Decomposition, forest_decomposition, full_support_vector
 
 TYPE1 = "type1"
@@ -258,12 +259,8 @@ def _type1_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
         ]
         sub = tree - {v}
         neighbors = [t for t in g.neighbors(v) if t in sub]
-        if not (set(neighbors) & forest_decomposition(g, sub).support):
-            raise InternalCheckError(
-                "witness vertex has no supported neighbor in its deleted pendant tree"
-            )
-        # The neighbor-sum must be nonzero or the corrected vector collapses
-        # into the span of the extended pendant-tree kernel.
+        # The neighbor-sum must be nonzero or the corrected vector falls into the
+        # extended pendant-tree span; full_support_vector raises if it cannot be.
         y = full_support_vector(null_basis_on(g.adjacency, sub), nonzero_sum_indices=neighbors)
         coeff = -sum(y[t] for t in neighbors) / cycle_sum(pivot)
         vectors.append(vec_add(vec_scale(coeff, pivot), y))
@@ -282,22 +279,17 @@ def _type2_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
     provenance = [EXTENDED_FOREST] * len(vectors)
 
     if cls.cycle.length % 4 == 0:
-        normalized: dict[int, Vector] = {}
-        for v in cyc:
+        z = ([ZERO] * g.n, [ZERO] * g.n)  # cycle position i goes to z[i % 2], negated for i % 4 < 2
+        for i, v in enumerate(cyc):
             x = full_support_vector(null_basis_on(g.adjacency, cls.pendant_trees[v]))
             if x[v] == 0:
                 raise NormalizationFailure(
                     f"full-support vector vanishes at cycle vertex {g.labels[v]!r}"
                 )
-            normalized[v] = vec_scale(1 / x[v], x)
-        half = cls.cycle.length // 2
-        z1: Vector = tuple(Fraction(0) for _ in range(g.n))
-        z2: Vector = tuple(Fraction(0) for _ in range(g.n))
-        for m in range(half):
-            sign = Fraction(-1 if m % 2 == 0 else 1)
-            z1 = vec_add(z1, vec_scale(sign, normalized[cyc[2 * m]]))
-            z2 = vec_add(z2, vec_scale(sign, normalized[cyc[2 * m + 1]]))
-        vectors.extend((z1, z2))
+            scale = (-1 if i % 4 < 2 else 1) / x[v]
+            for t in cls.pendant_trees[v]:
+                z[i % 2][t] = scale * x[t]
+        vectors.extend(map(tuple, z))
         provenance.extend((CYCLE_ALTERNATING, CYCLE_ALTERNATING))
     return NullBasis(tuple(vectors), tuple(provenance))
 

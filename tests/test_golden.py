@@ -24,10 +24,11 @@ from pathlib import Path
 
 import pytest
 
-from nulldecomp import GeneratorSpec, Graph, classify, generate_unicyclic, linalg, parse_edge_list, run_checks
+from nulldecomp import GeneratorSpec, Graph, checks, classify, generate_unicyclic, linalg, parse_edge_list, run_checks
 from nulldecomp.cli import main
-from nulldecomp.linalg import null_space_basis
-from nulldecomp.unicyclic import TYPE1, TYPE2, rref_null_basis
+from nulldecomp.errors import DimensionMismatch
+from nulldecomp.linalg import ZERO, null_space_basis
+from nulldecomp.unicyclic import TYPE1, TYPE2, NullBasis, rref_null_basis
 
 from conftest import EXAMPLE_FIVE_CYCLE, EXAMPLE_FOUR_CYCLE, EXAMPLE_STAR_SGRAPH, EXAMPLE_TYPE1
 
@@ -155,6 +156,37 @@ def test_constructed_bases_build_no_subgraph(golden, monkeypatch, name):
     g = CORPUS[name]
     text = _cli_output(COMMANDS["basis_structural"], g.to_edge_list())
     assert _digest(text) == golden[name]["basis_structural"]
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_battery_builds_no_dense_adjacency_matrix(golden, monkeypatch, name):
+    # The battery tests A(G)·v = 0 over g's adjacency lists and builds every
+    # reference matrix in checks._reference_kernel, so the check map stays
+    # the same with the dense whole-graph matrix and its product refused.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense whole-graph matrix or product in the check battery")
+
+    monkeypatch.setattr(Graph, "adjacency_matrix", refuse)
+    monkeypatch.setattr(linalg, "mat_vec", refuse)
+    monkeypatch.setattr(checks, "mat_vec", refuse, raising=False)
+    text = json.dumps(sorted(run_checks(CORPUS[name]).items()))
+    assert _digest(text) == golden[name]["checks"]
+
+
+@pytest.mark.parametrize("name", ["example_type1", "example_four_cycle", "seed125_forest"])
+def test_battery_refuses_a_vector_of_the_wrong_length(monkeypatch, name):
+    # One coordinate too many must not pass as annihilated.
+    def one_too_long(real):
+        def build(*args):
+            basis = real(*args)
+            return NullBasis((basis.vectors[0] + (ZERO,),) + basis.vectors[1:], basis.provenance)
+
+        return build
+
+    for routine in ("constructed_null_basis", "rref_null_basis"):
+        monkeypatch.setattr(checks, routine, one_too_long(getattr(checks, routine)))
+    with pytest.raises(DimensionMismatch):
+        run_checks(CORPUS[name])
 
 
 def _plant_kernel(monkeypatch, planted) -> None:

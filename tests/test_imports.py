@@ -2,9 +2,10 @@
 
 The runtime stays stdlib-only: every module of the package imports the
 standard library and the package itself, nothing else (``pyproject.toml``
-declares ``dependencies = []``).  And the check battery keeps its own
-reference: ``checks`` reads every kernel off the dense ``null_space_basis`` /
-``rref``, never off a sparse production kernel of ``linalg``."""
+declares ``dependencies = []``).  No module imports a name it never uses.
+And the check battery keeps its own reference: ``checks`` reads every
+kernel off the dense ``null_space_basis`` / ``rref``, never off a sparse
+production kernel of ``linalg``."""
 
 from __future__ import annotations
 
@@ -36,6 +37,47 @@ def test_runtime_imports_only_the_standard_library():
         if module.split(".")[0] not in sys.stdlib_module_names | {"nulldecomp"}
     ]
     assert outside == []
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Every name one source file imports and never reads, as "line: name".
+
+    ``__future__`` imports and lines marked ``noqa`` are exempt.
+    """
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source, filename=str(path))
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and "noqa" not in lines[node.lineno - 1]:
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{line}: {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    assert sources, f"no package sources under {PACKAGE}"
+    unused = [f"{path.name}:{entry}" for path in sources for entry in unused_imports(path)]
+    assert unused == []
+
+
+def test_the_unused_import_guard_sees_a_planted_import(tmp_path):
+    module = tmp_path / "planted.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from fractions import Fraction\n"
+        "from typing import Mapping  # noqa: F401\n"
+        "from .errors import InternalCheckError, NotForest\n"
+        "def f(x: Fraction) -> bool:\n"
+        "    return os.path.exists(x) or NotForest\n",
+        encoding="utf-8",
+    )
+    assert unused_imports(module) == ["5: InternalCheckError"]
 
 
 def sparse_kernels() -> set[str]:

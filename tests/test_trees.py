@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nulldecomp import Graph, GeneratorSpec, classify, generate_unicyclic
-from nulldecomp.errors import EmptyBasis, NotForest
+from nulldecomp.errors import EmptyBasis, InternalCheckError, NotForest
 from nulldecomp.linalg import null_space_basis, support_indices
 from nulldecomp.decomposition import alpha, nu
 from nulldecomp.trees import Decomposition, forest_decomposition, full_support_vector, tree_decomposition
@@ -124,6 +124,14 @@ def test_full_support_respects_sum_constraint():
     assert sum(constrained[i] for i in (0, 2)) != 0
     union = {0, 1, 2}
     assert all(constrained[i] != 0 for i in union)
+
+
+def test_full_support_refuses_a_sum_that_vanishes_on_the_span():
+    # Every basis vector sums to zero over {0, 1}, so every combination does:
+    # no t can make the sum nonzero, and the search must not start.
+    basis = vecs([1, -1, 0], [0, 0, 1])
+    with pytest.raises(InternalCheckError, match="vanishes on the entire span"):
+        full_support_vector(basis, nonzero_sum_indices=(0, 1))
 
 
 def test_full_support_matches_union_on_tree_kernels():
