@@ -139,6 +139,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 passed += 1
                 continue
             problem = f"failed checks: {', '.join(sorted(failed))}"
+            if "basis_exact" in failed:  # run_checks keeps only the names; recover the exception
+                try:
+                    constructed_null_basis(g, classify(g))
+                except Exception as exc:
+                    problem += f"\nconstructed_null_basis raised {type(exc).__name__}: {exc}"
         small = minimize_failing_graph(g, _failed_checks)
         print(f"verify: FAILED on graph {index} (n={n}, seed={spec.seed})")
         print(problem)

@@ -150,16 +150,6 @@ def is_zero_vector(vec: Iterable[Fraction]) -> bool:
     return all(x == 0 for x in vec)
 
 
-def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
-    if len(a) != len(b):
-        raise DimensionMismatch(f"vector lengths differ: {len(a)} vs {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_scale(c: Fraction, vec: Sequence[Fraction]) -> Vector:
-    return tuple(c * x for x in vec)
-
-
 def support_indices(vec: Sequence[Fraction]) -> frozenset[int]:
     """Indices of the nonzero coordinates."""
     return frozenset(i for i, x in enumerate(vec) if x != 0)

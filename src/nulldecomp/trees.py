@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, EmptyBasis, InternalCheckError, NotForest
 from .graph import Graph
-from .linalg import Vector, support_indices, vec_add, vec_scale
+from .linalg import ZERO, Vector, support_indices
 
 CASE_FOREST = "Forest"
 
@@ -112,6 +112,10 @@ def full_support_vector(
     and so on, and returns the first combination in which no union-support
     coordinate cancels.  Each such coordinate is a nonzero polynomial in t of
     degree < k, so only finitely many t are bad and the search terminates.
+    The search runs on the union support, every other coordinate being zero
+    in every combination, and each basis vector adds in only its own
+    support, so one try costs the total support, not k * n.  Only the winner
+    is written out as an n-tuple.
 
     When ``nonzero_sum_indices`` is given, the sum of the result over those
     coordinates must come out nonzero as well.  Callers use this where the sum
@@ -125,24 +129,33 @@ def full_support_vector(
     length = len(basis[0])
     if any(len(vec) != length for vec in basis):
         raise DimensionMismatch("basis vectors have differing lengths")
-    union: frozenset[int] = frozenset().union(*(support_indices(vec) for vec in basis))
+    supports = [support_indices(vec) for vec in basis]
+    union = sorted(frozenset().union(*supports))
+    at = {c: j for j, c in enumerate(union)}
+    rows = [[(at[c], vec[c]) for c in support] for vec, support in zip(basis, supports)]
     if nonzero_sum_indices is not None:
         if all(sum(vec[i] for i in nonzero_sum_indices) == 0 for vec in basis):
             raise InternalCheckError(
                 "sum functional vanishes on the entire span; no combination can satisfy it"
             )
+        # Coordinates off the union are zero in every combination.
+        sum_at = [at[i] for i in nonzero_sum_indices if i in at]
     t = 0
     while True:
         t += 1
         if t > 10000:
             raise InternalCheckError("full-support search did not terminate")
-        combo: Vector = tuple(Fraction(0) for _ in range(length))
+        combo = [ZERO] * len(union)
         weight = Fraction(1)
-        for vec in basis:
-            combo = vec_add(combo, vec_scale(weight, vec))
+        for row in rows:
+            for j, x in row:
+                combo[j] += weight * x
             weight *= t
-        if any(combo[i] == 0 for i in union):
+        if any(x == 0 for x in combo):
             continue
-        if nonzero_sum_indices is not None and sum(combo[i] for i in nonzero_sum_indices) == 0:
+        if nonzero_sum_indices is not None and sum(combo[j] for j in sum_at) == 0:
             continue
-        return combo
+        result = [ZERO] * length
+        for c, x in zip(union, combo):
+            result[c] = x
+        return tuple(result)

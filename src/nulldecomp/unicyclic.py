@@ -7,9 +7,11 @@ subgraphs:
 
 * Type I splits along the witness v into the pendant tree and its complement.
   Complement kernel vectors whose coordinates at v's two cycle neighbors sum
-  to zero extend by zero-padding; if some vector has a nonzero sum, a single
-  corrected vector (a scaled complement pivot plus a full-support kernel
-  vector of the pendant tree minus v) fills the gap.
+  to zero extend by zero-padding; if some vector (the pivot) has a nonzero
+  sum, a multiple of the pivot zeroes every other one's sum, and a single
+  corrected vector (a scaled pivot plus a full-support kernel vector of the
+  pendant tree minus v) fills the gap.  Both steps change only the
+  coordinates on the pivot's support; no step combines whole n-tuples.
 * Type II extends the kernel of the forest left after deleting the cycle.
   When the cycle length is a multiple of 4 the cycle itself contributes two
   extra vectors z1 and z2: alternating-sign sums of normalized full-support
@@ -42,7 +44,7 @@ from typing import Mapping
 
 from .errors import CaseContradiction, NormalizationFailure, UnsupportedGraphClass
 from .graph import CycleInfo, Graph
-from .linalg import ZERO, Vector, null_basis_on, vec_add, vec_scale
+from .linalg import ZERO, Vector, null_basis_on, support_indices
 from .trees import Decomposition, forest_decomposition, full_support_vector
 
 TYPE1 = "type1"
@@ -252,8 +254,9 @@ def _type1_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
         vectors.extend(rest_basis)
         provenance.extend([EXTENDED_COMPLEMENT] * len(rest_basis))
     else:
+        on = support_indices(pivot)
         zero_sum = [
-            vec_add(vec, vec_scale(-cycle_sum(vec) / cycle_sum(pivot), pivot))
+            _add_scaled(vec, -cycle_sum(vec) / cycle_sum(pivot), pivot, on)
             for vec in rest_basis
             if vec is not pivot
         ]
@@ -263,13 +266,21 @@ def _type1_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
         # extended pendant-tree span; full_support_vector raises if it cannot be.
         y = full_support_vector(null_basis_on(g.adjacency, sub), nonzero_sum_indices=neighbors)
         coeff = -sum(y[t] for t in neighbors) / cycle_sum(pivot)
-        vectors.append(vec_add(vec_scale(coeff, pivot), y))
+        vectors.append(_add_scaled(y, coeff, pivot, on))
         provenance.append(CORRECTED)
         vectors.extend(zero_sum)
         provenance.extend([EXTENDED_COMPLEMENT] * len(zero_sum))
     vectors.extend(tree_basis)
     provenance.extend([EXTENDED_PENDANT] * len(tree_basis))
     return NullBasis(tuple(vectors), tuple(provenance))
+
+
+def _add_scaled(vec: Vector, coeff: Fraction, other: Vector, on: frozenset[int]) -> Vector:
+    """vec + coeff * other, where ``on`` holds other's support: only those coordinates change."""
+    out = list(vec)
+    for i in on:
+        out[i] += coeff * other[i]
+    return tuple(out)
 
 
 def _type2_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:

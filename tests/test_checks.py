@@ -1,8 +1,9 @@
 """The check battery: the failure minimizer keeps the failure it started
 from, one run reduces each matrix once and classifies the graph once (as
 do ``analyze`` and ``basis``), the case is held to its kernel definition,
-a formula that raises fails its check, and a constructed basis that raises
-fails every check on its vectors."""
+a formula that raises fails its check, a constructed basis that raises
+fails every check on its vectors, and long cycles with a pendant tree at
+every cycle vertex pass in every case."""
 
 from __future__ import annotations
 
@@ -162,3 +163,24 @@ def test_an_odd_n_set_in_a_split_fails_the_split_checks(monkeypatch, request, ex
     split = {f"alpha_splits_at_{cut}", f"nu_splits_at_{cut}"}
     assert {name: result[name] for name in split} == dict.fromkeys(split, False)
     assert all(ok for name, ok in result.items() if name not in split)
+
+
+@pytest.mark.parametrize(
+    "length, witness_tail, case",
+    [
+        (24, 2, "TII-4k"),
+        (32, 2, "TII-4k"),
+        (30, 2, "TII-non4k"),
+        (24, 1, "TI-3"),
+        (25, 1, "TI-1"),
+        (26, 1, "TI-4"),
+    ],
+)
+def test_long_cycle_with_a_tree_at_every_vertex_passes(length, witness_tail, case):
+    # Position 0 carries a one-vertex tail (off its own support, so Type I)
+    # or a two-vertex tail like every other position (Type II).
+    tails = {i: 2 for i in range(length)} | {0: witness_tail}
+    g = cycle_with_attachments(length, tails=tails)
+    assert classify(g).case == case
+    failed = [name for name, ok in run_checks(g).items() if not ok]
+    assert failed == []

@@ -6,9 +6,9 @@ import sys
 
 import pytest
 
-from nulldecomp import checks, parse_edge_list
+from nulldecomp import checks, parse_edge_list, unicyclic
 from nulldecomp.cli import main
-from nulldecomp.errors import InternalCheckError
+from nulldecomp.errors import InternalCheckError, NormalizationFailure
 
 from conftest import EXAMPLE_FOUR_CYCLE, EXAMPLE_TYPE1
 
@@ -206,6 +206,23 @@ def test_analyze_verify_reports_a_raise_inside_the_battery(tmp_path, capsys, mon
     code, out, err = run(capsys, ["analyze", str(path), "--verify"])
     assert code == 4 and out == ""
     assert err == "run_checks raised KeyError: 'planted'\n"
+
+
+def test_verify_names_the_exception_of_a_raising_construction(capsys, monkeypatch):
+    # run_checks turns a raising construction into failed checks; verify must
+    # still say what was raised.
+    def raising(g, cls):
+        raise NormalizationFailure("planted normalization failure")
+
+    monkeypatch.setattr(unicyclic, "_type1_null_basis", raising)
+    code, out, err = run(
+        capsys, ["verify", "--count", "3", "--min-n", "7", "--max-n", "9", "--force-type", "1"]
+    )
+    assert code == 4 and err == ""
+    lines = out.splitlines()
+    assert lines[1].startswith("failed checks: ") and "basis_exact" in lines[1]
+    assert lines[2] == "constructed_null_basis raised NormalizationFailure: planted normalization failure"
+    assert lines[3] == "minimized reproduction:"
 
 
 def test_verify_negative_count_exit_2(capsys):

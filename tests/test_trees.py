@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from nulldecomp import Graph, GeneratorSpec, classify, generate_unicyclic
 from nulldecomp.errors import EmptyBasis, InternalCheckError, NotForest
-from nulldecomp.linalg import null_space_basis, support_indices
+from nulldecomp.linalg import null_basis_on, null_space_basis, support_indices
 from nulldecomp.decomposition import alpha, nu
 from nulldecomp.trees import Decomposition, forest_decomposition, full_support_vector, tree_decomposition
 
@@ -140,6 +140,50 @@ def test_full_support_matches_union_on_tree_kernels():
         combined = full_support_vector(basis)
         union = tree_decomposition(g).support
         assert {i for i, x in enumerate(combined) if x != 0} == set(union)
+
+
+def dense_full_support_vector(basis, nonzero_sum_indices=None):
+    """The search as it ran on whole n-tuples: the reference that pins t and the tuple."""
+    union = frozenset().union(*(support_indices(vec) for vec in basis))
+    t = 0
+    while True:
+        t += 1
+        combo = tuple(Fraction(0) for _ in basis[0])
+        weight = Fraction(1)
+        for vec in basis:
+            combo = tuple(x + weight * y for x, y in zip(combo, vec))
+            weight *= t
+        if any(combo[i] == 0 for i in union):
+            continue
+        if nonzero_sum_indices is not None and sum(combo[i] for i in nonzero_sum_indices) == 0:
+            continue
+        return combo
+
+
+@settings(max_examples=200, deadline=None)
+@given(forests_with_subsets(), st.data())
+def test_full_support_equals_the_dense_search(forest, data):
+    g, vertices = forest
+    canonical = null_basis_on(g.adjacency, vertices)
+    if not canonical:
+        return
+    # The canonical kernel almost always succeeds at t = 1; adding a multiple of
+    # each vector to the next keeps the span but makes t = 1 cancel often.
+    ks = data.draw(st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=len(canonical), max_size=len(canonical)))
+    mixed = [canonical[0]] + [
+        tuple(x + k * y for x, y in zip(vec, prev))
+        for k, prev, vec in zip(ks[1:], canonical, canonical[1:])
+    ]
+    # Sum indices anywhere in g, so some fall off the union support or off ``vertices``.
+    sums = data.draw(st.lists(st.integers(min_value=0, max_value=g.n - 1), min_size=1, max_size=g.n))
+    for basis in (canonical, mixed):
+        assert full_support_vector(basis) == dense_full_support_vector(basis)
+        if all(sum(vec[i] for i in sums) == 0 for vec in basis):
+            with pytest.raises(InternalCheckError, match="vanishes on the entire span"):
+                full_support_vector(basis, nonzero_sum_indices=sums)
+            continue
+        expected = dense_full_support_vector(basis, nonzero_sum_indices=sums)
+        assert full_support_vector(basis, nonzero_sum_indices=sums) == expected
 
 
 # -- the matching route against the kernel --------------------------------
