@@ -11,9 +11,11 @@ kernel, never off the matching route it is meant to test.
 Every kernel the battery reads comes from the dense reference
 ``linalg.null_space_basis`` of a matrix ``_reference_kernel`` builds from
 g's adjacency lists, never from the sparse ``linalg.null_basis_on`` of every
-production kernel; A(G)·v sums v over those lists.  ``basis_count`` holds
-``rref_null_basis`` to that reference tuple for tuple, so a bug in the
-sparse elimination fails a check instead of being checked against itself.
+production kernel; A(G)·v sums v over those lists.  Read back as zero-free
+``{index: Fraction}`` dicts, the production format, those kernels hold
+``rref_null_basis`` vector for vector in ``basis_count``, so a bug in the
+sparse elimination, or a stored 0, fails a check instead of being checked
+against itself.  Only ``span_equality`` writes vectors out densely.
 
 ``run_checks`` reduces A(G) and reads its decomposition once, classifying
 the graph once inside ``decomposition_from_basis``; every route under test
@@ -34,7 +36,7 @@ exception counts as failed.
 from __future__ import annotations
 
 from functools import cache, partial
-from typing import Callable, Hashable
+from typing import Callable, Hashable, Sequence
 
 from .decomposition import (
     Decomposition,
@@ -46,7 +48,7 @@ from .decomposition import (
 )
 from .errors import DimensionMismatch
 from .graph import Graph
-from .linalg import ONE, ZERO, Vector, null_space_basis, same_span
+from .linalg import ONE, ZERO, DenseVector, Vector, null_space_basis, same_span
 from .oracle import (
     ENUMERATION_BUDGET,
     SEARCH_BUDGET,
@@ -96,22 +98,25 @@ def _guarded(checks: dict[str, bool], name: str, thunk: Callable[[], bool]) -> N
 
 
 def _reference_kernel(g: Graph, vertices: frozenset[int]) -> list[Vector]:
-    """Dense RREF kernel of the subgraph ``vertices`` induce, in g's indices.
+    """Dense RREF kernel of the subgraph ``vertices`` induce, in g's indices, zeros dropped.
 
     Row and column j of the matrix, built straight from g's adjacency lists,
     belong to the j-th smallest vertex, as in ``Graph.induced_subgraph``.
     """
     vs = sorted(vertices)
     matrix = [[ONE if w in nbrs else ZERO for w in vs] for nbrs in (set(g.adjacency[v]) for v in vs)]
-    placed = [dict(zip(vs, vec)) for vec in null_space_basis(matrix)]
-    return [tuple(at.get(v, ZERO) for v in range(g.n)) for at in placed]
+    return [{v: x for v, x in zip(vs, vec) if x} for vec in null_space_basis(matrix)]
+
+
+def _dense(vectors: Sequence[Vector], n: int) -> list[DenseVector]:
+    return [tuple(vec.get(i, ZERO) for i in range(n)) for vec in vectors]
 
 
 def _annihilated(g: Graph, vec: Vector) -> bool:
     """A(G)·vec = 0, each row summed over one of g's adjacency lists: exact, O(m)."""
-    if len(vec) != g.n:
-        raise DimensionMismatch(f"graph has {g.n} vertices, vector has {len(vec)} coordinates")
-    return all(sum(vec[w] for w in nbrs) == 0 for nbrs in g.adjacency)
+    if any(not 0 <= i < g.n for i in vec):
+        raise DimensionMismatch(f"graph has {g.n} vertices, vector has a coordinate outside them")
+    return all(sum(vec.get(w, ZERO) for w in nbrs) == 0 for nbrs in g.adjacency)
 
 
 def _kernel_decomposition(g: Graph, vertices: frozenset[int]) -> Decomposition:
@@ -185,7 +190,7 @@ def _unicyclic_checks(g: Graph, canonical: list[Vector], d_basis: Decomposition)
     _guarded(
         checks, "nullity_recursion", lambda: recursion_nullity(g, pend, cls.witness) == len(canonical)
     )
-    checks["span_equality"] = built and same_span(constructed.vectors, canonical)
+    checks["span_equality"] = built and same_span(_dense(constructed.vectors, g.n), _dense(canonical, g.n))
 
     # Off-support cycle vertices on the reference kernels of the pendant trees.
     pendant = {v: kernel(pend[v]) for v in cls.cycle.vertices}
@@ -294,9 +299,9 @@ def _kernel_case(g: Graph, cls: UnicyclicClass, pendant) -> str:
         return CASE_TII_4K if cls.cycle.length % 4 == 0 else CASE_TII_NON4K
     u, w = cls.cycle.neighbors_on_cycle(witness)
     basis = _reference_kernel(g, frozenset(range(g.n)) - cls.pendant_trees[witness])
-    if any(vec[u] + vec[w] != 0 for vec in basis):
+    if any(vec.get(u, ZERO) + vec.get(w, ZERO) != 0 for vec in basis):
         return CASE_TI4
-    if all(vec[u] == vec[w] == 0 for vec in basis):
+    if all(vec.get(u, ZERO) == vec.get(w, ZERO) == 0 for vec in basis):
         return CASE_TI1
     return CASE_TI2 if witness in pendant[witness].core else CASE_TI3
 

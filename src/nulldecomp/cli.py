@@ -79,9 +79,9 @@ def _cmd_basis(args: argparse.Namespace) -> int:
         basis = rref_null_basis(g)
     else:
         basis = constructed_null_basis(g, classify(g))
-    # Nonzero coordinates of each vector, label -> exact value, in index order.
+    # Each vector's coordinates, label -> exact value, in index order.
     vectors = [
-        (prov, {g.labels[i]: str(x) for i, x in enumerate(vec) if x != 0})
+        (prov, {g.labels[i]: str(x) for i, x in sorted(vec.items())})
         for vec, prov in zip(basis.vectors, basis.provenance)
     ]
     if args.json:

@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 
 from .errors import OddNSet
 from .graph import Graph
-from .linalg import Vector, null_basis_on, support_indices
+from .linalg import Vector, null_basis_on
 from .trees import CASE_FOREST, Decomposition, forest_decomposition, tree_decomposition  # noqa: F401 (CASE_FOREST re-exported)
 from .unicyclic import (
     CASE_TI3,
@@ -50,10 +50,11 @@ from .unicyclic import (
 def kernel_decomposition(g: Graph, basis: Sequence[Vector], vertices: frozenset[int]) -> Decomposition:
     """Decomposition of the subgraph ``vertices`` induce, read off a kernel basis of it in g's indices.
 
-    Support: the union of the basis supports; core: their neighbors in
-    ``vertices``; N-vertices: the rest; nullity: the number of vectors.
+    Each vector holds only its nonzero coordinates, so the support is the
+    union of their key sets; core: the support's neighbors in ``vertices``;
+    N-vertices: the rest; nullity: the number of vectors.
     """
-    support = frozenset().union(*map(support_indices, basis))
+    support = frozenset().union(*basis)
     core = g.neighborhood(support) & vertices
     return Decomposition(support, core, vertices - support - core, len(basis))
 

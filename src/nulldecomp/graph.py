@@ -7,7 +7,7 @@ given vertex set.
 
 Edge-list text format: one edge per line as two whitespace-separated labels;
 a line with a single token declares an isolated vertex; blank lines and lines
-starting with ``#`` are ignored.
+starting with ``#`` are ignored, so a label that starts with ``#`` is refused.
 
 Graphs are immutable; every operation is a pure function returning new values.
 
@@ -239,7 +239,7 @@ def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text into a canonical :class:`Graph`.
 
     Raises EmptyInput / MalformedLine / SelfLoop / DuplicateEdge, each naming
-    the offending line.
+    the offending line; a label starting with ``#`` is a MalformedLine.
     """
     edges: list[tuple[str, str]] = []
     isolated: list[str] = []
@@ -249,6 +249,8 @@ def parse_edge_list(text: str) -> Graph:
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
+        if any(token.startswith("#") for token in tokens):
+            raise MalformedLine("a label may not start with '#'", line_no, raw)
         if len(tokens) == 1:
             isolated.append(tokens[0])
             continue

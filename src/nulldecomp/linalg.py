@@ -13,10 +13,12 @@ adjacency lists, in the whole graph's indices.  ``analyze``,
 Type II bases come from it; the whole-graph calls pass every vertex.  The
 dense ``rref`` / ``null_space_basis`` on lists of lists is the independent
 reference that the check battery (``checks``) and ``same_span`` use.  The
-RREF is unique, so both routes return equal Fractions, tuple for tuple.
+RREF is unique, so each sparse vector, written out densely, is the dense one.
 
-Matrices are plain lists of lists of Fractions; vectors are tuples of
-Fractions.  All functions are pure and never mutate their arguments.
+A production vector (``Vector``) is the ``{index: Fraction}`` dict of its
+nonzero coordinates: its support is its key set.  The reference functions
+take lists of lists and n-tuples (``DenseVector``) of Fractions.  All
+functions are pure and never mutate their arguments.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
 
-Vector = tuple[Fraction, ...]
+Vector = dict[int, Fraction]  # the nonzero coordinates by index; never holds a 0
+DenseVector = tuple[Fraction, ...]
 Matrix = list[list[Fraction]]
 
 ZERO = Fraction(0)
@@ -63,7 +66,7 @@ def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, int, tuple[int, 
     return rows, r, tuple(pivots)
 
 
-def null_space_basis(matrix: Sequence[Sequence[Fraction]]) -> list[Vector]:
+def null_space_basis(matrix: Sequence[Sequence[Fraction]]) -> list[DenseVector]:
     """Canonical kernel basis read off the RREF free columns.
 
     One vector per free column, carrying 1 at its own free column and 0 at all
@@ -75,7 +78,7 @@ def null_space_basis(matrix: Sequence[Sequence[Fraction]]) -> list[Vector]:
     reduced, _, pivots = rref(matrix)
     n_cols = len(matrix[0])
     pivot_set = set(pivots)
-    basis: list[Vector] = []
+    basis: list[DenseVector] = []
     for free in range(n_cols):
         if free in pivot_set:
             continue
@@ -90,15 +93,14 @@ def null_space_basis(matrix: Sequence[Sequence[Fraction]]) -> list[Vector]:
 def null_basis_on(adjacency: Sequence[Sequence[int]], vertices: Iterable[int]) -> list[Vector]:
     """Canonical kernel basis of the subgraph that ``vertices`` induce, in the whole graph's indices.
 
-    ``adjacency`` holds the whole graph's adjacency lists.  The result equals
-    ``null_space_basis`` of the induced subgraph's dense matrix, coordinate j
-    placed at the j-th smallest vertex, zeros off ``vertices``.  Each row is
+    ``adjacency`` holds the whole graph's adjacency lists.  Each vector holds
+    the nonzeros of a ``null_space_basis`` vector of the induced subgraph's
+    dense matrix, coordinate j placed at the j-th smallest vertex.  Each row is
     a ``{column: Fraction}`` dict of its nonzero entries, and every column
     keeps the set of rows nonzero in it.  The columns are eliminated in
     ascending order, each by the first row not yet used as a pivot; only
     rows nonzero in the pivot column are touched.
     """
-    n = len(adjacency)
     keep = set(vertices)
     order = sorted(keep)
     rows = {v: {w: ONE for w in adjacency[v] if w in keep} for v in order}
@@ -128,17 +130,15 @@ def null_basis_on(adjacency: Sequence[Sequence[int]], vertices: Iterable[int]) -
                 else:
                     del row[k]
                     holders[k].discard(i)
-    basis = {f: [ZERO] * n for f in free}
+    basis = {f: {f: ONE} for f in free}
     for c, r in pivots.items():
         for k, x in rows[r].items():
             if k != c:  # every other entry of a pivot row sits in a free column
                 basis[k][c] = -x
-    for f in free:
-        basis[f][f] = ONE
-    return [tuple(basis[f]) for f in free]
+    return list(basis.values())
 
 
-def mat_vec(matrix: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> Vector:
+def mat_vec(matrix: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> DenseVector:
     if matrix and len(vec) != len(matrix[0]):
         raise DimensionMismatch(
             f"matrix has {len(matrix[0])} columns, vector has {len(vec)} coordinates"
@@ -150,12 +150,7 @@ def is_zero_vector(vec: Iterable[Fraction]) -> bool:
     return all(x == 0 for x in vec)
 
 
-def support_indices(vec: Sequence[Fraction]) -> frozenset[int]:
-    """Indices of the nonzero coordinates."""
-    return frozenset(i for i, x in enumerate(vec) if x != 0)
-
-
-def row_space_signature(vectors: Sequence[Sequence[Fraction]]) -> tuple[Vector, ...]:
+def row_space_signature(vectors: Sequence[Sequence[Fraction]]) -> tuple[DenseVector, ...]:
     """The nonzero RREF rows of the stacked vectors: a canonical form of their span."""
     if not vectors:
         return ()

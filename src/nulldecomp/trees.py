@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, EmptyBasis, InternalCheckError, NotForest
+from .errors import EmptyBasis, InternalCheckError, NotForest
 from .graph import Graph
-from .linalg import ZERO, Vector, support_indices
+from .linalg import ZERO, Vector
 
 CASE_FOREST = "Forest"
 
@@ -112,10 +112,9 @@ def full_support_vector(
     and so on, and returns the first combination in which no union-support
     coordinate cancels.  Each such coordinate is a nonzero polynomial in t of
     degree < k, so only finitely many t are bad and the search terminates.
-    The search runs on the union support, every other coordinate being zero
-    in every combination, and each basis vector adds in only its own
-    support, so one try costs the total support, not k * n.  Only the winner
-    is written out as an n-tuple.
+    The search runs on the union of the key sets, every other coordinate
+    being zero in every combination, and each basis vector adds in only its
+    own coordinates, so one try costs the total support.
 
     When ``nonzero_sum_indices`` is given, the sum of the result over those
     coordinates must come out nonzero as well.  Callers use this where the sum
@@ -126,15 +125,11 @@ def full_support_vector(
     """
     if not basis:
         raise EmptyBasis("cannot build a full-support vector from an empty basis")
-    length = len(basis[0])
-    if any(len(vec) != length for vec in basis):
-        raise DimensionMismatch("basis vectors have differing lengths")
-    supports = [support_indices(vec) for vec in basis]
-    union = sorted(frozenset().union(*supports))
+    union = sorted(frozenset().union(*basis))
     at = {c: j for j, c in enumerate(union)}
-    rows = [[(at[c], vec[c]) for c in support] for vec, support in zip(basis, supports)]
+    rows = [[(at[c], x) for c, x in vec.items()] for vec in basis]
     if nonzero_sum_indices is not None:
-        if all(sum(vec[i] for i in nonzero_sum_indices) == 0 for vec in basis):
+        if all(sum(vec.get(i, ZERO) for i in nonzero_sum_indices) == 0 for vec in basis):
             raise InternalCheckError(
                 "sum functional vanishes on the entire span; no combination can satisfy it"
             )
@@ -155,7 +150,4 @@ def full_support_vector(
             continue
         if nonzero_sum_indices is not None and sum(combo[j] for j in sum_at) == 0:
             continue
-        result = [ZERO] * length
-        for c, x in zip(union, combo):
-            result[c] = x
-        return tuple(result)
+        return dict(zip(union, combo))

@@ -11,12 +11,12 @@ subgraphs:
   sum, a multiple of the pivot zeroes every other one's sum, and a single
   corrected vector (a scaled pivot plus a full-support kernel vector of the
   pendant tree minus v) fills the gap.  Both steps change only the
-  coordinates on the pivot's support; no step combines whole n-tuples.
+  coordinates on the pivot's support.
 * Type II extends the kernel of the forest left after deleting the cycle.
   When the cycle length is a multiple of 4 the cycle itself contributes two
   extra vectors z1 and z2: alternating-sign sums of normalized full-support
   pendant-tree vectors over the even and odd cycle positions.  The pendant
-  trees are disjoint, so each tree vector is written straight into place.
+  trees are disjoint, so each tree vector's coordinates go straight in.
 
 ``classify`` is the one place that decides a graph's class: None for a
 forest, the Type I / Type II class with its witness and case for a unicyclic
@@ -31,9 +31,11 @@ whole graph for ``rref_null_basis`` and of each subforest the Type I /
 Type II bases (private to ``constructed_null_basis``) assemble, comes from
 the one sparse elimination ``linalg.null_basis_on``, which reads g's
 adjacency lists and answers in g's own indices: no dense matrix, no
-subgraph, no position map.  ``checks`` verifies all of them against the
-dense RREF kernel of A(G): the constructed bases by span and exact
-annihilation, ``rref_null_basis`` tuple for tuple.
+subgraph, no position map.  Each vector is the dict of its nonzero
+coordinates (``linalg.Vector``), and each step touches only those.
+``checks`` verifies all of them against the dense RREF kernel of A(G): the
+constructed bases by span and exact annihilation, ``rref_null_basis``
+vector for vector.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Mapping
 
 from .errors import CaseContradiction, NormalizationFailure, UnsupportedGraphClass
 from .graph import CycleInfo, Graph
-from .linalg import ZERO, Vector, null_basis_on, support_indices
+from .linalg import ZERO, Vector, null_basis_on
 from .trees import Decomposition, forest_decomposition, full_support_vector
 
 TYPE1 = "type1"
@@ -243,7 +245,7 @@ def _type1_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
     rest_basis = null_basis_on(g.adjacency, frozenset(range(g.n)) - tree)
 
     def cycle_sum(vec: Vector) -> Fraction:
-        return vec[u] + vec[w]
+        return vec.get(u, ZERO) + vec.get(w, ZERO)
 
     vectors: list[Vector] = []
     provenance: list[str] = []
@@ -254,9 +256,8 @@ def _type1_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
         vectors.extend(rest_basis)
         provenance.extend([EXTENDED_COMPLEMENT] * len(rest_basis))
     else:
-        on = support_indices(pivot)
         zero_sum = [
-            _add_scaled(vec, -cycle_sum(vec) / cycle_sum(pivot), pivot, on)
+            _add_scaled(vec, -cycle_sum(vec) / cycle_sum(pivot), pivot)
             for vec in rest_basis
             if vec is not pivot
         ]
@@ -265,8 +266,8 @@ def _type1_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
         # The neighbor-sum must be nonzero or the corrected vector falls into the
         # extended pendant-tree span; full_support_vector raises if it cannot be.
         y = full_support_vector(null_basis_on(g.adjacency, sub), nonzero_sum_indices=neighbors)
-        coeff = -sum(y[t] for t in neighbors) / cycle_sum(pivot)
-        vectors.append(_add_scaled(y, coeff, pivot, on))
+        coeff = -sum(y.get(t, ZERO) for t in neighbors) / cycle_sum(pivot)
+        vectors.append(_add_scaled(y, coeff, pivot))
         provenance.append(CORRECTED)
         vectors.extend(zero_sum)
         provenance.extend([EXTENDED_COMPLEMENT] * len(zero_sum))
@@ -275,12 +276,12 @@ def _type1_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
     return NullBasis(tuple(vectors), tuple(provenance))
 
 
-def _add_scaled(vec: Vector, coeff: Fraction, other: Vector, on: frozenset[int]) -> Vector:
-    """vec + coeff * other, where ``on`` holds other's support: only those coordinates change."""
-    out = list(vec)
-    for i in on:
-        out[i] += coeff * other[i]
-    return tuple(out)
+def _add_scaled(vec: Vector, coeff: Fraction, other: Vector) -> Vector:
+    """vec + coeff * other, with a coordinate that cancels dropped: only other's coordinates change."""
+    out = dict(vec)
+    for i, x in other.items():
+        out[i] = out.get(i, ZERO) + coeff * x
+    return {i: x for i, x in out.items() if x}
 
 
 def _type2_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
@@ -290,17 +291,16 @@ def _type2_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
     provenance = [EXTENDED_FOREST] * len(vectors)
 
     if cls.cycle.length % 4 == 0:
-        z = ([ZERO] * g.n, [ZERO] * g.n)  # cycle position i goes to z[i % 2], negated for i % 4 < 2
+        z: tuple[Vector, Vector] = ({}, {})  # cycle position i goes to z[i % 2], negated for i % 4 < 2
         for i, v in enumerate(cyc):
             x = full_support_vector(null_basis_on(g.adjacency, cls.pendant_trees[v]))
-            if x[v] == 0:
+            if x.get(v, ZERO) == 0:
                 raise NormalizationFailure(
                     f"full-support vector vanishes at cycle vertex {g.labels[v]!r}"
                 )
             scale = (-1 if i % 4 < 2 else 1) / x[v]
-            for t in cls.pendant_trees[v]:
-                z[i % 2][t] = scale * x[t]
-        vectors.extend(map(tuple, z))
+            z[i % 2].update((t, scale * y) for t, y in x.items())
+        vectors.extend(z)
         provenance.extend((CYCLE_ALTERNATING, CYCLE_ALTERNATING))
     return NullBasis(tuple(vectors), tuple(provenance))
 

@@ -5,6 +5,8 @@ random corpus used by the campaign-style tests.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import strategies as st
 
@@ -159,6 +161,18 @@ def cycle_with_attachments(length: int, tails: dict[int, int] = {}, leaves: dict
         for j in range(count):
             edges.append((labels[pos], f"u{pos:02d}x{j:02d}"))
     return Graph.from_edges(edges)
+
+
+def dense(vec: dict[int, Fraction], n: int) -> tuple[Fraction, ...]:
+    """A ``{index: Fraction}`` vector written out as the n-tuple the dense reference returns."""
+    return tuple(vec.get(i, Fraction(0)) for i in range(n))
+
+
+def assert_zero_free_inside(vectors, vertices) -> None:
+    """Each vector is a map of nonzero coordinates, every key one of ``vertices``."""
+    inside = frozenset(vertices)
+    for vec in vectors:
+        assert vec.keys() <= inside and all(x != 0 for x in vec.values()), (sorted(inside), vec)
 
 
 @st.composite

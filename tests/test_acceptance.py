@@ -16,7 +16,7 @@ from nulldecomp.oracle import brute_alpha, brute_nu
 from nulldecomp.trees import tree_decomposition
 from nulldecomp.unicyclic import recursion_nullity
 
-from conftest import cycle_graph, kernel_case
+from conftest import cycle_graph, dense, kernel_case
 
 
 def _report(number: int, title: str, started: float, limit: float) -> None:
@@ -87,10 +87,10 @@ def test_criterion_5_basis_exactness_and_span(random_corpus):
         basis = constructed_null_basis(g, cls)
         matrix = g.adjacency_matrix()
         for vec in basis.vectors:
-            assert is_zero_vector(mat_vec(matrix, vec)), g.to_edge_list()
+            assert is_zero_vector(mat_vec(matrix, dense(vec, g.n))), g.to_edge_list()
         rank_deficiency = g.n - rref(matrix)[1]
         assert len(basis.vectors) == rank_deficiency == recursion_nullity(g, cls.pendant_trees, cls.witness)
-        assert same_span(basis.vectors, null_space_basis(matrix)), g.to_edge_list()
+        assert same_span([dense(vec, g.n) for vec in basis.vectors], null_space_basis(matrix)), g.to_edge_list()
     _report(5, "constructed bases exact + span equality on 500 random graphs", started, 60.0)
 
 

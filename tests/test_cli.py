@@ -59,6 +59,13 @@ def test_analyze_parse_error_exit_2(capsys, monkeypatch):
     assert "line 1" in err
 
 
+def test_analyze_refuses_a_label_starting_with_hash_exit_2(capsys, monkeypatch):
+    # Accepted, this graph would not survive its own edge-list round trip.
+    code, out, err = run(capsys, ["analyze", "-"], stdin="b #a\nc b\nc #a\n", monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert "line 1" in err and "'#'" in err
+
+
 def test_analyze_unsupported_class_exit_3(capsys, monkeypatch):
     theta = "a b\nb c\nc d\nd a\na c\n"
     code, _, err = run(capsys, ["analyze", "-"], stdin=theta, monkeypatch=monkeypatch)

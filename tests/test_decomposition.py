@@ -15,7 +15,7 @@ from nulldecomp.decomposition import (
     structural_decomposition,
 )
 from nulldecomp.errors import OddNSet, UnsupportedGraphClass
-from nulldecomp.linalg import null_space_basis, support_indices
+from nulldecomp.linalg import null_space_basis
 from nulldecomp.trees import tree_decomposition
 from nulldecomp.unicyclic import (
     CASE_TI1,
@@ -202,7 +202,7 @@ def kernel_case_tag(g: Graph, cls) -> str:
         return CASE_TI1
     tree_vertices = sorted(pend)
     tree_basis = null_space_basis(g.induced_subgraph(tree_vertices).adjacency_matrix())
-    support = {tree_vertices[j] for vec in tree_basis for j in support_indices(vec)}
+    support = {tree_vertices[j] for vec in tree_basis for j, x in enumerate(vec) if x != 0}
     return CASE_TI2 if v in g.neighborhood(support) else CASE_TI3
 
 

@@ -27,10 +27,10 @@ import pytest
 from nulldecomp import GeneratorSpec, Graph, checks, classify, generate_unicyclic, linalg, parse_edge_list, run_checks
 from nulldecomp.cli import main
 from nulldecomp.errors import DimensionMismatch
-from nulldecomp.linalg import ZERO, null_space_basis
+from nulldecomp.linalg import ONE, ZERO, null_space_basis
 from nulldecomp.unicyclic import TYPE1, TYPE2, NullBasis, rref_null_basis
 
-from conftest import EXAMPLE_FIVE_CYCLE, EXAMPLE_FOUR_CYCLE, EXAMPLE_STAR_SGRAPH, EXAMPLE_TYPE1
+from conftest import EXAMPLE_FIVE_CYCLE, EXAMPLE_FOUR_CYCLE, EXAMPLE_STAR_SGRAPH, EXAMPLE_TYPE1, dense
 
 GOLDEN = Path(__file__).parent / "golden" / "outputs.json"
 COMMANDS = {
@@ -175,18 +175,20 @@ def test_battery_builds_no_dense_adjacency_matrix(golden, monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["example_type1", "example_four_cycle", "seed125_forest"])
 def test_battery_refuses_a_vector_of_the_wrong_length(monkeypatch, name):
-    # One coordinate too many must not pass as annihilated.
+    # A coordinate at index n, past the last vertex, must not pass as annihilated.
+    g = CORPUS[name]
+
     def one_too_long(real):
         def build(*args):
             basis = real(*args)
-            return NullBasis((basis.vectors[0] + (ZERO,),) + basis.vectors[1:], basis.provenance)
+            return NullBasis(({**basis.vectors[0], g.n: ONE},) + basis.vectors[1:], basis.provenance)
 
         return build
 
     for routine in ("constructed_null_basis", "rref_null_basis"):
         monkeypatch.setattr(checks, routine, one_too_long(getattr(checks, routine)))
     with pytest.raises(DimensionMismatch):
-        run_checks(CORPUS[name])
+        run_checks(g)
 
 
 def _plant_kernel(monkeypatch, planted) -> None:
@@ -208,6 +210,24 @@ def test_battery_catches_a_faulty_sparse_kernel(monkeypatch, name):
     assert run_checks(g)["basis_count"] is False
 
 
+@pytest.mark.parametrize("name", ["example_type1", "seed125_forest"])
+def test_battery_catches_a_stored_zero(monkeypatch, name):
+    # A production vector holds only its nonzero coordinates, so its key set
+    # is its support; a 0 stored at another vertex fails basis_count.
+    def with_a_zero(real, adjacency, vertices):
+        vertices = frozenset(vertices)
+        basis = real(adjacency, vertices)
+        if len(vertices) < len(adjacency):
+            return basis
+        outside = min(vertices - basis[0].keys())
+        return [{**basis[0], outside: ZERO}] + basis[1:]
+
+    g = CORPUS[name]
+    assert all(run_checks(g).values())
+    _plant_kernel(monkeypatch, with_a_zero)
+    assert run_checks(g)["basis_count"] is False
+
+
 @pytest.mark.parametrize("name", ["example_type1", "example_four_cycle"])
 def test_battery_catches_a_short_subforest_kernel(monkeypatch, name):
     # The whole-graph kernel stays right; only the subforest kernels the
@@ -220,7 +240,7 @@ def test_battery_catches_a_short_subforest_kernel(monkeypatch, name):
     g = CORPUS[name]
     assert all(run_checks(g).values())
     _plant_kernel(monkeypatch, one_short_below_g)
-    assert rref_null_basis(g).vectors == tuple(null_space_basis(g.adjacency_matrix()))
+    assert [dense(vec, g.n) for vec in rref_null_basis(g).vectors] == null_space_basis(g.adjacency_matrix())
     checks = run_checks(g)
     assert checks["basis_count"] is False or checks["span_equality"] is False
 

@@ -3,10 +3,13 @@ from __future__ import annotations
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nulldecomp import Graph, classify, parse_edge_list
 from nulldecomp.errors import (
     DuplicateEdge,
+    EdgeListError,
     EmptyInput,
     MalformedLine,
     SelfLoop,
@@ -163,6 +166,36 @@ def test_edge_list_round_trip(ex_type1, ex_five_cycle):
 
 def test_round_trip_with_isolated_vertices():
     g = Graph.from_edges([("a", "b")], isolated=["q", "z"])
+    assert parse_edge_list(g.to_edge_list()) == g
+
+
+def test_a_label_starting_with_hash_is_refused():
+    # Written back out, "#a b" would read as a comment and lose two edges.
+    with pytest.raises(MalformedLine, match="line 1.*may not start with '#'"):
+        parse_edge_list("b #a\nc b\nc #a\n")
+    with pytest.raises(MalformedLine, match="line 2"):
+        parse_edge_list("a b\nc #d\n")
+    assert parse_edge_list("a# b#c\n").labels == ("a#", "b#c")
+
+
+EDGE_LIST_LINES = st.lists(
+    st.one_of(
+        st.lists(st.text(alphabet="ab#", min_size=1, max_size=3), min_size=1, max_size=2).map(" ".join),
+        st.sampled_from(["", "# comment", "  "]),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(EDGE_LIST_LINES)
+@example(["b #a", "c b", "c #a"])
+@example(["a# b#", "b# #"])
+def test_edge_list_round_trip_on_every_accepted_text(lines):
+    try:
+        g = parse_edge_list("\n".join(lines))
+    except EdgeListError:
+        return
     assert parse_edge_list(g.to_edge_list()) == g
 
 

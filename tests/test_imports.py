@@ -3,9 +3,10 @@
 The runtime stays stdlib-only: every module of the package imports the
 standard library and the package itself, nothing else (``pyproject.toml``
 declares ``dependencies = []``).  No module imports a name it never uses.
-And the check battery keeps its own reference: ``checks`` reads every
-kernel off the dense ``null_space_basis`` / ``rref``, never off a sparse
-production kernel of ``linalg``."""
+The check battery keeps its own reference: ``checks`` reads every kernel
+off the dense ``null_space_basis`` / ``rref``, never off a sparse
+production kernel of ``linalg``.  And dense vectors stay on that side: no
+module but ``linalg`` and ``checks`` imports a dense reference function."""
 
 from __future__ import annotations
 
@@ -104,3 +105,50 @@ def test_the_battery_imports_no_sparse_kernel():
     assert {"null_space_basis", "same_span"} <= from_linalg
     assert from_linalg & sparse == set()
     assert whole_module == []  # a module import would reach every kernel by attribute
+
+
+# The functions of ``linalg`` that take or return dense n-tuple vectors.
+DENSE_REFERENCE = {"rref", "null_space_basis", "same_span", "row_space_signature", "mat_vec", "is_zero_vector"}
+
+
+def dense_reference_imports(path: Path) -> list[str]:
+    """Every dense reference function one source file imports, as "line: name".
+
+    A whole-module import of ``linalg`` counts too: it reaches every
+    function by attribute.
+    """
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module in ("linalg", "nulldecomp.linalg"):
+            found += [f"{node.lineno}: {a.name}" for a in node.names if a.name in DENSE_REFERENCE | {"*"}]
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "nulldecomp"):
+            found += [f"{node.lineno}: {a.name}" for a in node.names if a.name == "linalg"]
+        elif isinstance(node, ast.Import):
+            found += [f"{node.lineno}: {a.name}" for a in node.names if a.name == "nulldecomp.linalg"]
+    return found
+
+
+def test_only_linalg_and_checks_import_the_dense_reference():
+    sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name not in ("linalg.py", "checks.py")]
+    assert sources, f"no package sources under {PACKAGE}"
+    offenders = [f"{path.name}:{entry}" for path in sources for entry in dense_reference_imports(path)]
+    assert offenders == []
+
+
+def test_the_dense_reference_guard_sees_a_planted_import(tmp_path):
+    module = tmp_path / "planted.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import nulldecomp.linalg\n"
+        "from . import linalg\n"
+        "from .linalg import ZERO, Vector, null_basis_on, same_span\n"
+        "from nulldecomp.linalg import mat_vec as product\n"
+        "from .graph import rref\n",
+        encoding="utf-8",
+    )
+    assert dense_reference_imports(module) == [
+        "2: nulldecomp.linalg",
+        "3: linalg",
+        "4: same_span",
+        "5: mat_vec",
+    ]

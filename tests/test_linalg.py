@@ -18,7 +18,7 @@ from nulldecomp.linalg import (
     same_span,
 )
 
-from conftest import cycle_graph, forests_with_subsets, path_graph, unicyclic_pieces
+from conftest import assert_zero_free_inside, cycle_graph, dense, forests_with_subsets, path_graph, unicyclic_pieces
 
 
 def frac_matrix(rows):
@@ -116,15 +116,15 @@ def test_same_span():
 
 
 def assert_sparse_matches_dense(g: Graph, vertices=None) -> None:
-    """Same canonical basis, tuple for tuple, and every coordinate a Fraction.
+    """Same canonical basis, written out densely tuple for tuple, and every coordinate a Fraction.
 
     With ``vertices`` the comparison runs on the subgraph they induce.
     """
     if vertices is not None:
         g = g.induced_subgraph(sorted(vertices))
     sparse = null_basis_on(g.adjacency, range(g.n))
-    assert sparse == null_space_basis(g.adjacency_matrix()), g.to_edge_list()
-    assert all(type(x) is Fraction for vec in sparse for x in vec)
+    assert [dense(vec, g.n) for vec in sparse] == null_space_basis(g.adjacency_matrix()), g.to_edge_list()
+    assert all(type(x) is Fraction for vec in sparse for x in vec.values())
 
 
 @settings(max_examples=200, deadline=None)
@@ -197,7 +197,7 @@ def test_sparse_kernel_edge_cases():
         assert_sparse_matches_dense(g)
     assert_sparse_matches_dense(isolated, [0, 2, 4])
     assert null_basis_on((), range(0)) == []
-    assert null_basis_on(one.adjacency, range(one.n)) == [(Fraction(1),)]
+    assert null_basis_on(one.adjacency, range(one.n)) == [{0: Fraction(1)}]
     assert len(null_basis_on(isolated.adjacency, range(isolated.n))) == 3
     assert null_basis_on(complete_graph(5).adjacency, range(5)) == []
     assert len(null_basis_on(cycle_graph(8).adjacency, range(8))) == 2
@@ -222,8 +222,8 @@ def two_disjoint_cycles() -> Graph:
     )
 
 
-def assert_kernel_on_matches_subgraph(g: Graph, vertices) -> None:
-    """The dense kernel of the induced subgraph, coordinate j placed at vertex vs[j], tuple for tuple."""
+def placed_reference(g: Graph, vertices) -> list[tuple[Fraction, ...]]:
+    """The dense kernel of the induced subgraph, coordinate j placed at vertex vs[j], zeros elsewhere."""
     vs = sorted(vertices)
     expected = []
     for vec in null_space_basis(g.induced_subgraph(vs).adjacency_matrix()):
@@ -231,9 +231,27 @@ def assert_kernel_on_matches_subgraph(g: Graph, vertices) -> None:
         for v, x in zip(vs, vec):
             coords[v] = x
         expected.append(tuple(coords))
+    return expected
+
+
+def assert_kernel_on_matches_subgraph(g: Graph, vertices) -> None:
+    """The placed dense kernel of the induced subgraph, tuple for tuple once written out densely."""
     got = null_basis_on(g.adjacency, frozenset(vertices))
-    assert got == expected, (g.to_edge_list(), vs)
-    assert all(type(x) is Fraction for vec in got for x in vec)
+    assert [dense(vec, g.n) for vec in got] == placed_reference(g, vertices), (g.to_edge_list(), sorted(vertices))
+    assert all(type(x) is Fraction for vec in got for x in vec.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(forests_with_subsets(), st.integers(min_value=3, max_value=14), st.integers(min_value=0, max_value=10_000))
+def test_kernel_vectors_are_zero_free_maps_inside_the_vertex_set(drawn, n, seed):
+    # The one production vector format: a vector's keys are its support, so a
+    # key off ``vertices`` or a stored 0 would put a vertex in the wrong set.
+    forest, subset = drawn
+    g = generate_unicyclic(GeneratorSpec(n=n, seed=seed))
+    for h, vertices in [(forest, subset)] + [(g, piece) for piece in unicyclic_pieces(g)]:
+        basis = null_basis_on(h.adjacency, vertices)
+        assert_zero_free_inside(basis, vertices)
+        assert [dense(vec, h.n) for vec in basis] == placed_reference(h, vertices)
 
 
 @settings(max_examples=200, deadline=None)
@@ -269,5 +287,5 @@ def test_kernel_on_vertex_set_edge_cases():
     g = cycle_graph(4)
     assert null_basis_on(g.adjacency, []) == []
     assert null_basis_on((), []) == []
-    assert null_basis_on(g.adjacency, [2]) == [(0, 0, 1, 0)]
-    assert null_basis_on(g.adjacency, range(4)) == null_space_basis(g.adjacency_matrix())
+    assert null_basis_on(g.adjacency, [2]) == [{2: 1}]
+    assert [dense(vec, 4) for vec in null_basis_on(g.adjacency, range(4))] == null_space_basis(g.adjacency_matrix())

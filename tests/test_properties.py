@@ -19,7 +19,7 @@ from nulldecomp.oracle import brute_alpha, brute_nu
 from nulldecomp.trees import tree_decomposition
 from nulldecomp.unicyclic import CASE_TII_4K, recursion_nullity
 
-from conftest import kernel_case
+from conftest import dense, kernel_case
 
 
 @st.composite
@@ -73,8 +73,8 @@ def test_constructed_basis_is_exact_and_spans(g):
     nullity = len(null_space_basis(matrix))
     assert len(basis.vectors) == nullity == recursion_nullity(g, cls.pendant_trees, cls.witness)
     for vec in basis.vectors:
-        assert is_zero_vector(mat_vec(matrix, vec))
-    assert same_span(basis.vectors, null_space_basis(matrix))
+        assert is_zero_vector(mat_vec(matrix, dense(vec, g.n)))
+    assert same_span([dense(vec, g.n) for vec in basis.vectors], null_space_basis(matrix))
 
 
 @common

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from nulldecomp import Graph, GeneratorSpec, classify, generate_unicyclic
 from nulldecomp.errors import EmptyBasis, InternalCheckError, NotForest
-from nulldecomp.linalg import null_basis_on, null_space_basis, support_indices
+from nulldecomp.linalg import null_basis_on, null_space_basis
 from nulldecomp.decomposition import alpha, nu
 from nulldecomp.trees import Decomposition, forest_decomposition, full_support_vector, tree_decomposition
 
 from conftest import (
     cycle_graph,
+    dense,
     cycle_with_attachments,
     forests_with_subsets,
     path_graph,
@@ -87,8 +88,13 @@ def test_alpha_plus_nu_is_order():
         assert alpha(d) + nu(d) == g.n
 
 
+def sparse(vec) -> dict[int, Fraction]:
+    """A dense vector as the ``{index: Fraction}`` map of its nonzero coordinates."""
+    return {i: Fraction(x) for i, x in enumerate(vec) if x != 0}
+
+
 def vecs(*rows):
-    return [tuple(Fraction(x) for x in row) for row in rows]
+    return [sparse(row) for row in rows]
 
 
 def test_full_support_single_vector():
@@ -98,7 +104,7 @@ def test_full_support_single_vector():
 
 def test_full_support_two_disjoint():
     basis = vecs([1, 0, -1, 0], [0, 1, 0, -1])
-    result = full_support_vector(basis)
+    result = dense(full_support_vector(basis), 4)
     assert all(x != 0 for x in result)
     assert result == tuple(Fraction(x) for x in (1, 1, -1, -1))
 
@@ -106,7 +112,7 @@ def test_full_support_two_disjoint():
 def test_full_support_search_skips_cancelling_t():
     # t=1 gives (2, 0) which cancels; t=2 gives (3, 1).
     basis = vecs([1, -1], [1, 1])
-    assert full_support_vector(basis) == (Fraction(3), Fraction(1))
+    assert dense(full_support_vector(basis), 2) == (Fraction(3), Fraction(1))
 
 
 def test_full_support_empty_basis():
@@ -118,9 +124,9 @@ def test_full_support_respects_sum_constraint():
     # First full-support hit has coordinate sum zero at {0, 2}; the constraint
     # forces the search onward.
     basis = vecs([-1, 1, 0, 0], [0, 0, 1, 0])
-    free = full_support_vector(basis)
+    free = dense(full_support_vector(basis), 4)
     assert sum(free[i] for i in (0, 2)) == 0
-    constrained = full_support_vector(basis, nonzero_sum_indices=(0, 2))
+    constrained = dense(full_support_vector(basis, nonzero_sum_indices=(0, 2)), 4)
     assert sum(constrained[i] for i in (0, 2)) != 0
     union = {0, 1, 2}
     assert all(constrained[i] != 0 for i in union)
@@ -136,15 +142,15 @@ def test_full_support_refuses_a_sum_that_vanishes_on_the_span():
 
 def test_full_support_matches_union_on_tree_kernels():
     for g in (star_graph(4), path_graph(9)):
-        basis = null_space_basis(g.adjacency_matrix())
-        combined = full_support_vector(basis)
+        basis = [sparse(vec) for vec in null_space_basis(g.adjacency_matrix())]
+        combined = dense(full_support_vector(basis), g.n)
         union = tree_decomposition(g).support
         assert {i for i, x in enumerate(combined) if x != 0} == set(union)
 
 
 def dense_full_support_vector(basis, nonzero_sum_indices=None):
     """The search as it ran on whole n-tuples: the reference that pins t and the tuple."""
-    union = frozenset().union(*(support_indices(vec) for vec in basis))
+    union = frozenset(i for vec in basis for i, x in enumerate(vec) if x != 0)
     t = 0
     while True:
         t += 1
@@ -164,7 +170,7 @@ def dense_full_support_vector(basis, nonzero_sum_indices=None):
 @given(forests_with_subsets(), st.data())
 def test_full_support_equals_the_dense_search(forest, data):
     g, vertices = forest
-    canonical = null_basis_on(g.adjacency, vertices)
+    canonical = [dense(vec, g.n) for vec in null_basis_on(g.adjacency, vertices)]
     if not canonical:
         return
     # The canonical kernel almost always succeeds at t = 1; adding a multiple of
@@ -176,14 +182,15 @@ def test_full_support_equals_the_dense_search(forest, data):
     ]
     # Sum indices anywhere in g, so some fall off the union support or off ``vertices``.
     sums = data.draw(st.lists(st.integers(min_value=0, max_value=g.n - 1), min_size=1, max_size=g.n))
-    for basis in (canonical, mixed):
-        assert full_support_vector(basis) == dense_full_support_vector(basis)
-        if all(sum(vec[i] for i in sums) == 0 for vec in basis):
+    for reference in (canonical, mixed):
+        basis = [sparse(vec) for vec in reference]
+        assert dense(full_support_vector(basis), g.n) == dense_full_support_vector(reference)
+        if all(sum(vec[i] for i in sums) == 0 for vec in reference):
             with pytest.raises(InternalCheckError, match="vanishes on the entire span"):
                 full_support_vector(basis, nonzero_sum_indices=sums)
             continue
-        expected = dense_full_support_vector(basis, nonzero_sum_indices=sums)
-        assert full_support_vector(basis, nonzero_sum_indices=sums) == expected
+        expected = dense_full_support_vector(reference, nonzero_sum_indices=sums)
+        assert dense(full_support_vector(basis, nonzero_sum_indices=sums), g.n) == expected
 
 
 # -- the matching route against the kernel --------------------------------
@@ -193,7 +200,7 @@ def kernel_decomposition(g: Graph, vertices) -> Decomposition:
     """The decomposition read off the canonical kernel of the induced subgraph, in g's indices."""
     vs = sorted(vertices)
     basis = null_space_basis(g.induced_subgraph(vs).adjacency_matrix())
-    support = frozenset(vs[j] for vec in basis for j in support_indices(vec))
+    support = frozenset(vs[j] for vec in basis for j, x in enumerate(vec) if x != 0)
     core = g.neighborhood(support) & frozenset(vs)
     return Decomposition(support, core, frozenset(vs) - support - core, len(basis))
 

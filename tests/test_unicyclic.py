@@ -25,11 +25,23 @@ from nulldecomp.unicyclic import (
     rref_null_basis,
 )
 
-from conftest import cycle_graph, cycle_with_attachments, forests_with_subsets, path_graph
+from conftest import (
+    assert_zero_free_inside,
+    cycle_graph,
+    cycle_with_attachments,
+    dense,
+    forests_with_subsets,
+    path_graph,
+)
 
 
 def coords(g: Graph, vec) -> dict[str, Fraction]:
-    return {g.labels[i]: x for i, x in enumerate(vec) if x != 0}
+    return {g.labels[i]: x for i, x in enumerate(dense(vec, g.n)) if x != 0}
+
+
+def written_out(g: Graph, vectors) -> list[tuple[Fraction, ...]]:
+    """Kernel vectors as the n-tuples the dense reference functions take."""
+    return [dense(vec, g.n) for vec in vectors]
 
 
 def test_classify_plain_cycles_type2():
@@ -153,7 +165,7 @@ def test_type1_basis_zero_sum_branch():
     basis = constructed_null_basis(g, cls)
     assert len(basis.vectors) == 1
     assert basis.provenance == (EXTENDED_COMPLEMENT,)
-    (vec,) = basis.vectors
+    (vec,) = written_out(g, basis.vectors)
     witness = cls.witness
     leaf = g.index_of("t00x00")
     assert vec[witness] == 0 and vec[leaf] == 0
@@ -175,7 +187,7 @@ def test_type1_basis_corrected_branch():
         "w": Fraction(-1, 2),
         "l": Fraction(1),
     }
-    assert is_zero_vector(mat_vec(g.adjacency_matrix(), vec))
+    assert is_zero_vector(mat_vec(g.adjacency_matrix(), dense(vec, g.n)))
 
 
 def test_type1_basis_empty_for_nonsingular():
@@ -191,9 +203,9 @@ def test_type1_pendant_vectors_present(ex_type1):
     assert len(basis.vectors) == 2
     assert EXTENDED_PENDANT in basis.provenance
     matrix = ex_type1.adjacency_matrix()
-    for vec in basis.vectors:
+    for vec in written_out(ex_type1, basis.vectors):
         assert is_zero_vector(mat_vec(matrix, vec))
-    assert same_span(basis.vectors, rref_null_basis(ex_type1).vectors)
+    assert same_span(written_out(ex_type1, basis.vectors), written_out(ex_type1, rref_null_basis(ex_type1).vectors))
 
 
 def test_type2_basis_plain_c4_alternating():
@@ -217,9 +229,9 @@ def test_type2_basis_four_cycle_example(ex_four_cycle):
     assert basis.provenance.count(EXTENDED_FOREST) == 3
     assert basis.provenance.count(CYCLE_ALTERNATING) == 2
     matrix = g.adjacency_matrix()
-    for vec in basis.vectors:
+    for vec in written_out(g, basis.vectors):
         assert is_zero_vector(mat_vec(matrix, vec))
-    assert same_span(basis.vectors, null_space_basis(matrix))
+    assert same_span(written_out(g, basis.vectors), null_space_basis(matrix))
 
 
 def test_constructed_basis_dispatch(ex_type1, ex_four_cycle):
@@ -239,9 +251,9 @@ def test_degenerate_full_support_regression():
     basis = constructed_null_basis(g, cls)
     matrix = g.adjacency_matrix()
     assert len(basis.vectors) == len(null_space_basis(matrix))
-    for vec in basis.vectors:
+    for vec in written_out(g, basis.vectors):
         assert is_zero_vector(mat_vec(matrix, vec))
-    assert same_span(basis.vectors, rref_null_basis(g).vectors)
+    assert same_span(written_out(g, basis.vectors), written_out(g, rref_null_basis(g).vectors))
 
 
 def test_constructed_basis_of_a_large_graph_builds_on_sparse_kernels():
@@ -256,11 +268,27 @@ def test_constructed_basis_of_a_large_graph_builds_on_sparse_kernels():
     assert len(basis.vectors) == recursion_nullity(g, cls.pendant_trees, cls.witness) == 180
 
 
-@pytest.mark.parametrize("length, tail", [(1000, 0), (400, 2)])
+def test_constructed_vectors_are_zero_free_maps_over_the_vertices(ex_type1, ex_star, ex_five_cycle, ex_four_cycle):
+    # Each constructed vector, corrected and cycle-alternating ones included,
+    # holds only nonzero coordinates at g's own vertices: a coordinate that
+    # cancels while the basis is assembled is dropped, not stored as 0.
+    graphs = [ex_type1, ex_star, ex_five_cycle, ex_four_cycle]
+    graphs += [generate_unicyclic(GeneratorSpec(n=5 + i % 20, seed=4000 + i)) for i in range(40)]
+    cases = set()
+    for g in graphs:
+        cls = classify(g)
+        cases.add(cls.case)
+        assert_zero_free_inside(constructed_null_basis(g, cls).vectors, range(g.n))
+    assert len(cases) >= 4
+
+
+@pytest.mark.parametrize("length, tail", [(1000, 0), (400, 2), (4000, 0), (4000, 2)])
 def test_cycle_alternating_vectors_combine_on_supports(length, tail):
     # z1 / z2 sum one pendant-tree vector per cycle vertex; combined over
     # whole n-tuples this took 7.5 s on the bare 1000-cycle and 3.4 s on the
-    # 400-cycle with a two-vertex tail at every vertex.
+    # 400-cycle with a two-vertex tail at every vertex.  At length 4000,
+    # scanning dense n-tuple kernel vectors for their supports took 5.0 s
+    # bare and 11.0 s with the tails.
     g = cycle_with_attachments(length, tails={i: tail for i in range(length)})
     cls = classify(g)
     assert cls.case == "TII-4k"
