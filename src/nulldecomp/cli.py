@@ -52,7 +52,7 @@ def _read_graph(source: str) -> Graph:
     except UnicodeError:
         name = "standard input" if source == "-" else source
         raise EdgeListError(f"{name} is not UTF-8 text") from None
-    return parse_edge_list(text)
+    return parse_edge_list(text.removeprefix("\ufeff"))  # a leading U+FEFF is a byte-order mark
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

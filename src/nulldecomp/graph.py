@@ -1,13 +1,14 @@
 """Labeled simple undirected graphs with dense indices, plus structure queries.
 
-Vertices carry arbitrary non-whitespace label tokens.  Internally every graph
-uses dense indices 0..n-1 assigned by ascending lexicographic label order, so
-all derived output (bases, decompositions, reports) is deterministic for a
-given vertex set.
+Every graph uses dense indices 0..n-1 assigned by ascending lexicographic
+label order, so all derived output (bases, decompositions, reports) is
+deterministic for a given vertex set.
 
 Edge-list text format: one edge per line as two whitespace-separated labels;
 a line with a single token declares an isolated vertex; blank lines and lines
-starting with ``#`` are ignored, so a label that starts with ``#`` is refused.
+starting with ``#`` are ignored.  So a label is one ``str.split()`` token (not
+empty, no whitespace or line break) that does not start with ``#``, and
+``parse_edge_list`` and ``Graph.from_edges`` refuse any other label.
 
 Graphs are immutable; every operation is a pure function returning new values.
 
@@ -21,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateEdge,
@@ -68,30 +70,14 @@ class Graph:
 
     @staticmethod
     def from_edges(edges: Iterable[tuple[str, str]], isolated: Iterable[str] = ()) -> Graph:
-        """Build the canonical graph on the given labeled edges.
+        """Build the canonical graph on the given labeled edges and isolated labels.
 
-        Raises SelfLoop / DuplicateEdge on bad input (without line context;
-        the parser adds that).
+        Raises EmptyInput / MalformedLine / SelfLoop / DuplicateEdge as the
+        parser does, without line context.
         """
-        label_set: set[str] = set(isolated)
-        pairs: list[tuple[str, str]] = []
-        seen: set[frozenset[str]] = set()
-        for a, b in edges:
-            if a == b:
-                raise SelfLoop(f"self-loop at {a!r}")
-            key = frozenset((a, b))
-            if key in seen:
-                raise DuplicateEdge(f"duplicate edge {a!r} {b!r}")
-            seen.add(key)
-            label_set.update((a, b))
-            pairs.append((a, b))
-        labels = tuple(sorted(label_set))
-        index = {lab: i for i, lab in enumerate(labels)}
-        nbrs: list[set[int]] = [set() for _ in labels]
-        for a, b in pairs:
-            nbrs[index[a]].add(index[b])
-            nbrs[index[b]].add(index[a])
-        return Graph(labels, tuple(tuple(sorted(s)) for s in nbrs))
+        pairs = (((a, b), None, None) for a, b in edges)
+        vertices = (((v,), None, None) for v in isolated)
+        return _build(chain(pairs, vertices))
 
     # -- basic queries ---------------------------------------------------
 
@@ -205,7 +191,8 @@ class Graph:
     # -- serialization ----------------------------------------------------
 
     def to_edge_list(self) -> str:
-        """Canonical edge-list text; ``parse_edge_list`` inverts this exactly."""
+        """Canonical edge-list text; ``parse_edge_list`` inverts this exactly for every
+        nonempty graph built by ``parse_edge_list``, ``from_edges`` or a derived-graph method."""
         lines = [f"{self.labels[u]} {self.labels[v]}" for u, v in self.edges()]
         lines.extend(self.labels[v] for v in range(self.n) if not self.adjacency[v])
         return "\n".join(lines) + ("\n" if lines else "")
@@ -235,36 +222,48 @@ class CycleInfo:
         return (self.vertices[i - 1], self.vertices[(i + 1) % len(self.vertices)])
 
 
+def _build(entries: Iterable[tuple[Sequence[str], int | None, str | None]]) -> Graph:
+    """Check and build the canonical graph from entries of one label (a vertex) or two (an edge).
+
+    Each entry carries the line number and raw line an error names, or None
+    for both.  Checks run in this order: the label rule once per distinct
+    label, the arity, self-loops, duplicates on the neighbour sets as they are
+    built, and last that there is a vertex (the parser refuses empty text).
+    """
+    nbrs: dict[str, set[str]] = {}
+    for labels, line_no, raw in entries:
+        for label in labels:
+            if label not in nbrs:
+                if not isinstance(label, str) or label.split() != [label]:
+                    raise MalformedLine(f"label {label!r} is not one token", line_no, raw)
+                if label.startswith("#"):
+                    raise MalformedLine("a label may not start with '#'", line_no, raw)
+                nbrs[label] = set()
+        if len(labels) == 2:
+            a, b = labels
+            if a == b:
+                raise SelfLoop(f"self-loop at {a!r}", line_no, raw)
+            if b in nbrs[a]:
+                raise DuplicateEdge(f"duplicate edge {a!r} {b!r}", line_no, raw)
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        elif len(labels) != 1:
+            raise MalformedLine("expected one or two tokens", line_no, raw)
+    if not nbrs:
+        raise EmptyInput("no vertices or edges in input")
+    order = sorted(nbrs)
+    index = {label: i for i, label in enumerate(order)}
+    return Graph(tuple(order), tuple(tuple(sorted([index[w] for w in nbrs[label]])) for label in order))
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text into a canonical :class:`Graph`.
 
-    Raises EmptyInput / MalformedLine / SelfLoop / DuplicateEdge, each naming
+    Raises EmptyInput, or MalformedLine / SelfLoop / DuplicateEdge naming
     the offending line; a label starting with ``#`` is a MalformedLine.
     """
-    edges: list[tuple[str, str]] = []
-    isolated: list[str] = []
-    seen: set[frozenset[str]] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if any(token.startswith("#") for token in tokens):
-            raise MalformedLine("a label may not start with '#'", line_no, raw)
-        if len(tokens) == 1:
-            isolated.append(tokens[0])
-            continue
-        if len(tokens) != 2:
-            raise MalformedLine("expected one or two tokens", line_no, raw)
-        a, b = tokens
-        if a == b:
-            raise SelfLoop(f"self-loop at {a!r}", line_no, raw)
-        key = frozenset((a, b))
-        if key in seen:
-            raise DuplicateEdge(f"duplicate edge {a!r} {b!r}", line_no, raw)
-        seen.add(key)
-        edges.append((a, b))
-    if not edges and not isolated:
-        raise EmptyInput("no vertices or edges in input")
-    return Graph.from_edges(edges, isolated)
-
+    return _build(
+        (tokens, line_no, raw)
+        for line_no, raw in enumerate(text.splitlines(), start=1)
+        if (tokens := raw.split()) and not tokens[0].startswith("#")
+    )

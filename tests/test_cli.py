@@ -66,6 +66,18 @@ def test_analyze_refuses_a_label_starting_with_hash_exit_2(capsys, monkeypatch):
     assert "line 1" in err and "'#'" in err
 
 
+def test_a_leading_byte_order_mark_is_not_a_label(tmp_path, capsys, monkeypatch):
+    triangle = b"a b\nb c\nc a\n"
+    _, plain, _ = run(capsys, ["analyze", "-", "--json"], stdin=triangle.decode(), monkeypatch=monkeypatch)
+    path = tmp_path / "bom.edges"
+    path.write_bytes(b"\xef\xbb\xbf" + triangle)
+    from_file = run(capsys, ["analyze", str(path), "--json"])
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xef\xbb\xbf" + triangle), encoding="utf-8"))
+    from_stdin = run(capsys, ["analyze", "-", "--json"])
+    assert from_file == from_stdin == (0, plain, "")
+    assert json.loads(plain)["n"] == 3
+
+
 def test_analyze_unsupported_class_exit_3(capsys, monkeypatch):
     theta = "a b\nb c\nc d\nd a\na c\n"
     code, _, err = run(capsys, ["analyze", "-"], stdin=theta, monkeypatch=monkeypatch)

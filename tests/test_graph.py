@@ -199,6 +199,106 @@ def test_edge_list_round_trip_on_every_accepted_text(lines):
     assert parse_edge_list(g.to_edge_list()) == g
 
 
+def reference_parse_edge_list(text: str) -> Graph:
+    """The parser as it ran with its own checks before the one builder: the reference
+    for the graph every text gives, or the error it raises, line included."""
+    edges: list[tuple[str, str]] = []
+    isolated: list[str] = []
+    seen: set[frozenset[str]] = set()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if any(token.startswith("#") for token in tokens):
+            raise MalformedLine("a label may not start with '#'", line_no, raw)
+        if len(tokens) == 1:
+            isolated.append(tokens[0])
+            continue
+        if len(tokens) != 2:
+            raise MalformedLine("expected one or two tokens", line_no, raw)
+        a, b = tokens
+        if a == b:
+            raise SelfLoop(f"self-loop at {a!r}", line_no, raw)
+        key = frozenset((a, b))
+        if key in seen:
+            raise DuplicateEdge(f"duplicate edge {a!r} {b!r}", line_no, raw)
+        seen.add(key)
+        edges.append((a, b))
+    if not edges and not isolated:
+        raise EmptyInput("no vertices or edges in input")
+    labels = sorted(set(isolated).union(*edges))
+    index = {lab: i for i, lab in enumerate(labels)}
+    nbrs: list[set[int]] = [set() for _ in labels]
+    for a, b in edges:
+        nbrs[index[a]].add(index[b])
+        nbrs[index[b]].add(index[a])
+    return Graph(tuple(labels), tuple(tuple(sorted(s)) for s in nbrs))
+
+
+def parse_outcome(parse, text: str):
+    """The graph, or the error's type, message and line number."""
+    try:
+        return parse(text)
+    except EdgeListError as exc:
+        return type(exc), str(exc), exc.line_no
+
+
+@st.composite
+def edge_list_texts(draw) -> str:
+    """Lines of 0-3 tokens over ``ab#``, blank and comment lines, each ended by LF or CRLF."""
+    lines = draw(
+        st.lists(
+            st.one_of(
+                st.lists(st.text(alphabet="ab#", min_size=1, max_size=3), max_size=3).map(" ".join),
+                st.sampled_from(["  ", "# comment", " #a b"]),
+            ),
+            max_size=10,
+        )
+    )
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=500, deadline=None)
+@given(edge_list_texts())
+@example("a b\r\nb a\r\n")
+@example("a a b\nb #c\n")
+@example("a b c #d\n")
+@example("b #a\nc b\nc #a\n")
+@example("a\na\nb a\n")
+def test_parser_matches_the_reference_parser(text):
+    assert parse_outcome(parse_edge_list, text) == parse_outcome(reference_parse_edge_list, text)
+
+
+# Space and tab, and \x1c and \u2028, which both str.split() and str.splitlines() cut at.
+ODD_LABELS = st.text(alphabet=["a", "#", " ", "\t", "\x1c", "\u2028"], max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(ODD_LABELS, ODD_LABELS), max_size=6), st.lists(ODD_LABELS, max_size=3))
+@example([("#a", "b")], [])
+@example([("", "c")], [])
+@example([("a", "b")], ["a b"])
+@example([], [])
+def test_every_graph_from_edges_accepts_round_trips(edges, isolated):
+    try:
+        g = Graph.from_edges(edges, isolated)
+    except EdgeListError:
+        return
+    assert parse_edge_list(g.to_edge_list()) == g
+
+
+def test_from_edges_refuses_labels_the_edge_list_cannot_carry():
+    cases = [([("#a", "b")], []), ([("", "c")], []), ([("a b", "c")], []), ([("a", "b")], ["a\x1cb"]), ([(1, 2)], [])]
+    for edges, isolated in cases:
+        with pytest.raises(MalformedLine) as err:
+            Graph.from_edges(edges, isolated)
+        assert err.value.line_no is None and not str(err.value).startswith("line")
+    with pytest.raises(EmptyInput):
+        Graph.from_edges([])
+
+
 def test_asymmetric_adjacency_rejected():
     with pytest.raises(ValueError, match="asymmetric edge 0-1"):
         Graph(("a", "b", "c"), ((1,), (), ()))

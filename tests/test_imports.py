@@ -1,4 +1,4 @@
-"""Static guards on the package's imports.
+"""Static guards on the package's imports and on its one edge-list builder.
 
 The runtime stays stdlib-only: every module of the package imports the
 standard library and the package itself, nothing else (``pyproject.toml``
@@ -6,7 +6,11 @@ declares ``dependencies = []``).  No module imports a name it never uses.
 The check battery keeps its own reference: ``checks`` reads every kernel
 off the dense ``null_space_basis`` / ``rref``, never off a sparse
 production kernel of ``linalg``.  And dense vectors stay on that side: no
-module but ``linalg`` and ``checks`` imports a dense reference function."""
+module but ``linalg`` and ``checks`` imports a dense reference function.
+
+Edge lists are validated in one place: ``SelfLoop`` and ``DuplicateEdge``
+are each constructed at one call site, in ``graph.py``, so the parser and
+``Graph.from_edges`` cannot fork into two validators that drift apart."""
 
 from __future__ import annotations
 
@@ -152,3 +156,42 @@ def test_the_dense_reference_guard_sees_a_planted_import(tmp_path):
         "4: same_span",
         "5: mat_vec",
     ]
+
+
+EDGE_ERRORS = {"SelfLoop", "DuplicateEdge"}
+
+
+def constructions(path: Path, names: set[str]) -> list[tuple[int, str]]:
+    """Every call in one source file that constructs one of ``names``, by name or attribute, as (line, name)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in names:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_one_builder_constructs_the_edge_list_errors():
+    sites: dict[str, list[str]] = {name: [] for name in EDGE_ERRORS}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for line, name in constructions(path, EDGE_ERRORS):
+            sites[name].append(f"{path.name}:{line}")
+    assert all(len(found) == 1 and found[0].startswith("graph.py:") for found in sites.values()), sites
+
+
+def test_the_builder_guard_sees_a_planted_copy(tmp_path):
+    module = tmp_path / "planted.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "from . import errors\n"
+        "from .errors import DuplicateEdge, SelfLoop\n"
+        "def check(a, b, seen):\n"
+        "    if a == b:\n"
+        "        raise SelfLoop(f'self-loop at {a!r}')\n"
+        "    if frozenset((a, b)) in seen:\n"
+        "        raise errors.DuplicateEdge('duplicate edge')\n"
+        "    return isinstance(a, (SelfLoop, DuplicateEdge))\n",
+        encoding="utf-8",
+    )
+    assert constructions(module, EDGE_ERRORS) == [(6, "SelfLoop"), (8, "DuplicateEdge")]
