@@ -22,8 +22,10 @@ the graph once inside ``decomposition_from_basis``; every route under test
 takes that classification.  Each derived forest the identities read
 (pendant trees, T_v - v, G - C) gets one reference kernel, read by
 ``decomposition.kernel_decomposition`` and shared by every check on that
-vertex set.  The constructed bases, the production construction under
-test, take their own sparse kernels of those vertex sets; a construction
+vertex set.  The recursion and the structural decomposition under test
+read the matching decompositions the class carries; the split identities
+decompose their own pieces.  The constructed bases, the production
+construction under test, take their own sparse kernels; a construction
 that raises fails every check on its vectors.  A subgraph is built only
 where an oracle needs a ``Graph``.  Every identity on independence and
 matching numbers reads ``decomposition.alpha`` / ``nu``.
@@ -187,9 +189,7 @@ def _unicyclic_checks(g: Graph, canonical: list[Vector], d_basis: Decomposition)
     checks["basis_count"] = built and (
         len(constructed.vectors) == len(canonical) and rref_null_basis(g).vectors == tuple(canonical)
     )
-    _guarded(
-        checks, "nullity_recursion", lambda: recursion_nullity(g, pend, cls.witness) == len(canonical)
-    )
+    _guarded(checks, "nullity_recursion", lambda: recursion_nullity(cls) == len(canonical))
     checks["span_equality"] = built and same_span(_dense(constructed.vectors, g.n), _dense(canonical, g.n))
 
     # Off-support cycle vertices on the reference kernels of the pendant trees.

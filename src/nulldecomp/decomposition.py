@@ -15,10 +15,10 @@ Two independent routes produce the one record ``trees.Decomposition``:
   complement decompositions according to the six-way case split that
   ``unicyclic.classify`` decides (four Type I cases by how the complement
   kernel behaves at the witness's cycle neighbors, two Type II cases by
-  cycle length mod 4), from the classification the caller holds; a forest
-  (class None) is one piece.  Every piece is a forest, decomposed through a
-  maximum matching (``trees``), so this route computes no kernel and runs
-  in time linear in the graph.
+  cycle length mod 4), from the classification the caller holds, which
+  carries those decompositions; a forest (class None) is one piece.  Every
+  piece is a forest, decomposed through a maximum matching (``trees``), so
+  this route computes no kernel and runs in time linear in the graph.
 
 Both take the graph's class from ``classify``, which refuses any graph that
 is neither a forest nor unicyclic; neither checks the class again.
@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 from .errors import OddNSet
 from .graph import Graph
 from .linalg import Vector, null_basis_on
-from .trees import CASE_FOREST, Decomposition, forest_decomposition, tree_decomposition  # noqa: F401 (CASE_FOREST re-exported)
+from .trees import Decomposition, forest_decomposition, tree_decomposition
 from .unicyclic import (
     CASE_TI3,
     CASE_TI4,
@@ -77,34 +77,33 @@ def decomposition_from_basis(g: Graph, basis: Sequence[Vector] | None = None) ->
 def structural_decomposition(g: Graph, cls: UnicyclicClass | None) -> Decomposition:
     """Decomposition of g assembled from forest decompositions, case by case.
 
-    ``cls`` is ``classify(g)``, which fixes the case; None gives the forest
-    decomposition of g.  The nullity comes from the pendant-tree recursion
-    alone; ``run_checks`` compares it with the rank (``nullity_recursion``).
+    ``cls`` is ``classify(g)``, which fixes the case and carries every piece
+    but TI-4's T_v - v; None gives the forest decomposition of g.  The
+    nullity comes from the pendant-tree recursion alone; ``run_checks``
+    compares it with the rank (``nullity_recursion``).
     """
     if cls is None:
         return tree_decomposition(g)
     case = cls.case
-    pend = cls.pendant_trees
-    everything = frozenset(range(g.n))
     cycle = cls.cycle.vertex_set()
     to_core: frozenset[int] = frozenset()  # vertices the case moves into the core
     to_n: frozenset[int] = frozenset()  # vertices the case adds to the N-vertices
     if cls.tag == TYPE1:
         v = cls.witness
-        tree = pend[v] - {v} if case == CASE_TI4 else pend[v]
-        pieces = [tree, everything - pend[v]]
+        parts = [cls.pendant_decompositions[v], cls.complement]
+        if case == CASE_TI4:  # the one piece the class does not carry
+            parts[0] = forest_decomposition(g, cls.pendant_trees[v] - {v})
         if case in (CASE_TI3, CASE_TI4):
             to_core = frozenset({v})
     elif case == CASE_TII_NON4K:
-        pieces, to_n = [everything - cycle], cycle
+        parts, to_n = [cls.complement], cycle
     else:
-        pieces, to_core = [pend[v] for v in cls.cycle.vertices], cycle
-    parts = [forest_decomposition(g, vs) for vs in pieces]
+        parts, to_core = list(cls.pendant_decompositions.values()), cycle
     return Decomposition(
         frozenset().union(*(d.support for d in parts)),
         frozenset().union(to_core, *(d.core for d in parts)),
         frozenset().union(to_n, *(d.n_vertices for d in parts)) - to_core,
-        recursion_nullity(g, pend, cls.witness),
+        recursion_nullity(cls),
         cls,
     )
 

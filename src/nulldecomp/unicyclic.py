@@ -22,11 +22,10 @@ subgraphs:
 forest, the Type I / Type II class with its witness and case for a unicyclic
 graph, ``UnsupportedGraphClass`` for anything else.  One leaf peel decides
 which, and yields the cycle and the pendant trees.  Every route takes its
-result as it is and checks nothing again; the class carries the cycle and
-pendant trees that every later construction reads.  The class, the case and
-the nullity recursion need only forest decompositions, which come from
-maximum matchings (``trees``).  Each forest they decompose is a vertex set
-of the graph itself, so no subgraph is built.  Every kernel here, of the
+result as it is and checks nothing again; the class carries the cycle, the
+pendant trees and the forest decompositions every later construction reads.
+Those come from maximum matchings (``trees``), each of a vertex set of the
+graph itself, so no subgraph is built.  Every kernel here, of the
 whole graph for ``rref_null_basis`` and of each subforest the Type I /
 Type II bases (private to ``constructed_null_basis``) assemble, comes from
 the one sparse elimination ``linalg.null_basis_on``, which reads g's
@@ -77,13 +76,16 @@ class UnicyclicClass:
     smallest keeps every downstream construction reproducible.  The case is
     one of TI-1 to TI-4 for Type I and TII-non4k / TII-4k for Type II.  The
     pendant trees the classification tested ride along for every later
-    construction; they follow from the graph and the cycle, so equality and
-    hashing skip them.
+    construction, with their decompositions and the complement's (G - T_v
+    for Type I, G - C for Type II); they follow from the graph and the
+    cycle, so equality, hashing and repr skip them.
     """
 
     case: str
     cycle: CycleInfo
     pendant_trees: Mapping[int, frozenset[int]] = field(compare=False, repr=False)
+    pendant_decompositions: Mapping[int, Decomposition] = field(compare=False, repr=False)
+    complement: Decomposition = field(compare=False, repr=False)
     witness: int | None = None
 
     @property
@@ -107,8 +109,8 @@ def classify(g: Graph) -> UnicyclicClass | None:
     """Decide g's class: None for a forest; for a unicyclic graph, Type I / Type II and the case.
 
     The type comes from testing each cycle vertex against its pendant tree;
-    each pendant tree is decomposed once.  Any other graph raises
-    ``UnsupportedGraphClass``.
+    each pendant tree and the complement are decomposed once, and the class
+    carries them.  Any other graph raises ``UnsupportedGraphClass``.
     """
     peeled = _peel(g)
     if peeled is None:
@@ -116,12 +118,16 @@ def classify(g: Graph) -> UnicyclicClass | None:
     cycle, pend = peeled
     decomposed = {v: forest_decomposition(g, tree) for v, tree in pend.items()}
     outside = [v for v in sorted(cycle.vertices) if v not in decomposed[v].support]
+    everything = frozenset(range(g.n))
     if not outside:
         case = CASE_TII_4K if cycle.length % 4 == 0 else CASE_TII_NON4K
-        return UnicyclicClass(case, cycle, pend)
+        rest = forest_decomposition(g, everything - cycle.vertex_set())
+        return UnicyclicClass(case, cycle, pend, decomposed, rest)
     v = outside[0]
+    rest = forest_decomposition(g, everything - pend[v])
     next_witness = outside[1] if len(outside) > 1 else None
-    return UnicyclicClass(_type1_case(g, cycle, pend, decomposed[v], v, next_witness), cycle, pend, v)
+    case = _type1_case(g, cycle, pend, decomposed, rest, v, next_witness)
+    return UnicyclicClass(case, cycle, pend, decomposed, rest, v)
 
 
 def _peel(g: Graph) -> tuple[CycleInfo, dict[int, frozenset[int]]] | None:
@@ -173,11 +179,12 @@ def _type1_case(
     g: Graph,
     cycle: CycleInfo,
     pend: Mapping[int, frozenset[int]],
-    pend_d: Decomposition,
+    decomposed: Mapping[int, Decomposition],
+    rest_d: Decomposition,
     v: int,
     next_witness: int | None,
 ) -> str:
-    """Select which of the four Type I cases applies at witness v, whose tree decomposes as pend_d.
+    """Select which of the four Type I cases applies at witness v, whose complement G - T_v is rest_d.
 
     With pendant tree T_v and cycle neighbors u, w, TI-4 means some kernel
     vector of A(G - T_v) has x_u + x_w != 0: e_u + e_w leaves the column
@@ -186,17 +193,19 @@ def _type1_case(
     that T_v shrinks to {v}.  A lone vertex is its own support, and every
     cycle vertex before v lies in its tree's support, so the bordered graph's
     witness is ``next_witness``: the next cycle vertex, in index order,
-    outside its tree's support.
+    outside its tree's support.  Only its complement is decomposed anew.
     """
     u, w = cycle.neighbors_on_cycle(v)
-    rest_d = forest_decomposition(g, frozenset(range(g.n)) - pend[v])
-    if recursion_nullity(g, {**pend, v: frozenset({v})}, next_witness) < rest_d.nullity:
+    tree = decomposed.get(next_witness)  # None for a Type II bordered graph
+    cut = cycle.vertex_set() if tree is None else pend[next_witness]
+    bordered_rest = forest_decomposition(g, (frozenset(range(g.n)) - pend[v] | {v}) - cut)
+    if _recursion(cycle.length, tree, bordered_rest) < rest_d.nullity:
         return CASE_TI4
     if u not in rest_d.support and w not in rest_d.support:
         return CASE_TI1
-    if v in pend_d.core:
+    if v in decomposed[v].core:
         return CASE_TI2
-    if v in pend_d.n_vertices:
+    if v in decomposed[v].n_vertices:
         return CASE_TI3
     raise CaseContradiction(
         f"witness {g.labels[v]!r} matches no Type I case; support test inconsistent"
@@ -208,26 +217,18 @@ def cycle_nullity(length: int) -> int:
     return 2 if length % 4 == 0 else 0
 
 
-def recursion_nullity(
-    g: Graph, pendant_trees: Mapping[int, frozenset[int]], witness: int | None
-) -> int:
-    """Nullity of a unicyclic graph via the pendant-tree recursion, from forest nullities alone.
+def recursion_nullity(cls: UnicyclicClass) -> int:
+    """Nullity of the classified graph by the pendant-tree recursion, off the forests the class carries.
 
-    The graph is the one ``g`` induces on the union of ``pendant_trees``,
-    which maps each of its cycle vertices to the tree hanging there;
-    ``witness`` is its Type I witness, or None when it is Type II.  For g
-    itself that is ``recursion_nullity(g, cls.pendant_trees, cls.witness)``.
-
-    Type I with witness v: nullity(G) = nullity(G{v}) + nullity(G - G{v}).
+    Type I with witness v: nullity(G) = nullity(T_v) + nullity(G - T_v).
     Type II: nullity(G) = nullity(G - C) + nullity(C).
     """
-    everything = frozenset().union(*pendant_trees.values())
-    if witness is not None:
-        tree = pendant_trees[witness]
-        rest = everything - tree
-        return forest_decomposition(g, tree).nullity + forest_decomposition(g, rest).nullity
-    forest = everything - frozenset(pendant_trees)
-    return forest_decomposition(g, forest).nullity + cycle_nullity(len(pendant_trees))
+    return _recursion(cls.cycle.length, cls.pendant_decompositions.get(cls.witness), cls.complement)
+
+
+def _recursion(length: int, witness_tree: Decomposition | None, complement: Decomposition) -> int:
+    """The recursion's one formula; ``witness_tree`` is None for Type II."""
+    return complement.nullity + (cycle_nullity(length) if witness_tree is None else witness_tree.nullity)
 
 
 def rref_null_basis(g: Graph) -> NullBasis:

@@ -75,7 +75,7 @@ def test_criterion_4_cycle_nullity():
         g = cycle_graph(n)
         assert len(null_space_basis(g.adjacency_matrix())) == expected, n
         cls = classify(g)
-        assert recursion_nullity(g, cls.pendant_trees, cls.witness) == expected, n
+        assert recursion_nullity(cls) == expected, n
     _report(4, "cycle nullities up to length 17", started, 1.0)
 
 
@@ -89,7 +89,7 @@ def test_criterion_5_basis_exactness_and_span(random_corpus):
         for vec in basis.vectors:
             assert is_zero_vector(mat_vec(matrix, dense(vec, g.n))), g.to_edge_list()
         rank_deficiency = g.n - rref(matrix)[1]
-        assert len(basis.vectors) == rank_deficiency == recursion_nullity(g, cls.pendant_trees, cls.witness)
+        assert len(basis.vectors) == rank_deficiency == recursion_nullity(cls)
         assert same_span([dense(vec, g.n) for vec in basis.vectors], null_space_basis(matrix)), g.to_edge_list()
     _report(5, "constructed bases exact + span equality on 500 random graphs", started, 60.0)
 

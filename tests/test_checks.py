@@ -92,7 +92,7 @@ def test_run_checks_reduces_a_unicyclic_matrix_once(monkeypatch, ex_type1):
 def test_nullity_recursion_fails_on_an_off_by_one_recursion(monkeypatch, ex_four_cycle):
     assert run_checks(ex_four_cycle)["nullity_recursion"]
     cls = classify(ex_four_cycle)
-    true_nullity = recursion_nullity(ex_four_cycle, cls.pendant_trees, cls.witness)
+    true_nullity = recursion_nullity(cls)
     monkeypatch.setattr(checks, "recursion_nullity", lambda *args: true_nullity + 1)
     assert run_checks(ex_four_cycle)["nullity_recursion"] is False
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+from collections import Counter
 from dataclasses import fields, replace
 
 import pytest
@@ -7,7 +9,6 @@ from hypothesis import given, settings
 
 from nulldecomp import Graph, GeneratorSpec, analyze, classify, generate_unicyclic, run_checks
 from nulldecomp.decomposition import (
-    CASE_FOREST,
     Decomposition,
     alpha,
     decomposition_from_basis,
@@ -16,7 +17,7 @@ from nulldecomp.decomposition import (
 )
 from nulldecomp.errors import OddNSet, UnsupportedGraphClass
 from nulldecomp.linalg import null_space_basis
-from nulldecomp.trees import tree_decomposition
+from nulldecomp.trees import CASE_FOREST, forest_decomposition, tree_decomposition
 from nulldecomp.unicyclic import (
     CASE_TI1,
     CASE_TI2,
@@ -25,6 +26,7 @@ from nulldecomp.unicyclic import (
     CASE_TII_4K,
     CASE_TII_NON4K,
     TYPE1,
+    recursion_nullity,
 )
 
 from conftest import cycle_graph, cycle_with_attachments, forests_with_subsets, kernel_case, path_graph
@@ -220,3 +222,51 @@ def test_case_tag_equals_kernel_definition(families):
         assert cls.case == expected, g.to_edge_list()
         seen.add(expected)
     assert seen == {CASE_TI1, CASE_TI2, CASE_TI3, CASE_TI4}
+
+
+@pytest.fixture
+def decomposed_sets(monkeypatch):
+    """Run ``classify``, ``structural_decomposition`` and ``recursion_nullity`` on a graph.
+
+    Returns how often each vertex set was decomposed, and how many of those
+    calls ``recursion_nullity`` made.
+    """
+    seen: Counter = Counter()
+
+    def counting(h, vertices):
+        vertices = frozenset(vertices)
+        seen[vertices] += 1
+        return forest_decomposition(h, vertices)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nulldecomp") and getattr(module, "forest_decomposition", None) is forest_decomposition:
+            monkeypatch.setattr(module, "forest_decomposition", counting)
+
+    def run(g: Graph) -> tuple[Counter, int]:
+        seen.clear()
+        cls = classify(g)
+        structural_decomposition(g, cls)
+        before = seen.total()
+        recursion_nullity(cls)
+        return Counter(seen), seen.total() - before
+
+    return run
+
+
+@pytest.mark.parametrize("case", ["TI-1", "TI-2", "TI-3", "TI-4", "TII-non4k", "TII-4k"])
+def test_no_vertex_set_is_decomposed_twice(decomposed_sets, families, case):
+    # The class carries each pendant tree's and the complement's
+    # decomposition; the assembly and the recursion read them from there.
+    for g in families[case]:
+        seen, in_recursion = decomposed_sets(g)
+        assert in_recursion == 0
+        assert seen and max(seen.values()) == 1, g.to_edge_list()
+
+
+@pytest.mark.parametrize("length, witness_tail", [(24, 2), (32, 2), (30, 2), (24, 1), (25, 1), (26, 1)])
+def test_no_vertex_set_is_decomposed_twice_on_long_cycles_with_trees(decomposed_sets, length, witness_tail):
+    # The graphs of test_long_cycle_with_a_tree_at_every_vertex_passes, all six cases.
+    g = cycle_with_attachments(length, tails={i: 2 for i in range(length)} | {0: witness_tail})
+    seen, in_recursion = decomposed_sets(g)
+    assert in_recursion == 0
+    assert seen and max(seen.values()) == 1

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from nulldecomp import GeneratorSpec, Graph, classify, constructed_null_basis, generate_unicyclic, parse_edge_list
+from nulldecomp.checks import _kernel_decomposition
 from nulldecomp.errors import UnsupportedGraphClass
 from nulldecomp.linalg import is_zero_vector, mat_vec, null_space_basis, same_span
 from nulldecomp.trees import forest_decomposition
@@ -142,8 +143,32 @@ def test_class_fields_hold_no_tag():
         "case",
         "cycle",
         "pendant_trees",
+        "pendant_decompositions",
+        "complement",
         "witness",
     ]
+
+
+def test_carried_decompositions_are_right_and_invisible(ex_type1, ex_four_cycle):
+    # Each decomposition the class carries is the one a fresh matching and
+    # the reference kernel give for its vertex set, and neither equality,
+    # hashing nor repr sees it.
+    graphs = [ex_type1, ex_four_cycle, cycle_graph(4), cycle_graph(5)]
+    graphs += [generate_unicyclic(GeneratorSpec(n=5 + i % 16, seed=7000 + i)) for i in range(80)]
+    tags = set()
+    for g in graphs:
+        cls = classify(g)
+        tags.add(cls.tag)
+        assert list(cls.pendant_decompositions) == list(cls.pendant_trees)
+        for v, tree in cls.pendant_trees.items():
+            assert cls.pendant_decompositions[v] == forest_decomposition(g, tree) == _kernel_decomposition(g, tree)
+        cut = cls.cycle.vertex_set() if cls.witness is None else cls.pendant_trees[cls.witness]
+        rest = frozenset(range(g.n)) - cut
+        assert cls.complement == forest_decomposition(g, rest) == _kernel_decomposition(g, rest), g.to_edge_list()
+        again = classify(g)
+        assert again == cls and hash(again) == hash(cls)
+        assert "Decomposition" not in repr(cls) and "pendant" not in repr(cls) and "complement" not in repr(cls)
+    assert tags == {TYPE1, TYPE2}
 
 
 def test_cycle_nullity_closed_form():
@@ -153,7 +178,7 @@ def test_cycle_nullity_closed_form():
 def test_unicyclic_nullity_examples(ex_four_cycle):
     for g, expected in ((cycle_graph(4), 2), (cycle_graph(5), 0), (ex_four_cycle, 5)):
         cls = classify(g)
-        recursion = recursion_nullity(g, cls.pendant_trees, cls.witness)
+        recursion = recursion_nullity(cls)
         assert recursion == len(null_space_basis(g.adjacency_matrix())) == expected
 
 
@@ -265,7 +290,7 @@ def test_constructed_basis_of_a_large_graph_builds_on_sparse_kernels():
     started = time.perf_counter()
     basis = constructed_null_basis(g, cls)
     assert time.perf_counter() - started < 5.0
-    assert len(basis.vectors) == recursion_nullity(g, cls.pendant_trees, cls.witness) == 180
+    assert len(basis.vectors) == recursion_nullity(cls) == 180
 
 
 def test_constructed_vectors_are_zero_free_maps_over_the_vertices(ex_type1, ex_star, ex_five_cycle, ex_four_cycle):
