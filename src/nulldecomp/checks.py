@@ -17,18 +17,17 @@ production kernel; A(G)·v sums v over those lists.  Read back as zero-free
 sparse elimination, or a stored 0, fails a check instead of being checked
 against itself.  Only ``span_equality`` writes vectors out densely.
 
-``run_checks`` reduces A(G) and reads its decomposition once, classifying
-the graph once inside ``decomposition_from_basis``; every route under test
-takes that classification.  Each derived forest the identities read
-(pendant trees, T_v - v, G - C) gets one reference kernel, read by
-``decomposition.kernel_decomposition`` and shared by every check on that
-vertex set.  The recursion and the structural decomposition under test
-read the matching decompositions the class carries; the split identities
-decompose their own pieces.  The constructed bases, the production
-construction under test, take their own sparse kernels; a construction
-that raises fails every check on its vectors.  A subgraph is built only
-where an oracle needs a ``Graph``.  Every identity on independence and
-matching numbers reads ``decomposition.alpha`` / ``nu``.
+``run_checks`` is one body for forests and unicyclic graphs.  It reduces
+A(G) and reads its decomposition once, classifying g once inside
+``decomposition_from_basis``; every route under test takes that class.
+The checks both classes share are written once, and each derived forest
+gets one reference kernel, shared by every check on that vertex set.  The
+recursion, the structural decomposition and the split identities read the
+matching decompositions the class carries, so no vertex set is decomposed
+twice.  A construction that raises (a forest's is ``rref_null_basis``)
+fails every check on its vectors.  A subgraph is built only where an
+oracle needs a ``Graph``; every identity on independence and matching
+numbers reads ``decomposition.alpha`` / ``nu``.
 ``structural_matches_basis`` holds the case to its kernel definition on
 G - T_v and T_v.  A failure here always means a bug somewhere, which is
 exactly what the fuzzing campaign is hunting for; a check that raises any
@@ -60,7 +59,7 @@ from .oracle import (
     max_independent_intersection,
     maximum_independent_sets,
 )
-from .trees import forest_decomposition, tree_decomposition
+from .trees import tree_decomposition
 from .unicyclic import (
     CASE_TI1,
     CASE_TI2,
@@ -71,11 +70,15 @@ from .unicyclic import (
     EXTENDED_FOREST,
     EXTENDED_PENDANT,
     TYPE1,
+    NullBasis,
     UnicyclicClass,
     constructed_null_basis,
     recursion_nullity,
     rref_null_basis,
 )
+
+
+Forests = list[tuple[Graph, Decomposition]]  # each forest with its kernel reading, in g's indices
 
 
 def run_checks(g: Graph) -> dict[str, bool]:
@@ -87,9 +90,48 @@ def run_checks(g: Graph) -> dict[str, bool]:
     """
     canonical = _reference_kernel(g, frozenset(range(g.n)))
     d = decomposition_from_basis(g, canonical)
-    if d.cls is None:
-        return _forest_checks(g, canonical, d)
-    return _unicyclic_checks(g, canonical, d)
+    cls = d.cls  # the battery's one classification of g
+    route = structural_decomposition(g, cls)  # the matching route under test
+    kernel = cache(partial(_kernel_decomposition, g))  # reduced once per vertex set
+    checks: dict[str, bool] = {}
+    try:
+        constructed = constructed_null_basis(g, cls)  # a forest's is rref_null_basis
+    except Exception:  # a construction that raises fails every check on its vectors
+        constructed = None
+    built = constructed is not None
+    annihilated = [_annihilated(g, v) for v in constructed.vectors] if built else []
+    checks["basis_exact"] = built and all(annihilated)
+    _guarded(checks, "basis_count", lambda: (
+        built
+        and len(constructed.vectors) == len(canonical) == route.nullity
+        and (constructed if cls is None else rref_null_basis(g)).vectors == tuple(canonical)
+    ))
+
+    formulas = route if cls is None else d  # a forest's by matching, a unicyclic graph's by kernel
+    if g.n <= SEARCH_BUDGET:
+        _guarded(checks, "alpha_oracle", lambda: alpha(formulas) == brute_alpha(g))
+        _guarded(checks, "nu_oracle", lambda: nu(formulas) == brute_nu(g))
+
+    # The class's own checks return the forests the enumeration oracles read.
+    # Each tree T around an off-support v is a forest component, or v's pendant tree.
+    if cls is None:
+        enumerated = _forest_checks(checks, g, d, route)
+        pairs = [(frozenset(comp), v) for comp in g.components() for v in comp if v not in d.support]
+    else:
+        enumerated = _unicyclic_checks(checks, g, d, route, kernel, canonical, constructed, annihilated)
+        pairs = [(tree, v) for v, tree in cls.pendant_trees.items() if v not in kernel(tree).support]
+    if cls is None or pairs:
+        _guarded(checks, "supported_neighbor_after_deletion", lambda: all(
+            set(g.neighbors(v)) & kernel(tree - {v}).support for tree, v in pairs
+        ))
+    if cls is not None or enumerated:  # compared by label: f answers in its own indices, e in g's
+        _guarded(checks, "eg_equals_support", lambda: all(
+            f.label_set(edmonds_gallai_set(f)) == g.label_set(e.support) for f, e in enumerated
+        ))
+        _guarded(checks, "mis_intersection_is_support", lambda: all(
+            f.label_set(max_independent_intersection(f)) == g.label_set(e.support) for f, e in enumerated
+        ))
+    return checks
 
 
 def _guarded(checks: dict[str, bool], name: str, thunk: Callable[[], bool]) -> None:
@@ -126,76 +168,38 @@ def _kernel_decomposition(g: Graph, vertices: frozenset[int]) -> Decomposition:
     return kernel_decomposition(g, _reference_kernel(g, vertices), vertices)
 
 
-def _forest_checks(g: Graph, canonical: list[Vector], d: Decomposition) -> dict[str, bool]:
-    checks: dict[str, bool] = {}
-    basis = rref_null_basis(g)  # the production route for a forest
-    t = tree_decomposition(g)  # the matching route the formulas are held to
-
-    checks["basis_exact"] = all(_annihilated(g, v) for v in basis.vectors)
-    checks["basis_count"] = basis.vectors == tuple(canonical) and len(canonical) == t.nullity
+def _forest_checks(checks: dict[str, bool], g: Graph, d: Decomposition, t: Decomposition) -> Forests:
+    """The forest's own checks, on its kernel reading ``d`` and matching route ``t``."""
     checks["even_n_set"] = len(d.n_vertices) % 2 == 0
     checks["support_independent"] = g.is_independent_set(d.support)
     checks["supp_core_disjoint"] = not (d.support & d.core)
-    _guarded(checks, "supported_neighbor_after_deletion", lambda: _forest_neighbor_support(g, d.support))
     _guarded(checks, "formula_sum", lambda: alpha(t) + nu(t) == g.n)
-
-    if g.n <= SEARCH_BUDGET:
-        _guarded(checks, "alpha_oracle", lambda: alpha(t) == brute_alpha(g))
-        _guarded(checks, "nu_oracle", lambda: nu(t) == brute_nu(g))
-    if g.n <= ENUMERATION_BUDGET:
-        _guarded(checks, "eg_equals_support", lambda: edmonds_gallai_set(g) == d.support)
-        _guarded(
-            checks, "mis_intersection_is_support", lambda: max_independent_intersection(g) == d.support
-        )
-        mis = maximum_independent_sets(g)
-        checks["core_absent_from_some_mis"] = all(
-            any(v not in s for s in mis) for v in d.core
-        )
-        checks["n_vertex_swings_mis"] = all(
-            any(v in s for s in mis) and any(v not in s for s in mis) for v in d.n_vertices
-        )
-    return checks
+    if g.n > ENUMERATION_BUDGET:
+        return []
+    mis = maximum_independent_sets(g)
+    checks["core_absent_from_some_mis"] = all(
+        any(v not in s for s in mis) for v in d.core
+    )
+    checks["n_vertex_swings_mis"] = all(
+        any(v in s for s in mis) and any(v not in s for s in mis) for v in d.n_vertices
+    )
+    return [(g, d)]
 
 
-def _forest_neighbor_support(g: Graph, support: frozenset[int]) -> bool:
-    """Every off-support vertex of a forest has a supported neighbor once deleted.
-
-    Checked per component: for v outside the support of its tree T, the set
-    N(v) intersected with the support of T - v must be nonempty.
-    """
-    for comp in g.components():
-        for v in comp:
-            if v in support:
-                continue
-            if not (set(g.neighbors(v)) & _kernel_decomposition(g, frozenset(comp) - {v}).support):
-                return False
-    return True
-
-
-def _unicyclic_checks(g: Graph, canonical: list[Vector], d_basis: Decomposition) -> dict[str, bool]:
-    checks: dict[str, bool] = {}
-    cls = d_basis.cls  # the battery's one classification of g
+def _unicyclic_checks(
+    checks: dict[str, bool], g: Graph, d_basis: Decomposition, d_struct: Decomposition,
+    kernel: Callable[[frozenset[int]], Decomposition], canonical: list[Vector],
+    constructed: NullBasis | None, annihilated: list[bool],
+) -> Forests:
+    """The unicyclic graph's own checks, on the class ``d_basis`` carries."""
+    cls = d_basis.cls
     cycle_set = cls.cycle.vertex_set()
     pend = cls.pendant_trees
-    kernel = cache(partial(_kernel_decomposition, g))  # reduced once per vertex set
-
-    try:
-        constructed = constructed_null_basis(g, cls)
-    except Exception:  # a construction that raises fails every check on its vectors
-        constructed = None
     built = constructed is not None
-    annihilated = [_annihilated(g, v) for v in constructed.vectors] if built else []
-    checks["basis_exact"] = built and all(annihilated)
-    checks["basis_count"] = built and (
-        len(constructed.vectors) == len(canonical) and rref_null_basis(g).vectors == tuple(canonical)
-    )
     _guarded(checks, "nullity_recursion", lambda: recursion_nullity(cls) == len(canonical))
     checks["span_equality"] = built and same_span(_dense(constructed.vectors, g.n), _dense(canonical, g.n))
 
-    # Off-support cycle vertices on the reference kernels of the pendant trees.
-    pendant = {v: kernel(pend[v]) for v in cls.cycle.vertices}
-    roots = [v for v in cls.cycle.vertices if v not in pendant[v].support]
-    d_struct = structural_decomposition(g, cls)
+    pendant = {v: kernel(pend[v]) for v in cls.cycle.vertices}  # the pendant trees' reference kernels
     checks["structural_matches_basis"] = (
         d_basis.support == d_struct.support
         and d_basis.core == d_struct.core
@@ -209,21 +213,17 @@ def _unicyclic_checks(g: Graph, canonical: list[Vector], d_basis: Decomposition)
     checks["supp_core_rule"] = (d_basis.support & d_basis.core) == expected_overlap
     checks["parity_rule"] = _parity_rule(d_basis)
 
-    if g.n <= SEARCH_BUDGET:
-        _guarded(checks, "alpha_oracle", lambda: alpha(d_basis) == brute_alpha(g))
-        _guarded(checks, "nu_oracle", lambda: nu(d_basis) == brute_nu(g))
-
     # The one class branch.  Whole-graph counts split along the class's
-    # natural cut: at the witness's pendant tree for Type I, at the cycle for
-    # Type II.  The class also names the constructed vectors that extend a
-    # subforest kernel by zeros, and Type II has identities of its own.
-    everything = frozenset(range(g.n))
-    forest_vs = everything - cycle_set
+    # natural cut, into the pieces the class carries: the witness's pendant
+    # tree and G - T_v for Type I, G - C and the cycle for Type II.  The
+    # class also names the constructed vectors that extend a subforest
+    # kernel by zeros, and Type II has identities of its own.
+    forest_vs = frozenset(range(g.n)) - cycle_set
     if cls.tag == TYPE1:
-        cut, base, at = [pend[cls.witness], everything - pend[cls.witness]], 0, "witness"
+        parts, base, at = [cls.pendant_decompositions[cls.witness], cls.complement], 0, "witness"
         extension, extended = "pendant_extension_null", EXTENDED_PENDANT
     else:
-        cut, base, at = [forest_vs], cls.cycle.length // 2, "cycle"
+        parts, base, at = [cls.complement], cls.cycle.length // 2, "cycle"
         extension, extended = "forest_extension_null", EXTENDED_FOREST
         forest_k = kernel(forest_vs)
         checks["cycle_tree_neighbors_unsupported"] = all(
@@ -241,29 +241,22 @@ def _unicyclic_checks(g: Graph, canonical: list[Vector], d_basis: Decomposition)
     checks[extension] = built and all(
         ok for ok, prov in zip(annihilated, constructed.provenance) if prov == extended
     )
-    parts = [forest_decomposition(g, vs) for vs in cut]
     _guarded(checks, f"alpha_splits_at_{at}", lambda: alpha(d_basis) == base + sum(map(alpha, parts)))
     _guarded(checks, f"nu_splits_at_{at}", lambda: nu(d_basis) == base + sum(map(nu, parts)))
 
     # Pendant-tree identities around off-support cycle vertices, on kernels.
-    if roots:
-        deleted = {v: kernel(pend[v] - {v}) for v in roots}
-        checks["supported_neighbor_after_deletion"] = all(
-            set(g.neighbors(v)) & deleted[v].support for v in roots
-        )
+    deleted = {v: kernel(pend[v] - {v}) for v in cls.cycle.vertices if v not in pendant[v].support}
+    if deleted:
         checks["support_survives_root_deletion"] = all(
-            pendant[v].support <= deleted[v].support for v in roots
+            pendant[v].support <= d.support for v, d in deleted.items()
         )
         _guarded(checks, "alpha_stable_under_root_deletion", lambda: all(
-            alpha(pendant[v]) == alpha(deleted[v]) for v in roots
+            alpha(pendant[v]) == alpha(d) for v, d in deleted.items()
         ))
         _guarded(checks, "nu_drops_under_root_deletion", lambda: all(
-            nu(pendant[v]) == nu(deleted[v]) + 1 for v in roots
+            nu(pendant[v]) == nu(d) + 1 for v, d in deleted.items()
         ))
 
-    # Formulas and enumeration facts on the derived forests, compared by
-    # label: the oracles take a built subgraph and answer in its indices, the
-    # kernels answer in g's.
     cuts = [forest_vs] + [pend[v] - {v} for v in cls.cycle.vertices]
     # The enumeration budget is the smaller, so every enumerated forest is searched too.
     searched = {vs: g.induced_subgraph(vs) for vs in cuts if 0 < len(vs) <= SEARCH_BUDGET}
@@ -271,16 +264,7 @@ def _unicyclic_checks(g: Graph, canonical: list[Vector], d_basis: Decomposition)
         alpha(t) == brute_alpha(f) and nu(t) == brute_nu(f)
         for f, t in zip(searched.values(), map(tree_decomposition, searched.values()))
     ))
-    enumerated = [(f, kernel(vs)) for vs, f in searched.items() if len(vs) <= ENUMERATION_BUDGET]
-    checks["eg_equals_support"] = all(
-        f.label_set(edmonds_gallai_set(f)) == g.label_set(d.support)
-        for f, d in enumerated
-    )
-    checks["mis_intersection_is_support"] = all(
-        f.label_set(max_independent_intersection(f)) == g.label_set(d.support)
-        for f, d in enumerated
-    )
-    return checks
+    return [(f, kernel(vs)) for vs, f in searched.items() if len(vs) <= ENUMERATION_BUDGET]
 
 
 def _kernel_case(g: Graph, cls: UnicyclicClass, pendant) -> str:

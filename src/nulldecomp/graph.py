@@ -8,7 +8,8 @@ Edge-list text format: one edge per line as two whitespace-separated labels;
 a line with a single token declares an isolated vertex; blank lines and lines
 starting with ``#`` are ignored.  So a label is one ``str.split()`` token (not
 empty, no whitespace or line break) that does not start with ``#``, and
-``parse_edge_list`` and ``Graph.from_edges`` refuse any other label.
+``parse_edge_list``, ``Graph.from_edges`` and the ``Graph`` constructor
+refuse any other label.
 
 Graphs are immutable; every operation is a pure function returning new values.
 
@@ -42,13 +43,17 @@ class Graph:
     ``labels`` is lexicographically sorted and index i belongs to labels[i];
     adjacency lists are sorted ascending.  Construct through
     :func:`parse_edge_list`, :meth:`Graph.from_edges`, or the derived-graph
-    methods, all of which produce this canonical form.
+    methods, all of which produce this canonical form.  A label the
+    edge-list format cannot carry is refused (``MalformedLine``) here too.
     """
 
     labels: tuple[str, ...]
     adjacency: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        for label in self.labels:
+            if problem := _label_problem(label):
+                raise MalformedLine(problem)
         n = len(self.labels)
         if len(set(self.labels)) != n:
             raise ValueError("duplicate labels")
@@ -191,8 +196,7 @@ class Graph:
     # -- serialization ----------------------------------------------------
 
     def to_edge_list(self) -> str:
-        """Canonical edge-list text; ``parse_edge_list`` inverts this exactly for every
-        nonempty graph built by ``parse_edge_list``, ``from_edges`` or a derived-graph method."""
+        """Canonical edge-list text; ``parse_edge_list`` inverts this exactly for every nonempty graph."""
         lines = [f"{self.labels[u]} {self.labels[v]}" for u, v in self.edges()]
         lines.extend(self.labels[v] for v in range(self.n) if not self.adjacency[v])
         return "\n".join(lines) + ("\n" if lines else "")
@@ -222,6 +226,15 @@ class CycleInfo:
         return (self.vertices[i - 1], self.vertices[(i + 1) % len(self.vertices)])
 
 
+def _label_problem(label: str) -> str | None:
+    """Why ``label`` breaks the label rule (one ``str.split()`` token, no leading ``#``), or None."""
+    if not isinstance(label, str) or label.split() != [label]:
+        return f"label {label!r} is not one token"
+    if label.startswith("#"):
+        return "a label may not start with '#'"
+    return None
+
+
 def _build(entries: Iterable[tuple[Sequence[str], int | None, str | None]]) -> Graph:
     """Check and build the canonical graph from entries of one label (a vertex) or two (an edge).
 
@@ -234,10 +247,8 @@ def _build(entries: Iterable[tuple[Sequence[str], int | None, str | None]]) -> G
     for labels, line_no, raw in entries:
         for label in labels:
             if label not in nbrs:
-                if not isinstance(label, str) or label.split() != [label]:
-                    raise MalformedLine(f"label {label!r} is not one token", line_no, raw)
-                if label.startswith("#"):
-                    raise MalformedLine("a label may not start with '#'", line_no, raw)
+                if problem := _label_problem(label):
+                    raise MalformedLine(problem, line_no, raw)
                 nbrs[label] = set()
         if len(labels) == 2:
             a, b = labels

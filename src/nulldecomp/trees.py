@@ -17,6 +17,7 @@ deletions) are forests rather than single trees.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -120,8 +121,8 @@ def full_support_vector(
     coordinates must come out nonzero as well.  Callers use this where the sum
     feeds a later division; the same finitely-many-roots argument applies as
     long as the sum functional does not vanish on the whole span, which the
-    caller must guarantee (it is checked against the basis and reported as an
-    internal error otherwise).
+    caller must guarantee (it is checked against the basis, on each vector's
+    own coordinates, and reported as an internal error otherwise).
     """
     if not basis:
         raise EmptyBasis("cannot build a full-support vector from an empty basis")
@@ -129,7 +130,8 @@ def full_support_vector(
     at = {c: j for j, c in enumerate(union)}
     rows = [[(at[c], x) for c, x in vec.items()] for vec in basis]
     if nonzero_sum_indices is not None:
-        if all(sum(vec.get(i, ZERO) for i in nonzero_sum_indices) == 0 for vec in basis):
+        times = Counter(nonzero_sum_indices)  # an index listed twice counts twice
+        if all(sum(x * times[i] for i, x in vec.items() if i in times) == 0 for vec in basis):
             raise InternalCheckError(
                 "sum functional vanishes on the entire span; no combination can satisfy it"
             )

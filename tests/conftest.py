@@ -1,10 +1,13 @@
 """Shared graphs: curated reference examples with known decompositions,
 deterministic graph families that hit each decomposition case, and the seeded
-random corpus used by the campaign-style tests.
+random corpus used by the campaign-style tests; and a counter of forest
+decompositions.
 """
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 from nulldecomp import Graph, GeneratorSpec, classify, generate_unicyclic, parse_edge_list
 from nulldecomp.checks import _kernel_case, _kernel_decomposition
+from nulldecomp.trees import forest_decomposition
 
 # 18-vertex Type I example: 4-cycle e-g-f-v with an 11-vertex tree at v.
 EXAMPLE_TYPE1 = """
@@ -283,3 +287,19 @@ def random_corpus() -> list[Graph]:
         n = 5 + i % 10
         graphs.append(generate_unicyclic(GeneratorSpec(n=n, seed=1000 + i)))
     return graphs
+
+
+@pytest.fixture
+def decomposition_calls(monkeypatch) -> Counter:
+    """Counts ``forest_decomposition`` calls by (graph, vertex set), in every module that calls it."""
+    seen: Counter = Counter()
+
+    def counting(h, vertices):
+        vertices = frozenset(vertices)
+        seen[h, vertices] += 1
+        return forest_decomposition(h, vertices)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nulldecomp") and getattr(module, "forest_decomposition", None) is forest_decomposition:
+            monkeypatch.setattr(module, "forest_decomposition", counting)
+    return seen

@@ -2,8 +2,9 @@
 from, one run reduces each matrix once and classifies the graph once (as
 do ``analyze`` and ``basis``), the case is held to its kernel definition,
 a formula that raises fails its check, a constructed basis that raises
-fails every check on its vectors, and long cycles with a pendant tree at
-every cycle vertex pass in every case."""
+fails every check on its vectors (a forest's too), long cycles with a
+pendant tree at every cycle vertex pass in every case, and one run
+decomposes no vertex set twice."""
 
 from __future__ import annotations
 
@@ -13,11 +14,10 @@ from dataclasses import replace
 
 import pytest
 
-from nulldecomp import checks, classify, decomposition, linalg, run_checks
+from nulldecomp import Graph, checks, classify, decomposition, linalg, run_checks
 from nulldecomp.checks import minimize_failing_graph
 from nulldecomp.cli import main
-from nulldecomp.errors import CaseContradiction, NormalizationFailure
-from nulldecomp.trees import Decomposition
+from nulldecomp.errors import CaseContradiction, NormalizationFailure, OddNSet
 from nulldecomp.unicyclic import recursion_nullity
 
 from conftest import cycle_with_attachments, path_graph
@@ -107,12 +107,21 @@ def test_a_guarded_check_that_raises_any_exception_fails(monkeypatch, ex_four_cy
     assert all(ok for name, ok in result.items() if name != "nullity_recursion")
 
 
-@pytest.mark.parametrize("example", ["ex_type1", "ex_four_cycle"])
-def test_a_constructed_basis_that_raises_fails_the_checks_on_its_vectors(monkeypatch, request, example):
+def test_a_production_kernel_that_raises_fails_basis_count(monkeypatch, ex_type1):
     def planted(*args):
         raise NormalizationFailure("planted")
 
-    g = request.getfixturevalue(example)
+    monkeypatch.setattr(checks, "rref_null_basis", planted)
+    assert {name for name, ok in run_checks(ex_type1).items() if not ok} == {"basis_count"}
+
+
+@pytest.mark.parametrize("example", ["ex_type1", "ex_four_cycle", "forest"])
+def test_a_constructed_basis_that_raises_fails_the_checks_on_its_vectors(monkeypatch, request, example):
+    # A forest's construction is rref_null_basis: only its two vector checks fail.
+    def planted(*args):
+        raise NormalizationFailure("planted")
+
+    g = path_graph(5) if example == "forest" else request.getfixturevalue(example)
     monkeypatch.setattr(checks, "constructed_null_basis", planted)
     result = run_checks(g)
     on_vectors = {"basis_exact", "basis_count", "span_equality", "pendant_extension_null", "forest_extension_null"}
@@ -155,10 +164,23 @@ def test_structural_matches_basis_fails_on_a_wrong_case(monkeypatch, families, c
 @pytest.mark.parametrize("example, cut", [("ex_type1", "witness"), ("ex_four_cycle", "cycle")])
 def test_an_odd_n_set_in_a_split_fails_the_split_checks(monkeypatch, request, example, cut):
     # alpha and nu raise OddNSet on a forest with an odd N-set; the battery
-    # must report the split identities as failed, not raise.
+    # must report the split identities as failed, not raise.  The split reads
+    # the pieces the class carries, so the plant pins the battery's one
+    # classification and makes alpha / nu raise on its complement.
     g = request.getfixturevalue(example)
-    odd = Decomposition(frozenset(), frozenset(), frozenset({0}), 0)
-    monkeypatch.setattr(checks, "forest_decomposition", lambda h, vertices: odd)
+    cls = classify(g)
+    monkeypatch.setattr(decomposition, "classify", lambda h: cls)
+
+    def odd_on_complement(formula):
+        def planted(d):
+            if d is cls.complement:
+                raise OddNSet("planted")
+            return formula(d)
+
+        return planted
+
+    monkeypatch.setattr(checks, "alpha", odd_on_complement(checks.alpha))
+    monkeypatch.setattr(checks, "nu", odd_on_complement(checks.nu))
     result = run_checks(g)
     split = {f"alpha_splits_at_{cut}", f"nu_splits_at_{cut}"}
     assert {name: result[name] for name in split} == dict.fromkeys(split, False)
@@ -184,3 +206,21 @@ def test_long_cycle_with_a_tree_at_every_vertex_passes(length, witness_tail, cas
     assert classify(g).case == case
     failed = [name for name, ok in run_checks(g).items() if not ok]
     assert failed == []
+
+
+@pytest.mark.parametrize("case", ["TI-1", "TI-2", "TI-3", "TI-4", "TII-non4k", "TII-4k", "forest"])
+def test_run_checks_decomposes_no_vertex_set_twice(decomposition_calls, families, case):
+    # The split identities read the pieces the class carries; they do not
+    # decompose them again.  A subgraph an oracle builds counts apart from g.
+    graphs = [path_graph(7), Graph.from_edges([("a", "b")], isolated=["c"])] if case == "forest" else families[case]
+    for g in graphs:
+        decomposition_calls.clear()
+        assert all(run_checks(g).values())
+        assert decomposition_calls and max(decomposition_calls.values()) == 1, g.to_edge_list()
+
+
+@pytest.mark.parametrize("length, witness_tail", [(24, 2), (32, 2), (30, 2), (24, 1), (25, 1), (26, 1)])
+def test_run_checks_decomposes_no_vertex_set_twice_on_long_cycles(decomposition_calls, length, witness_tail):
+    # The graphs of test_long_cycle_with_a_tree_at_every_vertex_passes, all six cases.
+    assert all(run_checks(cycle_with_attachments(length, tails={i: 2 for i in range(length)} | {0: witness_tail})).values())
+    assert decomposition_calls and max(decomposition_calls.values()) == 1

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -17,7 +16,7 @@ from nulldecomp.decomposition import (
 )
 from nulldecomp.errors import OddNSet, UnsupportedGraphClass
 from nulldecomp.linalg import null_space_basis
-from nulldecomp.trees import CASE_FOREST, forest_decomposition, tree_decomposition
+from nulldecomp.trees import CASE_FOREST, tree_decomposition
 from nulldecomp.unicyclic import (
     CASE_TI1,
     CASE_TI2,
@@ -225,22 +224,13 @@ def test_case_tag_equals_kernel_definition(families):
 
 
 @pytest.fixture
-def decomposed_sets(monkeypatch):
+def decomposed_sets(decomposition_calls):
     """Run ``classify``, ``structural_decomposition`` and ``recursion_nullity`` on a graph.
 
-    Returns how often each vertex set was decomposed, and how many of those
+    Returns how often each (graph, vertex set) was decomposed, and how many of those
     calls ``recursion_nullity`` made.
     """
-    seen: Counter = Counter()
-
-    def counting(h, vertices):
-        vertices = frozenset(vertices)
-        seen[vertices] += 1
-        return forest_decomposition(h, vertices)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("nulldecomp") and getattr(module, "forest_decomposition", None) is forest_decomposition:
-            monkeypatch.setattr(module, "forest_decomposition", counting)
+    seen = decomposition_calls
 
     def run(g: Graph) -> tuple[Counter, int]:
         seen.clear()

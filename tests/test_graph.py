@@ -289,6 +289,16 @@ def test_every_graph_from_edges_accepts_round_trips(edges, isolated):
     assert parse_edge_list(g.to_edge_list()) == g
 
 
+def test_the_constructor_refuses_labels_the_edge_list_cannot_carry():
+    # "#a b" would read back as a comment, "a b c" as a three-token line.
+    for labels in (("#a", "b"), ("a b", "c")):
+        with pytest.raises(MalformedLine) as err:
+            Graph(labels, ((1,), (0,)))
+        assert err.value.line_no is None
+    g = Graph(("a#", "b"), ((1,), (0,)))
+    assert parse_edge_list(g.to_edge_list()) == g
+
+
 def test_from_edges_refuses_labels_the_edge_list_cannot_carry():
     cases = [([("#a", "b")], []), ([("", "c")], []), ([("a b", "c")], []), ([("a", "b")], ["a\x1cb"]), ([(1, 2)], [])]
     for edges, isolated in cases:

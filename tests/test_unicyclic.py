@@ -293,6 +293,25 @@ def test_constructed_basis_of_a_large_graph_builds_on_sparse_kernels():
     assert len(basis.vectors) == recursion_nullity(cls) == 180
 
 
+def test_corrected_vector_precheck_is_linear_at_a_hub():
+    # A 6-cycle whose witness v carries a leaf and 1600 copies of a six-vertex
+    # tree: T_v - v has 3,201 kernel vectors and v has 1,601 neighbors in it.
+    # Summing every vector over every neighbor took 16 s; each vector now
+    # sums only its own coordinates.  The leaf sorts last, so no early vector
+    # ends the precheck.
+    edges = [("v", "w1"), ("w1", "w2"), ("w2", "w3"), ("w3", "w4"), ("w4", "u"), ("u", "v"), ("v", "zleaf")]
+    for k in range(1600):
+        t = [f"t{k:04d}x{j}" for j in range(6)]
+        edges += [(t[0], t[1]), (t[0], t[2]), (t[0], t[4]), (t[1], t[3]), (t[3], t[5]), ("v", t[0])]
+    g = Graph.from_edges(edges)
+    cls = classify(g)
+    assert cls.case == "TI-4" and g.labels[cls.witness] == "v"
+    started = time.perf_counter()
+    basis = constructed_null_basis(g, cls)
+    assert time.perf_counter() - started < 4.0
+    assert basis.provenance.count(CORRECTED) == 1 and len(basis.vectors) == recursion_nullity(cls)
+
+
 def test_constructed_vectors_are_zero_free_maps_over_the_vertices(ex_type1, ex_star, ex_five_cycle, ex_four_cycle):
     # Each constructed vector, corrected and cycle-alternating ones included,
     # holds only nonzero coordinates at g's own vertices: a coordinate that
