@@ -30,8 +30,9 @@ oracle needs a ``Graph``; every identity on independence and matching
 numbers reads ``decomposition.alpha`` / ``nu``.
 ``structural_matches_basis`` holds the case to its kernel definition on
 G - T_v and T_v.  A failure here always means a bug somewhere, which is
-exactly what the fuzzing campaign is hunting for; a check that raises any
-exception counts as failed.
+exactly what the fuzzing campaign is hunting for.  Every check runs through
+``_guarded``, so one that raises counts as failed; only the inputs checks
+share (kernels, decompositions, MIS enumeration, annihilation) can escape.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def run_checks(g: Graph) -> dict[str, bool]:
         constructed = None
     built = constructed is not None
     annihilated = [_annihilated(g, v) for v in constructed.vectors] if built else []
-    checks["basis_exact"] = built and all(annihilated)
+    _guarded(checks, "basis_exact", lambda: built and all(annihilated))
     _guarded(checks, "basis_count", lambda: (
         built
         and len(constructed.vectors) == len(canonical) == route.nullity
@@ -170,19 +171,19 @@ def _kernel_decomposition(g: Graph, vertices: frozenset[int]) -> Decomposition:
 
 def _forest_checks(checks: dict[str, bool], g: Graph, d: Decomposition, t: Decomposition) -> Forests:
     """The forest's own checks, on its kernel reading ``d`` and matching route ``t``."""
-    checks["even_n_set"] = len(d.n_vertices) % 2 == 0
-    checks["support_independent"] = g.is_independent_set(d.support)
-    checks["supp_core_disjoint"] = not (d.support & d.core)
+    _guarded(checks, "even_n_set", lambda: len(d.n_vertices) % 2 == 0)
+    _guarded(checks, "support_independent", lambda: g.is_independent_set(d.support))
+    _guarded(checks, "supp_core_disjoint", lambda: not (d.support & d.core))
     _guarded(checks, "formula_sum", lambda: alpha(t) + nu(t) == g.n)
     if g.n > ENUMERATION_BUDGET:
         return []
     mis = maximum_independent_sets(g)
-    checks["core_absent_from_some_mis"] = all(
+    _guarded(checks, "core_absent_from_some_mis", lambda: all(
         any(v not in s for s in mis) for v in d.core
-    )
-    checks["n_vertex_swings_mis"] = all(
+    ))
+    _guarded(checks, "n_vertex_swings_mis", lambda: all(
         any(v in s for s in mis) and any(v not in s for s in mis) for v in d.n_vertices
-    )
+    ))
     return [(g, d)]
 
 
@@ -197,21 +198,23 @@ def _unicyclic_checks(
     pend = cls.pendant_trees
     built = constructed is not None
     _guarded(checks, "nullity_recursion", lambda: recursion_nullity(cls) == len(canonical))
-    checks["span_equality"] = built and same_span(_dense(constructed.vectors, g.n), _dense(canonical, g.n))
+    _guarded(checks, "span_equality", lambda: (
+        built and same_span(_dense(constructed.vectors, g.n), _dense(canonical, g.n))
+    ))
 
     pendant = {v: kernel(pend[v]) for v in cls.cycle.vertices}  # the pendant trees' reference kernels
-    checks["structural_matches_basis"] = (
+    _guarded(checks, "structural_matches_basis", lambda: (
         d_basis.support == d_struct.support
         and d_basis.core == d_struct.core
         and d_basis.n_vertices == d_struct.n_vertices
         and d_struct.case == _kernel_case(g, cls, pendant)
-    )
-    checks["support_dichotomy"] = g.is_independent_set(d_basis.support) == (
+    ))
+    _guarded(checks, "support_dichotomy", lambda: g.is_independent_set(d_basis.support) == (
         d_basis.case != CASE_TII_4K
-    )
+    ))
     expected_overlap = cycle_set if d_basis.case == CASE_TII_4K else frozenset()
-    checks["supp_core_rule"] = (d_basis.support & d_basis.core) == expected_overlap
-    checks["parity_rule"] = _parity_rule(d_basis)
+    _guarded(checks, "supp_core_rule", lambda: (d_basis.support & d_basis.core) == expected_overlap)
+    _guarded(checks, "parity_rule", lambda: _parity_rule(d_basis))
 
     # The one class branch.  Whole-graph counts split along the class's
     # natural cut, into the pieces the class carries: the witness's pendant
@@ -226,30 +229,30 @@ def _unicyclic_checks(
         parts, base, at = [cls.complement], cls.cycle.length // 2, "cycle"
         extension, extended = "forest_extension_null", EXTENDED_FOREST
         forest_k = kernel(forest_vs)
-        checks["cycle_tree_neighbors_unsupported"] = all(
+        _guarded(checks, "cycle_tree_neighbors_unsupported", lambda: all(
             u not in forest_k.support
             for v in cls.cycle.vertices
             for u in g.neighbors(v)
             if u in pend[v]
-        )
-        checks["forest_support_in_pendant_supports"] = forest_k.support <= frozenset().union(
+        ))
+        _guarded(checks, "forest_support_in_pendant_supports", lambda: forest_k.support <= frozenset().union(
             *(d.support for d in pendant.values())
-        )
+        ))
         _guarded(checks, "pendant_vs_forest_alpha_identity", lambda: (
             sum(map(alpha, pendant.values())) == cls.cycle.length + alpha(forest_k)
         ))
-    checks[extension] = built and all(
+    _guarded(checks, extension, lambda: built and all(
         ok for ok, prov in zip(annihilated, constructed.provenance) if prov == extended
-    )
+    ))
     _guarded(checks, f"alpha_splits_at_{at}", lambda: alpha(d_basis) == base + sum(map(alpha, parts)))
     _guarded(checks, f"nu_splits_at_{at}", lambda: nu(d_basis) == base + sum(map(nu, parts)))
 
     # Pendant-tree identities around off-support cycle vertices, on kernels.
     deleted = {v: kernel(pend[v] - {v}) for v in cls.cycle.vertices if v not in pendant[v].support}
     if deleted:
-        checks["support_survives_root_deletion"] = all(
+        _guarded(checks, "support_survives_root_deletion", lambda: all(
             pendant[v].support <= d.support for v, d in deleted.items()
-        )
+        ))
         _guarded(checks, "alpha_stable_under_root_deletion", lambda: all(
             alpha(pendant[v]) == alpha(d) for v, d in deleted.items()
         ))

@@ -113,9 +113,9 @@ def full_support_vector(
     and so on, and returns the first combination in which no union-support
     coordinate cancels.  Each such coordinate is a nonzero polynomial in t of
     degree < k, so only finitely many t are bad and the search terminates.
-    The search runs on the union of the key sets, every other coordinate
-    being zero in every combination, and each basis vector adds in only its
-    own coordinates, so one try costs the total support.
+    Each try sums, in g's own indices, on the sorted union of the key sets
+    (every other coordinate is zero in every combination); each basis vector
+    adds in only its own coordinates, so one try costs the total support.
 
     When ``nonzero_sum_indices`` is given, the sum of the result over those
     coordinates must come out nonzero as well.  Callers use this where the sum
@@ -127,29 +127,25 @@ def full_support_vector(
     if not basis:
         raise EmptyBasis("cannot build a full-support vector from an empty basis")
     union = sorted(frozenset().union(*basis))
-    at = {c: j for j, c in enumerate(union)}
-    rows = [[(at[c], x) for c, x in vec.items()] for vec in basis]
     if nonzero_sum_indices is not None:
         times = Counter(nonzero_sum_indices)  # an index listed twice counts twice
         if all(sum(x * times[i] for i, x in vec.items() if i in times) == 0 for vec in basis):
             raise InternalCheckError(
                 "sum functional vanishes on the entire span; no combination can satisfy it"
             )
-        # Coordinates off the union are zero in every combination.
-        sum_at = [at[i] for i in nonzero_sum_indices if i in at]
     t = 0
     while True:
         t += 1
         if t > 10000:
             raise InternalCheckError("full-support search did not terminate")
-        combo = [ZERO] * len(union)
+        combo = dict.fromkeys(union, ZERO)
         weight = Fraction(1)
-        for row in rows:
-            for j, x in row:
-                combo[j] += weight * x
+        for vec in basis:
+            for i, x in vec.items():
+                combo[i] += weight * x
             weight *= t
-        if any(x == 0 for x in combo):
+        if not all(combo.values()):
             continue
-        if nonzero_sum_indices is not None and sum(combo[j] for j in sum_at) == 0:
+        if nonzero_sum_indices is not None and sum(combo.get(i, ZERO) for i in nonzero_sum_indices) == 0:
             continue
-        return dict(zip(union, combo))
+        return combo

@@ -10,8 +10,9 @@ subgraphs:
   to zero extend by zero-padding; if some vector (the pivot) has a nonzero
   sum, a multiple of the pivot zeroes every other one's sum, and a single
   corrected vector (a scaled pivot plus a full-support kernel vector of the
-  pendant tree minus v) fills the gap.  Both steps change only the
-  coordinates on the pivot's support.
+  pendant tree minus v) fills the gap, first in the basis; that is TI-4.
+  Both steps change only the coordinates on the pivot's support, and the
+  full-support search sums in g's own indices: no position map.
 * Type II extends the kernel of the forest left after deleting the cycle.
   When the cycle length is a multiple of 4 the cycle itself contributes two
   extra vectors z1 and z2: alternating-sign sums of normalized full-support
@@ -100,9 +101,6 @@ class NullBasis:
 
     vectors: tuple[Vector, ...]
     provenance: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.vectors)
 
 
 def classify(g: Graph) -> UnicyclicClass | None:
@@ -242,39 +240,29 @@ def _type1_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
     v = cls.witness
     u, w = cls.cycle.neighbors_on_cycle(v)
     tree = cls.pendant_trees[v]
-    tree_basis = null_basis_on(g.adjacency, tree)
     rest_basis = null_basis_on(g.adjacency, frozenset(range(g.n)) - tree)
 
     def cycle_sum(vec: Vector) -> Fraction:
         return vec.get(u, ZERO) + vec.get(w, ZERO)
 
-    vectors: list[Vector] = []
-    provenance: list[str] = []
-
+    tagged: list[tuple[Vector, str]] = []
     pivot = next((vec for vec in rest_basis if cycle_sum(vec) != 0), None)
-    if pivot is None:
-        # Every complement kernel vector already extends to a kernel vector.
-        vectors.extend(rest_basis)
-        provenance.extend([EXTENDED_COMPLEMENT] * len(rest_basis))
-    else:
-        zero_sum = [
-            _add_scaled(vec, -cycle_sum(vec) / cycle_sum(pivot), pivot)
-            for vec in rest_basis
-            if vec is not pivot
-        ]
+    if pivot is not None:  # without one, every complement kernel vector already extends
         sub = tree - {v}
         neighbors = [t for t in g.neighbors(v) if t in sub]
         # The neighbor-sum must be nonzero or the corrected vector falls into the
         # extended pendant-tree span; full_support_vector raises if it cannot be.
         y = full_support_vector(null_basis_on(g.adjacency, sub), nonzero_sum_indices=neighbors)
         coeff = -sum(y.get(t, ZERO) for t in neighbors) / cycle_sum(pivot)
-        vectors.append(_add_scaled(y, coeff, pivot))
-        provenance.append(CORRECTED)
-        vectors.extend(zero_sum)
-        provenance.extend([EXTENDED_COMPLEMENT] * len(zero_sum))
-    vectors.extend(tree_basis)
-    provenance.extend([EXTENDED_PENDANT] * len(tree_basis))
-    return NullBasis(tuple(vectors), tuple(provenance))
+        tagged.append((_add_scaled(y, coeff, pivot), CORRECTED))
+        rest_basis = [
+            _add_scaled(vec, -cycle_sum(vec) / cycle_sum(pivot), pivot)
+            for vec in rest_basis
+            if vec is not pivot
+        ]
+    tagged += [(vec, EXTENDED_COMPLEMENT) for vec in rest_basis]
+    tagged += [(vec, EXTENDED_PENDANT) for vec in null_basis_on(g.adjacency, tree)]
+    return NullBasis(tuple(vec for vec, _ in tagged), tuple(tag for _, tag in tagged))
 
 
 def _add_scaled(vec: Vector, coeff: Fraction, other: Vector) -> Vector:

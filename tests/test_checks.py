@@ -1,7 +1,7 @@
 """The check battery: the failure minimizer keeps the failure it started
 from, one run reduces each matrix once and classifies the graph once (as
 do ``analyze`` and ``basis``), the case is held to its kernel definition,
-a formula that raises fails its check, a constructed basis that raises
+a check that raises fails only itself, a constructed basis that raises
 fails every check on its vectors (a forest's too), long cycles with a
 pendant tree at every cycle vertex pass in every case, and one run
 decomposes no vertex set twice."""
@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from nulldecomp import Graph, checks, classify, decomposition, linalg, run_checks
+from nulldecomp import Graph, checks, classify, decomposition, linalg, parse_edge_list, run_checks
 from nulldecomp.checks import minimize_failing_graph
 from nulldecomp.cli import main
 from nulldecomp.errors import CaseContradiction, NormalizationFailure, OddNSet
@@ -105,6 +105,26 @@ def test_a_guarded_check_that_raises_any_exception_fails(monkeypatch, ex_four_cy
     result = run_checks(ex_four_cycle)
     assert result["nullity_recursion"] is False
     assert all(ok for name, ok in result.items() if name != "nullity_recursion")
+
+
+@pytest.mark.parametrize(
+    "edges, owner, name, check",
+    [
+        ("a b\nb c\nc a\nc d", checks, "_parity_rule", "parity_rule"),
+        ("a b\nb c\nc a\nc d", checks, "_kernel_case", "structural_matches_basis"),
+        ("a b\nb c\nc a\nc d", Graph, "is_independent_set", "support_dichotomy"),
+        ("a b\nb c", Graph, "is_independent_set", "support_independent"),
+    ],
+    ids=["parity_rule", "kernel_case", "unicyclic_is_independent_set", "forest_is_independent_set"],
+)
+def test_a_check_that_raises_fails_only_itself(monkeypatch, edges, owner, name, check):
+    # Each planted name is read by one check alone on its graph, outside the shared inputs.
+    def planted(*args):
+        raise KeyError("planted")
+
+    g = parse_edge_list(edges)
+    monkeypatch.setattr(owner, name, planted)
+    assert {failed for failed, ok in run_checks(g).items() if not ok} == {check}
 
 
 def test_a_production_kernel_that_raises_fails_basis_count(monkeypatch, ex_type1):

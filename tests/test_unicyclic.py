@@ -233,6 +233,24 @@ def test_type1_pendant_vectors_present(ex_type1):
     assert same_span(written_out(ex_type1, basis.vectors), written_out(ex_type1, rref_null_basis(ex_type1).vectors))
 
 
+def test_provenance_layout_by_case(families):
+    # Type I: a corrected vector heads the basis exactly in TI-4, in place of
+    # one complement vector, and the witness's pendant-tree kernel follows.
+    # Type II: the forest G - C, then the two cycle vectors in TII-4k.
+    graphs = [g for family in families.values() for g in family]
+    graphs += [generate_unicyclic(GeneratorSpec(n=5 + i % 30, seed=6000 + i)) for i in range(600)]
+    for g in graphs:
+        cls = classify(g)
+        rest = cls.complement.nullity
+        if cls.tag == TYPE2:
+            layout = (EXTENDED_FOREST,) * rest + (CYCLE_ALTERNATING,) * (2 if cls.case == "TII-4k" else 0)
+        else:
+            corrected = 1 if cls.case == "TI-4" else 0
+            layout = (CORRECTED,) * corrected + (EXTENDED_COMPLEMENT,) * (rest - corrected)
+            layout += (EXTENDED_PENDANT,) * cls.pendant_decompositions[cls.witness].nullity
+        assert constructed_null_basis(g, cls).provenance == layout, g.to_edge_list()
+
+
 def test_type2_basis_plain_c4_alternating():
     g = cycle_graph(4)
     basis = constructed_null_basis(g, classify(g))
