@@ -12,6 +12,9 @@ Subcommands:
 
 Exit codes: 0 ok, 2 parse/input error, 3 unsupported graph class,
 4 verification failure.
+
+The argument parser is built once per process: ``main`` reuses it, so a
+caller that runs ``main`` many times in one process pays for it once.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from .checks import minimize_failing_graph, run_checks
@@ -154,6 +158,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nulldecomp",

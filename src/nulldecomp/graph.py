@@ -11,6 +11,11 @@ empty, no whitespace or line break) that does not start with ``#``, and
 ``parse_edge_list``, ``Graph.from_edges`` and the ``Graph`` constructor
 refuse any other label.
 
+Each graph is checked once: ``Graph(labels, adjacency)`` validates its
+arguments, while ``parse_edge_list`` and ``Graph.from_edges`` are checked in
+``_build`` and derived graphs are canonical by construction, so neither runs
+the constructor's checks.
+
 Graphs are immutable; every operation is a pure function returning new values.
 
 The class tests (``is_forest``, ``is_unicyclic``) have no caller in the
@@ -43,8 +48,10 @@ class Graph:
     ``labels`` is lexicographically sorted and index i belongs to labels[i];
     adjacency lists are sorted ascending.  Construct through
     :func:`parse_edge_list`, :meth:`Graph.from_edges`, or the derived-graph
-    methods, all of which produce this canonical form.  A label the
-    edge-list format cannot carry is refused (``MalformedLine``) here too.
+    methods, all of which produce this canonical form by construction and
+    so skip the checks below.  Called directly, the constructor validates
+    its arguments: labels, order, index range and symmetry; a label the
+    edge-list format cannot carry is refused (``MalformedLine``).
     """
 
     labels: tuple[str, ...]
@@ -178,7 +185,7 @@ class Graph:
         adjacency = tuple(
             tuple(pos[w] for w in self.adjacency[v] if w in pos) for v in vs
         )
-        return Graph(tuple(self.labels[v] for v in vs), adjacency)
+        return _canonical(tuple(self.labels[v] for v in vs), adjacency)
 
     def delete_vertices(self, vertices: Iterable[int]) -> Graph:
         drop = set(vertices)
@@ -235,6 +242,13 @@ def _label_problem(label: str) -> str | None:
     return None
 
 
+def _canonical(labels: tuple[str, ...], adjacency: tuple[tuple[int, ...], ...]) -> Graph:
+    """The graph on arguments canonical by construction (``_build``'s, a derived graph's), unchecked."""
+    g = object.__new__(Graph)
+    g.__dict__.update(labels=labels, adjacency=adjacency)
+    return g
+
+
 def _build(entries: Iterable[tuple[Sequence[str], int | None, str | None]]) -> Graph:
     """Check and build the canonical graph from entries of one label (a vertex) or two (an edge).
 
@@ -264,7 +278,7 @@ def _build(entries: Iterable[tuple[Sequence[str], int | None, str | None]]) -> G
         raise EmptyInput("no vertices or edges in input")
     order = sorted(nbrs)
     index = {label: i for i, label in enumerate(order)}
-    return Graph(tuple(order), tuple(tuple(sorted([index[w] for w in nbrs[label]])) for label in order))
+    return _canonical(tuple(order), tuple(tuple(sorted([index[w] for w in nbrs[label]])) for label in order))
 
 
 def parse_edge_list(text: str) -> Graph:

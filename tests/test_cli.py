@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from nulldecomp import checks, parse_edge_list, unicyclic
-from nulldecomp.cli import main
+from nulldecomp.cli import build_parser, main
 from nulldecomp.errors import InternalCheckError, NormalizationFailure
 
 from conftest import EXAMPLE_FOUR_CYCLE, EXAMPLE_TYPE1
@@ -140,6 +140,35 @@ def test_basis_json_round_trip(capsys, monkeypatch):
     data = json.loads(out)
     assert data["nullity"] == 1
     assert data["vectors"][0]["coordinates"] == {"a": "-1", "c": "1"}
+
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_a_reused_parser_forgets_the_last_call_options(tmp_path, capsys):
+    path = tmp_path / "g.edges"
+    path.write_text(EXAMPLE_FOUR_CYCLE)
+    code, out, _ = run(capsys, ["analyze", str(path), "--verify", "--json"])
+    assert code == 0 and json.loads(out)["checks"]
+    code, out, _ = run(capsys, ["analyze", str(path), "--json"])
+    assert code == 0 and '"checks": {}' in out
+
+    path.write_text(EXAMPLE_TYPE1)
+    code, out, _ = run(capsys, ["basis", str(path), "--method", "rref", "--json"])
+    assert code == 0 and {v["provenance"] for v in json.loads(out)["vectors"]} == {"RrefCanonical"}
+    code, out, _ = run(capsys, ["basis", str(path), "--json"])
+    provenance = {v["provenance"] for v in json.loads(out)["vectors"]}
+    assert code == 0 and provenance and "RrefCanonical" not in provenance
+
+
+def test_a_refused_call_leaves_the_parser_usable(capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["basis", "-", "--method", "dense"])
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, ["basis", "-"], stdin="a b\nb c\n", monkeypatch=monkeypatch)
+    assert code == 0 and "a=-1" in out
 
 
 def test_generate_deterministic(capsys):

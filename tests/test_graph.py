@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nulldecomp import Graph, classify, parse_edge_list
+from nulldecomp import Graph, classify, graph, parse_edge_list
 from nulldecomp.errors import (
     DuplicateEdge,
     EdgeListError,
@@ -16,7 +17,7 @@ from nulldecomp.errors import (
     UnknownVertex,
 )
 
-from conftest import cycle_graph, path_graph
+from conftest import EXAMPLE_TYPE1, cycle_graph, path_graph
 
 
 def test_parse_smallest_path():
@@ -317,9 +318,55 @@ def test_asymmetric_adjacency_rejected():
 
 
 def test_large_star_builds_in_linear_time():
-    # Each leaf's edge is checked against the hub's 40k neighbors, so the
-    # symmetry check must not scan that list once per leaf.
+    # Each leaf's edge is checked against the hub's 40k neighbors, so neither
+    # the builder's duplicate check nor the constructor's symmetry check may
+    # scan that list once per leaf.
     started = time.perf_counter()
     g = Graph.from_edges(("hub", f"leaf{i:05d}") for i in range(40_000))
+    assert Graph(g.labels, g.adjacency) == g
     assert time.perf_counter() - started < 2.0
     assert g.n == 40_001 and g.degree(g.index_of("hub")) == 40_000
+
+
+def test_each_graph_is_validated_once(monkeypatch):
+    # The builder checks the label rule once per distinct label; its graph and
+    # every derived graph are canonical by construction, so the constructor's
+    # checks never run on them.
+    checked: Counter[str] = Counter()
+    label_problem = graph._label_problem
+
+    def counting(label):
+        checked[label] += 1
+        return label_problem(label)
+
+    def tripwire(self):
+        raise AssertionError("Graph.__post_init__ ran on a graph built inside the package")
+
+    monkeypatch.setattr(graph, "_label_problem", counting)
+    monkeypatch.setattr(Graph, "__post_init__", tripwire)
+    g = parse_edge_list(EXAMPLE_TYPE1)
+    assert checked == Counter(g.labels)
+    checked.clear()
+    edges = [(g.labels[u], g.labels[v]) for u, v in g.edges()]
+    assert Graph.from_edges(edges, isolated=["c", "zz"]).n == g.n + 1
+    assert checked == Counter(g.labels + ("zz",))
+    checked.clear()
+    assert g.induced_subgraph(range(0, g.n, 2)).n == (g.n + 1) // 2
+    assert g.delete_vertices([0, 3]).n == g.n - 2
+    assert not checked
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_list_texts(), st.lists(st.tuples(ODD_LABELS, ODD_LABELS), max_size=6), st.data())
+def test_every_graph_built_inside_the_package_passes_the_constructor(text, edges, data):
+    built = []
+    for build in (lambda: parse_edge_list(text), lambda: Graph.from_edges(edges)):
+        try:
+            built.append(build())
+        except EdgeListError:
+            pass
+    for g in list(built):
+        vertices = data.draw(st.sets(st.integers(0, g.n - 1)))
+        built += [g.induced_subgraph(vertices), g.delete_vertices(vertices)]
+    for g in built:
+        assert Graph(g.labels, g.adjacency) == g
