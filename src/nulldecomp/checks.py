@@ -28,11 +28,13 @@ twice.  A construction that raises (a forest's is ``rref_null_basis``)
 fails every check on its vectors.  A subgraph is built only where an
 oracle needs a ``Graph``; every identity on independence and matching
 numbers reads ``decomposition.alpha`` / ``nu``.
-``structural_matches_basis`` holds the case to its kernel definition on
-G - T_v and T_v.  A failure here always means a bug somewhere, which is
-exactly what the fuzzing campaign is hunting for.  Every check runs through
-``_guarded``, so one that raises counts as failed; only the inputs checks
-share (kernels, decompositions, MIS enumeration, annihilation) can escape.
+``structural_matches_basis`` holds the matching route's support, core and
+N-vertices to the kernel reading on every graph, and a unicyclic graph's
+case to its kernel definition on G - T_v and T_v.  A failure here always
+means a bug somewhere, which is exactly what the fuzzing campaign is
+hunting for.  Every check runs through ``_guarded``, so one that raises
+counts as failed; only the inputs checks share (kernels, decompositions,
+MIS enumeration, annihilation) can escape.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ from .unicyclic import (
 
 
 Forests = list[tuple[Graph, Decomposition]]  # each forest with its kernel reading, in g's indices
+Kernel = Callable[[frozenset[int]], Decomposition]  # a vertex set's reference-kernel reading
 
 
 def run_checks(g: Graph) -> dict[str, bool]:
@@ -108,6 +111,10 @@ def run_checks(g: Graph) -> dict[str, bool]:
         and (constructed if cls is None else rref_null_basis(g)).vectors == tuple(canonical)
     ))
 
+    _guarded(checks, "structural_matches_basis", lambda: (
+        (route.support, route.core, route.n_vertices) == (d.support, d.core, d.n_vertices)
+        and (cls is None or route.case == _kernel_case(g, cls, kernel))
+    ))
     formulas = route if cls is None else d  # a forest's by matching, a unicyclic graph's by kernel
     if g.n <= SEARCH_BUDGET:
         _guarded(checks, "alpha_oracle", lambda: alpha(formulas) == brute_alpha(g))
@@ -119,7 +126,7 @@ def run_checks(g: Graph) -> dict[str, bool]:
         enumerated = _forest_checks(checks, g, d, route)
         pairs = [(frozenset(comp), v) for comp in g.components() for v in comp if v not in d.support]
     else:
-        enumerated = _unicyclic_checks(checks, g, d, route, kernel, canonical, constructed, annihilated)
+        enumerated = _unicyclic_checks(checks, g, d, kernel, canonical, constructed, annihilated)
         pairs = [(tree, v) for v, tree in cls.pendant_trees.items() if v not in kernel(tree).support]
     if cls is None or pairs:
         _guarded(checks, "supported_neighbor_after_deletion", lambda: all(
@@ -188,9 +195,8 @@ def _forest_checks(checks: dict[str, bool], g: Graph, d: Decomposition, t: Decom
 
 
 def _unicyclic_checks(
-    checks: dict[str, bool], g: Graph, d_basis: Decomposition, d_struct: Decomposition,
-    kernel: Callable[[frozenset[int]], Decomposition], canonical: list[Vector],
-    constructed: NullBasis | None, annihilated: list[bool],
+    checks: dict[str, bool], g: Graph, d_basis: Decomposition, kernel: Kernel,
+    canonical: list[Vector], constructed: NullBasis | None, annihilated: list[bool],
 ) -> Forests:
     """The unicyclic graph's own checks, on the class ``d_basis`` carries."""
     cls = d_basis.cls
@@ -203,12 +209,6 @@ def _unicyclic_checks(
     ))
 
     pendant = {v: kernel(pend[v]) for v in cls.cycle.vertices}  # the pendant trees' reference kernels
-    _guarded(checks, "structural_matches_basis", lambda: (
-        d_basis.support == d_struct.support
-        and d_basis.core == d_struct.core
-        and d_basis.n_vertices == d_struct.n_vertices
-        and d_struct.case == _kernel_case(g, cls, pendant)
-    ))
     _guarded(checks, "support_dichotomy", lambda: g.is_independent_set(d_basis.support) == (
         d_basis.case != CASE_TII_4K
     ))
@@ -270,17 +270,18 @@ def _unicyclic_checks(
     return [(f, kernel(vs)) for vs, f in searched.items() if len(vs) <= ENUMERATION_BUDGET]
 
 
-def _kernel_case(g: Graph, cls: UnicyclicClass, pendant) -> str:
+def _kernel_case(g: Graph, cls: UnicyclicClass, kernel: Kernel) -> str:
     """The unicyclic case by its definition, read off the reference kernels.
 
-    ``pendant`` maps each cycle vertex to the kernel decomposition of its
-    pendant tree.  The witness v is the smallest cycle vertex off that
-    support; with none the graph is Type II and the case is the cycle length
-    mod 4.  With pendant tree T_v and cycle neighbors u, w of v: TI-4 when
-    some kernel vector of A(G - T_v) has x_u + x_w != 0, TI-1 when all of
-    them vanish at u and w, otherwise TI-2 when v is in the core of T_v and
-    TI-3 when not.
+    ``kernel`` gives the reference-kernel decomposition of a vertex set.
+    The witness v is the smallest cycle vertex off the support of its
+    pendant tree; with none the graph is Type II and the case is the cycle
+    length mod 4.  With pendant tree T_v and cycle neighbors u, w of v:
+    TI-4 when some kernel vector of A(G - T_v) has x_u + x_w != 0, TI-1
+    when all of them vanish at u and w, otherwise TI-2 when v is in the
+    core of T_v and TI-3 when not.
     """
+    pendant = {v: kernel(cls.pendant_trees[v]) for v in cls.cycle.vertices}
     witness = min((v for v, d in pendant.items() if v not in d.support), default=None)
     if witness is None:
         return CASE_TII_4K if cls.cycle.length % 4 == 0 else CASE_TII_NON4K

@@ -6,11 +6,11 @@ Two independent routes produce the one record ``trees.Decomposition``:
 
 * ``decomposition_from_basis`` reads the sets off a kernel basis of the
   whole adjacency matrix through ``kernel_decomposition``, the one kernel
-  reading.  By default, and so in ``analyze``, that is the canonical basis
-  from the exact sparse elimination over adjacency lists
-  (``linalg.null_basis_on`` over every vertex); the check battery passes the
-  dense RREF kernel instead, so its reading never shares the production
-  kernel.  This is the source of truth.
+  reading.  By default, and so in ``analyze`` on a unicyclic graph, that is
+  the canonical basis from the exact sparse elimination over adjacency
+  lists (``linalg.null_basis_on`` over every vertex); the check battery
+  passes the dense RREF kernel instead, so its reading never shares the
+  production kernel.  This is the source of truth.
 * ``structural_decomposition`` assembles the same sets from pendant-tree and
   complement decompositions according to the six-way case split that
   ``unicyclic.classify`` decides (four Type I cases by how the complement
@@ -19,12 +19,14 @@ Two independent routes produce the one record ``trees.Decomposition``:
   carries those decompositions; a forest (class None) is one piece.  Every
   piece is a forest, decomposed through a maximum matching (``trees``), so
   this route computes no kernel and runs in time linear in the graph.
+  ``analyze`` reads every forest this way.
 
 Both take the graph's class from ``classify``, which refuses any graph that
 is neither a forest nor unicyclic; neither checks the class again.
 
-Their agreement on every unicyclic graph is one of the package's central
-verified properties.  ``alpha`` and ``nu`` read nothing but a decomposition.
+Their agreement on every forest and unicyclic graph is one of the package's
+central verified properties (``structural_matches_basis``).  ``alpha`` and
+``nu`` read nothing but a decomposition.
 """
 
 from __future__ import annotations
@@ -66,9 +68,15 @@ def decomposition_from_basis(g: Graph, basis: Sequence[Vector] | None = None) ->
     before any kernel is computed.  A caller that already holds a basis of
     A(g) passes it in, and A(g) is not reduced again; without one the
     canonical basis comes from the sparse elimination over g's adjacency
-    lists.
+    lists, as in ``analyze`` on a unicyclic graph.
     """
-    cls = classify(g)
+    return _whole_graph_reading(g, classify(g), basis)
+
+
+def _whole_graph_reading(
+    g: Graph, cls: UnicyclicClass | None, basis: Sequence[Vector] | None = None
+) -> Decomposition:
+    """``decomposition_from_basis`` for a caller that holds ``cls = classify(g)``."""
     if basis is None:
         basis = null_basis_on(g.adjacency, range(g.n))
     return replace(kernel_decomposition(g, basis, frozenset(range(g.n))), cls=cls)
@@ -191,10 +199,14 @@ class AnalysisReport:
 def analyze(g: Graph) -> AnalysisReport:
     """Decompose ``g`` and evaluate the closed formulas.
 
-    The decomposition is read off the canonical kernel from the sparse
-    elimination.  The report's ``checks`` map starts empty; a caller that
-    wants the cross-check battery runs ``checks.run_checks(g)`` and
-    attaches its map, as ``analyze --verify`` does.
+    ``g`` is classified once.  A forest is decomposed through a maximum
+    matching (``structural_decomposition``), in time linear in g, with no
+    kernel; a unicyclic graph's decomposition is read off the canonical
+    kernel from the sparse elimination.  The report's ``checks`` map starts
+    empty; a caller that wants the cross-check battery runs
+    ``checks.run_checks(g)`` and attaches its map, as ``analyze --verify``
+    does.
     """
-    d = decomposition_from_basis(g)
+    cls = classify(g)
+    d = structural_decomposition(g, None) if cls is None else _whole_graph_reading(g, cls)
     return AnalysisReport(g, d, alpha(d), nu(d))

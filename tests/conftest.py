@@ -9,6 +9,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import strategies as st
@@ -210,8 +211,7 @@ def kernel_case(g: Graph, cls) -> str:
     Tests hold a case computed elsewhere to this: reading ``cls.case`` twice
     can never disagree.
     """
-    pendant = {v: _kernel_decomposition(g, tree) for v, tree in cls.pendant_trees.items()}
-    return _kernel_case(g, cls, pendant)
+    return _kernel_case(g, cls, partial(_kernel_decomposition, g))
 
 
 def case_families() -> dict[str, list[Graph]]:

@@ -1,6 +1,7 @@
 """The check battery: the failure minimizer keeps the failure it started
 from, one run reduces each matrix once and classifies the graph once (as
-do ``analyze`` and ``basis``), the case is held to its kernel definition,
+do ``analyze`` and ``basis``), the matching route's sets are held to the
+kernel reading on forests too, the case is held to its kernel definition,
 a check that raises fails only itself, a constructed basis that raises
 fails every check on its vectors (a forest's too), long cycles with a
 pendant tree at every cycle vertex pass in every case, and one run
@@ -178,6 +179,22 @@ def test_structural_matches_basis_fails_on_a_wrong_case(monkeypatch, families, c
     g = families[case][0]
     assert run_checks(g)["structural_matches_basis"]
     monkeypatch.setattr(decomposition, "classify", lambda h: replace(classify(h), case=planted))
+    assert run_checks(g)["structural_matches_basis"] is False
+
+
+def test_structural_matches_basis_fails_on_a_wrong_forest_support(monkeypatch):
+    # analyze reads a forest off the matching route, so the battery holds
+    # that route's sets to the kernel reading on forests too.
+    g = path_graph(7)
+    assert run_checks(g)["structural_matches_basis"]
+    real = checks.structural_decomposition
+
+    def one_vertex_moved(h, cls):
+        d = real(h, cls)
+        v = min(d.support)
+        return replace(d, support=d.support - {v}, n_vertices=d.n_vertices | {v})
+
+    monkeypatch.setattr(checks, "structural_decomposition", one_vertex_moved)
     assert run_checks(g)["structural_matches_basis"] is False
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -104,6 +105,34 @@ def test_analyze_and_basis_refuse_alike(capsys, monkeypatch, edges):
         for argv in (["analyze", "-"], ["analyze", "-", "--json"], ["basis", "-", "--method", "structural"])
     ]
     assert results == [(3, "", UNSUPPORTED[edges])] * 3
+
+
+RREF_ON_UNSUPPORTED = {
+    "a b\nb c\nc d\nd a\na c\n": "nullity 1, basis:\n[RrefCanonical] b=-1 d=1\n",
+    "a b\nb c\nc a\nx\n": "nullity 1, basis:\n[RrefCanonical] x=1\n",
+}
+
+
+@pytest.mark.parametrize("edges", list(UNSUPPORTED))
+def test_basis_rref_reads_any_graph(capsys, monkeypatch, edges):
+    # The canonical kernel needs no class, so the one subcommand that does
+    # not exit 3 outside forests and unicyclic graphs prints it and exits 0.
+    result = run(capsys, ["basis", "-", "--method", "rref"], stdin=edges, monkeypatch=monkeypatch)
+    assert result == (0, RREF_ON_UNSUPPORTED[edges], "")
+
+
+def test_analyze_a_long_path_in_linear_time(tmp_path, capsys):
+    # A forest is read off a maximum matching.  The whole-graph elimination,
+    # which clears every earlier pivot row, takes about a minute on this path.
+    n = 6_400
+    path = tmp_path / "path.edges"
+    path.write_text("".join(f"p{i:05d} p{i + 1:05d}\n" for i in range(n - 1)))
+    started = time.perf_counter()
+    code, out, _ = run(capsys, ["analyze", str(path), "--json"])
+    elapsed = time.perf_counter() - started
+    data = json.loads(out)
+    assert code == 0 and (data["nullity"], data["alpha"], data["nu"]) == (0, n // 2, n // 2)
+    assert elapsed < 1.0
 
 
 def test_basis_structural_c4(capsys, monkeypatch):

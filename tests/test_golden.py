@@ -199,6 +199,18 @@ def _plant_kernel(monkeypatch, planted) -> None:
             monkeypatch.setattr(module, "null_basis_on", functools.partial(planted, real))
 
 
+@pytest.mark.parametrize("name", sorted(name for name, g in CORPUS.items() if classify(g) is None))
+def test_analyze_reads_a_forest_without_a_kernel(golden, monkeypatch, name):
+    # A forest's decomposition comes from a maximum matching, so analyze
+    # gives the same bytes with every sparse kernel refused.
+    def refuse(real, adjacency, vertices):
+        raise AssertionError("a kernel on analyze's forest path")
+
+    _plant_kernel(monkeypatch, refuse)
+    text = _cli_output(COMMANDS["analyze"], CORPUS[name].to_edge_list())
+    assert _digest(text) == golden[name]["analyze"]
+
+
 @pytest.mark.parametrize("name", ["example_type1", "seed125_forest"])
 def test_battery_catches_a_faulty_sparse_kernel(monkeypatch, name):
     def one_short(real, adjacency, vertices):
