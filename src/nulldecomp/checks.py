@@ -10,12 +10,13 @@ kernel, never off the matching route it is meant to test.
 
 Every kernel the battery reads comes from the dense reference
 ``linalg.null_space_basis`` of a matrix ``_reference_kernel`` builds from
-g's adjacency lists, never from the sparse ``linalg.null_basis_on`` of every
-production kernel; A(G)·v sums v over those lists.  Read back as zero-free
+g's adjacency lists, never from a production kernel of ``linalg``
+(``null_basis_on``, ``forest_null_basis_on``); A(G)·v sums v over those lists.  Read back as zero-free
 ``{index: Fraction}`` dicts, the production format, those kernels hold
-``rref_null_basis`` vector for vector in ``basis_count``, so a bug in the
-sparse elimination, or a stored 0, fails a check instead of being checked
-against itself.  Only ``span_equality`` writes vectors out densely.
+``rref_null_basis`` vector for vector in ``basis_count``, and on a forest
+the constructed basis too (``linalg.forest_null_basis_on``), so a bug in
+either production kernel, or a stored 0, fails a check instead of being
+checked against itself.  Only ``span_equality`` writes vectors out densely.
 
 ``run_checks`` is one body for forests and unicyclic graphs.  It reduces
 A(G) and reads its decomposition once, classifying g once inside
@@ -24,10 +25,9 @@ The checks both classes share are written once, and each derived forest
 gets one reference kernel, shared by every check on that vertex set.  The
 recursion, the structural decomposition and the split identities read the
 matching decompositions the class carries, so no vertex set is decomposed
-twice.  A construction that raises (a forest's is ``rref_null_basis``)
-fails every check on its vectors.  A subgraph is built only where an
-oracle needs a ``Graph``; every identity on independence and matching
-numbers reads ``decomposition.alpha`` / ``nu``.
+twice.  A construction that raises fails every check on its vectors.  A
+subgraph is built only where an oracle needs a ``Graph``; every identity on
+independence and matching numbers reads ``decomposition.alpha`` / ``nu``.
 ``structural_matches_basis`` holds the matching route's support, core and
 N-vertices to the kernel reading on every graph, and a unicyclic graph's
 case to its kernel definition on G - T_v and T_v.  A failure here always
@@ -99,7 +99,7 @@ def run_checks(g: Graph) -> dict[str, bool]:
     kernel = cache(partial(_kernel_decomposition, g))  # reduced once per vertex set
     checks: dict[str, bool] = {}
     try:
-        constructed = constructed_null_basis(g, cls)  # a forest's is rref_null_basis
+        constructed = constructed_null_basis(g, cls)
     except Exception:  # a construction that raises fails every check on its vectors
         constructed = None
     built = constructed is not None
@@ -108,7 +108,8 @@ def run_checks(g: Graph) -> dict[str, bool]:
     _guarded(checks, "basis_count", lambda: (
         built
         and len(constructed.vectors) == len(canonical) == route.nullity
-        and (constructed if cls is None else rref_null_basis(g)).vectors == tuple(canonical)
+        and rref_null_basis(g).vectors == tuple(canonical)
+        and (cls is not None or constructed.vectors == tuple(canonical))
     ))
 
     _guarded(checks, "structural_matches_basis", lambda: (

@@ -5,15 +5,20 @@ decidable, exact test.  That exactness is what the rest of the package is built
 on: supports are defined through exact zero/nonzero coordinates, which no
 floating-point elimination can provide.
 
-``null_basis_on(adjacency, vertices)`` is the one production kernel: the
-canonical kernel basis of the subgraph a vertex set induces, by sparse
-Gauss-Jordan elimination over rows built straight from the whole graph's
-adjacency lists, in the whole graph's indices.  ``analyze``,
-``rref_null_basis`` and every subforest kernel of the constructed Type I /
-Type II bases come from it; the whole-graph calls pass every vertex.  The
-dense ``rref`` / ``null_space_basis`` on lists of lists is the independent
-reference that the check battery (``checks``) and ``same_span`` use.  The
-RREF is unique, so each sparse vector, written out densely, is the dense one.
+Two production kernels give the canonical kernel basis of the subgraph a
+vertex set induces, read straight from the whole graph's adjacency lists and
+in the whole graph's indices.  ``null_basis_on(adjacency, vertices)`` works
+on any graph, by sparse Gauss-Jordan elimination: ``analyze`` on a
+unicyclic graph, ``rref_null_basis`` and every subforest kernel of the
+constructed Type I / Type II bases come from it.  ``forest_null_basis_on``
+gives the same basis for a vertex set that induces a forest, with no
+elimination: its pivots come from a maximum matching (Cvetković & Gutman
+1972), and its entries are all ±1 (Sander & Sander, LAA 405, 2005).  The
+structural basis of a whole forest comes from it.  The whole-graph calls
+pass every vertex.  The dense ``rref`` / ``null_space_basis`` on lists of
+lists is the independent reference that the check battery (``checks``) and
+``same_span`` use.  The RREF is unique, so each sparse vector, written out
+densely, is the dense one.
 
 A production vector (``Vector``) is the ``{index: Fraction}`` dict of its
 nonzero coordinates: its support is its key set.  The reference functions
@@ -26,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NotForest
 
 Vector = dict[int, Fraction]  # the nonzero coordinates by index; never holds a 0
 DenseVector = tuple[Fraction, ...]
@@ -34,6 +39,7 @@ Matrix = list[list[Fraction]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MINUS_ONE = Fraction(-1)
 
 
 def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, int, tuple[int, ...]]:
@@ -136,6 +142,106 @@ def null_basis_on(adjacency: Sequence[Sequence[int]], vertices: Iterable[int]) -
             if k != c:  # every other entry of a pivot row sits in a free column
                 basis[k][c] = -x
     return list(basis.values())
+
+
+def forest_parents(adjacency: Sequence[Sequence[int]], vertices: Iterable[int]) -> dict[int, int]:
+    """Each vertex's parent in a depth-first spanning forest of the subgraph ``vertices`` induce, -1 at a root.
+
+    The map lists the vertices in the order the search reaches them, so
+    every vertex comes before its children.  Raises NotForest when the
+    vertices induce a cycle: the search then meets a reached vertex that is
+    not its parent.
+    """
+    inside = set(vertices)
+    parent: dict[int, int] = {}
+    for root in inside:
+        if root in parent:
+            continue
+        parent[root] = -1
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y in adjacency[x]:
+                if y not in inside or y == parent[x]:
+                    continue
+                if y in parent:
+                    raise NotForest(f"vertex set of size {len(inside)} induces a cycle")
+                parent[y] = x
+                stack.append(y)
+    return parent
+
+
+def forest_null_basis_on(adjacency: Sequence[Sequence[int]], vertices: Iterable[int]) -> list[Vector]:
+    """``null_basis_on`` for a vertex set that induces a forest, with no elimination.
+
+    Same output: the canonical RREF kernel, one zero-free vector per free
+    column, in the whole graph's indices.  The columns of a forest's
+    adjacency matrix, on any column set, form the biadjacency matrix of a
+    forest (column c, row r, r ~ c), whose rank is its maximum matching
+    size.  So the columns are taken in ascending order, each growing a
+    maximum matching, and a column that cannot join it is free: it lies in
+    the span of the earlier ones.
+
+    The matching is kept bottom-up on the rooted forest of
+    ``forest_parents``: a pivot column takes a child row that no column
+    below takes, or else its parent row, which its parent column then
+    loses.  So a new column climbs, taking parent rows, while the column
+    above has no child row left, and is free when the climb meets a root or
+    a row already taken.  The vector of free column f has x_f = 1; walking
+    out from f, every row r ~ s other than s's matched row passes -x_s to
+    its matched column, so every entry is 1 or -1.  A climb that succeeds
+    takes its rows for good, and one that fails runs along columns the walk
+    from the same column visits, so the work is linear in the forest and
+    the output.  Raises NotForest when the vertices induce a cycle.
+    """
+    parent = forest_parents(adjacency, vertices)
+    free_kids = dict.fromkeys(parent, 0)  # column -> child rows that no column below takes
+    for p in parent.values():
+        if p >= 0:
+            free_kids[p] += 1
+    taker: dict[int, int] = {}  # row -> the child column that takes it
+    pivots: set[int] = set()
+    free: list[int] = []
+    for c in sorted(parent):
+        if free_kids[c]:
+            pivots.add(c)
+            continue
+        climbers, taken = [c], []  # columns that would take their parent rows, and those rows
+        r = parent[c]
+        while r >= 0 and r not in taker:
+            taken.append(r)
+            q = parent[r]
+            if q < 0 or q not in pivots or free_kids[q] > 1:
+                break
+            climbers.append(q)
+            r = parent[q]
+        else:
+            free.append(c)
+            continue
+        pivots.add(c)
+        for x, r in zip(climbers, taken):
+            taker[r] = x
+            if parent[r] >= 0:
+                free_kids[parent[r]] -= 1
+    row_of = {x: r for r, x in taker.items()}
+    for c in pivots - row_of.keys():
+        row_of[c] = next(r for r in adjacency[c] if r in parent and parent[r] == c and r not in taker)
+    column_of = {r: x for x, r in row_of.items()}
+    basis = []
+    for f in free:
+        vec = {f: ONE}
+        stack = [f]
+        while stack:
+            s = stack.pop()
+            x = MINUS_ONE if vec[s] is ONE else ONE
+            own = row_of.get(s)
+            for r in adjacency[s]:
+                if r in parent and r != own:
+                    t = column_of[r]
+                    vec[t] = x
+                    stack.append(t)
+        basis.append(vec)
+    return basis
 
 
 def mat_vec(matrix: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> DenseVector:

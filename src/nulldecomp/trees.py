@@ -6,8 +6,11 @@ vertices some maximum matching misses (Gallai-Edmonds), so a forest
 decomposition comes from a maximum matching, in linear time, with no kernel.
 The core is the union of neighborhoods of supported vertices, and the
 N-vertices are everything else.  For forests these three sets partition the
-vertex set.  ``Decomposition`` records them for forests and unicyclic graphs
-alike; it lives here because ``decomposition`` and ``unicyclic`` import this
+vertex set.  A forest's kernel basis comes from a maximum matching too
+(``linalg.forest_null_basis_on``), and both start from the depth-first
+search of ``linalg.forest_parents``, which refuses a vertex set that induces
+a cycle.  ``Decomposition`` records the three sets for forests and
+unicyclic graphs alike; it lives here because ``decomposition`` and ``unicyclic`` import this
 module.
 
 Every operation accepts any forest and distributes over components, since
@@ -22,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import EmptyBasis, InternalCheckError, NotForest
+from .errors import EmptyBasis, InternalCheckError
 from .graph import Graph
-from .linalg import ZERO, Vector
+from .linalg import ZERO, Vector, forest_parents
 
 CASE_FOREST = "Forest"
 
@@ -58,43 +61,26 @@ def forest_decomposition(g: Graph, vertices: Iterable[int]) -> Decomposition:
     switched to give a maximum matching that misses its end.  The nullity is
     |F| - 2 * nu.  Raises NotForest when the vertices induce a cycle.
     """
-    inside = set(vertices)
     adjacency = g.adjacency
-    parent: dict[int, int] = {}
-    order: list[int] = []  # depth-first preorder: every vertex before its children
-    for root in inside:
-        if root in parent:
-            continue
-        parent[root] = -1
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            order.append(x)
-            for y in adjacency[x]:
-                if y not in inside or y == parent[x]:
-                    continue
-                if y in parent:
-                    raise NotForest(f"vertex set of size {len(inside)} induces a cycle")
-                parent[y] = x
-                stack.append(y)
+    parent = forest_parents(adjacency, vertices)  # every vertex before its children
     mate: dict[int, int] = {}
-    for x in reversed(order):
+    for x in reversed(parent):
         p = parent[x]
         if p >= 0 and x not in mate and p not in mate:
             mate[x], mate[p] = p, x
-    support = {x for x in order if x not in mate}
+    support = {x for x in parent if x not in mate}
     frontier = list(support)
     while frontier:
         x = frontier.pop()
         for y in adjacency[x]:
-            if y in inside and y != mate.get(x):
+            if y in parent and y != mate.get(x):
                 z = mate[y]  # y is matched, or the matching would not be maximum
                 if z not in support:
                     support.add(z)
                     frontier.append(z)
-    core = frozenset(y for x in support for y in adjacency[x] if y in inside)
-    n_vertices = frozenset(inside - support - core)
-    return Decomposition(frozenset(support), core, n_vertices, len(inside) - len(mate))
+    core = frozenset(y for x in support for y in adjacency[x] if y in parent)
+    n_vertices = frozenset(parent.keys() - support - core)
+    return Decomposition(frozenset(support), core, n_vertices, len(parent) - len(mate))
 
 
 def tree_decomposition(t: Graph) -> Decomposition:

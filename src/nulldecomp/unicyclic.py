@@ -29,13 +29,15 @@ Those come from maximum matchings (``trees``), each of a vertex set of the
 graph itself, so no subgraph is built.  Every kernel here, of the
 whole graph for ``rref_null_basis`` and of each subforest the Type I /
 Type II bases (private to ``constructed_null_basis``) assemble, comes from
-the one sparse elimination ``linalg.null_basis_on``, which reads g's
-adjacency lists and answers in g's own indices: no dense matrix, no
+the sparse elimination ``linalg.null_basis_on``; a whole forest's
+constructed basis is the same canonical basis, read off a maximum matching
+by ``linalg.forest_null_basis_on`` with no elimination.  Both read g's
+adjacency lists and answer in g's own indices: no dense matrix, no
 subgraph, no position map.  Each vector is the dict of its nonzero
 coordinates (``linalg.Vector``), and each step touches only those.
 ``checks`` verifies all of them against the dense RREF kernel of A(G): the
-constructed bases by span and exact annihilation, ``rref_null_basis``
-vector for vector.
+constructed bases by span and exact annihilation, ``rref_null_basis`` and
+a forest's constructed basis vector for vector.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import Mapping
 
 from .errors import CaseContradiction, NormalizationFailure, UnsupportedGraphClass
 from .graph import CycleInfo, Graph
-from .linalg import ZERO, Vector, null_basis_on
+from .linalg import ZERO, Vector, forest_null_basis_on, null_basis_on
 from .trees import Decomposition, forest_decomposition, full_support_vector
 
 TYPE1 = "type1"
@@ -298,10 +300,13 @@ def constructed_null_basis(g: Graph, cls: UnicyclicClass | None) -> NullBasis:
     """Dispatch on ``classify(g)`` to the Type I or Type II construction.
 
     A forest has no class (``cls`` is None, as in ``Decomposition.cls``) and
-    gets the canonical basis.  The class is taken as given, not checked.
+    gets the canonical basis, read off a maximum matching with no
+    elimination (``forest_null_basis_on``).  The class is taken as given,
+    not checked, but a cycle under None raises NotForest.
     """
     if cls is None:
-        return rref_null_basis(g)
+        vectors = tuple(forest_null_basis_on(g.adjacency, range(g.n)))
+        return NullBasis(vectors, (RREF_CANONICAL,) * len(vectors))
     if cls.tag == TYPE1:
         return _type1_null_basis(g, cls)
     return _type2_null_basis(g, cls)

@@ -152,6 +152,15 @@ def star_graph(leaves: int) -> Graph:
     return Graph.from_edges([("s", f"x{i:02d}") for i in range(leaves)])
 
 
+def hub_forest(copies: int, extra: int = 0) -> Graph:
+    """A root joined to vertex 0 of ``copies`` six-vertex trees (edges 0-1, 0-2, 0-4, 1-3, 3-5), plus ``extra`` isolated vertices."""
+    edges = []
+    for k in range(copies):
+        t = [f"h{k:05d}x{j}" for j in range(6)]
+        edges += [("hub", t[0]), (t[0], t[1]), (t[0], t[2]), (t[0], t[4]), (t[1], t[3]), (t[3], t[5])]
+    return Graph.from_edges(edges, isolated=[f"z{i}" for i in range(extra)])
+
+
 def cycle_with_attachments(length: int, tails: dict[int, int] = {}, leaves: dict[int, int] = {}) -> Graph:
     """Cycle plus, per cycle position, a pendant path (tails) and/or pendant leaves."""
     labels = [f"c{i:02d}" for i in range(length)]

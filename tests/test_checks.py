@@ -138,7 +138,7 @@ def test_a_production_kernel_that_raises_fails_basis_count(monkeypatch, ex_type1
 
 @pytest.mark.parametrize("example", ["ex_type1", "ex_four_cycle", "forest"])
 def test_a_constructed_basis_that_raises_fails_the_checks_on_its_vectors(monkeypatch, request, example):
-    # A forest's construction is rref_null_basis: only its two vector checks fail.
+    # A forest's construction is forest_null_basis_on's basis: only its two vector checks fail.
     def planted(*args):
         raise NormalizationFailure("planted")
 

@@ -11,7 +11,7 @@ from nulldecomp import checks, parse_edge_list, unicyclic
 from nulldecomp.cli import build_parser, main
 from nulldecomp.errors import InternalCheckError, NormalizationFailure
 
-from conftest import EXAMPLE_FOUR_CYCLE, EXAMPLE_TYPE1
+from conftest import EXAMPLE_FOUR_CYCLE, EXAMPLE_TYPE1, hub_forest
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -132,6 +132,22 @@ def test_analyze_a_long_path_in_linear_time(tmp_path, capsys):
     elapsed = time.perf_counter() - started
     data = json.loads(out)
     assert code == 0 and (data["nullity"], data["alpha"], data["nu"]) == (0, n // 2, n // 2)
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("family, nullity", [("path", 0), ("hub", 2 * 1_066 + 1)])
+def test_basis_of_a_large_forest_in_linear_time(tmp_path, capsys, family, nullity):
+    # A forest's canonical basis is read off a maximum matching.  The
+    # whole-graph elimination took 31 s on the 6,400-vertex path (odd
+    # length) and 39 s on the hub forest of 1,066 trees (6,397 vertices).
+    edges = "".join(f"p{i:05d} p{i + 1:05d}\n" for i in range(6_399)) if family == "path" else hub_forest(1_066).to_edge_list()
+    path = tmp_path / "forest.edges"
+    path.write_text(edges)
+    started = time.perf_counter()
+    code, out, _ = run(capsys, ["basis", str(path), "--json"])
+    elapsed = time.perf_counter() - started
+    data = json.loads(out)
+    assert code == 0 and data["nullity"] == nullity
     assert elapsed < 1.0
 
 

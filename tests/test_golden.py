@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from nulldecomp import GeneratorSpec, Graph, checks, classify, generate_unicyclic, linalg, parse_edge_list, run_checks
+from nulldecomp import GeneratorSpec, Graph, checks, classify, generate_unicyclic, linalg, parse_edge_list, run_checks, unicyclic
 from nulldecomp.cli import main
 from nulldecomp.errors import DimensionMismatch
 from nulldecomp.linalg import ONE, ZERO, null_space_basis
@@ -131,8 +131,9 @@ EXAMPLES = ("example_type1", "example_star", "example_five_cycle", "example_four
 def test_whole_graph_kernels_need_no_dense_elimination(golden, monkeypatch, name):
     # Every production kernel, of the whole graph and of each subforest the
     # constructed Type I / Type II bases read, comes from the sparse
-    # elimination linalg.null_basis_on, so no command here reduces a dense
-    # matrix.  seed103 is a TI-4 graph: its corrected vector reads T_v - v.
+    # elimination linalg.null_basis_on or, for a whole forest's structural
+    # basis, from linalg.forest_null_basis_on, so no command here reduces a
+    # dense matrix.  seed103 is a TI-4 graph: its corrected vector reads T_v - v.
     def refuse(*args, **kwargs):
         raise AssertionError("dense elimination or a subgraph on the production path")
 
@@ -211,6 +212,20 @@ def test_analyze_reads_a_forest_without_a_kernel(golden, monkeypatch, name):
     assert _digest(text) == golden[name]["analyze"]
 
 
+@pytest.mark.parametrize("name", sorted(name for name, g in CORPUS.items() if classify(g) is None))
+def test_basis_reads_a_forest_without_elimination(golden, monkeypatch, name):
+    # A forest's basis comes off a maximum matching (forest_null_basis_on),
+    # so basis --method structural gives the same bytes with every sparse
+    # and dense elimination refused.
+    def refuse(*args):
+        raise AssertionError("an elimination on basis's forest path")
+
+    _plant_kernel(monkeypatch, refuse)
+    monkeypatch.setattr(linalg, "rref", refuse)
+    text = _cli_output(COMMANDS["basis_structural"], CORPUS[name].to_edge_list())
+    assert _digest(text) == golden[name]["basis_structural"]
+
+
 @pytest.mark.parametrize("name", ["example_type1", "seed125_forest"])
 def test_battery_catches_a_faulty_sparse_kernel(monkeypatch, name):
     def one_short(real, adjacency, vertices):
@@ -238,6 +253,20 @@ def test_battery_catches_a_stored_zero(monkeypatch, name):
     assert all(run_checks(g).values())
     _plant_kernel(monkeypatch, with_a_zero)
     assert run_checks(g)["basis_count"] is False
+
+
+def test_battery_catches_a_faulty_forest_kernel(monkeypatch):
+    # The last vector doubled still annihilates and keeps the count, so only
+    # the comparison of a forest's constructed basis with the reference
+    # kernel sees it.
+    def doubled_last(adjacency, vertices):
+        basis = linalg.forest_null_basis_on(adjacency, vertices)
+        return basis[:-1] + [{i: 2 * x for i, x in basis[-1].items()}]
+
+    g = CORPUS["seed125_forest"]
+    assert all(run_checks(g).values())
+    monkeypatch.setattr(unicyclic, "forest_null_basis_on", doubled_last)
+    assert {name for name, ok in run_checks(g).items() if not ok} == {"basis_count"}
 
 
 @pytest.mark.parametrize("name", ["example_type1", "example_four_cycle"])

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nulldecomp import Graph, GeneratorSpec, generate_unicyclic
+import pytest
+
+from nulldecomp import Graph, GeneratorSpec, constructed_null_basis, generate_unicyclic
+from nulldecomp.errors import NotForest
 from nulldecomp.linalg import (
+    forest_null_basis_on,
     is_zero_vector,
     mat_vec,
     null_basis_on,
@@ -18,7 +23,15 @@ from nulldecomp.linalg import (
     same_span,
 )
 
-from conftest import assert_zero_free_inside, cycle_graph, dense, forests_with_subsets, path_graph, unicyclic_pieces
+from conftest import (
+    assert_zero_free_inside,
+    cycle_graph,
+    dense,
+    forests_with_subsets,
+    hub_forest,
+    path_graph,
+    unicyclic_pieces,
+)
 
 
 def frac_matrix(rows):
@@ -289,3 +302,104 @@ def test_kernel_on_vertex_set_edge_cases():
     assert null_basis_on((), []) == []
     assert null_basis_on(g.adjacency, [2]) == [{2: 1}]
     assert [dense(vec, 4) for vec in null_basis_on(g.adjacency, range(4))] == null_space_basis(g.adjacency_matrix())
+
+
+# -- the forest kernel off a maximum matching against both eliminations -------
+
+
+def assert_forest_kernel_matches(g: Graph, vertices) -> None:
+    """``forest_null_basis_on`` equals ``null_basis_on`` tuple for tuple and the placed dense kernel, all entries ±1."""
+    got = forest_null_basis_on(g.adjacency, vertices)
+    assert got == null_basis_on(g.adjacency, vertices), (g.to_edge_list(), sorted(vertices))
+    assert [dense(vec, g.n) for vec in got] == placed_reference(g, vertices)
+    assert_zero_free_inside(got, vertices)
+    assert all(type(x) is Fraction and abs(x) == 1 for vec in got for x in vec.values())
+
+
+@st.composite
+def shuffled_forests_with_subsets(draw):
+    """A random forest on up to 24 vertices whose labels are a random permutation, and a vertex subset."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    labels = draw(st.permutations([f"f{i:02d}" for i in range(n)]))
+    edges = []
+    for i in range(1, n):
+        parent = draw(st.integers(min_value=-1, max_value=i - 1))  # -1 starts a new tree
+        if parent >= 0:
+            edges.append((labels[parent], labels[i]))
+    g = Graph.from_edges(edges, isolated=labels)
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return g, [v for v in range(n) if keep[v]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(shuffled_forests_with_subsets())
+def test_forest_kernel_matches_both_eliminations_on_shuffled_forests(drawn):
+    g, subset = drawn
+    for vertices in (range(g.n), subset):
+        assert_forest_kernel_matches(g, vertices)
+
+
+@settings(max_examples=100, deadline=None)
+@given(forests_with_subsets())
+def test_forest_kernel_matches_both_eliminations_on_random_forests(drawn):
+    g, subset = drawn
+    for vertices in (range(g.n), subset):
+        assert_forest_kernel_matches(g, vertices)
+
+
+def labeled_path(order: list[int]) -> Graph:
+    """The path whose k-th vertex is labelled by ``order[k]``: label order is the path order read through it."""
+    labels = [f"q{i:02d}" for i in order]
+    return Graph.from_edges([(labels[k], labels[k + 1]) for k in range(len(labels) - 1)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 20, 21])
+def test_forest_kernel_on_paths_in_every_order(n):
+    rng = random.Random(n)
+    shuffled = list(range(n))
+    rng.shuffle(shuffled)
+    for order in (list(range(n)), list(range(n))[::-1], shuffled):
+        g = labeled_path(order)
+        assert_forest_kernel_matches(g, range(g.n))
+        assert_forest_kernel_matches(g, range(0, g.n, 2))
+
+
+def test_forest_kernel_on_stars_and_hubs():
+    # The centre "a" sorts before the leaves and "z" after them.
+    first, last = (Graph.from_edges([(centre, f"x{i:02d}") for i in range(9)]) for centre in "az")
+    assert first.index_of("a") == 0 and last.index_of("z") == last.n - 1
+    for g in (first, last, hub_forest(1), hub_forest(7), hub_forest(5, extra=3)):
+        assert_forest_kernel_matches(g, range(g.n))
+        assert_forest_kernel_matches(g, range(1, g.n))
+        assert_forest_kernel_matches(g, range(0, g.n, 3))
+
+
+def test_forest_kernel_on_isolated_vertices_and_edge_cases():
+    isolated = Graph.from_edges([("a", "b")], isolated=["x", "y", "z"])
+    one = Graph.from_edges([], isolated=["v"])
+    edge = Graph.from_edges([("a", "b")])
+    for g in (isolated, one, edge):
+        for vertices in ([], range(g.n), [0], [g.n - 1]):
+            assert_forest_kernel_matches(g, vertices)
+    assert forest_null_basis_on((), []) == []
+    assert forest_null_basis_on(one.adjacency, [0]) == [{0: Fraction(1)}]
+    assert forest_null_basis_on(edge.adjacency, [0, 1]) == []
+    assert len(forest_null_basis_on(isolated.adjacency, range(isolated.n))) == 3
+
+
+def triangle_with_a_leaf() -> Graph:
+    return Graph.from_edges([("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])
+
+
+@pytest.mark.parametrize("make", [lambda: cycle_graph(4), theta_graph, triangle_with_a_leaf])
+def test_forest_kernel_refuses_a_cycle(make):
+    # The matching search and the walk assume a forest; on a cycle they
+    # could loop, so the kernel refuses one, and so does the constructed
+    # basis of a graph passed in as a forest (class None).
+    g = make()
+    with pytest.raises(NotForest):
+        forest_null_basis_on(g.adjacency, range(g.n))
+    with pytest.raises(NotForest):
+        constructed_null_basis(g, None)
+    acyclic = frozenset(range(1, g.n))  # each of the three loses its cycle with vertex 0
+    assert_forest_kernel_matches(g, acyclic)
