@@ -17,8 +17,11 @@ elimination: its pivots come from a maximum matching (Cvetković & Gutman
 structural basis of a whole forest comes from it.  The whole-graph calls
 pass every vertex.  The dense ``rref`` / ``null_space_basis`` on lists of
 lists is the independent reference that the check battery (``checks``) and
-``same_span`` use.  The RREF is unique, so each sparse vector, written out
-densely, is the dense one.
+``same_span`` use.  It is a plain dense Gauss-Jordan that touches, at each
+pivot, only the columns from the pivot column on, and it stays dense on
+purpose so that it shares no sparsity logic with the production kernels.
+The RREF is unique, so each sparse vector, written out densely, is the
+dense one.
 
 A production vector (``Vector``) is the ``{index: Fraction}`` dict of its
 nonzero coordinates: its support is its key set.  The reference functions
@@ -48,6 +51,14 @@ def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, int, tuple[int, 
     Returns ``(R, rank, pivot_columns)``.  The RREF is the unique one over the
     rationals; pivoting is plain first-nonzero since exact arithmetic needs no
     numerical care.
+
+    Each step touches only the columns from its pivot column c on.  The rows
+    from the pivot row down are zero left of c: an earlier free column had
+    no nonzero there, and an earlier pivot column is already cleared.  So
+    the pivot row is zero left of c, and subtracting it changes nothing
+    there.  The reduction stays dense on purpose: it skips no zero entry of
+    the pivot row and shares no sparsity logic with ``null_basis_on``, whose
+    independent reference it is.
     """
     rows = [[Fraction(x) for x in row] for row in matrix]
     n_rows = len(rows)
@@ -59,12 +70,14 @@ def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, int, tuple[int, 
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        tail = rows[r][c:]
+        if tail[0] != 1:
+            inv = ONE / tail[0]
+            tail = rows[r][c:] = [x * inv for x in tail]
         for i in range(n_rows):
             if i != r and rows[i][c] != 0:
                 factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+                rows[i][c:] = [x - factor * y for x, y in zip(rows[i][c:], tail)]
         pivots.append(c)
         r += 1
         if r == n_rows:

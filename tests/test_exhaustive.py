@@ -1,6 +1,8 @@
-"""Every tree and every unicyclic graph on at most nine vertices, each once up
-to isomorphism, passes every check of the battery, and the unicyclic graphs
-reach all six cases.
+"""Every tree and every unicyclic graph on at most ten vertices, each once up
+to isomorphism, passes every check of the battery, the unicyclic graphs
+reach all six cases, and every one of them agrees with the benchmark's
+independent reference (``perfbench/reference.py``, which never imports the
+package) on its class, case, nullity, alpha and nu.
 
 A rooted tree is its canonical Aho-Hopcroft-Ullman code: "(" followed by
 its subtrees' codes, sorted, then ")".  A tree is its least code over every
@@ -12,12 +14,25 @@ enumeration neither misses a graph nor repeats one.
 
 from __future__ import annotations
 
+import importlib.util
 from functools import cache
 from itertools import product
+from pathlib import Path
 
-from nulldecomp import Graph, classify, run_checks
+from nulldecomp import Graph, analyze, classify, run_checks
 
-MAX_N = 9
+MAX_N = 10
+
+
+def _load_reference():
+    """``perfbench/reference.py``, loaded from its path: it imports only the standard library."""
+    spec = importlib.util.spec_from_file_location("reference", Path(__file__).parents[1] / "perfbench" / "reference.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+reference = _load_reference()
 
 
 def _subtrees(code: str) -> list[str]:
@@ -61,6 +76,7 @@ def _code_at(adjacency: dict[int, list[int]], x: int, parent: int = -1) -> str:
     return "(" + "".join(sorted(_code_at(adjacency, y, x) for y in adjacency[x] if y != parent)) + ")"
 
 
+@cache
 def free_trees(n: int) -> frozenset[str]:
     """The trees on n vertices, each as its least rooted code."""
     out = set()
@@ -73,6 +89,7 @@ def free_trees(n: int) -> frozenset[str]:
     return frozenset(out)
 
 
+@cache
 def unicyclic_graphs(n: int) -> frozenset[tuple[str, ...]]:
     """The unicyclic graphs on n vertices, each as its dihedrally least sequence of pendant-tree codes."""
     out = set()
@@ -111,7 +128,7 @@ def test_rooted_tree_counts():
 
 def test_every_tree_passes_every_check():
     trees = {n: free_trees(n) for n in range(1, MAX_N + 1)}
-    assert [len(trees[n]) for n in trees] == [1, 1, 1, 2, 3, 6, 11, 23, 47]
+    assert [len(trees[n]) for n in trees] == [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
     for n, codes in trees.items():
         for code in codes:
             g = _graph(n, _edges(code, 0, 1))
@@ -121,7 +138,7 @@ def test_every_tree_passes_every_check():
 
 def test_every_unicyclic_graph_passes_every_check():
     graphs = {n: unicyclic_graphs(n) for n in range(3, MAX_N + 1)}
-    assert [len(graphs[n]) for n in graphs] == [1, 2, 5, 13, 33, 89, 240]
+    assert [len(graphs[n]) for n in graphs] == [1, 2, 5, 13, 33, 89, 240, 657]
     cases = set()
     for seqs in graphs.values():
         for seq in seqs:
@@ -129,3 +146,13 @@ def test_every_unicyclic_graph_passes_every_check():
             cases.add(classify(g).case)
             assert _failed(g) == [], g.to_edge_list()
     assert cases == {"TI-1", "TI-2", "TI-3", "TI-4", "TII-non4k", "TII-4k"}
+
+
+def test_every_graph_matches_the_independent_reference():
+    graphs = [_graph(n, _edges(code, 0, 1)) for n in range(1, MAX_N + 1) for code in free_trees(n)]
+    graphs += [_unicyclic_graph(seq) for n in range(3, MAX_N + 1) for seq in unicyclic_graphs(n)]
+    keys = ("class", "case", "nullity", "alpha", "nu")
+    for g in graphs:
+        ours = analyze(g).to_dict()
+        theirs = reference.analyze(g.adjacency)
+        assert {k: ours[k] for k in keys} == {k: theirs[k] for k in keys}, g.to_edge_list()

@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,6 +123,116 @@ def test_same_span():
     assert not same_span(a, [(Fraction(1), Fraction(1))])
     assert same_span([], [])
     assert row_space_signature([(Fraction(0), Fraction(0))]) == ()
+
+
+# -- rref by its defining properties, whatever the elimination order ---------
+
+ENTRIES = st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6)))
+SCALES = st.builds(Fraction, st.integers(1, 5) | st.integers(-5, -1), st.integers(1, 6))
+
+
+@st.composite
+def rational_matrices(draw):
+    """Tall, wide and square; with dependent rows, dependent columns, zero rows and zero columns."""
+    n_rows, n_cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    rows = [draw(st.lists(ENTRIES, min_size=n_cols, max_size=n_cols)) for _ in range(n_rows)]
+    for _ in range(draw(st.integers(0, 2))):  # rank-deficient: a row that combines two others
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        a, b = draw(SCALES), draw(SCALES)
+        rows.insert(draw(st.integers(0, len(rows))), [a * x + b * y for x, y in zip(rows[i], rows[j])])
+    if n_cols >= 2 and draw(st.booleans()):  # a free column: a multiple of an earlier one
+        k = draw(st.integers(1, n_cols - 1))
+        j, s = draw(st.integers(0, k - 1)), draw(SCALES)
+        for row in rows:
+            row[k] = s * row[j]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n_cols - 1))
+        for row in rows:
+            row[k] = Fraction(0)
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [Fraction(0)] * n_cols)
+    return rows
+
+
+def leibniz_det(m) -> Fraction:
+    total = Fraction(0)
+    for perm in permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(len(perm)), 2))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def assert_is_rref_of(m, reduced, rank, pivots) -> None:
+    """``reduced`` is in reduced row echelon form and has the row space of ``m``."""
+    n_cols = len(m[0])
+    assert len(reduced) == len(m) and all(len(row) == n_cols for row in reduced)
+    assert rank == len(pivots) and list(pivots) == sorted(set(pivots))
+    for i, p in enumerate(pivots):
+        assert reduced[i][p] == 1
+        assert all(x == 0 for x in reduced[i][:p])
+        assert all(reduced[k][p] == 0 for k in range(len(reduced)) if k != i)
+    assert all(x == 0 for row in reduced[rank:] for x in row)
+    # Row space: every row of m is the combination of R's rows its pivot entries give,
+    # so rank(m) <= rank; a nonzero minor on the pivot columns gives rank(m) >= rank.
+    for row in m:
+        combined = [sum((row[p] * reduced[i][j] for i, p in enumerate(pivots)), Fraction(0)) for j in range(n_cols)]
+        assert combined == list(row)
+    assert any(leibniz_det([[row[p] for p in pivots] for row in chosen]) != 0
+               for chosen in combinations(m, rank))
+
+
+def test_rref_free_column_before_a_fractional_pivot_row():
+    # Column 1 is free; its entry 1/2 in row 0 must survive the pivot in column 2.
+    reduced, rank, pivots = rref(frac_matrix([[2, 1, 1], [4, 2, 3]]))
+    assert reduced == frac_matrix([[1, Fraction(1, 2), 0], [0, 0, 1]])
+    assert rank == 2 and pivots == (0, 2)
+    m = frac_matrix([[0, 3, Fraction(-1, 3), 2], [0, 6, Fraction(1, 2), Fraction(5, 7)], [0, 0, 0, 0]])
+    reduced, rank, pivots = rref(m)
+    assert_is_rref_of(m, reduced, rank, pivots)
+    assert pivots == (1, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+def test_rref_invariants(m):
+    assert_is_rref_of(m, *rref(m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices(), st.randoms(use_true_random=False))
+def test_rref_is_the_same_for_a_row_permuted_copy(m, rnd):
+    shuffled = list(m)
+    rnd.shuffle(shuffled)
+    assert rref(shuffled) == rref(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices())
+def test_rref_leaves_its_input_unchanged(m):
+    before = [list(row) for row in m]
+    reduced, _, _ = rref(m)
+    assert m == before
+    for row in reduced:
+        row[:] = [Fraction(7)] * len(row)
+    assert m == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices(), st.randoms(use_true_random=False), st.data())
+def test_same_span_on_scaled_permuted_spanning_sets(m, rnd, data):
+    scales = data.draw(st.lists(SCALES, min_size=len(m), max_size=len(m)))
+    spanning = [tuple(s * x for x in row) for s, row in zip(scales, m)]
+    rnd.shuffle(spanning)
+    assert same_span(m, spanning)
+    _, _, pivots = rref(m)
+    free = [c for c in range(len(m[0])) if c not in pivots]
+    if free:  # e_f is zero at every pivot column but nonzero, so it lies outside the row space
+        i = data.draw(st.integers(0, len(spanning) - 1))
+        spanning[i] = tuple(x + (j == free[0]) for j, x in enumerate(spanning[i]))
+        assert not same_span(m, spanning)
 
 
 # -- the sparse production kernel against the dense reference ----------------
