@@ -79,10 +79,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_basis(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
-    if args.method == "rref":
-        basis = rref_null_basis(g)
-    else:
-        basis = constructed_null_basis(g, classify(g))
+    basis = rref_null_basis(g) if args.method == "rref" else constructed_null_basis(g, classify(g))
     # Each vector's coordinates, label -> exact value, in index order.
     vectors = [
         (prov, {g.labels[i]: str(x) for i, x in sorted(vec.items())})
@@ -200,9 +197,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EdgeListError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except (UnsupportedGraphClass, NotForest) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CLASS

@@ -18,9 +18,9 @@ the constructor's checks.
 
 Graphs are immutable; every operation is a pure function returning new values.
 
-The class tests (``is_forest``, ``is_unicyclic``) have no caller in the
-package: ``unicyclic.classify`` decides the class, the cycle and the pendant
-trees in one leaf peel of its own.  Tests use them as its oracle.
+``unicyclic.classify`` decides the class, the cycle and the pendant trees in
+one leaf peel.  ``is_forest`` has one caller, ``unicyclic.rref_null_basis``,
+which takes no class; tests use it and ``is_unicyclic`` as oracles.
 """
 
 from __future__ import annotations

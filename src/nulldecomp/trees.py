@@ -56,10 +56,13 @@ def forest_decomposition(g: Graph, vertices: Iterable[int]) -> Decomposition:
     """Decompose the forest that ``vertices`` induce in ``g``, in g's own indices.
 
     Leaves are matched to their parents bottom-up, which gives a maximum
-    matching of a forest.  The support D is then every vertex reached from an
-    exposed vertex by an even alternating path: each such path can be
-    switched to give a maximum matching that misses its end.  The nullity is
-    |F| - 2 * nu.  Raises NotForest when the vertices induce a cycle.
+    matching of a forest: the cheaper one for a decomposition, at about half
+    the cost of the column-order matching ``linalg.forest_null_basis_on``
+    keeps because the canonical kernel needs its pivots.  The support D is
+    then every vertex reached from an exposed vertex by an even alternating
+    path: each such path can be switched to give a maximum matching that
+    misses its end.  The nullity is |F| - 2 * nu.  Raises NotForest when the
+    vertices induce a cycle.
     """
     adjacency = g.adjacency
     parent = forest_parents(adjacency, vertices)  # every vertex before its children

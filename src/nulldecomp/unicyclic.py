@@ -26,18 +26,18 @@ which, and yields the cycle and the pendant trees.  Every route takes its
 result as it is and checks nothing again; the class carries the cycle, the
 pendant trees and the forest decompositions every later construction reads.
 Those come from maximum matchings (``trees``), each of a vertex set of the
-graph itself, so no subgraph is built.  Every kernel here, of the
-whole graph for ``rref_null_basis`` and of each subforest the Type I /
-Type II bases (private to ``constructed_null_basis``) assemble, comes from
-the sparse elimination ``linalg.null_basis_on``; a whole forest's
-constructed basis is the same canonical basis, read off a maximum matching
-by ``linalg.forest_null_basis_on`` with no elimination.  Both read g's
-adjacency lists and answer in g's own indices: no dense matrix, no
-subgraph, no position map.  Each vector is the dict of its nonzero
-coordinates (``linalg.Vector``), and each step touches only those.
+graph itself, so no subgraph is built.  A whole forest's canonical basis,
+for ``rref_null_basis`` and ``constructed_null_basis`` alike, is read off a
+maximum matching by ``linalg.forest_null_basis_on``, with no elimination.
+The sparse elimination ``linalg.null_basis_on`` gives every other kernel:
+``rref_null_basis`` of a graph with a cycle, and each subforest kernel the
+Type I / Type II bases (private to ``constructed_null_basis``) assemble.
+Both read g's adjacency lists and answer in g's own indices: no dense
+matrix, no subgraph, no position map.  Each vector is the dict of its
+nonzero coordinates (``linalg.Vector``), and each step touches only those.
 ``checks`` verifies all of them against the dense RREF kernel of A(G): the
-constructed bases by span and exact annihilation, ``rref_null_basis`` and
-a forest's constructed basis vector for vector.
+constructed bases by span and exact annihilation, ``rref_null_basis``
+vector for vector.
 """
 
 from __future__ import annotations
@@ -232,7 +232,9 @@ def _recursion(length: int, witness_tree: Decomposition | None, complement: Deco
 
 
 def rref_null_basis(g: Graph) -> NullBasis:
-    """Canonical kernel basis of A(g), tagged RrefCanonical.  Works on any graph."""
+    """Canonical kernel basis of A(g) on any graph, tagged RrefCanonical; a forest's is its constructed one."""
+    if g.is_forest():
+        return constructed_null_basis(g, None)
     vectors = tuple(null_basis_on(g.adjacency, range(g.n)))
     return NullBasis(vectors, (RREF_CANONICAL,) * len(vectors))
 
@@ -300,8 +302,8 @@ def constructed_null_basis(g: Graph, cls: UnicyclicClass | None) -> NullBasis:
     """Dispatch on ``classify(g)`` to the Type I or Type II construction.
 
     A forest has no class (``cls`` is None, as in ``Decomposition.cls``) and
-    gets the canonical basis, read off a maximum matching with no
-    elimination (``forest_null_basis_on``).  The class is taken as given,
+    gets the canonical basis off a maximum matching (``forest_null_basis_on``),
+    which is also ``rref_null_basis`` of a forest.  The class is taken as given,
     not checked, but a cycle under None raises NotForest.
     """
     if cls is None:

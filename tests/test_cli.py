@@ -137,18 +137,20 @@ def test_analyze_a_long_path_in_linear_time(tmp_path, capsys):
 
 @pytest.mark.parametrize("family, nullity", [("path", 0), ("hub", 2 * 1_066 + 1)])
 def test_basis_of_a_large_forest_in_linear_time(tmp_path, capsys, family, nullity):
-    # A forest's canonical basis is read off a maximum matching.  The
-    # whole-graph elimination took 31 s on the 6,400-vertex path (odd
-    # length) and 39 s on the hub forest of 1,066 trees (6,397 vertices).
+    # A forest's canonical basis is read off a maximum matching, by either
+    # method.  The whole-graph elimination took 31-42 s on the 6,400-vertex
+    # path (odd length), but only about 0.1 s on the hub forest of 1,066
+    # trees (6,397 vertices).
     edges = "".join(f"p{i:05d} p{i + 1:05d}\n" for i in range(6_399)) if family == "path" else hub_forest(1_066).to_edge_list()
     path = tmp_path / "forest.edges"
     path.write_text(edges)
-    started = time.perf_counter()
-    code, out, _ = run(capsys, ["basis", str(path), "--json"])
-    elapsed = time.perf_counter() - started
-    data = json.loads(out)
-    assert code == 0 and data["nullity"] == nullity
-    assert elapsed < 1.0
+    for method in ("structural", "rref"):
+        started = time.perf_counter()
+        code, out, _ = run(capsys, ["basis", str(path), "--json", "--method", method])
+        elapsed = time.perf_counter() - started
+        data = json.loads(out)
+        assert code == 0 and data["nullity"] == nullity, method
+        assert elapsed < 1.0, method
 
 
 def test_basis_structural_c4(capsys, monkeypatch):
@@ -316,6 +318,17 @@ def test_verify_names_the_exception_of_a_raising_construction(capsys, monkeypatc
     assert lines[1].startswith("failed checks: ") and "basis_exact" in lines[1]
     assert lines[2] == "constructed_null_basis raised NormalizationFailure: planted normalization failure"
     assert lines[3] == "minimized reproduction:"
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--n", "3", "--force-type", "1"],
+    ["verify", "--count", "1", "--min-n", "3", "--max-n", "3", "--force-type", "1"],
+])
+def test_an_unsatisfiable_force_type_exits_2(capsys, argv):
+    # A triangle is always Type II, so no attempt can be Type I.
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: no force-type1 graph found in 512 attempts for n=3, seed=0\n"
 
 
 def test_verify_negative_count_exit_2(capsys):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from nulldecomp import GeneratorSpec, classify, generate_unicyclic
-from nulldecomp.errors import SpecInvalid
+from nulldecomp.errors import BiasUnsatisfied, SpecInvalid
 from nulldecomp.unicyclic import TYPE1, TYPE2
 
 
@@ -48,3 +48,9 @@ def test_class_bias():
     assert classify(g1).tag == "type1"
     g2 = generate_unicyclic(GeneratorSpec(n=10, seed=5, class_bias=TYPE2))
     assert classify(g2).tag == "type2"
+
+
+def test_an_unsatisfiable_bias_gives_up():
+    # A triangle is always Type II, so every attempt fails the bias.
+    with pytest.raises(BiasUnsatisfied, match="^no force-type1 graph found in 512 attempts for n=3, seed=0$"):
+        generate_unicyclic(GeneratorSpec(n=3, class_bias=TYPE1))

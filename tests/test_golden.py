@@ -131,9 +131,10 @@ EXAMPLES = ("example_type1", "example_star", "example_five_cycle", "example_four
 def test_whole_graph_kernels_need_no_dense_elimination(golden, monkeypatch, name):
     # Every production kernel, of the whole graph and of each subforest the
     # constructed Type I / Type II bases read, comes from the sparse
-    # elimination linalg.null_basis_on or, for a whole forest's structural
-    # basis, from linalg.forest_null_basis_on, so no command here reduces a
-    # dense matrix.  seed103 is a TI-4 graph: its corrected vector reads T_v - v.
+    # elimination linalg.null_basis_on or, for a whole forest's basis by
+    # either method, from linalg.forest_null_basis_on, so no command here
+    # reduces a dense matrix.  seed103 is a TI-4 graph: its corrected vector
+    # reads T_v - v.
     def refuse(*args, **kwargs):
         raise AssertionError("dense elimination or a subgraph on the production path")
 
@@ -192,12 +193,17 @@ def test_battery_refuses_a_vector_of_the_wrong_length(monkeypatch, name):
         run_checks(g)
 
 
-def _plant_kernel(monkeypatch, planted) -> None:
-    """Rebind every package module's ``null_basis_on`` to ``planted(real, adjacency, vertices)``."""
-    real = linalg.null_basis_on
+def _plant_kernel(monkeypatch, planted, kernel: str = "null_basis_on") -> None:
+    """Rebind every package module's ``kernel`` (a ``linalg`` function) to ``planted(real, adjacency, vertices)``."""
+    real = getattr(linalg, kernel)
     for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("nulldecomp") and getattr(module, "null_basis_on", None) is real:
-            monkeypatch.setattr(module, "null_basis_on", functools.partial(planted, real))
+        if module_name.startswith("nulldecomp") and getattr(module, kernel, None) is real:
+            monkeypatch.setattr(module, kernel, functools.partial(planted, real))
+
+
+def _whole_graph_kernel(g: Graph) -> str:
+    """The production kernel ``rref_null_basis`` reads g's basis from."""
+    return "forest_null_basis_on" if classify(g) is None else "null_basis_on"
 
 
 @pytest.mark.parametrize("name", sorted(name for name, g in CORPUS.items() if classify(g) is None))
@@ -215,25 +221,28 @@ def test_analyze_reads_a_forest_without_a_kernel(golden, monkeypatch, name):
 @pytest.mark.parametrize("name", sorted(name for name, g in CORPUS.items() if classify(g) is None))
 def test_basis_reads_a_forest_without_elimination(golden, monkeypatch, name):
     # A forest's basis comes off a maximum matching (forest_null_basis_on),
-    # so basis --method structural gives the same bytes with every sparse
-    # and dense elimination refused.
+    # so basis gives the same bytes by either method with every sparse and
+    # dense elimination refused.
     def refuse(*args):
         raise AssertionError("an elimination on basis's forest path")
 
     _plant_kernel(monkeypatch, refuse)
     monkeypatch.setattr(linalg, "rref", refuse)
-    text = _cli_output(COMMANDS["basis_structural"], CORPUS[name].to_edge_list())
-    assert _digest(text) == golden[name]["basis_structural"]
+    for key in ("basis_structural", "basis_rref"):
+        text = _cli_output(COMMANDS[key], CORPUS[name].to_edge_list())
+        assert _digest(text) == golden[name][key], key
 
 
 @pytest.mark.parametrize("name", ["example_type1", "seed125_forest"])
 def test_battery_catches_a_faulty_sparse_kernel(monkeypatch, name):
+    # The fault goes into the kernel g's whole-graph basis comes from:
+    # forest_null_basis_on for the forest, null_basis_on for example_type1.
     def one_short(real, adjacency, vertices):
         return real(adjacency, vertices)[:-1]
 
     g = CORPUS[name]
     assert all(run_checks(g).values())
-    _plant_kernel(monkeypatch, one_short)
+    _plant_kernel(monkeypatch, one_short, _whole_graph_kernel(g))
     assert run_checks(g)["basis_count"] is False
 
 
@@ -251,14 +260,14 @@ def test_battery_catches_a_stored_zero(monkeypatch, name):
 
     g = CORPUS[name]
     assert all(run_checks(g).values())
-    _plant_kernel(monkeypatch, with_a_zero)
+    _plant_kernel(monkeypatch, with_a_zero, _whole_graph_kernel(g))
     assert run_checks(g)["basis_count"] is False
 
 
 def test_battery_catches_a_faulty_forest_kernel(monkeypatch):
     # The last vector doubled still annihilates and keeps the count, so only
-    # the comparison of a forest's constructed basis with the reference
-    # kernel sees it.
+    # basis_count's comparison of the forest's canonical basis, which the
+    # constructed basis shares, with the reference kernel sees it.
     def doubled_last(adjacency, vertices):
         basis = linalg.forest_null_basis_on(adjacency, vertices)
         return basis[:-1] + [{i: 2 * x for i, x in basis[-1].items()}]
