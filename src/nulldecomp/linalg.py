@@ -20,8 +20,10 @@ a forest, with no elimination: its pivots come from a maximum matching
 the check battery (``checks``) and ``same_span`` use.  It is a plain dense
 Gauss-Jordan that touches, at each pivot, only the columns from the pivot
 column on, and it stays dense on purpose so that it shares no sparsity
-logic with the production kernels.  The RREF is unique, so each sparse
-vector, written out densely, is the dense one.
+logic with the production kernels.  It takes a ``Fraction`` entry as
+given and converts any other rational entry once, so every entry it reduces
+and returns is a ``Fraction``.  The RREF is unique, so each sparse vector,
+written out densely, is the dense one.
 
 A production vector (``Vector``) is the ``{index: Fraction}`` dict of its
 nonzero coordinates: its support is its key set.  The reference functions
@@ -59,8 +61,13 @@ def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, int, tuple[int, 
     there.  The reduction stays dense on purpose: it skips no zero entry of
     the pivot row and shares no sparsity logic with ``null_basis_on``, whose
     independent reference it is.
+
+    Entries may be any rationals.  A ``Fraction`` entry is taken as given
+    (it is immutable, so the rows may share it with the input) and any
+    other entry is converted once; the rows are fresh lists, so the input
+    is never changed, and every entry of ``R`` is a ``Fraction``.
     """
-    rows = [[Fraction(x) for x in row] for row in matrix]
+    rows = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in matrix]
     n_rows = len(rows)
     n_cols = len(rows[0]) if n_rows else 0
     pivots: list[int] = []
@@ -273,7 +280,7 @@ def row_space_signature(vectors: Sequence[Sequence[Fraction]]) -> tuple[DenseVec
     """The nonzero RREF rows of the stacked vectors: a canonical form of their span."""
     if not vectors:
         return ()
-    reduced, rk, _ = rref([list(v) for v in vectors])
+    reduced, rk, _ = rref(vectors)
     return tuple(tuple(row) for row in reduced[:rk])
 
 

@@ -11,7 +11,7 @@ from nulldecomp import checks, parse_edge_list, unicyclic
 from nulldecomp.cli import build_parser, main
 from nulldecomp.errors import InternalCheckError, NormalizationFailure
 
-from conftest import EXAMPLE_FOUR_CYCLE, EXAMPLE_TYPE1, hub_forest
+from conftest import EXAMPLE_FOUR_CYCLE, EXAMPLE_TYPE1
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -135,13 +135,24 @@ def test_analyze_a_long_path_in_linear_time(tmp_path, capsys):
     assert elapsed < 1.0
 
 
-@pytest.mark.parametrize("family, nullity", [("path", 0), ("hub", 2 * 1_066 + 1)])
+def spider_edges(legs: int, length: int) -> str:
+    """One hub joined to ``legs`` paths of ``length`` vertices each, labels in leg order."""
+    return "".join(
+        f"h l{k:02d}v000\n" + "".join(f"l{k:02d}v{i:03d} l{k:02d}v{i + 1:03d}\n" for i in range(length - 1))
+        for k in range(legs)
+    )
+
+
+@pytest.mark.parametrize("family, nullity", [("path", 0), ("spider", 1)])
 def test_basis_of_a_large_forest_in_linear_time(tmp_path, capsys, family, nullity):
     # A forest's canonical basis is read off a maximum matching, by either
-    # method.  The whole-graph elimination took 31-42 s on the 6,400-vertex
-    # path (odd length), but only about 0.1 s on the hub forest of 1,066
-    # trees (6,397 vertices).
-    edges = "".join(f"p{i:05d} p{i + 1:05d}\n" for i in range(6_399)) if family == "path" else hub_forest(1_066).to_edge_list()
+    # method.  The whole-graph elimination took 31-55 s on the 6,400-vertex
+    # path (odd length) and 47-61 s on the 6,401-vertex spider of 16 legs
+    # of 400 vertices, whose kernel the matching gives in 0.015 s.
+    if family == "path":
+        edges, coordinates = "".join(f"p{i:05d} p{i + 1:05d}\n" for i in range(6_399)), 0
+    else:
+        edges, coordinates = spider_edges(16, 400), 3_201
     path = tmp_path / "forest.edges"
     path.write_text(edges)
     for method in ("structural", "rref"):
@@ -150,6 +161,7 @@ def test_basis_of_a_large_forest_in_linear_time(tmp_path, capsys, family, nullit
         elapsed = time.perf_counter() - started
         data = json.loads(out)
         assert code == 0 and data["nullity"] == nullity, method
+        assert sum(len(vec["coordinates"]) for vec in data["vectors"]) == coordinates, method
         assert elapsed < 1.0, method
 
 

@@ -221,6 +221,20 @@ def test_rref_leaves_its_input_unchanged(m):
 
 
 @settings(max_examples=100, deadline=None)
+@given(rational_matrices(), st.data())
+def test_rref_takes_int_entries_and_returns_fractions(m, data):
+    # A Fraction entry is taken as given and any other rational converted,
+    # so the reduction and the kernel are the all-Fraction ones, in Fractions.
+    integral = [(i, j) for i, row in enumerate(m) for j, x in enumerate(row) if x.denominator == 1]
+    as_int = data.draw(st.sets(st.sampled_from(integral))) if integral else set()
+    mixed = [[int(x) if (i, j) in as_int else x for j, x in enumerate(row)] for i, row in enumerate(m)]
+    reduced, rank, pivots = rref(mixed)
+    assert (reduced, rank, pivots) == rref(m)
+    assert all(type(x) is Fraction for row in reduced for x in row)
+    assert all(type(x) is Fraction for vec in null_space_basis(mixed) for x in vec)
+
+
+@settings(max_examples=100, deadline=None)
 @given(rational_matrices(), st.randoms(use_true_random=False), st.data())
 def test_same_span_on_scaled_permuted_spanning_sets(m, rnd, data):
     scales = data.draw(st.lists(SCALES, min_size=len(m), max_size=len(m)))
