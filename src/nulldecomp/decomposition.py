@@ -7,10 +7,11 @@ Two independent routes produce the one record ``trees.Decomposition``:
 * ``decomposition_from_basis`` reads the sets off a kernel basis of the
   whole adjacency matrix through ``kernel_decomposition``, the one kernel
   reading.  By default, and so in ``analyze`` on a unicyclic graph, that is
-  the canonical basis from the exact sparse elimination over adjacency
-  lists (``linalg.null_basis_on`` over every vertex); the check battery
-  passes the dense RREF kernel instead, so its reading never shares the
-  production kernel.  This is the source of truth.
+  the canonical basis ``unicyclic.rref_null_basis`` gives, the one place
+  that picks a whole-graph kernel: a forest's comes off a maximum matching,
+  any other's from the exact sparse elimination.  The check battery passes
+  the dense RREF kernel instead, so its reading never shares the production
+  kernel.  This is the source of truth.
 * ``structural_decomposition`` assembles the same sets from pendant-tree and
   complement decompositions according to the six-way case split that
   ``unicyclic.classify`` decides (four Type I cases by how the complement
@@ -36,7 +37,7 @@ from typing import Mapping, Sequence
 
 from .errors import OddNSet
 from .graph import Graph
-from .linalg import Vector, null_basis_on
+from .linalg import Vector
 from .trees import Decomposition, forest_decomposition, tree_decomposition
 from .unicyclic import (
     CASE_TI3,
@@ -46,6 +47,7 @@ from .unicyclic import (
     UnicyclicClass,
     classify,
     recursion_nullity,
+    rref_null_basis,
 )
 
 
@@ -67,8 +69,8 @@ def decomposition_from_basis(g: Graph, basis: Sequence[Vector] | None = None) ->
     ``classify`` refuses a graph that is neither a forest nor unicyclic
     before any kernel is computed.  A caller that already holds a basis of
     A(g) passes it in, and A(g) is not reduced again; without one the
-    canonical basis comes from the sparse elimination over g's adjacency
-    lists, as in ``analyze`` on a unicyclic graph.
+    canonical basis comes from ``rref_null_basis``, as in ``analyze`` on a
+    unicyclic graph, so a forest's is read off a maximum matching.
     """
     return _whole_graph_reading(g, classify(g), basis)
 
@@ -78,7 +80,7 @@ def _whole_graph_reading(
 ) -> Decomposition:
     """``decomposition_from_basis`` for a caller that holds ``cls = classify(g)``."""
     if basis is None:
-        basis = null_basis_on(g.adjacency, range(g.n))
+        basis = rref_null_basis(g).vectors
     return replace(kernel_decomposition(g, basis, frozenset(range(g.n))), cls=cls)
 
 
@@ -202,7 +204,7 @@ def analyze(g: Graph) -> AnalysisReport:
     ``g`` is classified once.  A forest is decomposed through a maximum
     matching (``structural_decomposition``), in time linear in g, with no
     kernel; a unicyclic graph's decomposition is read off the canonical
-    kernel from the sparse elimination.  The report's ``checks`` map starts
+    kernel ``rref_null_basis`` gives.  The report's ``checks`` map starts
     empty; a caller that wants the cross-check battery runs
     ``checks.run_checks(g)`` and attaches its map, as ``analyze --verify``
     does.

@@ -8,22 +8,22 @@ floating-point elimination can provide.
 Two production kernels give the canonical kernel basis of the subgraph a
 vertex set induces, read straight from the whole graph's adjacency lists and
 in the whole graph's indices.  ``null_basis_on(adjacency, vertices)`` works
-on any graph, by sparse Gauss-Jordan elimination: ``analyze`` on a
-unicyclic graph, ``rref_null_basis`` of a graph with a cycle and every
+on any graph, by sparse Gauss-Jordan elimination: ``rref_null_basis`` of a
+graph with a cycle, which ``analyze`` reads on a unicyclic graph, and every
 subforest kernel of the constructed Type I / Type II bases come from it.
 ``forest_null_basis_on`` gives the same basis for a vertex set that induces
 a forest, with no elimination: its pivots come from a maximum matching
 (Cvetković & Gutman 1972), and its entries are all ±1 (Sander & Sander, LAA
 405, 2005).  A whole forest's basis comes from it, by either method of
-``basis``.  The whole-graph calls pass every vertex.  The dense ``rref`` /
-``null_space_basis`` on lists of lists is the independent reference that
-the check battery (``checks``) and ``same_span`` use.  It is a plain dense
-Gauss-Jordan that touches, at each pivot, only the columns from the pivot
-column on, and it stays dense on purpose so that it shares no sparsity
-logic with the production kernels.  It takes a ``Fraction`` entry as
-given and converts any other rational entry once, so every entry it reduces
-and returns is a ``Fraction``.  The RREF is unique, so each sparse vector,
-written out densely, is the dense one.
+``basis``.  Only ``unicyclic`` calls either kernel; its whole-graph calls
+pass every vertex.  The dense ``rref`` / ``null_space_basis`` on lists of
+lists is the independent reference that the check battery (``checks``) and
+``same_span`` use.  It is a plain dense Gauss-Jordan that touches, at each
+pivot, only the columns from the pivot column on, and it stays dense on
+purpose so that it shares no sparsity logic with the production kernels.  It
+takes a ``Fraction`` entry as given and converts any other rational entry
+once, so every entry it reduces and returns is a ``Fraction``.  The RREF is
+unique, so each sparse vector, written out densely, is the dense one.
 
 A production vector (``Vector``) is the ``{index: Fraction}`` dict of its
 nonzero coordinates: its support is its key set.  The reference functions

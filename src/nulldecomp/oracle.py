@@ -2,10 +2,12 @@
 
 Two tiers, matching what each consumer needs:
 
-* full enumeration (``ENUMERATION_BUDGET``, 14 vertices) for set-valued
-  answers: all maximum independent sets, all maximum matchings, the set of
-  vertices missed by some maximum matching, the intersection of all maximum
-  independent sets;
+* full enumeration (``ENUMERATION_BUDGET``, 14 vertices, and 14 edges for
+  matchings) for set-valued answers: all maximum independent sets, all
+  maximum matchings, the set of vertices missed by some maximum matching,
+  the intersection of all maximum independent sets.  One loop exhausts the
+  subsets: of the vertices, or of the edges, as the maximum independent
+  sets of the line graph;
 * exact recursive search with degree-one reductions (``SEARCH_BUDGET``, 22
   vertices) when only the numbers alpha and nu are needed.
 
@@ -20,14 +22,14 @@ from __future__ import annotations
 from .errors import BudgetExceeded
 from .graph import Graph
 
-# The most vertices each tier accepts.
+# The most vertices each tier accepts, and the most edges matchings are enumerated over.
 ENUMERATION_BUDGET = 14
 SEARCH_BUDGET = 22
 
 
-def _require_budget(g: Graph, budget: int) -> None:
-    if g.n > budget:
-        raise BudgetExceeded(f"{g.n} vertices exceeds oracle budget of {budget}")
+def _require_budget(size: int, budget: int, unit: str) -> None:
+    if size > budget:
+        raise BudgetExceeded(f"{size} {unit} exceeds oracle budget of {budget}")
 
 
 def _adjacency_masks(g: Graph) -> list[int]:
@@ -40,7 +42,7 @@ def brute_alpha(g: Graph) -> int:
     Vertices of degree at most one in the remaining subgraph are always safe
     to take, which collapses forests and unicyclic graphs without branching.
     """
-    _require_budget(g, SEARCH_BUDGET)
+    _require_budget(g.n, SEARCH_BUDGET, "vertices")
     adj = _adjacency_masks(g)
     memo: dict[int, int] = {}
 
@@ -79,7 +81,7 @@ def brute_nu(g: Graph) -> int:
     losing optimality; otherwise branch on a highest-degree vertex being
     unmatched or matched to each neighbor in turn.
     """
-    _require_budget(g, SEARCH_BUDGET)
+    _require_budget(g.n, SEARCH_BUDGET, "vertices")
     adj = _adjacency_masks(g)
     memo: dict[int, int] = {}
 
@@ -120,11 +122,27 @@ def brute_nu(g: Graph) -> int:
 
 def maximum_independent_sets(g: Graph) -> list[frozenset[int]]:
     """All maximum independent sets, by exhausting vertex subsets."""
-    _require_budget(g, ENUMERATION_BUDGET)
-    adj = _adjacency_masks(g)
+    _require_budget(g.n, ENUMERATION_BUDGET, "vertices")
+    return [frozenset(_bits(mask)) for mask in _maximum_independent_masks(_adjacency_masks(g))]
+
+
+def maximum_matchings(g: Graph) -> list[frozenset[tuple[int, int]]]:
+    """All maximum matchings: the maximum independent sets of the line graph, by exhausting edge subsets."""
+    _require_budget(g.n, ENUMERATION_BUDGET, "vertices")
+    edges = list(g.edges())
+    _require_budget(len(edges), ENUMERATION_BUDGET, "edges")
+    ends = [(1 << u) | (1 << v) for u, v in edges]
+    conflicts = [  # the line graph: edges that share an endpoint
+        sum(1 << f for f, other in enumerate(ends) if f != e and other & mine) for e, mine in enumerate(ends)
+    ]
+    return [frozenset(edges[e] for e in _bits(mask)) for mask in _maximum_independent_masks(conflicts)]
+
+
+def _maximum_independent_masks(adj: list[int]) -> list[int]:
+    """Every maximum independent set of the graph with neighbor masks ``adj``, as a bit mask, ascending."""
     best = -1
     hits: list[int] = []
-    for subset in range(1 << g.n):
+    for subset in range(1 << len(adj)):
         size = subset.bit_count()
         if size < best:
             continue
@@ -143,38 +161,7 @@ def maximum_independent_sets(g: Graph) -> list[frozenset[int]]:
             hits = [subset]
         else:
             hits.append(subset)
-    return [frozenset(_bits(mask)) for mask in hits]
-
-
-def maximum_matchings(g: Graph) -> list[frozenset[tuple[int, int]]]:
-    """All maximum matchings, by exhausting edge subsets."""
-    _require_budget(g, ENUMERATION_BUDGET)
-    edges = list(g.edges())
-    edge_masks = [(1 << u) | (1 << v) for u, v in edges]
-    best = -1
-    hits: list[int] = []
-    for subset in range(1 << len(edges)):
-        size = subset.bit_count()
-        if size < best:
-            continue
-        used = 0
-        ok = True
-        m = subset
-        while m:
-            e = (m & -m).bit_length() - 1
-            m &= m - 1
-            if used & edge_masks[e]:
-                ok = False
-                break
-            used |= edge_masks[e]
-        if not ok:
-            continue
-        if size > best:
-            best = size
-            hits = [subset]
-        else:
-            hits.append(subset)
-    return [frozenset(edges[e] for e in _bits(mask)) for mask in hits]
+    return hits
 
 
 def edmonds_gallai_set(g: Graph) -> frozenset[int]:

@@ -9,6 +9,7 @@ import pytest
 
 from nulldecomp import checks, parse_edge_list, unicyclic
 from nulldecomp.cli import build_parser, main
+from nulldecomp.decomposition import analyze, decomposition_from_basis
 from nulldecomp.errors import InternalCheckError, NormalizationFailure
 
 from conftest import EXAMPLE_FOUR_CYCLE, EXAMPLE_TYPE1
@@ -146,9 +147,10 @@ def spider_edges(legs: int, length: int) -> str:
 @pytest.mark.parametrize("family, nullity", [("path", 0), ("spider", 1)])
 def test_basis_of_a_large_forest_in_linear_time(tmp_path, capsys, family, nullity):
     # A forest's canonical basis is read off a maximum matching, by either
-    # method.  The whole-graph elimination took 31-55 s on the 6,400-vertex
-    # path (odd length) and 47-61 s on the 6,401-vertex spider of 16 legs
-    # of 400 vertices, whose kernel the matching gives in 0.015 s.
+    # method and by decomposition_from_basis's default.  The whole-graph
+    # elimination took 31-55 s on the 6,400-vertex path (odd length) and
+    # 47-61 s on the 6,401-vertex spider of 16 legs of 400 vertices, whose
+    # kernel the matching gives in 0.015 s.
     if family == "path":
         edges, coordinates = "".join(f"p{i:05d} p{i + 1:05d}\n" for i in range(6_399)), 0
     else:
@@ -163,6 +165,12 @@ def test_basis_of_a_large_forest_in_linear_time(tmp_path, capsys, family, nullit
         assert code == 0 and data["nullity"] == nullity, method
         assert sum(len(vec["coordinates"]) for vec in data["vectors"]) == coordinates, method
         assert elapsed < 1.0, method
+    g = parse_edge_list(edges)
+    started = time.perf_counter()
+    d = decomposition_from_basis(g)
+    elapsed = time.perf_counter() - started
+    assert d == analyze(g).decomposition and d.nullity == nullity
+    assert elapsed < 1.0
 
 
 def test_basis_structural_c4(capsys, monkeypatch):

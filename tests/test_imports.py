@@ -7,6 +7,8 @@ The check battery keeps its own reference: ``checks`` reads every kernel
 off the dense ``null_space_basis`` / ``rref``, never off a sparse
 production kernel of ``linalg``.  And dense vectors stay on that side: no
 module but ``linalg`` and ``checks`` imports a dense reference function.
+No module but ``unicyclic`` imports a production kernel, so the choice of a
+whole-graph kernel lives in ``rref_null_basis`` alone.
 
 Edge lists are validated in one place: ``SelfLoop`` and ``DuplicateEdge``
 are each constructed at one call site, in ``graph.py``, so the parser and
@@ -113,10 +115,12 @@ def test_the_battery_imports_no_sparse_kernel():
 
 # The functions of ``linalg`` that take or return dense n-tuple vectors.
 DENSE_REFERENCE = {"rref", "null_space_basis", "same_span", "row_space_signature", "mat_vec", "is_zero_vector"}
+# The production kernels, which return kernel vectors; ``forest_parents``, which ``trees`` imports too, returns none.
+KERNELS = {"null_basis_on", "forest_null_basis_on"}
 
 
-def dense_reference_imports(path: Path) -> list[str]:
-    """Every dense reference function one source file imports, as "line: name".
+def linalg_imports(path: Path, names: set[str]) -> list[str]:
+    """Every one of ``names`` (``linalg`` functions) one source file imports, as "line: name".
 
     A whole-module import of ``linalg`` counts too: it reaches every
     function by attribute.
@@ -124,7 +128,7 @@ def dense_reference_imports(path: Path) -> list[str]:
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
         if isinstance(node, ast.ImportFrom) and node.module in ("linalg", "nulldecomp.linalg"):
-            found += [f"{node.lineno}: {a.name}" for a in node.names if a.name in DENSE_REFERENCE | {"*"}]
+            found += [f"{node.lineno}: {a.name}" for a in node.names if a.name in names | {"*"}]
         elif isinstance(node, ast.ImportFrom) and node.module in (None, "nulldecomp"):
             found += [f"{node.lineno}: {a.name}" for a in node.names if a.name == "linalg"]
         elif isinstance(node, ast.Import):
@@ -135,8 +139,27 @@ def dense_reference_imports(path: Path) -> list[str]:
 def test_only_linalg_and_checks_import_the_dense_reference():
     sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name not in ("linalg.py", "checks.py")]
     assert sources, f"no package sources under {PACKAGE}"
-    offenders = [f"{path.name}:{entry}" for path in sources for entry in dense_reference_imports(path)]
+    offenders = [f"{path.name}:{entry}" for path in sources for entry in linalg_imports(path, DENSE_REFERENCE)]
     assert offenders == []
+
+
+def test_only_unicyclic_imports_a_production_kernel():
+    # rref_null_basis is the one place that picks a whole-graph kernel, and
+    # the constructed bases read every subforest kernel; decomposition reads
+    # its default basis through rref_null_basis.
+    assert KERNELS <= sparse_kernels()
+    sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name not in ("linalg.py", "unicyclic.py")]
+    assert sources, f"no package sources under {PACKAGE}"
+    offenders = [f"{path.name}:{entry}" for path in sources for entry in linalg_imports(path, KERNELS)]
+    assert offenders == []
+    decomposition = ast.parse((PACKAGE / "decomposition.py").read_text(encoding="utf-8"))
+    from_linalg = {
+        alias.name
+        for node in ast.walk(decomposition)
+        if isinstance(node, ast.ImportFrom) and node.module in ("linalg", "nulldecomp.linalg")
+        for alias in node.names
+    }
+    assert from_linalg == {"Vector"}
 
 
 def test_the_dense_reference_guard_sees_a_planted_import(tmp_path):
@@ -150,7 +173,7 @@ def test_the_dense_reference_guard_sees_a_planted_import(tmp_path):
         "from .graph import rref\n",
         encoding="utf-8",
     )
-    assert dense_reference_imports(module) == [
+    assert linalg_imports(module, DENSE_REFERENCE) == [
         "2: nulldecomp.linalg",
         "3: linalg",
         "4: same_span",

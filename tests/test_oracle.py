@@ -37,6 +37,12 @@ def test_budget_enforced():
         brute_alpha(path_graph(SEARCH_BUDGET + 1))
     with pytest.raises(BudgetExceeded):
         edmonds_gallai_set(path_graph(ENUMERATION_BUDGET + 1))
+    # Six vertices but 15 edges: matchings are enumerated over edge subsets.
+    k6 = Graph.from_edges([(f"v{a}", f"v{b}") for a in range(6) for b in range(a + 1, 6)])
+    with pytest.raises(BudgetExceeded, match="15 edges"):
+        maximum_matchings(k6)
+    with pytest.raises(BudgetExceeded):
+        edmonds_gallai_set(k6)
 
 
 def test_edmonds_gallai_examples():
