@@ -1,20 +1,24 @@
 """Brute-force ground truth for small graphs.
 
-Two tiers, matching what each consumer needs:
+A matching is an independent set of the line graph, whose vertices are the
+edges and whose adjacency is sharing an endpoint.  So each tier runs one
+routine over two mask builders: ``_adjacency_masks`` for the graph itself,
+``_line_graph_masks`` for its line graph.
 
 * full enumeration (``ENUMERATION_BUDGET``, 14 vertices, and 14 edges for
   matchings) for set-valued answers: all maximum independent sets, all
   maximum matchings, the set of vertices missed by some maximum matching,
   the intersection of all maximum independent sets.  One loop exhausts the
-  subsets: of the vertices, or of the edges, as the maximum independent
-  sets of the line graph;
-* exact recursive search with degree-one reductions (``SEARCH_BUDGET``, 22
-  vertices) when only the numbers alpha and nu are needed.
+  vertex subsets of either graph;
+* exact branch and bound with degree pruning (``SEARCH_BUDGET``, 22
+  vertices, and 22 edges for nu) when only the numbers are needed: alpha
+  is the independence number of the graph, nu that of its line graph.
 
 Each function refuses a graph above its tier's budget with ``BudgetExceeded``.
 
-The recursive matching search is not a shortcut taken on faith: tests pin it
-against exhaustive edge-subset maximization for every graph up to 12 vertices.
+Since ``brute_nu`` and ``maximum_matchings`` read the same line graph, the
+tests pin both against a search over edge subsets that shares no code with
+this module.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 from .errors import BudgetExceeded
 from .graph import Graph
 
-# The most vertices each tier accepts, and the most edges matchings are enumerated over.
+# The most vertices each tier accepts, and the most edges matchings and nu are computed over.
 ENUMERATION_BUDGET = 14
 SEARCH_BUDGET = 22
 
@@ -36,14 +40,35 @@ def _adjacency_masks(g: Graph) -> list[int]:
     return [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
 
 
+def _line_graph_masks(g: Graph) -> tuple[list[tuple[int, int]], list[int]]:
+    """The edges of ``g`` in order, and for each the mask of the other edges sharing an endpoint with it."""
+    edges = list(g.edges())
+    incident = [0] * g.n
+    for e, (u, v) in enumerate(edges):
+        incident[u] |= 1 << e
+        incident[v] |= 1 << e
+    return edges, [(incident[u] | incident[v]) & ~(1 << e) for e, (u, v) in enumerate(edges)]
+
+
 def brute_alpha(g: Graph) -> int:
-    """Exact independence number by branch and bound with degree pruning.
+    """Exact independence number."""
+    _require_budget(g.n, SEARCH_BUDGET, "vertices")
+    return _independence_number(_adjacency_masks(g))
+
+
+def brute_nu(g: Graph) -> int:
+    """Exact matching number: the independence number of the line graph."""
+    _require_budget(g.n, SEARCH_BUDGET, "vertices")
+    _require_budget(g.edge_count, SEARCH_BUDGET, "edges")
+    return _independence_number(_line_graph_masks(g)[1])
+
+
+def _independence_number(adj: list[int]) -> int:
+    """Independence number of the graph with neighbor masks ``adj``, by branch and bound with degree pruning.
 
     Vertices of degree at most one in the remaining subgraph are always safe
     to take, which collapses forests and unicyclic graphs without branching.
     """
-    _require_budget(g.n, SEARCH_BUDGET, "vertices")
-    adj = _adjacency_masks(g)
     memo: dict[int, int] = {}
 
     def rec(mask: int) -> int:
@@ -71,53 +96,7 @@ def brute_alpha(g: Graph) -> int:
         memo[mask] = result
         return result
 
-    return rec((1 << g.n) - 1)
-
-
-def brute_nu(g: Graph) -> int:
-    """Exact matching number by recursive search with leaf reduction.
-
-    A degree-one vertex can always be matched along its unique edge without
-    losing optimality; otherwise branch on a highest-degree vertex being
-    unmatched or matched to each neighbor in turn.
-    """
-    _require_budget(g.n, SEARCH_BUDGET, "vertices")
-    adj = _adjacency_masks(g)
-    memo: dict[int, int] = {}
-
-    def rec(mask: int) -> int:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        best_v, best_deg = -1, 0
-        leaf = -1
-        m = mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            deg = (adj[v] & mask).bit_count()
-            if deg == 1:
-                leaf = v
-                break
-            if deg > best_deg:
-                best_v, best_deg = v, deg
-        if leaf >= 0:
-            u = (adj[leaf] & mask).bit_length() - 1
-            result = 1 + rec(mask & ~((1 << leaf) | (1 << u)))
-        elif best_deg == 0:
-            result = 0
-        else:
-            v = best_v
-            result = rec(mask & ~(1 << v))
-            rest = adj[v] & mask
-            while rest:
-                u = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                result = max(result, 1 + rec(mask & ~((1 << v) | (1 << u))))
-        memo[mask] = result
-        return result
-
-    return rec((1 << g.n) - 1)
+    return rec((1 << len(adj)) - 1)
 
 
 def maximum_independent_sets(g: Graph) -> list[frozenset[int]]:
@@ -129,12 +108,8 @@ def maximum_independent_sets(g: Graph) -> list[frozenset[int]]:
 def maximum_matchings(g: Graph) -> list[frozenset[tuple[int, int]]]:
     """All maximum matchings: the maximum independent sets of the line graph, by exhausting edge subsets."""
     _require_budget(g.n, ENUMERATION_BUDGET, "vertices")
-    edges = list(g.edges())
-    _require_budget(len(edges), ENUMERATION_BUDGET, "edges")
-    ends = [(1 << u) | (1 << v) for u, v in edges]
-    conflicts = [  # the line graph: edges that share an endpoint
-        sum(1 << f for f, other in enumerate(ends) if f != e and other & mine) for e, mine in enumerate(ends)
-    ]
+    _require_budget(g.edge_count, ENUMERATION_BUDGET, "edges")
+    edges, conflicts = _line_graph_masks(g)
     return [frozenset(edges[e] for e in _bits(mask)) for mask in _maximum_independent_masks(conflicts)]
 
 

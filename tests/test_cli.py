@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from nulldecomp import checks, parse_edge_list, unicyclic
+from nulldecomp import checks, cli, parse_edge_list, unicyclic
 from nulldecomp.cli import build_parser, main
 from nulldecomp.decomposition import analyze, decomposition_from_basis
 from nulldecomp.errors import InternalCheckError, NormalizationFailure
@@ -323,6 +323,31 @@ def test_analyze_verify_reports_a_raise_inside_the_battery(tmp_path, capsys, mon
     assert err == "run_checks raised KeyError: 'planted'\n"
 
 
+def test_analyze_verify_prints_and_exits_4_on_a_failed_check(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(checks, "brute_nu", lambda g: -1)
+    path = tmp_path / "g.edges"
+    path.write_text("a b\nb c\nc a\nc d\n")
+    code, out, err = run(capsys, ["analyze", str(path), "--verify"])
+    assert code == 4 and err == ""
+    # A wrong nu fails both checks that call it; the report lists them by name.
+    *_, summary, first, second = out.splitlines()
+    assert (first, second) == ("  FAILED: derived_forest_formulas", "  FAILED: nu_oracle")
+    passed, total = map(int, summary.removeprefix("checks: ").removesuffix(" passed").split("/"))
+    assert passed == total - 2 > 0
+
+
+def test_an_internal_check_error_escaping_a_command_exits_4(tmp_path, capsys, monkeypatch):
+    def raising(g):
+        raise InternalCheckError("planted invariant failure")
+
+    monkeypatch.setattr(cli, "analyze", raising)
+    path = tmp_path / "g.edges"
+    path.write_text("a b\n")
+    code, out, err = run(capsys, ["analyze", str(path)])
+    assert (code, out) == (4, "")
+    assert err == "internal invariant failed: planted invariant failure\n"
+
+
 def test_verify_names_the_exception_of_a_raising_construction(capsys, monkeypatch):
     # run_checks turns a raising construction into failed checks; verify must
     # still say what was raised.
@@ -355,6 +380,12 @@ def test_verify_negative_count_exit_2(capsys):
     code, out, err = run(capsys, ["verify", "--count", "-5"])
     assert code == 2 and out == ""
     assert err == "error: negative graph count -5\n"
+
+
+def test_verify_empty_vertex_range_exit_2(capsys):
+    code, out, err = run(capsys, ["verify", "--min-n", "9", "--max-n", "5"])
+    assert code == 2 and out == ""
+    assert err == "error: empty vertex range [9, 5]\n"
 
 
 def test_analyze_non_utf8_file_exit_2(tmp_path, capsys):

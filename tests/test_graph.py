@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import time
 from collections import Counter
 
@@ -315,6 +316,20 @@ def test_asymmetric_adjacency_rejected():
         Graph(("a", "b", "c"), ((1,), (), ()))
     with pytest.raises(ValueError, match="asymmetric edge"):
         Graph(("a", "b", "c"), ((1, 2), (0, 2), (1,)))
+
+
+@pytest.mark.parametrize("labels, adjacency, message", [
+    (("a", "a"), ((), ()), "duplicate labels"),
+    (("a", "b"), ((),), "adjacency length does not match label count"),
+    (("b", "a"), ((), ()), "labels not sorted"),
+    (("a", "b", "c"), ((2, 1), (0,), (0,)), "adjacency list of vertex 0 not sorted/distinct"),
+    (("a", "b"), ((1, 1), (0,)), "adjacency list of vertex 0 not sorted/distinct"),
+    (("a", "b"), ((0, 1), (0,)), "self-loop at vertex 0"),
+    (("a", "b"), ((1,), (0, 2)), "neighbor index 2 out of range"),
+])
+def test_malformed_constructor_arguments_rejected(labels, adjacency, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Graph(labels, adjacency)
 
 
 def test_large_star_builds_in_linear_time():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from nulldecomp import Graph
@@ -43,6 +45,10 @@ def test_budget_enforced():
         maximum_matchings(k6)
     with pytest.raises(BudgetExceeded):
         edmonds_gallai_set(k6)
+    # Eight vertices but 28 edges: nu is searched over the line graph.
+    k8 = Graph.from_edges([(f"v{a}", f"v{b}") for a in range(8) for b in range(a + 1, 8)])
+    with pytest.raises(BudgetExceeded, match="28 edges"):
+        brute_nu(k8)
 
 
 def test_edmonds_gallai_examples():
@@ -69,8 +75,19 @@ def test_enumeration_consistency():
         assert all(len(m) == brute_nu(g) for m in matchings)
 
 
+def _reference_nu(g: Graph) -> int:
+    """The most pairwise disjoint edges, by trying edge subsets from the largest down."""
+    edges = list(g.edges())
+    for size in range(len(edges), 0, -1):
+        for chosen in combinations(edges, size):
+            if len({v for edge in chosen for v in edge}) == 2 * size:
+                return size
+    return 0
+
+
 def test_nu_matches_exhaustive_small():
-    # The recursive matching search against exhaustive edge-subset search.
+    # brute_nu and maximum_matchings share the line-graph masks, so each is
+    # held to a reference that uses no oracle code, and to the other.
     graphs = [
         path_graph(7),
         cycle_graph(5),
@@ -78,8 +95,14 @@ def test_nu_matches_exhaustive_small():
         cycle_graph(12),
         star_graph(5),
         Graph.from_edges([("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("d", "e")]),
+        Graph.from_edges([(f"v{a}", f"v{b}") for a in range(4) for b in range(a + 1, 4)]),  # K_4
+        # theta: s and t joined by paths of one, two and three edges
+        Graph.from_edges([("s", "t"), ("s", "a"), ("a", "t"), ("s", "b"), ("b", "c"), ("c", "t")]),
     ]
     for g in graphs:
+        expected = _reference_nu(g)
+        assert brute_nu(g) == expected, g.to_edge_list()
+        assert all(len(matching) == expected for matching in maximum_matchings(g)), g.to_edge_list()
         assert brute_nu(g) == len(next(iter(maximum_matchings(g))))
 
 
