@@ -38,7 +38,7 @@ from .errors import (
 )
 from .generator import GeneratorSpec, generate_unicyclic
 from .graph import Graph, parse_edge_list
-from .unicyclic import TYPE1, TYPE2, classify, constructed_null_basis, rref_null_basis
+from .unicyclic import TYPE1, TYPE2, canonical_null_basis, classify, constructed_null_basis
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -79,7 +79,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_basis(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
-    basis = rref_null_basis(g) if args.method == "rref" else constructed_null_basis(g, classify(g))
+    basis = canonical_null_basis(g) if args.method == "rref" else constructed_null_basis(g, classify(g))
     # Each vector's coordinates, label -> exact value, in index order.
     vectors = [
         (prov, {g.labels[i]: str(x) for i, x in sorted(vec.items())})

@@ -19,8 +19,10 @@ the constructor's checks.
 Graphs are immutable; every operation is a pure function returning new values.
 
 ``unicyclic.classify`` decides the class, the cycle and the pendant trees in
-one leaf peel.  ``is_forest`` has one caller, ``unicyclic.rref_null_basis``,
-which takes no class; tests use it and ``is_unicyclic`` as oracles.
+one leaf peel, and every production route takes its answer.  So
+``is_forest`` and ``is_unicyclic`` have no production caller.  Tests use
+them as oracles, and they stay because the benchmark's tracer
+(``perfbench/tracing.py``) wraps them by name.
 """
 
 from __future__ import annotations

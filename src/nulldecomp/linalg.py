@@ -8,15 +8,18 @@ floating-point elimination can provide.
 Two production kernels give the canonical kernel basis of the subgraph a
 vertex set induces, read straight from the whole graph's adjacency lists and
 in the whole graph's indices.  ``null_basis_on(adjacency, vertices)`` works
-on any graph, by sparse Gauss-Jordan elimination: ``rref_null_basis`` of a
-graph with a cycle, which ``analyze`` reads on a unicyclic graph, and every
-subforest kernel of the constructed Type I / Type II bases come from it.
-``forest_null_basis_on`` gives the same basis for a vertex set that induces
-a forest, with no elimination: its pivots come from a maximum matching
-(Cvetković & Gutman 1972), and its entries are all ±1 (Sander & Sander, LAA
-405, 2005).  A whole forest's basis comes from it, by either method of
-``basis``.  Only ``unicyclic`` calls either kernel; its whole-graph calls
-pass every vertex.  The dense ``rref`` / ``null_space_basis`` on lists of
+on any graph, by sparse Gauss-Jordan elimination: every subforest kernel of
+the constructed Type I / Type II bases comes from it, and so does the
+whole-graph basis of a graph that is neither a forest nor unicyclic, which
+only ``basis --method rref`` asks for.  ``forest_null_basis_on`` gives the
+same basis for a vertex set that induces a forest, with no elimination: its
+pivots come from a maximum matching (Cvetković & Gutman 1972), and its
+entries are all ±1 (Sander & Sander, LAA 405, 2005).  A whole forest's basis
+comes from it, by either method of ``basis``.  A unicyclic graph's canonical
+basis, which ``analyze`` reads, is no elimination of the whole graph:
+``reduced_echelon_basis`` brings its constructed basis to reduced echelon
+form in one pass, and that form is the canonical one.  Only ``unicyclic``
+calls these three.  The dense ``rref`` / ``null_space_basis`` on lists of
 lists is the independent reference that the check battery (``checks``) and
 ``same_span`` use.  It is a plain dense Gauss-Jordan that touches, at each
 pivot, only the columns from the pivot column on, and it stays dense on
@@ -36,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, NotForest
+from .errors import DimensionMismatch, InternalCheckError, NotForest
 
 Vector = dict[int, Fraction]  # the nonzero coordinates by index; never holds a 0
 DenseVector = tuple[Fraction, ...]
@@ -162,6 +165,55 @@ def null_basis_on(adjacency: Sequence[Sequence[int]], vertices: Iterable[int]) -
             if k != c:  # every other entry of a pivot row sits in a free column
                 basis[k][c] = -x
     return list(basis.values())
+
+
+def reduced_echelon_basis(vectors: Iterable[Vector]) -> list[Vector]:
+    """The reduced echelon basis of the span of independent ``vectors``, each lead at its largest index.
+
+    Each vector returned is 1 at its lead and 0 at every other lead, in
+    lead order.  That basis is unique, and the canonical RREF kernel is one
+    (1 at its free column, else nonzero only at pivot columns below it), so
+    any kernel basis reduces to what ``null_basis_on`` returns.  One pass:
+    each incoming vector loses the stored vector of every lead it holds,
+    takes its largest index as its lead, normalized to 1, and that lead is
+    cleared from every stored vector an index-to-leads map says holds it.
+    Raises InternalCheckError when the vectors are dependent.
+    """
+    rows: dict[int, Vector] = {}  # lead -> its vector
+    holders: dict[int, set[int]] = {}  # index -> the leads whose vectors are nonzero there, lead excluded
+    for vec in vectors:
+        vec = dict(vec)
+        for lead in [i for i in vec if i in rows]:  # a stored vector is 0 at every other lead
+            factor = vec[lead]
+            for k, y in rows[lead].items():
+                x = vec.get(k, ZERO) - factor * y
+                if x:
+                    vec[k] = x
+                else:
+                    del vec[k]
+        if not vec:
+            raise InternalCheckError(f"vector {len(rows) + 1} lies in the span of the ones before it")
+        lead = max(vec)
+        if vec[lead] != 1:
+            inv = ONE / vec[lead]
+            vec = {k: x * inv for k, x in vec.items()}
+        for other in holders.pop(lead, ()):
+            row = rows[other]
+            factor = row[lead]
+            for k, y in vec.items():
+                x = row.get(k, ZERO) - factor * y
+                if x:
+                    row[k] = x
+                    holders.setdefault(k, set()).add(other)
+                else:
+                    del row[k]
+                    if k != lead:
+                        holders[k].discard(other)
+        rows[lead] = vec
+        for k in vec:
+            if k != lead:
+                holders.setdefault(k, set()).add(lead)
+    return [rows[lead] for lead in sorted(rows)]
 
 
 def forest_parents(adjacency: Sequence[Sequence[int]], vertices: Iterable[int]) -> dict[int, int]:

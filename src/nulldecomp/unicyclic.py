@@ -29,12 +29,16 @@ Those come from maximum matchings (``trees``), each of a vertex set of the
 graph itself, so no subgraph is built.  A whole forest's canonical basis,
 for ``rref_null_basis`` and ``constructed_null_basis`` alike, is read off a
 maximum matching by ``linalg.forest_null_basis_on``, with no elimination.
-The sparse elimination ``linalg.null_basis_on`` gives every other kernel:
-``rref_null_basis`` of a graph with a cycle, and each subforest kernel the
-Type I / Type II bases (private to ``constructed_null_basis``) assemble.
+The sparse elimination ``linalg.null_basis_on`` gives each subforest kernel
+the Type I / Type II bases (private to ``constructed_null_basis``) assemble.
 Both read g's adjacency lists and answer in g's own indices: no dense
-matrix, no subgraph, no position map.  Each vector is the dict of its
-nonzero coordinates (``linalg.Vector``), and each step touches only those.
+matrix, no subgraph, no position map.  ``rref_null_basis`` of a unicyclic
+graph takes the class its caller holds and brings the constructed basis to
+reduced echelon form (``linalg.reduced_echelon_basis``), which is the
+canonical basis, so no elimination runs over the whole graph.  Only a graph
+that ``classify`` refuses is eliminated whole, in ``canonical_null_basis``,
+which ``basis --method rref`` calls.  Each vector is the dict of its nonzero
+coordinates (``linalg.Vector``), and each step touches only those.
 ``checks`` verifies all of them against the dense RREF kernel of A(G): the
 constructed bases by span and exact annihilation, ``rref_null_basis``
 vector for vector.
@@ -48,7 +52,7 @@ from typing import Mapping
 
 from .errors import CaseContradiction, NormalizationFailure, UnsupportedGraphClass
 from .graph import CycleInfo, Graph
-from .linalg import ZERO, Vector, forest_null_basis_on, null_basis_on
+from .linalg import ZERO, Vector, forest_null_basis_on, null_basis_on, reduced_echelon_basis
 from .trees import Decomposition, forest_decomposition, full_support_vector
 
 TYPE1 = "type1"
@@ -231,12 +235,32 @@ def _recursion(length: int, witness_tree: Decomposition | None, complement: Deco
     return complement.nullity + (cycle_nullity(length) if witness_tree is None else witness_tree.nullity)
 
 
-def rref_null_basis(g: Graph) -> NullBasis:
-    """Canonical kernel basis of A(g) on any graph, tagged RrefCanonical; a forest's is its constructed one."""
-    if g.is_forest():
-        return constructed_null_basis(g, None)
-    vectors = tuple(null_basis_on(g.adjacency, range(g.n)))
-    return NullBasis(vectors, (RREF_CANONICAL,) * len(vectors))
+def rref_null_basis(g: Graph, cls: UnicyclicClass | None) -> NullBasis:
+    """Canonical kernel basis of A(g), tagged RrefCanonical, for ``cls = classify(g)``.
+
+    A forest's is its constructed basis.  A unicyclic graph's is its
+    constructed basis brought to reduced echelon form
+    (``linalg.reduced_echelon_basis``), which is the canonical one, so no
+    elimination runs over the whole graph.  The class is taken as given.
+    """
+    basis = constructed_null_basis(g, cls)
+    if cls is None:
+        return basis
+    return _canonical(reduced_echelon_basis(basis.vectors))
+
+
+def canonical_null_basis(g: Graph) -> NullBasis:
+    """``rref_null_basis`` on any graph, after one ``classify``; a graph it refuses is eliminated whole."""
+    try:
+        cls = classify(g)
+    except UnsupportedGraphClass:
+        return _canonical(null_basis_on(g.adjacency, range(g.n)))
+    return rref_null_basis(g, cls)
+
+
+def _canonical(vectors: list[Vector]) -> NullBasis:
+    """The canonical kernel basis ``vectors``, each tagged RrefCanonical."""
+    return NullBasis(tuple(vectors), (RREF_CANONICAL,) * len(vectors))
 
 
 def _type1_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
@@ -307,8 +331,7 @@ def constructed_null_basis(g: Graph, cls: UnicyclicClass | None) -> NullBasis:
     not checked, but a cycle under None raises NotForest.
     """
     if cls is None:
-        vectors = tuple(forest_null_basis_on(g.adjacency, range(g.n)))
-        return NullBasis(vectors, (RREF_CANONICAL,) * len(vectors))
+        return _canonical(forest_null_basis_on(g.adjacency, range(g.n)))
     if cls.tag == TYPE1:
         return _type1_null_basis(g, cls)
     return _type2_null_basis(g, cls)

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 from nulldecomp import Graph, GeneratorSpec, classify, generate_unicyclic, parse_edge_list
 from nulldecomp.checks import _kernel_case, _kernel_decomposition
+from nulldecomp.linalg import null_basis_on
 from nulldecomp.trees import forest_decomposition
+from nulldecomp.unicyclic import rref_null_basis
 
 # 18-vertex Type I example: 4-cycle e-g-f-v with an 11-vertex tree at v.
 EXAMPLE_TYPE1 = """
@@ -187,6 +189,24 @@ def assert_zero_free_inside(vectors, vertices) -> None:
     inside = frozenset(vertices)
     for vec in vectors:
         assert vec.keys() <= inside and all(x != 0 for x in vec.values()), (sorted(inside), vec)
+
+
+def shuffled(g: Graph, rnd) -> Graph:
+    """g with its labels permuted by ``rnd``, so its vertices take their indices in another order."""
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    names = [f"s{p:03d}" for p in perm]
+    return Graph.from_edges(((names[u], names[v]) for u, v in g.edges()), isolated=names)
+
+
+def assert_reduced_basis_is_eliminated_basis(g: Graph) -> None:
+    """A unicyclic g's canonical basis, reduced from its constructed one, is the whole-graph elimination's.
+
+    Tuple for tuple, every coordinate a ``Fraction`` and no 0 stored.
+    """
+    reduced = rref_null_basis(g, classify(g)).vectors
+    assert reduced == tuple(null_basis_on(g.adjacency, range(g.n))), g.to_edge_list()
+    assert all(type(x) is Fraction and x != 0 for vec in reduced for x in vec.values()), g.to_edge_list()
 
 
 @st.composite

@@ -151,7 +151,7 @@ def test_a_constructed_basis_that_raises_fails_the_checks_on_its_vectors(monkeyp
 
 @pytest.mark.parametrize("example", ["ex_type1", "ex_four_cycle", "forest"])
 def test_run_checks_classifies_once(monkeypatch, capsys, request, example):
-    # So do `analyze` and `basis --method structural`, on a forest too.
+    # So do `analyze` and `basis` by either method, on a forest too.
     g = path_graph(5) if example == "forest" else request.getfixturevalue(example)
     calls = []
 
@@ -164,7 +164,7 @@ def test_run_checks_classifies_once(monkeypatch, capsys, request, example):
             monkeypatch.setattr(module, "classify", counting)
     assert all(run_checks(g).values())
     assert calls == [g]
-    for argv in (["analyze", "-"], ["basis", "-", "--method", "structural"]):
+    for argv in (["analyze", "-"], ["basis", "-", "--method", "structural"], ["basis", "-", "--method", "rref"]):
         calls.clear()
         monkeypatch.setattr(sys, "stdin", io.StringIO(g.to_edge_list()))
         assert main(argv) == 0

@@ -21,6 +21,8 @@ from pathlib import Path
 
 from nulldecomp import Graph, analyze, classify, run_checks
 
+from conftest import assert_reduced_basis_is_eliminated_basis
+
 MAX_N = 10
 
 
@@ -146,6 +148,12 @@ def test_every_unicyclic_graph_passes_every_check():
             cases.add(classify(g).case)
             assert _failed(g) == [], g.to_edge_list()
     assert cases == {"TI-1", "TI-2", "TI-3", "TI-4", "TII-non4k", "TII-4k"}
+
+
+def test_every_unicyclic_graphs_reduced_basis_is_its_eliminated_basis():
+    for n in range(3, MAX_N + 1):
+        for seq in unicyclic_graphs(n):
+            assert_reduced_basis_is_eliminated_basis(_unicyclic_graph(seq))
 
 
 def test_every_graph_matches_the_independent_reference():

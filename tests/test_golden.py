@@ -28,7 +28,7 @@ from nulldecomp import GeneratorSpec, Graph, checks, classify, generate_unicycli
 from nulldecomp.cli import main
 from nulldecomp.errors import DimensionMismatch
 from nulldecomp.linalg import ONE, ZERO, null_space_basis
-from nulldecomp.unicyclic import TYPE1, TYPE2, NullBasis, rref_null_basis
+from nulldecomp.unicyclic import TYPE1, TYPE2, NullBasis
 
 from conftest import EXAMPLE_FIVE_CYCLE, EXAMPLE_FOUR_CYCLE, EXAMPLE_STAR_SGRAPH, EXAMPLE_TYPE1, dense
 
@@ -194,7 +194,7 @@ def test_battery_refuses_a_vector_of_the_wrong_length(monkeypatch, name):
 
 
 def _plant_kernel(monkeypatch, planted, kernel: str = "null_basis_on") -> None:
-    """Rebind every package module's ``kernel`` (a ``linalg`` function) to ``planted(real, adjacency, vertices)``."""
+    """Rebind every package module's ``kernel`` (a ``linalg`` function) to ``planted(real, *args)``."""
     real = getattr(linalg, kernel)
     for module_name, module in list(sys.modules.items()):
         if module_name.startswith("nulldecomp") and getattr(module, kernel, None) is real:
@@ -202,7 +202,7 @@ def _plant_kernel(monkeypatch, planted, kernel: str = "null_basis_on") -> None:
 
 
 def _whole_graph_kernel(g: Graph) -> str:
-    """The production kernel ``rref_null_basis`` reads g's basis from."""
+    """The production kernel ``rref_null_basis`` reads g's basis from: a unicyclic graph's subforest kernels."""
     return "forest_null_basis_on" if classify(g) is None else "null_basis_on"
 
 
@@ -216,6 +216,26 @@ def test_analyze_reads_a_forest_without_a_kernel(golden, monkeypatch, name):
     _plant_kernel(monkeypatch, refuse)
     text = _cli_output(COMMANDS["analyze"], CORPUS[name].to_edge_list())
     assert _digest(text) == golden[name]["analyze"]
+
+
+@pytest.mark.parametrize("name", sorted(name for name, g in CORPUS.items() if classify(g) is not None))
+def test_a_unicyclic_graph_is_never_eliminated_whole(golden, monkeypatch, name):
+    # Its canonical basis is its constructed basis brought to reduced echelon
+    # form, so analyze, basis --method rref and the battery give the same
+    # answers with null_basis_on refused on every vertex of g.
+    def refuse_whole(real, adjacency, vertices):
+        vertices = frozenset(vertices)
+        if len(vertices) == len(adjacency):
+            raise AssertionError("a whole-graph elimination of a unicyclic graph")
+        return real(adjacency, vertices)
+
+    _plant_kernel(monkeypatch, refuse_whole)
+    g = CORPUS[name]
+    for key in ("analyze", "basis_rref"):
+        assert _digest(_cli_output(COMMANDS[key], g.to_edge_list())) == golden[name][key], key
+    checks = run_checks(g)
+    assert all(checks.values())
+    assert _digest(json.dumps(sorted(checks.items()))) == golden[name]["checks"]
 
 
 @pytest.mark.parametrize("name", sorted(name for name, g in CORPUS.items() if classify(g) is None))
@@ -236,7 +256,8 @@ def test_basis_reads_a_forest_without_elimination(golden, monkeypatch, name):
 @pytest.mark.parametrize("name", ["example_type1", "seed125_forest"])
 def test_battery_catches_a_faulty_sparse_kernel(monkeypatch, name):
     # The fault goes into the kernel g's whole-graph basis comes from:
-    # forest_null_basis_on for the forest, null_basis_on for example_type1.
+    # forest_null_basis_on for the forest, and for example_type1 null_basis_on,
+    # which gives the subforest kernels its basis is reduced from.
     def one_short(real, adjacency, vertices):
         return real(adjacency, vertices)[:-1]
 
@@ -249,18 +270,20 @@ def test_battery_catches_a_faulty_sparse_kernel(monkeypatch, name):
 @pytest.mark.parametrize("name", ["example_type1", "seed125_forest"])
 def test_battery_catches_a_stored_zero(monkeypatch, name):
     # A production vector holds only its nonzero coordinates, so its key set
-    # is its support; a 0 stored at another vertex fails basis_count.
-    def with_a_zero(real, adjacency, vertices):
-        vertices = frozenset(vertices)
-        basis = real(adjacency, vertices)
-        if len(vertices) < len(adjacency):
-            return basis
-        outside = min(vertices - basis[0].keys())
+    # is its support; a 0 stored at another vertex fails basis_count.  The 0
+    # goes into the last step of g's canonical basis: forest_null_basis_on for
+    # the forest, the reduced echelon pass over the constructed basis for
+    # example_type1.
+    g = CORPUS[name]
+
+    def with_a_zero(real, *args):
+        basis = real(*args)
+        outside = min(frozenset(range(g.n)) - basis[0].keys())
         return [{**basis[0], outside: ZERO}] + basis[1:]
 
-    g = CORPUS[name]
     assert all(run_checks(g).values())
-    _plant_kernel(monkeypatch, with_a_zero, _whole_graph_kernel(g))
+    last_step = "forest_null_basis_on" if classify(g) is None else "reduced_echelon_basis"
+    _plant_kernel(monkeypatch, with_a_zero, last_step)
     assert run_checks(g)["basis_count"] is False
 
 
@@ -290,7 +313,8 @@ def test_battery_catches_a_short_subforest_kernel(monkeypatch, name):
     g = CORPUS[name]
     assert all(run_checks(g).values())
     _plant_kernel(monkeypatch, one_short_below_g)
-    assert [dense(vec, g.n) for vec in rref_null_basis(g).vectors] == null_space_basis(g.adjacency_matrix())
+    whole = unicyclic.null_basis_on(g.adjacency, range(g.n))
+    assert [dense(vec, g.n) for vec in whole] == null_space_basis(g.adjacency_matrix())
     checks = run_checks(g)
     assert checks["basis_count"] is False or checks["span_equality"] is False
 

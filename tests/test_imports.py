@@ -7,7 +7,8 @@ The check battery keeps its own reference: ``checks`` reads every kernel
 off the dense ``null_space_basis`` / ``rref``, never off a sparse
 production kernel of ``linalg``.  And dense vectors stay on that side: no
 module but ``linalg`` and ``checks`` imports a dense reference function.
-No module but ``unicyclic`` imports a production kernel, so the choice of a
+No module but ``unicyclic`` imports a production kernel or the pass that
+reduces a constructed basis to the canonical one, so the choice of a
 whole-graph kernel lives in ``rref_null_basis`` alone.
 
 Edge lists are validated in one place: ``SelfLoop`` and ``DuplicateEdge``
@@ -115,8 +116,10 @@ def test_the_battery_imports_no_sparse_kernel():
 
 # The functions of ``linalg`` that take or return dense n-tuple vectors.
 DENSE_REFERENCE = {"rref", "null_space_basis", "same_span", "row_space_signature", "mat_vec", "is_zero_vector"}
-# The production kernels, which return kernel vectors; ``forest_parents``, which ``trees`` imports too, returns none.
-KERNELS = {"null_basis_on", "forest_null_basis_on"}
+# The production kernels, which return kernel vectors: the two sparse ones, and the pass that
+# brings a constructed basis to the canonical one; ``forest_parents``, which ``trees`` imports
+# too, returns none.
+KERNELS = {"null_basis_on", "forest_null_basis_on", "reduced_echelon_basis"}
 
 
 def linalg_imports(path: Path, names: set[str]) -> list[str]:
@@ -147,7 +150,9 @@ def test_only_unicyclic_imports_a_production_kernel():
     # rref_null_basis is the one place that picks a whole-graph kernel, and
     # the constructed bases read every subforest kernel; decomposition reads
     # its default basis through rref_null_basis.
-    assert KERNELS <= sparse_kernels()
+    assert KERNELS - {"reduced_echelon_basis"} <= sparse_kernels()
+    linalg = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
+    assert "reduced_echelon_basis" in {node.name for node in linalg.body if isinstance(node, ast.FunctionDef)}
     sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name not in ("linalg.py", "unicyclic.py")]
     assert sources, f"no package sources under {PACKAGE}"
     offenders = [f"{path.name}:{entry}" for path in sources for entry in linalg_imports(path, KERNELS)]

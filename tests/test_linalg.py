@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 import pytest
 
 from nulldecomp import Graph, GeneratorSpec, constructed_null_basis, generate_unicyclic
-from nulldecomp.errors import NotForest
+from nulldecomp.errors import InternalCheckError, NotForest
 from nulldecomp.linalg import (
     forest_null_basis_on,
     is_zero_vector,
     mat_vec,
     null_basis_on,
     null_space_basis,
+    reduced_echelon_basis,
     row_space_signature,
     rref,
     same_span,
@@ -527,3 +528,58 @@ def test_forest_kernel_refuses_a_cycle(make):
         constructed_null_basis(g, None)
     acyclic = frozenset(range(1, g.n))  # each of the three loses its cycle with vertex 0
     assert_forest_kernel_matches(g, acyclic)
+
+
+# -- the reduced echelon pass: any basis of a kernel reduces to the canonical one
+
+
+def test_reduced_echelon_basis_of_nothing_and_of_one_vector():
+    assert reduced_echelon_basis([]) == []
+    assert reduced_echelon_basis([{5: Fraction(1)}]) == [{5: Fraction(1)}]
+    vec = {0: Fraction(2), 3: Fraction(-4)}
+    reduced = reduced_echelon_basis([vec])
+    assert reduced == [{0: Fraction(-1, 2), 3: Fraction(1)}]
+    assert all(type(x) is Fraction for x in reduced[0].values())
+    assert vec == {0: Fraction(2), 3: Fraction(-4)}  # the input is left as it was
+
+
+def test_reduced_echelon_basis_refuses_dependent_vectors():
+    a, b = {0: Fraction(1), 2: Fraction(1)}, {1: Fraction(3)}
+    with pytest.raises(InternalCheckError):
+        reduced_echelon_basis([a, b, {0: Fraction(2), 1: Fraction(1), 2: Fraction(2)}])
+
+
+def mixed(canonical, rnd: random.Random):
+    """An invertible combination of ``canonical``: each vector plus multiples of later ones, scaled, then shuffled."""
+    out = []
+    for i, vec in enumerate(canonical):
+        scale = Fraction(rnd.choice([-3, -1, 2, 5]), rnd.choice([1, 2, 7]))
+        combo = {k: scale * x for k, x in vec.items()}
+        for other in canonical[i + 1:]:
+            factor = Fraction(rnd.randint(-2, 2), rnd.randint(1, 3))
+            for k, x in other.items():
+                combo[k] = combo.get(k, Fraction(0)) + factor * x
+        out.append({k: x for k, x in combo.items() if x})
+    rnd.shuffle(out)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_subsets(), st.randoms(use_true_random=False))
+def test_reduced_echelon_basis_of_any_kernel_basis_is_the_canonical_one(drawn, rnd):
+    g, subset = drawn
+    for vertices in (subset, range(g.n)):
+        canonical = null_basis_on(g.adjacency, vertices)
+        reduced = reduced_echelon_basis(mixed(canonical, rnd))
+        assert reduced == canonical
+        assert all(type(x) is Fraction and x != 0 for vec in reduced for x in vec.values())
+
+
+def test_reduced_echelon_basis_takes_vectors_in_any_order():
+    g = hub_forest(2, extra=1)
+    canonical = null_basis_on(g.adjacency, range(g.n))
+    assert len(canonical) == 6  # 720 orders
+    rnd = random.Random(7)
+    basis = mixed(canonical, rnd)
+    for order in permutations(basis):
+        assert reduced_echelon_basis(order) == canonical

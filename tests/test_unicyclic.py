@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nulldecomp import GeneratorSpec, Graph, classify, constructed_null_basis, generate_unicyclic, parse_edge_list
 from nulldecomp.checks import _kernel_decomposition
-from nulldecomp.errors import UnsupportedGraphClass
+from nulldecomp.errors import BiasUnsatisfied, UnsupportedGraphClass
 from nulldecomp.linalg import is_zero_vector, mat_vec, null_space_basis, same_span
 from nulldecomp.trees import forest_decomposition
 from nulldecomp.unicyclic import (
@@ -27,12 +28,14 @@ from nulldecomp.unicyclic import (
 )
 
 from conftest import (
+    assert_reduced_basis_is_eliminated_basis,
     assert_zero_free_inside,
     cycle_graph,
     cycle_with_attachments,
     dense,
     forests_with_subsets,
     path_graph,
+    shuffled,
 )
 
 
@@ -230,7 +233,7 @@ def test_type1_pendant_vectors_present(ex_type1):
     matrix = ex_type1.adjacency_matrix()
     for vec in written_out(ex_type1, basis.vectors):
         assert is_zero_vector(mat_vec(matrix, vec))
-    assert same_span(written_out(ex_type1, basis.vectors), written_out(ex_type1, rref_null_basis(ex_type1).vectors))
+    assert same_span(written_out(ex_type1, basis.vectors), written_out(ex_type1, rref_null_basis(ex_type1, cls).vectors))
 
 
 def test_provenance_layout_by_case(families):
@@ -296,7 +299,7 @@ def test_degenerate_full_support_regression():
     assert len(basis.vectors) == len(null_space_basis(matrix))
     for vec in written_out(g, basis.vectors):
         assert is_zero_vector(mat_vec(matrix, vec))
-    assert same_span(written_out(g, basis.vectors), written_out(g, rref_null_basis(g).vectors))
+    assert same_span(written_out(g, basis.vectors), written_out(g, rref_null_basis(g, cls).vectors))
 
 
 def test_constructed_basis_of_a_large_graph_builds_on_sparse_kernels():
@@ -358,3 +361,52 @@ def test_cycle_alternating_vectors_combine_on_supports(length, tail):
     basis = constructed_null_basis(g, cls)
     assert time.perf_counter() - started < 2.0
     assert basis.provenance[-2:] == (CYCLE_ALTERNATING, CYCLE_ALTERNATING)
+
+
+# -- the canonical basis of a unicyclic graph is its constructed basis in
+# -- reduced echelon form, equal to the whole-graph elimination
+
+
+def test_reduced_basis_is_eliminated_basis_on_the_case_families(families, ex_type1, ex_star, ex_five_cycle, ex_four_cycle):
+    for g in [ex_type1, ex_star, ex_five_cycle, ex_four_cycle] + [g for family in families.values() for g in family]:
+        assert_reduced_basis_is_eliminated_basis(g)
+
+
+def _shuffled_unicyclic(n: int, seed: int) -> Graph | None:
+    """A generated graph, its cycle of length 4 or 8 every other time, with its labels shuffled; None if the bias fails."""
+    length = (None, 4, None, 8 if n >= 8 else 4)[seed % 4]
+    spec = GeneratorSpec(n=n, cycle_length=length, seed=seed, class_bias=(None, TYPE1, TYPE2)[seed % 3])
+    try:
+        return shuffled(generate_unicyclic(spec), random.Random(seed))
+    except BiasUnsatisfied:
+        return None
+
+
+def test_reduced_basis_is_eliminated_basis_on_shuffled_generated_graphs():
+    # TI-4's corrected vector and TII-4k's z1, z2 hold coordinates other
+    # than 1 and -1 on some of these graphs, so the pass normalizes leads
+    # and clears with general factors.
+    cases, fractional = set(), set()
+    for seed in range(240):
+        g = _shuffled_unicyclic(5 + seed % 30, seed)
+        if g is None:
+            continue
+        cls = classify(g)
+        cases.add(cls.case)
+        basis = constructed_null_basis(g, cls)
+        if any(
+            prov in (CORRECTED, CYCLE_ALTERNATING) and any(abs(x) != 1 for x in vec.values())
+            for vec, prov in zip(basis.vectors, basis.provenance)
+        ):
+            fractional.add(cls.case)
+        assert_reduced_basis_is_eliminated_basis(g)
+    assert cases == {"TI-1", "TI-2", "TI-3", "TI-4", "TII-non4k", "TII-4k"}
+    assert fractional == {"TI-4", "TII-4k"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=5, max_value=40), st.integers(min_value=0, max_value=100_000))
+def test_reduced_basis_is_eliminated_basis_on_random_shuffled_graphs(n, seed):
+    g = _shuffled_unicyclic(n, seed)
+    if g is not None:
+        assert_reduced_basis_is_eliminated_basis(g)
