@@ -13,10 +13,10 @@ Every kernel the battery reads comes from the dense reference
 g's adjacency lists, never from a production kernel of ``linalg``
 (``null_basis_on``, ``forest_null_basis_on``); A(G)·v sums v over those
 lists.  Read back as zero-free ``{index: Fraction}`` dicts, the production
-format, they hold ``rref_null_basis`` vector for vector in ``basis_count``.
-On every classified graph that is the constructed basis's own route: a
-forest's constructed basis itself, a unicyclic graph's brought to reduced
-echelon form.  So a bug in either production kernel or in that reduction,
+format, they hold ``rref_null_basis`` of the constructed basis vector for
+vector in ``basis_count``, the one basis a run builds: a forest's
+constructed basis itself, a unicyclic graph's brought to reduced echelon
+form.  So a bug in either production kernel or in that reduction,
 or a stored 0, fails a check instead of being checked against itself.  Only
 ``span_equality`` writes vectors out densely.
 
@@ -110,7 +110,7 @@ def run_checks(g: Graph) -> dict[str, bool]:
     _guarded(checks, "basis_count", lambda: (
         built
         and len(constructed.vectors) == len(canonical) == route.nullity
-        and rref_null_basis(g, cls).vectors == tuple(canonical)
+        and rref_null_basis(constructed).vectors == tuple(canonical)
     ))
 
     _guarded(checks, "structural_matches_basis", lambda: (

@@ -7,12 +7,12 @@ Two independent routes produce the one record ``trees.Decomposition``:
 * ``decomposition_from_basis`` reads the sets off a kernel basis of the
   whole adjacency matrix through ``kernel_decomposition``, the one kernel
   reading.  By default, and so in ``analyze`` on a unicyclic graph, that is
-  the canonical basis ``unicyclic.rref_null_basis`` gives for the class in
-  hand, the one place that picks a whole-graph kernel: a forest's comes off
-  a maximum matching, a unicyclic graph's is its constructed basis brought
-  to reduced echelon form, with no whole-graph elimination.  The check
-  battery passes the dense RREF kernel instead, so its reading never shares
-  the production kernel.  This is the source of truth.
+  ``unicyclic.rref_null_basis`` of the basis ``constructed_null_basis``
+  builds for the class in hand, the one place that turns a constructed
+  basis canonical: a forest's is its own, off a maximum matching, and a
+  unicyclic graph's goes to reduced echelon form, with no whole-graph
+  elimination.  The check battery passes the dense RREF kernel instead, so
+  its reading never shares the production kernel: the source of truth.
 * ``structural_decomposition`` assembles the same sets from pendant-tree and
   complement decompositions according to the six-way case split that
   ``unicyclic.classify`` decides (four Type I cases by how the complement
@@ -47,6 +47,7 @@ from .unicyclic import (
     TYPE1,
     UnicyclicClass,
     classify,
+    constructed_null_basis,
     recursion_nullity,
     rref_null_basis,
 )
@@ -69,8 +70,8 @@ def decomposition_from_basis(g: Graph, basis: Sequence[Vector] | None = None) ->
 
     ``classify`` refuses a graph that is neither a forest nor unicyclic
     before any kernel is computed.  A caller that already holds a basis of
-    A(g) passes it in, and A(g) is not reduced again; without one the
-    canonical basis comes from ``rref_null_basis`` for that class, as in
+    A(g) passes it in, and A(g) is not reduced again; without one it is
+    ``rref_null_basis`` of the basis constructed for that class, as in
     ``analyze`` on a unicyclic graph, so a forest's is read off a maximum
     matching and a unicyclic graph's is reduced from its constructed basis.
     """
@@ -82,7 +83,7 @@ def _whole_graph_reading(
 ) -> Decomposition:
     """``decomposition_from_basis`` for a caller that holds ``cls = classify(g)``."""
     if basis is None:
-        basis = rref_null_basis(g, cls).vectors
+        basis = rref_null_basis(constructed_null_basis(g, cls)).vectors
     return replace(kernel_decomposition(g, basis, frozenset(range(g.n))), cls=cls)
 
 

@@ -26,22 +26,22 @@ which, and yields the cycle and the pendant trees.  Every route takes its
 result as it is and checks nothing again; the class carries the cycle, the
 pendant trees and the forest decompositions every later construction reads.
 Those come from maximum matchings (``trees``), each of a vertex set of the
-graph itself, so no subgraph is built.  A whole forest's canonical basis,
-for ``rref_null_basis`` and ``constructed_null_basis`` alike, is read off a
-maximum matching by ``linalg.forest_null_basis_on``, with no elimination.
-The sparse elimination ``linalg.null_basis_on`` gives each subforest kernel
-the Type I / Type II bases (private to ``constructed_null_basis``) assemble.
+graph itself, so no subgraph is built.  A whole forest's constructed basis
+is its canonical one, read off a maximum matching by
+``linalg.forest_null_basis_on``, with no elimination.  The sparse
+elimination ``linalg.null_basis_on`` gives each subforest kernel the
+Type I / Type II bases (private to ``constructed_null_basis``) assemble.
 Both read g's adjacency lists and answer in g's own indices: no dense
-matrix, no subgraph, no position map.  ``rref_null_basis`` of a unicyclic
-graph takes the class its caller holds and brings the constructed basis to
-reduced echelon form (``linalg.reduced_echelon_basis``), which is the
-canonical basis, so no elimination runs over the whole graph.  Only a graph
-that ``classify`` refuses is eliminated whole, in ``canonical_null_basis``,
-which ``basis --method rref`` calls.  Each vector is the dict of its nonzero
-coordinates (``linalg.Vector``), and each step touches only those.
-``checks`` verifies all of them against the dense RREF kernel of A(G): the
-constructed bases by span and exact annihilation, ``rref_null_basis``
-vector for vector.
+matrix, no subgraph, no position map.  ``rref_null_basis`` reads only the
+basis its caller built: a forest's it returns as it is, any other it brings
+to reduced echelon form (``linalg.reduced_echelon_basis``), the canonical
+basis, so no elimination runs over the whole graph and no basis is built
+twice.  Only a graph that ``classify`` refuses is eliminated whole, in
+``canonical_null_basis``, which ``basis --method rref`` calls.  Each vector
+is the dict of its nonzero coordinates (``linalg.Vector``), and each step
+touches only those.  ``checks`` verifies all of them against the dense RREF
+kernel of A(G): the constructed bases by span and exact annihilation, their
+``rref_null_basis`` vector for vector.
 """
 
 from __future__ import annotations
@@ -235,27 +235,26 @@ def _recursion(length: int, witness_tree: Decomposition | None, complement: Deco
     return complement.nullity + (cycle_nullity(length) if witness_tree is None else witness_tree.nullity)
 
 
-def rref_null_basis(g: Graph, cls: UnicyclicClass | None) -> NullBasis:
-    """Canonical kernel basis of A(g), tagged RrefCanonical, for ``cls = classify(g)``.
+def rref_null_basis(basis: NullBasis) -> NullBasis:
+    """The canonical kernel basis, tagged RrefCanonical, of the kernel ``basis`` spans.
 
-    A forest's is its constructed basis.  A unicyclic graph's is its
-    constructed basis brought to reduced echelon form
-    (``linalg.reduced_echelon_basis``), which is the canonical one, so no
-    elimination runs over the whole graph.  The class is taken as given.
+    A basis already tagged RrefCanonical throughout (a forest's constructed
+    basis, or an empty one) comes back as it is.  Any other is brought to
+    reduced echelon form (``linalg.reduced_echelon_basis``), which is the
+    canonical one, so no elimination runs over the whole graph.
     """
-    basis = constructed_null_basis(g, cls)
-    if cls is None:
+    if all(tag == RREF_CANONICAL for tag in basis.provenance):
         return basis
     return _canonical(reduced_echelon_basis(basis.vectors))
 
 
 def canonical_null_basis(g: Graph) -> NullBasis:
-    """``rref_null_basis`` on any graph, after one ``classify``; a graph it refuses is eliminated whole."""
+    """``rref_null_basis`` of g's constructed basis; a graph ``classify`` refuses is eliminated whole."""
     try:
         cls = classify(g)
     except UnsupportedGraphClass:
         return _canonical(null_basis_on(g.adjacency, range(g.n)))
-    return rref_null_basis(g, cls)
+    return rref_null_basis(constructed_null_basis(g, cls))
 
 
 def _canonical(vectors: list[Vector]) -> NullBasis:
@@ -327,7 +326,7 @@ def constructed_null_basis(g: Graph, cls: UnicyclicClass | None) -> NullBasis:
 
     A forest has no class (``cls`` is None, as in ``Decomposition.cls``) and
     gets the canonical basis off a maximum matching (``forest_null_basis_on``),
-    which is also ``rref_null_basis`` of a forest.  The class is taken as given,
+    which ``rref_null_basis`` returns as it is.  The class is taken as given,
     not checked, but a cycle under None raises NotForest.
     """
     if cls is None:

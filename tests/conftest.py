@@ -14,7 +14,7 @@ from functools import partial
 import pytest
 from hypothesis import strategies as st
 
-from nulldecomp import Graph, GeneratorSpec, classify, generate_unicyclic, parse_edge_list
+from nulldecomp import Graph, GeneratorSpec, classify, constructed_null_basis, generate_unicyclic, parse_edge_list
 from nulldecomp.checks import _kernel_case, _kernel_decomposition
 from nulldecomp.linalg import null_basis_on
 from nulldecomp.trees import forest_decomposition
@@ -204,7 +204,7 @@ def assert_reduced_basis_is_eliminated_basis(g: Graph) -> None:
 
     Tuple for tuple, every coordinate a ``Fraction`` and no 0 stored.
     """
-    reduced = rref_null_basis(g, classify(g)).vectors
+    reduced = rref_null_basis(constructed_null_basis(g, classify(g))).vectors
     assert reduced == tuple(null_basis_on(g.adjacency, range(g.n))), g.to_edge_list()
     assert all(type(x) is Fraction and x != 0 for vec in reduced for x in vec.values()), g.to_edge_list()
 

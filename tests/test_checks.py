@@ -1,11 +1,11 @@
 """The check battery: the failure minimizer keeps the failure it started
-from, one run reduces each matrix once and classifies the graph once (as
-do ``analyze`` and ``basis``), the matching route's sets are held to the
-kernel reading on forests too, the case is held to its kernel definition,
-a check that raises fails only itself, a constructed basis that raises
-fails every check on its vectors (a forest's too), long cycles with a
-pendant tree at every cycle vertex pass in every case, and one run
-decomposes no vertex set twice."""
+from, one run reduces each matrix once, classifies the graph once and
+builds its kernel basis once (as do ``analyze`` and ``basis``), the
+matching route's sets are held to the kernel reading on forests too, the
+case is held to its kernel definition, a check that raises fails only
+itself, a constructed basis that raises fails every check on its vectors
+(a forest's too), long cycles with a pendant tree at every cycle vertex
+pass in every case, and one run decomposes no vertex set twice."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import pytest
 
-from nulldecomp import Graph, checks, classify, decomposition, linalg, parse_edge_list, run_checks
+from nulldecomp import Graph, checks, classify, constructed_null_basis, decomposition, linalg, parse_edge_list, run_checks
 from nulldecomp.checks import minimize_failing_graph
 from nulldecomp.cli import main
 from nulldecomp.errors import CaseContradiction, NormalizationFailure, OddNSet
@@ -151,24 +151,36 @@ def test_a_constructed_basis_that_raises_fails_the_checks_on_its_vectors(monkeyp
 
 @pytest.mark.parametrize("example", ["ex_type1", "ex_four_cycle", "forest"])
 def test_run_checks_classifies_once(monkeypatch, capsys, request, example):
-    # So do `analyze` and `basis` by either method, on a forest too.
+    # It builds g's kernel basis once too.  So do `analyze` and `basis` by
+    # either method, on a forest too, except that analyze reads a forest off
+    # a maximum matching and builds no basis.
     g = path_graph(5) if example == "forest" else request.getfixturevalue(example)
-    calls = []
+    calls, built = [], []
 
     def counting(h):
         calls.append(h)
         return classify(h)
 
+    def building(h, cls):
+        built.append(h)
+        return constructed_null_basis(h, cls)
+
     for name, module in list(sys.modules.items()):
-        if name.startswith("nulldecomp") and getattr(module, "classify", None) is classify:
+        if not name.startswith("nulldecomp"):
+            continue
+        if getattr(module, "classify", None) is classify:
             monkeypatch.setattr(module, "classify", counting)
+        if getattr(module, "constructed_null_basis", None) is constructed_null_basis:
+            monkeypatch.setattr(module, "constructed_null_basis", building)
     assert all(run_checks(g).values())
-    assert calls == [g]
+    assert calls == built == [g]
     for argv in (["analyze", "-"], ["basis", "-", "--method", "structural"], ["basis", "-", "--method", "rref"]):
         calls.clear()
+        built.clear()
         monkeypatch.setattr(sys, "stdin", io.StringIO(g.to_edge_list()))
         assert main(argv) == 0
         assert calls == [g]
+        assert built == ([] if argv[0] == "analyze" and example == "forest" else [g]), argv
     capsys.readouterr()
 
 

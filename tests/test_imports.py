@@ -8,8 +8,8 @@ off the dense ``null_space_basis`` / ``rref``, never off a sparse
 production kernel of ``linalg``.  And dense vectors stay on that side: no
 module but ``linalg`` and ``checks`` imports a dense reference function.
 No module but ``unicyclic`` imports a production kernel or the pass that
-reduces a constructed basis to the canonical one, so the choice of a
-whole-graph kernel lives in ``rref_null_basis`` alone.
+reduces a constructed basis to the canonical one, so a constructed basis
+turns canonical in ``rref_null_basis(basis)`` alone.
 
 Edge lists are validated in one place: ``SelfLoop`` and ``DuplicateEdge``
 are each constructed at one call site, in ``graph.py``, so the parser and
@@ -147,9 +147,10 @@ def test_only_linalg_and_checks_import_the_dense_reference():
 
 
 def test_only_unicyclic_imports_a_production_kernel():
-    # rref_null_basis is the one place that picks a whole-graph kernel, and
-    # the constructed bases read every subforest kernel; decomposition reads
-    # its default basis through rref_null_basis.
+    # rref_null_basis(basis) is the one place that turns a constructed basis
+    # canonical, and the constructed bases read every subforest kernel;
+    # decomposition reads its default basis as
+    # rref_null_basis(constructed_null_basis(g, cls)).
     assert KERNELS - {"reduced_echelon_basis"} <= sparse_kernels()
     linalg = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
     assert "reduced_echelon_basis" in {node.name for node in linalg.body if isinstance(node, ast.FunctionDef)}

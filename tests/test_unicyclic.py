@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import random
 import time
 from dataclasses import fields
@@ -20,8 +21,10 @@ from nulldecomp.unicyclic import (
     EXTENDED_COMPLEMENT,
     EXTENDED_FOREST,
     EXTENDED_PENDANT,
+    RREF_CANONICAL,
     TYPE1,
     TYPE2,
+    NullBasis,
     cycle_nullity,
     recursion_nullity,
     rref_null_basis,
@@ -34,6 +37,7 @@ from conftest import (
     cycle_with_attachments,
     dense,
     forests_with_subsets,
+    hub_forest,
     path_graph,
     shuffled,
 )
@@ -233,7 +237,7 @@ def test_type1_pendant_vectors_present(ex_type1):
     matrix = ex_type1.adjacency_matrix()
     for vec in written_out(ex_type1, basis.vectors):
         assert is_zero_vector(mat_vec(matrix, vec))
-    assert same_span(written_out(ex_type1, basis.vectors), written_out(ex_type1, rref_null_basis(ex_type1, cls).vectors))
+    assert same_span(written_out(ex_type1, basis.vectors), written_out(ex_type1, rref_null_basis(basis).vectors))
 
 
 def test_provenance_layout_by_case(families):
@@ -299,7 +303,7 @@ def test_degenerate_full_support_regression():
     assert len(basis.vectors) == len(null_space_basis(matrix))
     for vec in written_out(g, basis.vectors):
         assert is_zero_vector(mat_vec(matrix, vec))
-    assert same_span(written_out(g, basis.vectors), written_out(g, rref_null_basis(g, cls).vectors))
+    assert same_span(written_out(g, basis.vectors), written_out(g, rref_null_basis(basis).vectors))
 
 
 def test_constructed_basis_of_a_large_graph_builds_on_sparse_kernels():
@@ -370,6 +374,24 @@ def test_cycle_alternating_vectors_combine_on_supports(length, tail):
 def test_reduced_basis_is_eliminated_basis_on_the_case_families(families, ex_type1, ex_star, ex_five_cycle, ex_four_cycle):
     for g in [ex_type1, ex_star, ex_five_cycle, ex_four_cycle] + [g for family in families.values() for g in family]:
         assert_reduced_basis_is_eliminated_basis(g)
+
+
+def test_rref_null_basis_reads_only_the_basis_it_is_given(families, ex_type1, ex_star, ex_five_cycle, ex_four_cycle):
+    # The argument comes back untouched, a second pass changes nothing, even
+    # with the tags that let a canonical basis through taken away, and a
+    # forest's constructed basis, canonical already, is returned as it is.
+    graphs = [ex_type1, ex_star, ex_five_cycle, ex_four_cycle, path_graph(7), hub_forest(3, extra=1)]
+    for g in graphs + [g for family in families.values() for g in family]:
+        cls = classify(g)
+        basis = constructed_null_basis(g, cls)
+        before = copy.deepcopy(basis)
+        reduced = rref_null_basis(basis)
+        assert basis == before, g.to_edge_list()
+        assert set(reduced.provenance) <= {RREF_CANONICAL}
+        retagged = NullBasis(reduced.vectors, (CORRECTED,) * len(reduced.vectors))
+        assert rref_null_basis(reduced) == rref_null_basis(retagged) == reduced, g.to_edge_list()
+        if cls is None:
+            assert basis.vectors and (reduced.vectors, reduced.provenance) == (before.vectors, before.provenance)
 
 
 def _shuffled_unicyclic(n: int, seed: int) -> Graph | None:
