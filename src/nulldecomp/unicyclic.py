@@ -28,9 +28,11 @@ pendant trees and the forest decompositions every later construction reads.
 Those come from maximum matchings (``trees``), each of a vertex set of the
 graph itself, so no subgraph is built.  A whole forest's constructed basis
 is its canonical one, read off a maximum matching by
-``linalg.forest_null_basis_on``, with no elimination.  The sparse
-elimination ``linalg.null_basis_on`` gives each subforest kernel the
-Type I / Type II bases (private to ``constructed_null_basis``) assemble.
+``linalg.forest_null_basis_on``, with no elimination, and so is each
+pendant-tree kernel the Type I / Type II bases (private to
+``constructed_null_basis``) assemble: T_v, T_v - v and every tree under z1
+and z2.  The sparse elimination ``linalg.null_basis_on`` gives only their
+complement kernel, of G - T_v or G - C.
 Both read g's adjacency lists and answer in g's own indices: no dense
 matrix, no subgraph, no position map.  ``rref_null_basis`` reads only the
 basis its caller built: a forest's it returns as it is, any other it brings
@@ -279,16 +281,16 @@ def _type1_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
         neighbors = [t for t in g.neighbors(v) if t in sub]
         # The neighbor-sum must be nonzero or the corrected vector falls into the
         # extended pendant-tree span; full_support_vector raises if it cannot be.
-        y = full_support_vector(null_basis_on(g.adjacency, sub), nonzero_sum_indices=neighbors)
+        y = full_support_vector(forest_null_basis_on(g.adjacency, sub), nonzero_sum_indices=neighbors)
         coeff = -sum(y.get(t, ZERO) for t in neighbors) / cycle_sum(pivot)
         tagged.append((_add_scaled(y, coeff, pivot), CORRECTED))
         rest_basis = [
-            _add_scaled(vec, -cycle_sum(vec) / cycle_sum(pivot), pivot)
+            _add_scaled(vec, -cycle_sum(vec) / cycle_sum(pivot), pivot) if cycle_sum(vec) else vec
             for vec in rest_basis
             if vec is not pivot
         ]
     tagged += [(vec, EXTENDED_COMPLEMENT) for vec in rest_basis]
-    tagged += [(vec, EXTENDED_PENDANT) for vec in null_basis_on(g.adjacency, tree)]
+    tagged += [(vec, EXTENDED_PENDANT) for vec in forest_null_basis_on(g.adjacency, tree)]
     return NullBasis(tuple(vec for vec, _ in tagged), tuple(tag for _, tag in tagged))
 
 
@@ -309,7 +311,7 @@ def _type2_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
     if cls.cycle.length % 4 == 0:
         z: tuple[Vector, Vector] = ({}, {})  # cycle position i goes to z[i % 2], negated for i % 4 < 2
         for i, v in enumerate(cyc):
-            x = full_support_vector(null_basis_on(g.adjacency, cls.pendant_trees[v]))
+            x = full_support_vector(forest_null_basis_on(g.adjacency, cls.pendant_trees[v]))
             if x.get(v, ZERO) == 0:
                 raise NormalizationFailure(
                     f"full-support vector vanishes at cycle vertex {g.labels[v]!r}"

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from nulldecomp import GeneratorSpec, Graph, checks, classify, generate_unicyclic, linalg, parse_edge_list, run_checks, unicyclic
+from nulldecomp import GeneratorSpec, Graph, checks, classify, constructed_null_basis, generate_unicyclic, linalg, parse_edge_list, run_checks, unicyclic
 from nulldecomp.cli import main
 from nulldecomp.errors import DimensionMismatch
 from nulldecomp.linalg import ONE, ZERO, null_space_basis
@@ -131,10 +131,11 @@ EXAMPLES = ("example_type1", "example_star", "example_five_cycle", "example_four
 def test_whole_graph_kernels_need_no_dense_elimination(golden, monkeypatch, name):
     # Every production kernel, of the whole graph and of each subforest the
     # constructed Type I / Type II bases read, comes from the sparse
-    # elimination linalg.null_basis_on or, for a whole forest's basis by
-    # either method, from linalg.forest_null_basis_on, so no command here
-    # reduces a dense matrix.  seed103 is a TI-4 graph: its corrected vector
-    # reads T_v - v.
+    # elimination linalg.null_basis_on (the complements G - T_v and G - C) or
+    # off a maximum matching, from linalg.forest_null_basis_on (a whole
+    # forest, each pendant tree and T_v - v), so no command here reduces a
+    # dense matrix.  seed103 is a TI-4 graph: its corrected vector reads
+    # T_v - v.
     def refuse(*args, **kwargs):
         raise AssertionError("dense elimination or a subgraph on the production path")
 
@@ -149,7 +150,8 @@ def test_whole_graph_kernels_need_no_dense_elimination(golden, monkeypatch, name
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_constructed_bases_build_no_subgraph(golden, monkeypatch, name):
     # Every subforest kernel of the Type I / Type II bases comes from
-    # linalg.null_basis_on, which reads g's adjacency lists.
+    # linalg.null_basis_on or linalg.forest_null_basis_on, which read g's
+    # adjacency lists.
     def refuse(*args, **kwargs):
         raise AssertionError("a subgraph or a whole-graph dense matrix on the constructed basis path")
 
@@ -202,7 +204,7 @@ def _plant_kernel(monkeypatch, planted, kernel: str = "null_basis_on") -> None:
 
 
 def _whole_graph_kernel(g: Graph) -> str:
-    """The production kernel ``rref_null_basis`` reads g's basis from: a unicyclic graph's subforest kernels."""
+    """The elimination-free kernel of a forest, or the one a unicyclic graph's complement kernel comes from."""
     return "forest_null_basis_on" if classify(g) is None else "null_basis_on"
 
 
@@ -257,7 +259,7 @@ def test_basis_reads_a_forest_without_elimination(golden, monkeypatch, name):
 def test_battery_catches_a_faulty_sparse_kernel(monkeypatch, name):
     # The fault goes into the kernel g's whole-graph basis comes from:
     # forest_null_basis_on for the forest, and for example_type1 null_basis_on,
-    # which gives the subforest kernels its basis is reduced from.
+    # which gives the complement kernel (G - T_v) its basis is reduced from.
     def one_short(real, adjacency, vertices):
         return real(adjacency, vertices)[:-1]
 
@@ -301,22 +303,82 @@ def test_battery_catches_a_faulty_forest_kernel(monkeypatch):
     assert {name for name, ok in run_checks(g).items() if not ok} == {"basis_count"}
 
 
+def _one_short_below_g(real, adjacency, vertices):
+    """The kernel ``real`` gives, less its last vector on a vertex set smaller than the whole graph."""
+    vertices = frozenset(vertices)
+    basis = real(adjacency, vertices)
+    return basis if len(vertices) == len(adjacency) else basis[:-1]
+
+
 @pytest.mark.parametrize("name", ["example_type1", "example_four_cycle"])
 def test_battery_catches_a_short_subforest_kernel(monkeypatch, name):
-    # The whole-graph kernel stays right; only the subforest kernels the
-    # constructed basis assembles lose their last vector.
-    def one_short_below_g(real, adjacency, vertices):
-        vertices = frozenset(vertices)
-        basis = real(adjacency, vertices)
-        return basis if len(vertices) == len(adjacency) else basis[:-1]
-
+    # The whole-graph kernel stays right; only the complement kernel the
+    # constructed basis assembles (G - T_v, G - C) loses its last vector.
     g = CORPUS[name]
     assert all(run_checks(g).values())
-    _plant_kernel(monkeypatch, one_short_below_g)
+    _plant_kernel(monkeypatch, _one_short_below_g)
     whole = unicyclic.null_basis_on(g.adjacency, range(g.n))
     assert [dense(vec, g.n) for vec in whole] == null_space_basis(g.adjacency_matrix())
     checks = run_checks(g)
     assert checks["basis_count"] is False or checks["span_equality"] is False
+
+
+@pytest.mark.parametrize("name", ["example_type1", "example_four_cycle"])
+def test_battery_catches_a_short_pendant_kernel(monkeypatch, name):
+    # The pendant-tree kernels come off a maximum matching: example_type1's
+    # T_v (TI-3) and example_four_cycle's trees under z1 and z2 (TII-4k) lose
+    # their last vector there, and the battery sees it.
+    g = CORPUS[name]
+    assert all(run_checks(g).values())
+    _plant_kernel(monkeypatch, _one_short_below_g, "forest_null_basis_on")
+    checks = run_checks(g)
+    assert checks["basis_count"] is False or checks["span_equality"] is False
+
+
+@pytest.mark.parametrize("name", sorted(name for name, g in CORPUS.items() if classify(g) is not None))
+def test_no_pendant_tree_is_eliminated(golden, monkeypatch, name):
+    # Each pendant tree's kernel, and T_v - v's, comes off a maximum matching,
+    # so the outputs and the check map stay the same with null_basis_on
+    # refused on every vertex set inside one pendant tree.  Only the
+    # complement (G - T_v or G - C) is eliminated; G - C lies inside one
+    # pendant tree when every other tree is its lone cycle vertex.
+    g = CORPUS[name]
+    cls = classify(g)
+    cut = cls.cycle.vertex_set() if cls.witness is None else cls.pendant_trees[cls.witness]
+    complement = frozenset(range(g.n)) - cut
+
+    def refuse_pendant(real, adjacency, vertices):
+        vertices = frozenset(vertices)
+        if vertices != complement and any(vertices <= tree for tree in cls.pendant_trees.values()):
+            raise AssertionError("an elimination inside a pendant tree")
+        return real(adjacency, vertices)
+
+    _plant_kernel(monkeypatch, refuse_pendant)
+    for key in ("analyze", "basis_structural", "basis_rref"):
+        assert _digest(_cli_output(COMMANDS[key], g.to_edge_list())) == golden[name][key], key
+    checks = run_checks(g)
+    assert all(checks.values())
+    assert _digest(json.dumps(sorted(checks.items()))) == golden[name]["checks"]
+
+
+def test_a_complement_vector_is_corrected_only_when_its_cycle_sum_is_nonzero(monkeypatch):
+    # TI-4 adds a multiple of the pivot to a complement vector only to zero
+    # its sum at the witness's cycle neighbors, so each call changes a vector:
+    # the corrected one, and the 8 of the 27 other complement vectors whose
+    # sum is nonzero.
+    real = unicyclic._add_scaled
+    coefficients = []
+
+    def counted(vec, coeff, other):
+        coefficients.append(coeff)
+        return real(vec, coeff, other)
+
+    monkeypatch.setattr(unicyclic, "_add_scaled", counted)
+    ti4 = [(g, cls) for g in CORPUS.values() if (cls := classify(g)) is not None and cls.case == "TI-4"]
+    for g, cls in ti4:
+        constructed_null_basis(g, cls)
+    assert len(ti4) == 15 and len(coefficients) == 23
+    assert all(coefficients)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from nulldecomp import GeneratorSpec, Graph, classify, constructed_null_basis, generate_unicyclic, parse_edge_list
 from nulldecomp.checks import _kernel_decomposition
 from nulldecomp.errors import BiasUnsatisfied, UnsupportedGraphClass
-from nulldecomp.linalg import is_zero_vector, mat_vec, null_space_basis, same_span
+from nulldecomp.linalg import forest_null_basis_on, is_zero_vector, mat_vec, null_basis_on, null_space_basis, same_span
 from nulldecomp.trees import forest_decomposition
 from nulldecomp.unicyclic import (
     CORRECTED,
@@ -41,6 +41,7 @@ from conftest import (
     path_graph,
     shuffled,
 )
+from test_exhaustive import MAX_N, _unicyclic_graph, unicyclic_graphs
 
 
 def coords(g: Graph, vec) -> dict[str, Fraction]:
@@ -307,8 +308,9 @@ def test_degenerate_full_support_regression():
 
 
 def test_constructed_basis_of_a_large_graph_builds_on_sparse_kernels():
-    # Every subforest kernel comes from the sparse elimination; with dense
-    # subforest kernels this took 20-26 s.
+    # Every subforest kernel comes from a sparse kernel (the complement's
+    # elimination, the pendant trees' matching); with dense subforest
+    # kernels this took 20-26 s.
     g = generate_unicyclic(GeneratorSpec(n=800, seed=3))
     cls = classify(g)
     assert cls.case == "TI-4"
@@ -432,3 +434,32 @@ def test_reduced_basis_is_eliminated_basis_on_random_shuffled_graphs(n, seed):
     g = _shuffled_unicyclic(n, seed)
     if g is not None:
         assert_reduced_basis_is_eliminated_basis(g)
+
+
+# -- every pendant-tree kernel comes off a maximum matching, and it is the
+# -- one the elimination gives
+
+
+def assert_pendant_kernels_are_eliminated_kernels(g: Graph) -> None:
+    """For each pendant tree T_v, ``forest_null_basis_on`` on T_v and T_v - v equals ``null_basis_on``, tuple for tuple."""
+    for v, tree in classify(g).pendant_trees.items():
+        for vertices in (tree, tree - {v}):
+            got = forest_null_basis_on(g.adjacency, vertices)
+            assert got == null_basis_on(g.adjacency, vertices), (g.to_edge_list(), sorted(vertices))
+
+
+def test_pendant_kernels_are_eliminated_kernels_on_every_small_unicyclic_graph():
+    graphs = [_unicyclic_graph(seq) for n in range(3, MAX_N + 1) for seq in unicyclic_graphs(n)]
+    assert len(graphs) == 1040
+    for g in graphs:
+        assert_pendant_kernels_are_eliminated_kernels(g)
+
+
+def test_pendant_kernels_are_eliminated_kernels_on_shuffled_generated_graphs():
+    cases = set()
+    for seed in range(240):
+        g = _shuffled_unicyclic(5 + seed % 30, seed)
+        if g is not None:
+            cases.add(classify(g).case)
+            assert_pendant_kernels_are_eliminated_kernels(g)
+    assert cases == {"TI-1", "TI-2", "TI-3", "TI-4", "TII-non4k", "TII-4k"}
