@@ -9,16 +9,17 @@ Two production kernels give the canonical kernel basis of the subgraph a
 vertex set induces, read straight from the whole graph's adjacency lists and
 in the whole graph's indices.  ``null_basis_on(adjacency, vertices)`` works
 on any graph, by sparse Gauss-Jordan elimination: only the complement
-kernel of the constructed Type I / Type II bases (G - T_v or G - C) comes
-from it, and the whole-graph basis of a graph that is neither a forest nor
-unicyclic, which only ``basis --method rref`` asks for.
+kernel of the constructed Type I basis (G - T_v) comes from it, and the
+whole-graph basis of a graph that is neither a forest nor unicyclic, which
+only ``basis --method rref`` asks for.
 ``forest_null_basis_on`` gives the same basis for a vertex set that induces
 a forest, with no elimination: its pivots come from a maximum matching
 (Cvetković & Gutman 1972), and its entries are all ±1 (Sander & Sander, LAA
 405, 2005).  A whole forest's basis comes from it, by either method of
-``basis``, and so does every pendant-tree kernel of a unicyclic graph's
-construction (each T_v, and T_v - v for TI-4).  A unicyclic graph's canonical
-basis, which ``analyze`` reads, is no elimination of the whole graph:
+``basis``, and so does every other subforest kernel of a unicyclic graph's
+construction: each T_v, T_v - v for TI-4, and Type II's G - C.  A
+unicyclic graph's canonical basis, which ``analyze`` reads, is no
+elimination of the whole graph:
 ``reduced_echelon_basis`` brings its constructed basis to reduced echelon
 form in one pass, and that form is the canonical one.  Only ``unicyclic``
 calls these three.  The dense ``rref`` / ``null_space_basis`` on lists of

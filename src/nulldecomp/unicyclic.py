@@ -29,10 +29,11 @@ Those come from maximum matchings (``trees``), each of a vertex set of the
 graph itself, so no subgraph is built.  A whole forest's constructed basis
 is its canonical one, read off a maximum matching by
 ``linalg.forest_null_basis_on``, with no elimination, and so is each
-pendant-tree kernel the Type I / Type II bases (private to
-``constructed_null_basis``) assemble: T_v, T_v - v and every tree under z1
-and z2.  The sparse elimination ``linalg.null_basis_on`` gives only their
-complement kernel, of G - T_v or G - C.
+forest kernel the Type I / Type II bases (private to
+``constructed_null_basis``) assemble: T_v, T_v - v, every tree under z1
+and z2, and Type II's G - C.  The sparse elimination
+``linalg.null_basis_on`` gives only Type I's complement kernel, of G - T_v,
+so no Type II graph is eliminated anywhere.
 Both read g's adjacency lists and answer in g's own indices: no dense
 matrix, no subgraph, no position map.  ``rref_null_basis`` reads only the
 basis its caller built: a forest's it returns as it is, any other it brings
@@ -303,9 +304,14 @@ def _add_scaled(vec: Vector, coeff: Fraction, other: Vector) -> Vector:
 
 
 def _type2_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
-    """Kernel basis of a Type II unicyclic graph built from subforest kernels."""
+    """Kernel basis of a Type II unicyclic graph built from subforest kernels.
+
+    G - C induces a forest, so its canonical kernel comes off a maximum
+    matching (``forest_null_basis_on``), as each pendant tree's under z1 and
+    z2 does: nothing here is eliminated.
+    """
     cyc = cls.cycle.vertices
-    vectors = null_basis_on(g.adjacency, frozenset(range(g.n)) - cls.cycle.vertex_set())
+    vectors = forest_null_basis_on(g.adjacency, frozenset(range(g.n)) - cls.cycle.vertex_set())
     provenance = [EXTENDED_FOREST] * len(vectors)
 
     if cls.cycle.length % 4 == 0:

@@ -173,6 +173,31 @@ def test_basis_of_a_large_forest_in_linear_time(tmp_path, capsys, family, nullit
     assert elapsed < 1.0
 
 
+def cycle_with_a_pendant_path(length: int, path: int) -> str:
+    """The cycle a0 .. a{length - 1} with a path of ``path`` vertices joined at a0, labels in path order."""
+    cycle = "".join(f"a{i} a{(i + 1) % length}\n" for i in range(length))
+    return cycle + "a0 p00000\n" + "".join(f"p{i:05d} p{i + 1:05d}\n" for i in range(path - 1))
+
+
+@pytest.mark.parametrize("length, case, nullity", [(4, "TII-4k", 2), (5, "TII-non4k", 0)])
+def test_a_type2_graph_with_a_long_pendant_path_in_linear_time(tmp_path, capsys, length, case, nullity):
+    # A Type II graph's kernel is built from kernels read off maximum
+    # matchings, of its pendant trees and of the forest G - C, and brought to
+    # the canonical one in one reduction pass, so nothing is eliminated.
+    # Eliminating G - C, here the 6,400-vertex path, took 41-54 s per command.
+    path = tmp_path / "g.edges"
+    path.write_text(cycle_with_a_pendant_path(length, 6_400))
+    for argv in (["analyze", "--json"], ["basis", "--json"], ["basis", "--json", "--method", "rref"]):
+        started = time.perf_counter()
+        code, out, _ = run(capsys, [argv[0], str(path), *argv[1:]])
+        elapsed = time.perf_counter() - started
+        data = json.loads(out)
+        assert code == 0 and data["nullity"] == nullity, argv
+        assert elapsed < 1.0, argv
+        if argv[0] == "analyze":
+            assert data["case"] == case
+
+
 def test_basis_structural_c4(capsys, monkeypatch):
     c4 = "1 2\n2 3\n3 4\n4 1\n"
     code, out, _ = run(

@@ -131,10 +131,10 @@ EXAMPLES = ("example_type1", "example_star", "example_five_cycle", "example_four
 def test_whole_graph_kernels_need_no_dense_elimination(golden, monkeypatch, name):
     # Every production kernel, of the whole graph and of each subforest the
     # constructed Type I / Type II bases read, comes from the sparse
-    # elimination linalg.null_basis_on (the complements G - T_v and G - C) or
-    # off a maximum matching, from linalg.forest_null_basis_on (a whole
-    # forest, each pendant tree and T_v - v), so no command here reduces a
-    # dense matrix.  seed103 is a TI-4 graph: its corrected vector reads
+    # elimination linalg.null_basis_on (Type I's complement G - T_v) or off a
+    # maximum matching, from linalg.forest_null_basis_on (a whole forest, each
+    # pendant tree, T_v - v and Type II's G - C), so no command here reduces
+    # a dense matrix.  seed103 is a TI-4 graph: its corrected vector reads
     # T_v - v.
     def refuse(*args, **kwargs):
         raise AssertionError("dense elimination or a subgraph on the production path")
@@ -204,7 +204,7 @@ def _plant_kernel(monkeypatch, planted, kernel: str = "null_basis_on") -> None:
 
 
 def _whole_graph_kernel(g: Graph) -> str:
-    """The elimination-free kernel of a forest, or the one a unicyclic graph's complement kernel comes from."""
+    """The elimination-free kernel of a forest, or the elimination a Type I graph's complement G - T_v comes from."""
     return "forest_null_basis_on" if classify(g) is None else "null_basis_on"
 
 
@@ -313,10 +313,22 @@ def _one_short_below_g(real, adjacency, vertices):
 @pytest.mark.parametrize("name", ["example_type1", "example_four_cycle"])
 def test_battery_catches_a_short_subforest_kernel(monkeypatch, name):
     # The whole-graph kernel stays right; only the complement kernel the
-    # constructed basis assembles (G - T_v, G - C) loses its last vector.
+    # constructed basis assembles loses its last vector.  Type I's G - T_v
+    # comes from null_basis_on; Type II's G - C comes off a maximum matching,
+    # where forest_null_basis_on is cut short on G - C alone, so the pendant
+    # trees under z1 and z2 keep their kernels (the short pendant kernel is
+    # test_battery_catches_a_short_pendant_kernel's plant).
     g = CORPUS[name]
+    cls = classify(g)
+    complement = frozenset(range(g.n)) - (cls.cycle.vertex_set() if cls.tag == TYPE2 else cls.pendant_trees[cls.witness])
+
+    def one_short_on_complement(real, adjacency, vertices):
+        vertices = frozenset(vertices)
+        basis = real(adjacency, vertices)
+        return basis[:-1] if vertices == complement else basis
+
     assert all(run_checks(g).values())
-    _plant_kernel(monkeypatch, _one_short_below_g)
+    _plant_kernel(monkeypatch, one_short_on_complement, "forest_null_basis_on" if cls.tag == TYPE2 else "null_basis_on")
     whole = unicyclic.null_basis_on(g.adjacency, range(g.n))
     assert [dense(vec, g.n) for vec in whole] == null_space_basis(g.adjacency_matrix())
     checks = run_checks(g)
@@ -339,21 +351,37 @@ def test_battery_catches_a_short_pendant_kernel(monkeypatch, name):
 def test_no_pendant_tree_is_eliminated(golden, monkeypatch, name):
     # Each pendant tree's kernel, and T_v - v's, comes off a maximum matching,
     # so the outputs and the check map stay the same with null_basis_on
-    # refused on every vertex set inside one pendant tree.  Only the
-    # complement (G - T_v or G - C) is eliminated; G - C lies inside one
-    # pendant tree when every other tree is its lone cycle vertex.
+    # refused on every vertex set inside one pendant tree.  Only Type I's
+    # complement G - T_v is eliminated, and it holds two cycle vertices at
+    # least, so it lies inside no pendant tree: no vertex set is excepted.
     g = CORPUS[name]
     cls = classify(g)
-    cut = cls.cycle.vertex_set() if cls.witness is None else cls.pendant_trees[cls.witness]
-    complement = frozenset(range(g.n)) - cut
 
     def refuse_pendant(real, adjacency, vertices):
         vertices = frozenset(vertices)
-        if vertices != complement and any(vertices <= tree for tree in cls.pendant_trees.values()):
+        if any(vertices <= tree for tree in cls.pendant_trees.values()):
             raise AssertionError("an elimination inside a pendant tree")
         return real(adjacency, vertices)
 
     _plant_kernel(monkeypatch, refuse_pendant)
+    _assert_golden_everywhere(golden, name)
+
+
+@pytest.mark.parametrize("name", sorted(name for name, g in CORPUS.items() if getattr(classify(g), "tag", None) == TYPE2))
+def test_a_type2_graph_is_never_eliminated(golden, monkeypatch, name):
+    # A Type II graph's pendant trees and its forest G - C come off maximum
+    # matchings, and the reduction pass eliminates nothing, so the outputs
+    # and the check map stay the same with null_basis_on refused outright.
+    def refuse(real, adjacency, vertices):
+        raise AssertionError("an elimination in a Type II graph")
+
+    _plant_kernel(monkeypatch, refuse)
+    _assert_golden_everywhere(golden, name)
+
+
+def _assert_golden_everywhere(golden, name: str) -> None:
+    """analyze, basis by either method and the all-True check map of CORPUS[name] give their golden bytes."""
+    g = CORPUS[name]
     for key in ("analyze", "basis_structural", "basis_rref"):
         assert _digest(_cli_output(COMMANDS[key], g.to_edge_list())) == golden[name][key], key
     checks = run_checks(g)

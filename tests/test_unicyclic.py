@@ -463,3 +463,34 @@ def test_pendant_kernels_are_eliminated_kernels_on_shuffled_generated_graphs():
             cases.add(classify(g).case)
             assert_pendant_kernels_are_eliminated_kernels(g)
     assert cases == {"TI-1", "TI-2", "TI-3", "TI-4", "TII-non4k", "TII-4k"}
+
+
+# -- the complement kernel is the one the elimination gives: Type II's G - C
+# -- comes off a maximum matching; Type I's G - T_v still comes from the
+# -- elimination, and the matching would give it too
+
+
+def assert_complement_kernel_is_eliminated_kernel(g: Graph) -> None:
+    """``forest_null_basis_on`` on G - C (Type II) or G - T_v (Type I, witness v) equals ``null_basis_on``, tuple for tuple."""
+    cls = classify(g)
+    cut = cls.cycle.vertex_set() if cls.tag == TYPE2 else cls.pendant_trees[cls.witness]
+    vertices = frozenset(range(g.n)) - cut
+    got = forest_null_basis_on(g.adjacency, vertices)
+    assert got == null_basis_on(g.adjacency, vertices), (g.to_edge_list(), sorted(vertices))
+
+
+def test_complement_kernel_is_eliminated_kernel_on_every_small_unicyclic_graph():
+    graphs = [_unicyclic_graph(seq) for n in range(3, MAX_N + 1) for seq in unicyclic_graphs(n)]
+    assert len(graphs) == 1040
+    for g in graphs:
+        assert_complement_kernel_is_eliminated_kernel(g)
+
+
+def test_complement_kernel_is_eliminated_kernel_on_shuffled_generated_graphs():
+    cases = set()
+    for seed in range(240):
+        g = _shuffled_unicyclic(5 + seed % 30, seed)
+        if g is not None:
+            cases.add(classify(g).case)
+            assert_complement_kernel_is_eliminated_kernel(g)
+    assert cases == {"TI-1", "TI-2", "TI-3", "TI-4", "TII-non4k", "TII-4k"}
