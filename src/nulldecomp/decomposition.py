@@ -6,13 +6,12 @@ Two independent routes produce the one record ``trees.Decomposition``:
 
 * ``decomposition_from_basis`` reads the sets off a kernel basis of the
   whole adjacency matrix through ``kernel_decomposition``, the one kernel
-  reading.  By default, and so in ``analyze`` on a unicyclic graph, that is
-  ``unicyclic.rref_null_basis`` of the basis ``constructed_null_basis``
-  builds for the class in hand, the one place that turns a constructed
-  basis canonical: a forest's is its own, off a maximum matching, and a
-  unicyclic graph's goes to reduced echelon form, with no whole-graph
-  elimination.  The check battery passes the dense RREF kernel instead, so
-  its reading never shares the production kernel: the source of truth.
+  reading.  A kernel's support is the union of any basis's supports, so by
+  default, as in ``analyze`` on a unicyclic graph, it reads the basis
+  ``constructed_null_basis`` builds for the class in hand as it is, with no
+  elimination of the whole graph.  The check battery passes the dense RREF
+  kernel instead, so its reading never shares the production kernel: the
+  source of truth.
 * ``structural_decomposition`` assembles the same sets from pendant-tree and
   complement decompositions according to the six-way case split that
   ``unicyclic.classify`` decides (four Type I cases by how the complement
@@ -49,7 +48,6 @@ from .unicyclic import (
     classify,
     constructed_null_basis,
     recursion_nullity,
-    rref_null_basis,
 )
 
 
@@ -66,14 +64,13 @@ def kernel_decomposition(g: Graph, basis: Sequence[Vector], vertices: frozenset[
 
 
 def decomposition_from_basis(g: Graph, basis: Sequence[Vector] | None = None) -> Decomposition:
-    """Decomposition read off a kernel basis of A(g), by default the canonical one.
+    """Decomposition read off a kernel basis of A(g), by default the constructed one.
 
     ``classify`` refuses a graph that is neither a forest nor unicyclic
     before any kernel is computed.  A caller that already holds a basis of
-    A(g) passes it in, and A(g) is not reduced again; without one it is
-    ``rref_null_basis`` of the basis constructed for that class, as in
-    ``analyze`` on a unicyclic graph, so a forest's is read off a maximum
-    matching and a unicyclic graph's is reduced from its constructed basis.
+    A(g) passes it in, and A(g) is not reduced again; without one it is the
+    basis constructed for that class, as in ``analyze`` on a unicyclic
+    graph, read as it is: the support is the same for every basis.
     """
     return _whole_graph_reading(g, classify(g), basis)
 
@@ -83,7 +80,7 @@ def _whole_graph_reading(
 ) -> Decomposition:
     """``decomposition_from_basis`` for a caller that holds ``cls = classify(g)``."""
     if basis is None:
-        basis = rref_null_basis(constructed_null_basis(g, cls)).vectors
+        basis = constructed_null_basis(g, cls).vectors
     return replace(kernel_decomposition(g, basis, frozenset(range(g.n))), cls=cls)
 
 
@@ -206,11 +203,11 @@ def analyze(g: Graph) -> AnalysisReport:
 
     ``g`` is classified once.  A forest is decomposed through a maximum
     matching (``structural_decomposition``), in time linear in g, with no
-    kernel; a unicyclic graph's decomposition is read off the canonical
-    kernel ``rref_null_basis`` reduces from its constructed basis.  The
-    report's ``checks`` map starts empty; a caller that wants the
-    cross-check battery runs ``checks.run_checks(g)`` and attaches its map,
-    as ``analyze --verify`` does.
+    kernel; a unicyclic graph's decomposition is read off its constructed
+    kernel basis as it is, with no reduction.  The report's ``checks`` map
+    starts empty; a caller that wants the cross-check battery runs
+    ``checks.run_checks(g)`` and attaches its map, as ``analyze --verify``
+    does.
     """
     cls = classify(g)
     d = structural_decomposition(g, None) if cls is None else _whole_graph_reading(g, cls)

@@ -8,20 +8,21 @@ floating-point elimination can provide.
 Two production kernels give the canonical kernel basis of the subgraph a
 vertex set induces, read straight from the whole graph's adjacency lists and
 in the whole graph's indices.  ``null_basis_on(adjacency, vertices)`` works
-on any graph, by sparse Gauss-Jordan elimination: only the complement
-kernel of the constructed Type I basis (G - T_v) comes from it, and the
-whole-graph basis of a graph that is neither a forest nor unicyclic, which
-only ``basis --method rref`` asks for.
-``forest_null_basis_on`` gives the same basis for a vertex set that induces
-a forest, with no elimination: its pivots come from a maximum matching
-(Cvetković & Gutman 1972), and its entries are all ±1 (Sander & Sander, LAA
-405, 2005).  A whole forest's basis comes from it, by either method of
-``basis``, and so does every other subforest kernel of a unicyclic graph's
-construction: each T_v, T_v - v for TI-4, and Type II's G - C.  A
-unicyclic graph's canonical basis, which ``analyze`` reads, is no
-elimination of the whole graph:
-``reduced_echelon_basis`` brings its constructed basis to reduced echelon
-form in one pass, and that form is the canonical one.  Only ``unicyclic``
+on any graph, by sparse Gauss-Jordan elimination: only the complement kernel
+of the constructed Type I basis (G - T_v) comes from it, and the whole-graph
+basis of a graph that is neither a forest nor unicyclic, which only
+``basis --method rref`` asks for.  ``forest_null_basis_on`` gives the same
+basis for a vertex set that induces a forest, with no elimination: its
+pivots come from a maximum matching (Cvetković & Gutman 1972), and its
+entries are all ±1 (Sander & Sander, LAA 405, 2005).  A whole forest's basis
+comes from it, by either method of ``basis``, and so does every other
+subforest kernel of a unicyclic graph's construction: each T_v, T_v - v for
+TI-4, and Type II's G - C.  There is one sparse elimination,
+``_gauss_jordan``: ``null_basis_on`` runs it over ascending columns, and
+``reduced_echelon_basis`` over descending ones to bring a unicyclic graph's
+constructed basis to the canonical one, where one is printed or checked.
+``analyze`` reads its decomposition off the constructed basis as it is: a
+kernel's support is the union of any basis's supports.  Only ``unicyclic``
 calls these three.  The dense ``rref`` / ``null_space_basis`` on lists of
 lists is the independent reference that the check battery (``checks``) and
 ``same_span`` use.  It is a plain dense Gauss-Jordan that touches, at each
@@ -33,8 +34,8 @@ unique, so each sparse vector, written out densely, is the dense one.
 
 A production vector (``Vector``) is the ``{index: Fraction}`` dict of its
 nonzero coordinates: its support is its key set.  The reference functions
-take lists of lists and n-tuples (``DenseVector``) of Fractions.  All
-functions are pure and never mutate their arguments.
+take lists of lists and n-tuples (``DenseVector``) of Fractions.  Every
+public function is pure and never mutates its arguments.
 """
 
 from __future__ import annotations
@@ -122,28 +123,23 @@ def null_space_basis(matrix: Sequence[Sequence[Fraction]]) -> list[DenseVector]:
     return basis
 
 
-def null_basis_on(adjacency: Sequence[Sequence[int]], vertices: Iterable[int]) -> list[Vector]:
-    """Canonical kernel basis of the subgraph that ``vertices`` induce, in the whole graph's indices.
+def _gauss_jordan(rows: dict[int, Vector], columns: Sequence[int]) -> dict[int, int]:
+    """Sparse Gauss-Jordan elimination of ``rows`` in place over ``columns``, in the order given.
 
-    ``adjacency`` holds the whole graph's adjacency lists.  Each vector holds
-    the nonzeros of a ``null_space_basis`` vector of the induced subgraph's
-    dense matrix, coordinate j placed at the j-th smallest vertex.  Each row is
-    a ``{column: Fraction}`` dict of its nonzero entries, and every column
-    keeps the set of rows nonzero in it.  The columns are eliminated in
-    ascending order, each by the first row not yet used as a pivot; only
-    rows nonzero in the pivot column are touched.
+    Each row is the ``{column: Fraction}`` dict of its nonzero entries, all
+    in ``columns``.  Each column is eliminated by the first row (smallest
+    key) not yet used, normalized to 1 there, touching only the rows a
+    column -> rows map holds as nonzero in it.  Returns pivot column -> row.
     """
-    keep = set(vertices)
-    order = sorted(keep)
-    rows = {v: {w: ONE for w in adjacency[v] if w in keep} for v in order}
-    holders = {v: set(row) for v, row in rows.items()}  # column -> rows nonzero there; A is symmetric
+    holders: dict[int, set[int]] = {c: set() for c in columns}  # column -> rows nonzero there
+    for key, row in rows.items():
+        for k in row:
+            holders[k].add(key)
     used: set[int] = set()
-    pivots: dict[int, int] = {}  # pivot column -> its row
-    free: list[int] = []
-    for c in order:
+    pivots: dict[int, int] = {}
+    for c in columns:
         r = min((i for i in holders[c] if i not in used), default=None)
         if r is None:
-            free.append(c)
             continue
         used.add(r)
         pivots[c] = r
@@ -162,7 +158,22 @@ def null_basis_on(adjacency: Sequence[Sequence[int]], vertices: Iterable[int]) -
                 else:
                     del row[k]
                     holders[k].discard(i)
-    basis = {f: {f: ONE} for f in free}
+    return pivots
+
+
+def null_basis_on(adjacency: Sequence[Sequence[int]], vertices: Iterable[int]) -> list[Vector]:
+    """Canonical kernel basis of the subgraph that ``vertices`` induce, in the whole graph's indices.
+
+    ``adjacency`` holds the whole graph's adjacency lists.  Each vector holds
+    the nonzeros of a ``null_space_basis`` vector of the induced subgraph's
+    dense matrix, coordinate j placed at the j-th smallest vertex: the rows
+    of A, one per vertex, go through ``_gauss_jordan`` over ascending columns.
+    """
+    keep = set(vertices)
+    order = sorted(keep)
+    rows = {v: {w: ONE for w in adjacency[v] if w in keep} for v in order}
+    pivots = _gauss_jordan(rows, order)
+    basis = {f: {f: ONE} for f in order if f not in pivots}
     for c, r in pivots.items():
         for k, x in rows[r].items():
             if k != c:  # every other entry of a pivot row sits in a free column
@@ -176,47 +187,16 @@ def reduced_echelon_basis(vectors: Iterable[Vector]) -> list[Vector]:
     Each vector returned is 1 at its lead and 0 at every other lead, in
     lead order.  That basis is unique, and the canonical RREF kernel is one
     (1 at its free column, else nonzero only at pivot columns below it), so
-    any kernel basis reduces to what ``null_basis_on`` returns.  One pass:
-    each incoming vector loses the stored vector of every lead it holds,
-    takes its largest index as its lead, normalized to 1, and that lead is
-    cleared from every stored vector an index-to-leads map says holds it.
-    Raises InternalCheckError when the vectors are dependent.
+    ``_gauss_jordan`` over descending columns reduces any kernel basis to
+    what ``null_basis_on`` returns.  Only a printed or checked canonical
+    basis needs it: the support is the same for every basis.  Raises
+    InternalCheckError when the vectors are dependent.
     """
-    rows: dict[int, Vector] = {}  # lead -> its vector
-    holders: dict[int, set[int]] = {}  # index -> the leads whose vectors are nonzero there, lead excluded
-    for vec in vectors:
-        vec = dict(vec)
-        for lead in [i for i in vec if i in rows]:  # a stored vector is 0 at every other lead
-            factor = vec[lead]
-            for k, y in rows[lead].items():
-                x = vec.get(k, ZERO) - factor * y
-                if x:
-                    vec[k] = x
-                else:
-                    del vec[k]
-        if not vec:
-            raise InternalCheckError(f"vector {len(rows) + 1} lies in the span of the ones before it")
-        lead = max(vec)
-        if vec[lead] != 1:
-            inv = ONE / vec[lead]
-            vec = {k: x * inv for k, x in vec.items()}
-        for other in holders.pop(lead, ()):
-            row = rows[other]
-            factor = row[lead]
-            for k, y in vec.items():
-                x = row.get(k, ZERO) - factor * y
-                if x:
-                    row[k] = x
-                    holders.setdefault(k, set()).add(other)
-                else:
-                    del row[k]
-                    if k != lead:
-                        holders[k].discard(other)
-        rows[lead] = vec
-        for k in vec:
-            if k != lead:
-                holders.setdefault(k, set()).add(lead)
-    return [rows[lead] for lead in sorted(rows)]
+    rows = dict(enumerate(dict(vec) for vec in vectors))
+    pivots = _gauss_jordan(rows, sorted(set().union(*rows.values()), reverse=True))
+    if len(pivots) < len(rows):
+        raise InternalCheckError(f"{len(rows)} vectors span only {len(pivots)} dimensions")
+    return [rows[pivots[lead]] for lead in sorted(pivots)]
 
 
 def forest_parents(adjacency: Sequence[Sequence[int]], vertices: Iterable[int]) -> dict[int, int]:

@@ -28,23 +28,22 @@ pendant trees and the forest decompositions every later construction reads.
 Those come from maximum matchings (``trees``), each of a vertex set of the
 graph itself, so no subgraph is built.  A whole forest's constructed basis
 is its canonical one, read off a maximum matching by
-``linalg.forest_null_basis_on``, with no elimination, and so is each
-forest kernel the Type I / Type II bases (private to
-``constructed_null_basis``) assemble: T_v, T_v - v, every tree under z1
-and z2, and Type II's G - C.  The sparse elimination
-``linalg.null_basis_on`` gives only Type I's complement kernel, of G - T_v,
-so no Type II graph is eliminated anywhere.
-Both read g's adjacency lists and answer in g's own indices: no dense
-matrix, no subgraph, no position map.  ``rref_null_basis`` reads only the
-basis its caller built: a forest's it returns as it is, any other it brings
-to reduced echelon form (``linalg.reduced_echelon_basis``), the canonical
-basis, so no elimination runs over the whole graph and no basis is built
-twice.  Only a graph that ``classify`` refuses is eliminated whole, in
-``canonical_null_basis``, which ``basis --method rref`` calls.  Each vector
-is the dict of its nonzero coordinates (``linalg.Vector``), and each step
-touches only those.  ``checks`` verifies all of them against the dense RREF
-kernel of A(G): the constructed bases by span and exact annihilation, their
-``rref_null_basis`` vector for vector.
+``linalg.forest_null_basis_on``, and so is each forest kernel the Type I /
+Type II bases (private to ``constructed_null_basis``) assemble: T_v,
+T_v - v, every tree under z1 and z2, and Type II's G - C.  Of the
+subgraph kernels, ``linalg``'s one sparse elimination (``null_basis_on``)
+gives only Type I's complement, G - T_v.  Both read g's adjacency lists and
+answer in g's own indices: no dense matrix, no subgraph, no position map.
+``analyze`` reads the constructed basis as it is, since a kernel's support
+is the union of any basis's supports.  Where a canonical basis is printed or
+checked, ``rref_null_basis`` brings it to reduced echelon form
+(``linalg.reduced_echelon_basis``, the same elimination), or returns a
+forest's as it is; only a graph that ``classify`` refuses is eliminated
+whole, in ``canonical_null_basis``, which ``basis --method rref`` calls.
+Each vector is the dict of its nonzero coordinates (``linalg.Vector``), and
+each step touches only those.  ``checks`` verifies all of them against the
+dense RREF kernel of A(G): the constructed bases by span and exact
+annihilation, their ``rref_null_basis`` vector for vector.
 """
 
 from __future__ import annotations

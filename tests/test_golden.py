@@ -222,9 +222,10 @@ def test_analyze_reads_a_forest_without_a_kernel(golden, monkeypatch, name):
 
 @pytest.mark.parametrize("name", sorted(name for name, g in CORPUS.items() if classify(g) is not None))
 def test_a_unicyclic_graph_is_never_eliminated_whole(golden, monkeypatch, name):
-    # Its canonical basis is its constructed basis brought to reduced echelon
-    # form, so analyze, basis --method rref and the battery give the same
-    # answers with null_basis_on refused on every vertex of g.
+    # analyze reads the constructed basis as it is, and the canonical basis
+    # that basis --method rref prints and the battery checks is that basis
+    # brought to reduced echelon form, so all three give the same answers
+    # with null_basis_on refused on every vertex of g.
     def refuse_whole(real, adjacency, vertices):
         vertices = frozenset(vertices)
         if len(vertices) == len(adjacency):
@@ -238,6 +239,25 @@ def test_a_unicyclic_graph_is_never_eliminated_whole(golden, monkeypatch, name):
     checks = run_checks(g)
     assert all(checks.values())
     assert _digest(json.dumps(sorted(checks.items()))) == golden[name]["checks"]
+
+
+@pytest.mark.parametrize("name", sorted(name for name, g in CORPUS.items() if classify(g) is not None))
+def test_analyze_reads_a_unicyclic_graph_without_reduction(golden, monkeypatch, name):
+    # A kernel's support is the union of any basis's supports, so analyze
+    # reads the decomposition off the constructed basis and gives the same
+    # bytes with the reduction to the canonical basis refused.  basis
+    # --method rref prints the canonical basis, so it does reach the refusal
+    # whenever there is a kernel to reduce.
+    def refuse(real, vectors):
+        raise AssertionError("a reduction to the canonical basis")
+
+    _plant_kernel(monkeypatch, refuse, "reduced_echelon_basis")
+    g = CORPUS[name]
+    text = _cli_output(COMMANDS["analyze"], g.to_edge_list())
+    assert _digest(text) == golden[name]["analyze"]
+    if json.loads(text)["nullity"]:
+        with pytest.raises(AssertionError, match="a reduction to the canonical basis"):
+            _cli_output(COMMANDS["basis_rref"], g.to_edge_list())
 
 
 @pytest.mark.parametrize("name", sorted(name for name, g in CORPUS.items() if classify(g) is None))

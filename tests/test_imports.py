@@ -9,7 +9,9 @@ production kernel of ``linalg``.  And dense vectors stay on that side: no
 module but ``linalg`` and ``checks`` imports a dense reference function.
 No module but ``unicyclic`` imports a production kernel or the pass that
 reduces a constructed basis to the canonical one, so a constructed basis
-turns canonical in ``rref_null_basis(basis)`` alone.
+turns canonical in ``rref_null_basis(basis)`` alone, where a canonical basis
+is printed or checked; ``analyze`` reads the constructed basis as it is.
+No module but ``linalg`` imports its one sparse elimination.
 
 Edge lists are validated in one place: ``SelfLoop`` and ``DuplicateEdge``
 are each constructed at one call site, in ``graph.py``, so the parser and
@@ -117,9 +119,9 @@ def test_the_battery_imports_no_sparse_kernel():
 # The functions of ``linalg`` that take or return dense n-tuple vectors.
 DENSE_REFERENCE = {"rref", "null_space_basis", "same_span", "row_space_signature", "mat_vec", "is_zero_vector"}
 # The production kernels, which return kernel vectors: the two sparse ones, and the pass that
-# brings a constructed basis to the canonical one; ``forest_parents``, which ``trees`` imports
-# too, returns none.
-KERNELS = {"null_basis_on", "forest_null_basis_on", "reduced_echelon_basis"}
+# brings a constructed basis to the canonical one; and the one sparse elimination the first
+# and the last run through.  ``forest_parents``, which ``trees`` imports too, returns none.
+KERNELS = {"null_basis_on", "forest_null_basis_on", "reduced_echelon_basis", "_gauss_jordan"}
 
 
 def linalg_imports(path: Path, names: set[str]) -> list[str]:
@@ -148,16 +150,18 @@ def test_only_linalg_and_checks_import_the_dense_reference():
 
 def test_only_unicyclic_imports_a_production_kernel():
     # rref_null_basis(basis) is the one place that turns a constructed basis
-    # canonical, and the constructed bases read every subforest kernel;
-    # decomposition reads its default basis as
-    # rref_null_basis(constructed_null_basis(g, cls)).
-    assert KERNELS - {"reduced_echelon_basis"} <= sparse_kernels()
+    # canonical, for the commands and checks that print or compare it, and
+    # the constructed bases read every subforest kernel; decomposition reads
+    # its default basis, constructed_null_basis(g, cls), as it is.  The one
+    # sparse elimination stays inside linalg.
+    assert KERNELS - {"reduced_echelon_basis", "_gauss_jordan"} <= sparse_kernels()
     linalg = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
-    assert "reduced_echelon_basis" in {node.name for node in linalg.body if isinstance(node, ast.FunctionDef)}
+    assert {"reduced_echelon_basis", "_gauss_jordan"} <= {node.name for node in linalg.body if isinstance(node, ast.FunctionDef)}
     sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name not in ("linalg.py", "unicyclic.py")]
     assert sources, f"no package sources under {PACKAGE}"
     offenders = [f"{path.name}:{entry}" for path in sources for entry in linalg_imports(path, KERNELS)]
     assert offenders == []
+    assert linalg_imports(PACKAGE / "unicyclic.py", {"_gauss_jordan"}) == []
     decomposition = ast.parse((PACKAGE / "decomposition.py").read_text(encoding="utf-8"))
     from_linalg = {
         alias.name

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from nulldecomp import Graph, GeneratorSpec, constructed_null_basis, generate_unicyclic
+from nulldecomp import Graph, GeneratorSpec, constructed_null_basis, generate_unicyclic, linalg
 from nulldecomp.errors import InternalCheckError, NotForest
 from nulldecomp.linalg import (
     forest_null_basis_on,
@@ -545,8 +545,10 @@ def test_reduced_echelon_basis_of_nothing_and_of_one_vector():
 
 def test_reduced_echelon_basis_refuses_dependent_vectors():
     a, b = {0: Fraction(1), 2: Fraction(1)}, {1: Fraction(3)}
-    with pytest.raises(InternalCheckError):
-        reduced_echelon_basis([a, b, {0: Fraction(2), 1: Fraction(1), 2: Fraction(2)}])
+    dependent = {0: Fraction(2), 1: Fraction(1), 2: Fraction(2)}
+    for vectors in ([a, b, dependent], [dependent, a, b], [a, b, a]):
+        with pytest.raises(InternalCheckError):
+            reduced_echelon_basis(vectors)
 
 
 def mixed(canonical, rnd: random.Random):
@@ -583,3 +585,24 @@ def test_reduced_echelon_basis_takes_vectors_in_any_order():
     basis = mixed(canonical, rnd)
     for order in permutations(basis):
         assert reduced_echelon_basis(order) == canonical
+
+
+def test_one_elimination_serves_both_sparse_eliminations(monkeypatch):
+    # null_basis_on eliminates over ascending columns and reduced_echelon_basis
+    # over descending ones, each through the one routine, once per call;
+    # forest_null_basis_on eliminates nothing.
+    real, orders = linalg._gauss_jordan, []
+
+    def counted(rows, columns):
+        orders.append(list(columns))
+        return real(rows, columns)
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", counted)
+    g = cycle_graph(8)
+    canonical = null_basis_on(g.adjacency, range(g.n))
+    assert orders == [list(range(8))]
+    assert reduced_echelon_basis(mixed(canonical, random.Random(3))) == canonical
+    assert len(orders) == 2 and orders[1] == sorted(orders[1], reverse=True)
+    tree = path_graph(7)
+    assert len(forest_null_basis_on(tree.adjacency, range(tree.n))) == 1
+    assert len(orders) == 2
