@@ -137,7 +137,7 @@ def test_criterion_7_structural_identity_suite(random_corpus, families):
         assert not failed, (failed, g.to_edge_list())
         seen |= set(checks)
     assert required_somewhere <= seen
-    _report(7, "structural identity suite at enumeration scale", started, 120.0)
+    _report(7, "structural identity suite on graphs of at most 12 vertices", started, 120.0)
 
 
 def test_criterion_8_structural_vs_basis_with_case_coverage(

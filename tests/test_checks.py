@@ -4,8 +4,9 @@ builds its kernel basis once (as do ``analyze`` and ``basis``), the
 matching route's sets are held to the kernel reading on forests too, the
 case is held to its kernel definition, a check that raises fails only
 itself, a constructed basis that raises fails every check on its vectors
-(a forest's too), long cycles with a pendant tree at every cycle vertex
-pass in every case, and one run decomposes no vertex set twice."""
+(a forest's too), each set-valued check fails on a misplaced vertex and
+holds exactly its own claim, long cycles with a pendant tree at every cycle
+vertex pass in every case, and one run decomposes no vertex set twice."""
 
 from __future__ import annotations
 
@@ -208,6 +209,43 @@ def test_structural_matches_basis_fails_on_a_wrong_forest_support(monkeypatch):
 
     monkeypatch.setattr(checks, "structural_decomposition", one_vertex_moved)
     assert run_checks(g)["structural_matches_basis"] is False
+
+
+def _plant_kernel_reading(monkeypatch, plant):
+    """The decomposition the battery reads off g's own reference kernel goes through ``plant``."""
+    real = checks.decomposition_from_basis
+    monkeypatch.setattr(checks, "decomposition_from_basis", lambda h, basis: plant(real(h, basis)))
+
+
+@pytest.mark.parametrize(
+    "check, plant",
+    [
+        ("core_absent_from_some_mis", lambda d: replace(d, support=d.support - {0}, core=d.core | {0})),
+        ("n_vertex_swings_mis", lambda d: replace(d, support=d.support - {0}, n_vertices=d.n_vertices | {0})),
+        ("eg_equals_support", lambda d: replace(d, support=d.support - {0})),
+        ("mis_intersection_is_support", lambda d: replace(d, support=d.support - {0})),
+    ],
+    ids=["into_core", "into_n_vertices", "dropped_for_eg", "dropped_for_mis"],
+)
+def test_each_set_valued_check_fails_on_a_misplaced_support_vertex(monkeypatch, check, plant):
+    # P_3's leaf 0 is a support vertex: it lies in every maximum independent
+    # set and is missed by a maximum matching.
+    g = path_graph(3)
+    assert 0 in decomposition.decomposition_from_basis(g).support
+    assert run_checks(g)[check]
+    _plant_kernel_reading(monkeypatch, plant)
+    assert run_checks(g)[check] is False
+
+
+def test_a_core_vertex_in_some_mis_passes_core_absent_from_some_mis(monkeypatch):
+    # The check asks only what its name says: that no core vertex lie in
+    # every maximum independent set.  P_2's vertex 0 lies in one of its
+    # two, so moving it from N into the core leaves the check true.  A
+    # check tightened to "in no maximum independent set", which also holds
+    # on every forest, turns this to False on purpose.
+    g = path_graph(2)
+    _plant_kernel_reading(monkeypatch, lambda d: replace(d, n_vertices=d.n_vertices - {0}, core=d.core | {0}))
+    assert run_checks(g)["core_absent_from_some_mis"] is True
 
 
 @pytest.mark.parametrize("example, cut", [("ex_type1", "witness"), ("ex_four_cycle", "cycle")])

@@ -11,7 +11,9 @@ No module but ``unicyclic`` imports a production kernel or the pass that
 reduces a constructed basis to the canonical one, so a constructed basis
 turns canonical in ``rref_null_basis(basis)`` alone, where a canonical basis
 is printed or checked; ``analyze`` reads the constructed basis as it is.
-No module but ``linalg`` imports its one sparse elimination.
+No module but ``linalg`` imports its one sparse elimination.  No module
+loops over all subsets of anything: the oracle answers every question
+with one search, never by enumeration.
 
 Edge lists are validated in one place: ``SelfLoop`` and ``DuplicateEdge``
 are each constructed at one call site, in ``graph.py``, so the parser and
@@ -228,3 +230,43 @@ def test_the_builder_guard_sees_a_planted_copy(tmp_path):
         encoding="utf-8",
     )
     assert constructions(module, EDGE_ERRORS) == [(6, "SelfLoop"), (8, "DuplicateEdge")]
+
+
+def subset_loops(path: Path) -> list[int]:
+    """The line of every loop or comprehension in one source file over ``range(... 1 << k ...)``: all subsets of k things."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return sorted(
+        node.iter.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.For, ast.comprehension))
+        and isinstance(node.iter, ast.Call)
+        and getattr(node.iter.func, "id", None) == "range"
+        and any(
+            isinstance(part, ast.BinOp) and isinstance(part.op, ast.LShift)
+            and isinstance(part.left, ast.Constant) and part.left.value == 1
+            for arg in node.iter.args
+            for part in ast.walk(arg)
+        )
+    )
+
+
+def test_no_module_loops_over_all_subsets():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources, f"no package sources under {PACKAGE}"
+    assert [f"{path.name}:{line}" for path in sources for line in subset_loops(path)] == []
+
+
+def test_the_subset_loop_guard_sees_a_planted_loop(tmp_path):
+    module = tmp_path / "planted.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "def masks(adj):\n"
+        "    for subset in range(1 << len(adj)):\n"
+        "        yield subset\n"
+        "def sizes(n):\n"
+        "    return [s.bit_count() for s in range(1, (1 << n) + 1)]\n"
+        "def fine(n):\n"
+        "    return [1 << v for v in range(n)], (1 << n) - 1\n",
+        encoding="utf-8",
+    )
+    assert subset_loops(module) == [3, 6]

@@ -1,3 +1,12 @@
+"""The oracle against exhaustive references that share no code with it.
+
+Every answer of ``nulldecomp.oracle`` comes off one memoized search.  The
+references here try vertex subsets and edge subsets with
+``itertools.combinations``, from the largest size down, on every tree and
+unicyclic graph with at most eight vertices and on a few graphs outside
+both classes.
+"""
+
 from __future__ import annotations
 
 from itertools import combinations
@@ -6,19 +15,62 @@ import pytest
 
 from nulldecomp import Graph
 from nulldecomp.oracle import (
-    ENUMERATION_BUDGET,
     SEARCH_BUDGET,
     brute_alpha,
     brute_nu,
     edmonds_gallai_set,
     max_independent_intersection,
-    maximum_independent_sets,
-    maximum_matchings,
+    max_independent_union,
 )
 from nulldecomp.errors import BudgetExceeded
 from nulldecomp.trees import tree_decomposition
 
 from conftest import cycle_graph, path_graph, star_graph
+from test_exhaustive import _edges, _graph, _unicyclic_graph, free_trees, unicyclic_graphs
+
+K4 = Graph.from_edges([(f"v{a}", f"v{b}") for a in range(4) for b in range(a + 1, 4)])
+# theta: s and t joined by paths of one, two and three edges
+THETA = Graph.from_edges([("s", "t"), ("s", "a"), ("a", "t"), ("s", "b"), ("b", "c"), ("c", "t")])
+TRIANGLE_WITH_TAIL = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("d", "e")])
+EDGE_AND_ISOLATED = Graph.from_edges([("a", "b")], isolated=["c"])
+
+
+def _small_graphs() -> list[Graph]:
+    """Every tree and unicyclic graph on at most eight vertices, then the graphs above and odd cycles."""
+    graphs = [_graph(n, _edges(code, 0, 1)) for n in range(1, 9) for code in sorted(free_trees(n))]
+    graphs += [_unicyclic_graph(seq) for n in range(3, 9) for seq in sorted(unicyclic_graphs(n))]
+    return graphs + [K4, THETA, TRIANGLE_WITH_TAIL, cycle_graph(5), cycle_graph(7), EDGE_AND_ISOLATED]
+
+
+def _reference_maximum_independent_sets(g: Graph) -> list[frozenset[int]]:
+    """Every maximum independent set, by trying vertex subsets from the largest down."""
+    for size in range(g.n, -1, -1):
+        found = [
+            frozenset(chosen)
+            for chosen in combinations(range(g.n), size)
+            if not any(w in chosen for v in chosen for w in g.neighbors(v))
+        ]
+        if found:
+            return found
+    raise AssertionError("the empty set is independent")
+
+
+def _reference_maximum_matchings(g: Graph) -> list[frozenset[tuple[int, int]]]:
+    """Every maximum matching, by trying edge subsets from the largest down."""
+    edges = list(g.edges())
+    for size in range(len(edges), -1, -1):
+        found = [
+            frozenset(chosen)
+            for chosen in combinations(edges, size)
+            if len({v for edge in chosen for v in edge}) == 2 * size
+        ]
+        if found:
+            return found
+    raise AssertionError("the empty matching is a matching")
+
+
+def _reference_nu(g: Graph) -> int:
+    return len(_reference_maximum_matchings(g)[0])
 
 
 def test_brute_alpha_examples(ex_type1):
@@ -35,20 +87,24 @@ def test_brute_nu_examples(ex_type1):
 
 
 def test_budget_enforced():
-    with pytest.raises(BudgetExceeded):
-        brute_alpha(path_graph(SEARCH_BUDGET + 1))
-    with pytest.raises(BudgetExceeded):
-        edmonds_gallai_set(path_graph(ENUMERATION_BUDGET + 1))
-    # Six vertices but 15 edges: matchings are enumerated over edge subsets.
-    k6 = Graph.from_edges([(f"v{a}", f"v{b}") for a in range(6) for b in range(a + 1, 6)])
-    with pytest.raises(BudgetExceeded, match="15 edges"):
-        maximum_matchings(k6)
-    with pytest.raises(BudgetExceeded):
-        edmonds_gallai_set(k6)
-    # Eight vertices but 28 edges: nu is searched over the line graph.
+    too_many = path_graph(SEARCH_BUDGET + 1)
+    for oracle in (brute_alpha, brute_nu, edmonds_gallai_set, max_independent_intersection, max_independent_union):
+        with pytest.raises(BudgetExceeded, match=f"{SEARCH_BUDGET + 1} vertices"):
+            oracle(too_many)
+    # Eight vertices but 28 edges: nu and the Edmonds-Gallai set are searched over the line graph.
     k8 = Graph.from_edges([(f"v{a}", f"v{b}") for a in range(8) for b in range(a + 1, 8)])
-    with pytest.raises(BudgetExceeded, match="28 edges"):
-        brute_nu(k8)
+    for oracle in (brute_nu, edmonds_gallai_set):
+        with pytest.raises(BudgetExceeded, match="28 edges"):
+            oracle(k8)
+
+
+def test_set_oracles_answer_up_to_the_search_budget():
+    odd, even = path_graph(SEARCH_BUDGET - 1), path_graph(SEARCH_BUDGET)
+    support = tree_decomposition(odd).support
+    assert support == frozenset(range(0, SEARCH_BUDGET - 1, 2))
+    assert edmonds_gallai_set(odd) == max_independent_intersection(odd) == max_independent_union(odd) == support
+    assert edmonds_gallai_set(even) == max_independent_intersection(even) == frozenset()
+    assert max_independent_union(even) == frozenset(range(SEARCH_BUDGET))
 
 
 def test_edmonds_gallai_examples():
@@ -66,56 +122,30 @@ def test_max_independent_intersection_examples():
     assert max_independent_intersection(path_graph(2)) == frozenset()
 
 
-def test_enumeration_consistency():
-    for g in (path_graph(5), cycle_graph(6), star_graph(4)):
-        mis = maximum_independent_sets(g)
-        assert all(len(s) == brute_alpha(g) for s in mis)
-        assert all(g.is_independent_set(s) for s in mis)
-        matchings = maximum_matchings(g)
-        assert all(len(m) == brute_nu(g) for m in matchings)
-
-
-def _reference_nu(g: Graph) -> int:
-    """The most pairwise disjoint edges, by trying edge subsets from the largest down."""
-    edges = list(g.edges())
-    for size in range(len(edges), 0, -1):
-        for chosen in combinations(edges, size):
-            if len({v for edge in chosen for v in edge}) == 2 * size:
-                return size
-    return 0
+def test_set_oracles_match_the_references():
+    for g in _small_graphs():
+        mis, matchings = _reference_maximum_independent_sets(g), _reference_maximum_matchings(g)
+        missed = [frozenset(range(g.n)) - {v for edge in m for v in edge} for m in matchings]
+        assert edmonds_gallai_set(g) == frozenset().union(*missed), g.to_edge_list()
+        assert max_independent_intersection(g) == frozenset.intersection(*mis), g.to_edge_list()
+        assert max_independent_union(g) == frozenset().union(*mis), g.to_edge_list()
+        assert (brute_alpha(g), brute_nu(g)) == (len(mis[0]), len(matchings[0])), g.to_edge_list()
 
 
 def test_nu_matches_exhaustive_small():
-    # brute_nu and maximum_matchings share the line-graph masks, so each is
-    # held to a reference that uses no oracle code, and to the other.
-    graphs = [
-        path_graph(7),
-        cycle_graph(5),
-        cycle_graph(7),
-        cycle_graph(12),
-        star_graph(5),
-        Graph.from_edges([("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("d", "e")]),
-        Graph.from_edges([(f"v{a}", f"v{b}") for a in range(4) for b in range(a + 1, 4)]),  # K_4
-        # theta: s and t joined by paths of one, two and three edges
-        Graph.from_edges([("s", "t"), ("s", "a"), ("a", "t"), ("s", "b"), ("b", "c"), ("c", "t")]),
-    ]
+    # The line graph's search is held to a reference that uses no oracle code.
+    graphs = [path_graph(7), cycle_graph(5), cycle_graph(7), cycle_graph(12), star_graph(5), TRIANGLE_WITH_TAIL, K4, THETA]
     for g in graphs:
-        expected = _reference_nu(g)
-        assert brute_nu(g) == expected, g.to_edge_list()
-        assert all(len(matching) == expected for matching in maximum_matchings(g)), g.to_edge_list()
-        assert brute_nu(g) == len(next(iter(maximum_matchings(g))))
+        assert brute_nu(g) == _reference_nu(g), g.to_edge_list()
 
 
 def test_mis_facts_for_trees():
     # Core vertices miss some maximum independent set; N-vertices swing.
     for g in (path_graph(6), star_graph(4), path_graph(3)):
         d = tree_decomposition(g)
-        mis = maximum_independent_sets(g)
-        for v in d.core:
-            assert any(v not in s for s in mis)
-        for v in d.n_vertices:
-            assert any(v in s for s in mis)
-            assert any(v not in s for s in mis)
+        every, some = max_independent_intersection(g), max_independent_union(g)
+        assert not d.core & every
+        assert d.n_vertices <= some - every
 
 
 def test_eg_equals_support_on_trees():

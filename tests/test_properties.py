@@ -20,6 +20,7 @@ from nulldecomp.trees import tree_decomposition
 from nulldecomp.unicyclic import CASE_TII_4K, recursion_nullity
 
 from conftest import dense, kernel_case
+from test_oracle import _reference_nu
 
 
 @st.composite
@@ -138,11 +139,8 @@ def test_check_battery_over_seeded_sample():
 @common
 @given(unicyclic_graphs(max_n=12))
 def test_recursive_matching_search_matches_exhaustive(g):
-    # Self-validation of the search shortcut against edge-subset enumeration.
-    from nulldecomp.oracle import maximum_matchings
-
-    matchings = maximum_matchings(g)
-    assert brute_nu(g) == len(next(iter(matchings)))
+    # The line-graph search against a reference over edge subsets that shares no oracle code.
+    assert brute_nu(g) == _reference_nu(g)
     forest = g.delete_vertices(classify(g).cycle.vertices)
     if forest.n:
-        assert brute_nu(forest) == len(next(iter(maximum_matchings(forest))))
+        assert brute_nu(forest) == _reference_nu(forest)
