@@ -140,7 +140,7 @@ def run_checks(g: Graph) -> dict[str, bool]:
         pairs = [(frozenset(comp), v) for comp in g.components() for v in comp if v not in d.support]
     else:
         small_forests = _unicyclic_checks(checks, g, d, kernel, canonical, constructed, annihilated)
-        pairs = [(tree, v) for v, tree in cls.pendant_trees.items() if v not in kernel(tree).support]
+        pairs = [(frozenset(t), v) for v, t in cls.pendant_trees.items() if v not in kernel(frozenset(t)).support]
     if cls is None or pairs:
         _guarded(checks, "supported_neighbor_after_deletion", lambda: all(
             set(g.neighbors(v)) & kernel(tree - {v}).support for tree, v in pairs
@@ -210,7 +210,7 @@ def _unicyclic_checks(
     """The unicyclic graph's own checks, on the class ``d_basis`` carries."""
     cls = d_basis.cls
     cycle_set = cls.cycle.vertex_set()
-    pend = cls.pendant_trees
+    pend = {v: frozenset(tree) for v, tree in cls.pendant_trees.items()}
     built = constructed is not None
     _guarded(checks, "nullity_recursion", lambda: recursion_nullity(cls) == len(canonical))
     _guarded(checks, "span_equality", lambda: (
@@ -290,12 +290,12 @@ def _kernel_case(g: Graph, cls: UnicyclicClass, kernel: Kernel) -> str:
     when all of them vanish at u and w, otherwise TI-2 when v is in the
     core of T_v and TI-3 when not.
     """
-    pendant = {v: kernel(cls.pendant_trees[v]) for v in cls.cycle.vertices}
+    pendant = {v: kernel(frozenset(tree)) for v, tree in cls.pendant_trees.items()}
     witness = min((v for v, d in pendant.items() if v not in d.support), default=None)
     if witness is None:
         return CASE_TII_4K if cls.cycle.length % 4 == 0 else CASE_TII_NON4K
     u, w = cls.cycle.neighbors_on_cycle(witness)
-    basis = _reference_kernel(g, frozenset(range(g.n)) - cls.pendant_trees[witness])
+    basis = _reference_kernel(g, frozenset(range(g.n)) - cls.pendant_trees[witness].keys())
     if any(vec.get(u, ZERO) + vec.get(w, ZERO) != 0 for vec in basis):
         return CASE_TI4
     if all(vec.get(u, ZERO) == vec.get(w, ZERO) == 0 for vec in basis):

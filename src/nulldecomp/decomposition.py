@@ -47,6 +47,7 @@ from .unicyclic import (
     UnicyclicClass,
     classify,
     constructed_null_basis,
+    piece,
     recursion_nullity,
 )
 
@@ -102,7 +103,7 @@ def structural_decomposition(g: Graph, cls: UnicyclicClass | None) -> Decomposit
         v = cls.witness
         parts = [cls.pendant_decompositions[v], cls.complement]
         if case == CASE_TI4:  # the one piece the class does not carry
-            parts[0] = forest_decomposition(g, cls.pendant_trees[v] - {v})
+            parts[0] = forest_decomposition(g, piece(cls.pendant_trees, (), [v]))
         if case in (CASE_TI3, CASE_TI4):
             to_core = frozenset({v})
     elif case == CASE_TII_NON4K:

@@ -234,6 +234,11 @@ class CycleInfo:
         i = self.vertices.index(v)
         return (self.vertices[i - 1], self.vertices[(i + 1) % len(self.vertices)])
 
+    def path_around(self, v: int) -> tuple[int, ...]:
+        """The cycle less v: the path from v's successor round to its predecessor."""
+        i = self.vertices.index(v)
+        return self.vertices[i + 1:] + self.vertices[:i]
+
 
 def _label_problem(label: str) -> str | None:
     """Why ``label`` breaks the label rule (one ``str.split()`` token, no leading ``#``), or None."""

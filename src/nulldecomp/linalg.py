@@ -1,36 +1,33 @@
-"""Exact rational linear algebra: RREF and canonical null-space bases.
+"""Exact rational linear algebra: the leaf peel, canonical kernel bases and the dense reference.
 
 Everything runs over ``fractions.Fraction``, so "this coordinate is zero" is a
-decidable, exact test.  That exactness is what the rest of the package is built
-on: supports are defined through exact zero/nonzero coordinates, which no
-floating-point elimination can provide.
+decidable, exact test; supports are defined through it, which no
+floating-point elimination could do.
 
-Two production kernels give the canonical kernel basis of the subgraph a
-vertex set induces, read straight from the whole graph's adjacency lists and
-in the whole graph's indices.  ``null_basis_on(adjacency, vertices)`` works
-on any graph, by sparse Gauss-Jordan elimination: only the complement kernel
-of the constructed Type I basis (G - T_v) comes from it, and the whole-graph
-basis of a graph that is neither a forest nor unicyclic, which only
-``basis --method rref`` asks for.  ``forest_null_basis_on`` gives the same
-basis for a vertex set that induces a forest, with no elimination: its
-pivots come from a maximum matching (Cvetković & Gutman 1972), and its
-entries are all ±1 (Sander & Sander, LAA 405, 2005).  A whole forest's basis
-comes from it, by either method of ``basis``, and so does every other
-subforest kernel of a unicyclic graph's construction: each T_v, T_v - v for
-TI-4, and Type II's G - C.  There is one sparse elimination,
-``_gauss_jordan``: ``null_basis_on`` runs it over ascending columns, and
-``reduced_echelon_basis`` over descending ones to bring a unicyclic graph's
-constructed basis to the canonical one, where one is printed or checked.
-``analyze`` reads its decomposition off the constructed basis as it is: a
-kernel's support is the union of any basis's supports.  Only ``unicyclic``
-calls these three.  The dense ``rref`` / ``null_space_basis`` on lists of
-lists is the independent reference that the check battery (``checks``) and
-``same_span`` use.  It is a plain dense Gauss-Jordan that touches, at each
-pivot, only the columns from the pivot column on, and it stays dense on
-purpose so that it shares no sparsity logic with the production kernels.  It
-takes a ``Fraction`` entry as given and converts any other rational entry
-once, so every entry it reduces and returns is a ``Fraction``.  The RREF is
-unique, so each sparse vector, written out densely, is the dense one.
+``peel(adjacency)`` is the one routine that roots a forest.  It peels a whole
+graph to its 2-core and returns the core with the rooted forest that hangs
+on it (``Forest``: vertex -> parent, parents first).  A forest comes back
+whole; a unicyclic graph's pendant trees hang on its cycle, each rooted at
+its cycle vertex, and ``unicyclic.piece`` cuts every other forest from them.
+
+Two production kernels give the canonical kernel basis of an induced
+subgraph from the whole graph's adjacency lists, in its indices.
+``forest_null_basis_on(adjacency, forest)`` takes a rooted forest and
+eliminates nothing: its pivots come from a maximum matching (Cvetković &
+Gutman 1972), and its entries are all ±1 (Sander & Sander, LAA 405, 2005).
+It gives a whole forest's basis and every subforest kernel of a unicyclic
+graph's construction but Type I's G - T_v, which ``null_basis_on(adjacency,
+vertices)`` eliminates, as it does a graph that is neither a forest nor
+unicyclic (``basis --method rref``).  The one sparse elimination,
+``_gauss_jordan``, runs over ascending columns there, and over descending
+ones in ``reduced_echelon_basis``, which brings a constructed basis to the
+canonical one where one is printed or checked.  Only ``unicyclic`` calls
+these three.  The dense ``rref`` / ``null_space_basis`` is the independent
+reference of the check battery (``checks``) and ``same_span``: a plain
+Gauss-Jordan, dense on purpose so that it shares no sparsity logic with the
+production kernels, that converts a non-``Fraction`` entry once and
+returns ``Fraction`` entries only.  The RREF is unique, so each sparse
+vector, written out densely, is the dense one.
 
 A production vector (``Vector``) is the ``{index: Fraction}`` dict of its
 nonzero coordinates: its support is its key set.  The reference functions
@@ -43,11 +40,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, InternalCheckError, NotForest
+from .errors import DimensionMismatch, InternalCheckError
 
 Vector = dict[int, Fraction]  # the nonzero coordinates by index; never holds a 0
 DenseVector = tuple[Fraction, ...]
 Matrix = list[list[Fraction]]
+Forest = dict[int, int]  # vertex -> parent, -1 at a root, every parent before its children
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -199,35 +197,36 @@ def reduced_echelon_basis(vectors: Iterable[Vector]) -> list[Vector]:
     return [rows[pivots[lead]] for lead in sorted(pivots)]
 
 
-def forest_parents(adjacency: Sequence[Sequence[int]], vertices: Iterable[int]) -> dict[int, int]:
-    """Each vertex's parent in a depth-first spanning forest of the subgraph ``vertices`` induce, -1 at a root.
+def peel(adjacency: Sequence[Sequence[int]]) -> tuple[Forest, list[int]]:
+    """Peel a graph to its 2-core: the rooted forest that hangs on the core, and the core, ascending.
 
-    The map lists the vertices in the order the search reaches them, so
-    every vertex comes before its children.  Raises NotForest when the
-    vertices induce a cycle: the search then meets a reached vertex that is
-    not its parent.
+    Vertices of degree at most 1 are removed until none is left; each keeps
+    as parent the one neighbor it still has when it goes, -1 if none.  The
+    forest holds the core's vertices as roots, then the removed ones in
+    reverse order, parents first, with every edge outside the core: a
+    forest comes back whole, with an empty core.
     """
-    inside = set(vertices)
-    parent: dict[int, int] = {}
-    for root in inside:
-        if root in parent:
-            continue
-        parent[root] = -1
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in adjacency[x]:
-                if y not in inside or y == parent[x]:
-                    continue
-                if y in parent:
-                    raise NotForest(f"vertex set of size {len(inside)} induces a cycle")
-                parent[y] = x
-                stack.append(y)
-    return parent
+    n = len(adjacency)
+    degree = [len(nbrs) for nbrs in adjacency]
+    parent = [-1] * n
+    removed = [False] * n
+    order = [v for v in range(n) if degree[v] <= 1]
+    for v in order:  # grows while it is read
+        removed[v] = True
+        for w in adjacency[v]:
+            if not removed[w]:
+                parent[v] = w
+                degree[w] -= 1
+                if degree[w] == 1:
+                    order.append(w)
+    core = [v for v in range(n) if not removed[v]]
+    forest = dict.fromkeys(core, -1)
+    forest.update((v, parent[v]) for v in reversed(order))
+    return forest, core
 
 
-def forest_null_basis_on(adjacency: Sequence[Sequence[int]], vertices: Iterable[int]) -> list[Vector]:
-    """``null_basis_on`` for a vertex set that induces a forest, with no elimination.
+def forest_null_basis_on(adjacency: Sequence[Sequence[int]], parent: Forest) -> list[Vector]:
+    """``null_basis_on`` on the key set of ``parent``, a rooted forest that set induces, with no elimination.
 
     Same output: the canonical RREF kernel, one zero-free vector per free
     column, in the whole graph's indices.  The columns of a forest's
@@ -237,19 +236,17 @@ def forest_null_basis_on(adjacency: Sequence[Sequence[int]], vertices: Iterable[
     maximum matching, and a column that cannot join it is free: it lies in
     the span of the earlier ones.
 
-    The matching is kept bottom-up on the rooted forest of
-    ``forest_parents``: a pivot column takes a child row that no column
-    below takes, or else its parent row, which its parent column then
-    loses.  So a new column climbs, taking parent rows, while the column
-    above has no child row left, and is free when the climb meets a root or
-    a row already taken.  The vector of free column f has x_f = 1; walking
+    The matching is kept bottom-up on the rooted forest, whatever its roots:
+    a pivot column takes a child row that no column below takes, or else its
+    parent row, which its parent column then loses.  So a new column climbs,
+    taking parent rows, while the column above has no child row left, and is
+    free when the climb meets a root or a row already taken.  The vector of free column f has x_f = 1; walking
     out from f, every row r ~ s other than s's matched row passes -x_s to
     its matched column, so every entry is 1 or -1.  A climb that succeeds
     takes its rows for good, and one that fails runs along columns the walk
     from the same column visits, so the work is linear in the forest and
-    the output.  Raises NotForest when the vertices induce a cycle.
+    the output.
     """
-    parent = forest_parents(adjacency, vertices)
     free_kids = dict.fromkeys(parent, 0)  # column -> child rows that no column below takes
     for p in parent.values():
         if p >= 0:

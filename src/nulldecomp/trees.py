@@ -5,17 +5,14 @@ some kernel vector of the adjacency matrix.  For a forest it is the set of
 vertices some maximum matching misses (Gallai-Edmonds), so a forest
 decomposition comes from a maximum matching, in linear time, with no kernel.
 The core is the union of neighborhoods of supported vertices, and the
-N-vertices are everything else.  For forests these three sets partition the
-vertex set.  A forest's kernel basis comes from a maximum matching too
-(``linalg.forest_null_basis_on``), and both start from the depth-first
-search of ``linalg.forest_parents``, which refuses a vertex set that induces
-a cycle.  ``Decomposition`` records the three sets for forests and
-unicyclic graphs alike; it lives here because ``decomposition`` and ``unicyclic`` import this
-module.
-
-Every operation accepts any forest and distributes over components, since
-derived graphs elsewhere in the package (cycle complements, rooted-tree
-deletions) are forests rather than single trees.
+N-vertices are everything else; for forests the three sets partition the
+vertex set.  ``forest_decomposition`` takes a rooted forest, as
+``linalg.forest_null_basis_on`` does: a whole forest rooted by
+``linalg.peel`` (``rooted_forest``, which refuses a graph with a cycle), or a
+piece of a unicyclic graph cut from its pendant trees (``unicyclic.piece``).
+Every operation distributes over components.  ``Decomposition`` records the
+three sets for forests and unicyclic graphs alike; it lives here because
+``decomposition`` and ``unicyclic`` import this module.
 """
 
 from __future__ import annotations
@@ -23,11 +20,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import EmptyBasis, InternalCheckError
+from .errors import EmptyBasis, InternalCheckError, NotForest
 from .graph import Graph
-from .linalg import ZERO, Vector, forest_parents
+from .linalg import ZERO, Forest, Vector, peel
 
 CASE_FOREST = "Forest"
 
@@ -52,8 +49,8 @@ class Decomposition:
         return self.cls.case if self.cls else CASE_FOREST
 
 
-def forest_decomposition(g: Graph, vertices: Iterable[int]) -> Decomposition:
-    """Decompose the forest that ``vertices`` induce in ``g``, in g's own indices.
+def forest_decomposition(g: Graph, parent: Forest) -> Decomposition:
+    """Decompose the rooted forest ``parent``, the subgraph of g its key set induces, in g's own indices.
 
     Leaves are matched to their parents bottom-up, which gives a maximum
     matching of a forest: the cheaper one for a decomposition, at about half
@@ -61,14 +58,11 @@ def forest_decomposition(g: Graph, vertices: Iterable[int]) -> Decomposition:
     keeps because the canonical kernel needs its pivots.  The support D is
     then every vertex reached from an exposed vertex by an even alternating
     path: each such path can be switched to give a maximum matching that
-    misses its end.  The nullity is |F| - 2 * nu.  Raises NotForest when the
-    vertices induce a cycle.
+    misses its end.  The nullity is |F| - 2 * nu.
     """
     adjacency = g.adjacency
-    parent = forest_parents(adjacency, vertices)  # every vertex before its children
     mate: dict[int, int] = {}
-    for x in reversed(parent):
-        p = parent[x]
+    for x, p in reversed(parent.items()):  # children first
         if p >= 0 and x not in mate and p not in mate:
             mate[x], mate[p] = p, x
     support = {x for x in parent if x not in mate}
@@ -86,9 +80,17 @@ def forest_decomposition(g: Graph, vertices: Iterable[int]) -> Decomposition:
     return Decomposition(frozenset(support), core, n_vertices, len(parent) - len(mate))
 
 
+def rooted_forest(g: Graph) -> Forest:
+    """The whole forest g, rooted by ``linalg.peel``; raises NotForest when g has a cycle."""
+    forest, core = peel(g.adjacency)
+    if core:
+        raise NotForest(f"graph with {g.n} vertices has a cycle")
+    return forest
+
+
 def tree_decomposition(t: Graph) -> Decomposition:
     """Decomposition of a whole forest."""
-    return forest_decomposition(t, range(t.n))
+    return forest_decomposition(t, rooted_forest(t))
 
 
 def full_support_vector(

@@ -11,8 +11,7 @@ subgraphs:
   sum, a multiple of the pivot zeroes every other one's sum, and a single
   corrected vector (a scaled pivot plus a full-support kernel vector of the
   pendant tree minus v) fills the gap, first in the basis; that is TI-4.
-  Both steps change only the coordinates on the pivot's support, and the
-  full-support search sums in g's own indices: no position map.
+  Both steps change only the coordinates on the pivot's support.
 * Type II extends the kernel of the forest left after deleting the cycle.
   When the cycle length is a multiple of 4 the cycle itself contributes two
   extra vectors z1 and z2: alternating-sign sums of normalized full-support
@@ -21,41 +20,35 @@ subgraphs:
 
 ``classify`` is the one place that decides a graph's class: None for a
 forest, the Type I / Type II class with its witness and case for a unicyclic
-graph, ``UnsupportedGraphClass`` for anything else.  One leaf peel decides
-which, and yields the cycle and the pendant trees.  Every route takes its
-result as it is and checks nothing again; the class carries the cycle, the
-pendant trees and the forest decompositions every later construction reads.
-Those come from maximum matchings (``trees``), each of a vertex set of the
-graph itself, so no subgraph is built.  A whole forest's constructed basis
-is its canonical one, read off a maximum matching by
-``linalg.forest_null_basis_on``, and so is each forest kernel the Type I /
-Type II bases (private to ``constructed_null_basis``) assemble: T_v,
-T_v - v, every tree under z1 and z2, and Type II's G - C.  Of the
-subgraph kernels, ``linalg``'s one sparse elimination (``null_basis_on``)
-gives only Type I's complement, G - T_v.  Both read g's adjacency lists and
-answer in g's own indices: no dense matrix, no subgraph, no position map.
-``analyze`` reads the constructed basis as it is, since a kernel's support
-is the union of any basis's supports.  Where a canonical basis is printed or
-checked, ``rref_null_basis`` brings it to reduced echelon form
-(``linalg.reduced_echelon_basis``, the same elimination), or returns a
-forest's as it is; only a graph that ``classify`` refuses is eliminated
-whole, in ``canonical_null_basis``, which ``basis --method rref`` calls.
-Each vector is the dict of its nonzero coordinates (``linalg.Vector``), and
-each step touches only those.  ``checks`` verifies all of them against the
-dense RREF kernel of A(G): the constructed bases by span and exact
-annihilation, their ``rref_null_basis`` vector for vector.
+graph, ``UnsupportedGraphClass`` for anything else.  One leaf peel
+(``linalg.peel``) decides which, and yields the cycle and the pendant trees,
+each rooted at its cycle vertex.  ``piece`` cuts every other forest from
+them: T_v - v, G - C, G - T_v and the bordered graph's complement.  The
+class carries the pendant trees and the decompositions every later
+construction reads, each by maximum matching (``trees``).  A whole forest's
+constructed basis is its canonical one, off a maximum matching
+(``linalg.forest_null_basis_on``), and so is every forest kernel the Type I
+/ Type II bases assemble but Type I's G - T_v, which ``null_basis_on``
+eliminates.  All read g's adjacency lists in g's own indices: no dense
+matrix, no subgraph, no position map.  Where a canonical basis is printed or
+checked, ``rref_null_basis`` brings the constructed one to reduced echelon
+form (``linalg.reduced_echelon_basis``), or returns a forest's as it is;
+only a graph ``classify`` refuses is eliminated whole, in
+``canonical_null_basis``.  Each vector is the dict of its nonzero
+coordinates (``linalg.Vector``).  ``checks`` verifies all of them against
+the dense RREF kernel of A(G).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import CaseContradiction, NormalizationFailure, UnsupportedGraphClass
 from .graph import CycleInfo, Graph
-from .linalg import ZERO, Vector, forest_null_basis_on, null_basis_on, reduced_echelon_basis
-from .trees import Decomposition, forest_decomposition, full_support_vector
+from .linalg import ZERO, Forest, Vector, forest_null_basis_on, null_basis_on, peel, reduced_echelon_basis
+from .trees import Decomposition, forest_decomposition, full_support_vector, rooted_forest
 
 TYPE1 = "type1"
 TYPE2 = "type2"
@@ -85,14 +78,15 @@ class UnicyclicClass:
     smallest keeps every downstream construction reproducible.  The case is
     one of TI-1 to TI-4 for Type I and TII-non4k / TII-4k for Type II.  The
     pendant trees the classification tested ride along for every later
-    construction, with their decompositions and the complement's (G - T_v
+    construction, each the rooted forest ``linalg.peel`` gave, rooted at its
+    cycle vertex, with their decompositions and the complement's (G - T_v
     for Type I, G - C for Type II); they follow from the graph and the
     cycle, so equality, hashing and repr skip them.
     """
 
     case: str
     cycle: CycleInfo
-    pendant_trees: Mapping[int, frozenset[int]] = field(compare=False, repr=False)
+    pendant_trees: Mapping[int, Forest] = field(compare=False, repr=False)
     pendant_decompositions: Mapping[int, Decomposition] = field(compare=False, repr=False)
     complement: Decomposition = field(compare=False, repr=False)
     witness: int | None = None
@@ -114,77 +108,78 @@ class NullBasis:
 def classify(g: Graph) -> UnicyclicClass | None:
     """Decide g's class: None for a forest; for a unicyclic graph, Type I / Type II and the case.
 
-    The type comes from testing each cycle vertex against its pendant tree;
-    each pendant tree and the complement are decomposed once, and the class
-    carries them.  Any other graph raises ``UnsupportedGraphClass``.
+    One ``linalg.peel`` gives the cycle and the pendant trees.  Each cycle
+    vertex is tested against its tree; each tree and the complement are
+    decomposed once, and the class carries them.  Any other graph raises
+    ``UnsupportedGraphClass``.
     """
-    peeled = _peel(g)
-    if peeled is None:
+    forest, core = peel(g.adjacency)
+    if not core:
         return None
-    cycle, pend = peeled
+    cycle = _cycle(g, forest, core)
+    pend: dict[int, Forest] = {v: {} for v in cycle.vertices}
+    root = [0] * g.n
+    for x, p in forest.items():  # parents first, so each parent's root is known
+        root[x] = x if p < 0 else root[p]
+        pend[root[x]][x] = p
     decomposed = {v: forest_decomposition(g, tree) for v, tree in pend.items()}
     outside = [v for v in sorted(cycle.vertices) if v not in decomposed[v].support]
-    everything = frozenset(range(g.n))
     if not outside:
         case = CASE_TII_4K if cycle.length % 4 == 0 else CASE_TII_NON4K
-        rest = forest_decomposition(g, everything - cycle.vertex_set())
+        rest = forest_decomposition(g, piece(pend, (), cycle.vertices))
         return UnicyclicClass(case, cycle, pend, decomposed, rest)
     v = outside[0]
-    rest = forest_decomposition(g, everything - pend[v])
+    rest = forest_decomposition(g, piece(pend, cycle.path_around(v), ()))
     next_witness = outside[1] if len(outside) > 1 else None
     case = _type1_case(g, cycle, pend, decomposed, rest, v, next_witness)
     return UnicyclicClass(case, cycle, pend, decomposed, rest, v)
 
 
-def _peel(g: Graph) -> tuple[CycleInfo, dict[int, frozenset[int]]] | None:
-    """Peel g down to its 2-core: None for a forest, else the cycle and pendant trees.
+def _cycle(g: Graph, forest: Forest, core: list[int]) -> CycleInfo:
+    """The cycle that is ``linalg.peel``'s core; ``UnsupportedGraphClass`` if the core is anything else.
 
-    Vertices of degree at most 1 are removed until none is left; each keeps
-    as parent the one neighbor it still has when it goes.  An empty core
-    means a forest.  Peeling keeps |E| - |V| + #components fixed, so g is
-    unicyclic exactly when |E| = |V| and the core is one cycle: every core
-    vertex keeps two core neighbors and one walk visits them all.  The degree
-    test comes first, since a walk on any other core might never return.
-    A removed vertex belongs to its parent's pendant tree.
+    Peeling keeps |E| - |V| + #components fixed, so g is unicyclic exactly
+    when |E| = |V| and the core is one cycle: each core vertex has two core
+    neighbors (its neighbors that are roots) and one walk visits them all.
+    The degree test comes first: a walk on any other core might never return.
     """
-    adjacency = g.adjacency
-    degree = [len(nbrs) for nbrs in adjacency]
-    removed = [False] * g.n
-    parent = list(range(g.n))
-    order = [v for v in range(g.n) if degree[v] <= 1]
-    for v in order:  # grows while it is read
-        removed[v] = True
-        for w in adjacency[v]:
-            if not removed[w]:
-                parent[v] = w
-                degree[w] -= 1
-                if degree[w] == 1:
-                    order.append(w)
-    if len(order) == g.n:
-        return None
-    core = [v for v in range(g.n) if not removed[v]]
+    ring = {v: [w for w in g.adjacency[v] if forest[w] < 0] for v in core}
     walk = [core[0]]
-    if g.edge_count == g.n and all(degree[v] == 2 for v in core):
-        nxt = min(w for w in adjacency[walk[0]] if not removed[w])
+    if g.edge_count == g.n and all(len(nbrs) == 2 for nbrs in ring.values()):
+        nxt = min(ring[walk[0]])
         while nxt != walk[0]:
             walk.append(nxt)
-            nxt = next(w for w in adjacency[nxt] if not removed[w] and w != walk[-2])
+            nxt = next(w for w in ring[nxt] if w != walk[-2])
     if len(walk) != len(core):
         raise UnsupportedGraphClass(
             f"graph with {g.n} vertices and {g.edge_count} edges is neither a forest nor unicyclic"
         )
-    for v in reversed(order):  # a parent goes after its children, so it is resolved first
-        parent[v] = parent[parent[v]]
-    members: dict[int, list[int]] = {v: [] for v in walk}
-    for v in range(g.n):
-        members[parent[v]].append(v)
-    return CycleInfo(tuple(walk)), {v: frozenset(tree) for v, tree in members.items()}
+    return CycleInfo(tuple(walk))
+
+
+def piece(trees: Mapping[int, Forest], path: Sequence[int], headless: Iterable[int]) -> Forest:
+    """A cycle path with its vertices' pendant trees, and more pendant trees less their roots, as one rooted forest.
+
+    ``trees`` holds pendant trees by cycle vertex, each rooted there
+    (``UnicyclicClass.pendant_trees``).  The path, consecutive cycle
+    vertices, is rooted at its first; a tree in ``headless`` loses its root,
+    whose children become roots.  T_v - v is ``piece(trees, (), [v])``,
+    G - C ``piece(trees, (), cycle)`` and G - T_v
+    ``piece(trees, cycle.path_around(v), ())``.
+    """
+    forest: Forest = {}
+    for i, c in enumerate(path):
+        forest.update(trees[c])
+        forest[c] = path[i - 1] if i else -1
+    for c in headless:
+        forest.update((x, -1 if p == c else p) for x, p in trees[c].items() if x != c)
+    return forest
 
 
 def _type1_case(
     g: Graph,
     cycle: CycleInfo,
-    pend: Mapping[int, frozenset[int]],
+    pend: Mapping[int, Forest],
     decomposed: Mapping[int, Decomposition],
     rest_d: Decomposition,
     v: int,
@@ -203,8 +198,8 @@ def _type1_case(
     """
     u, w = cycle.neighbors_on_cycle(v)
     tree = decomposed.get(next_witness)  # None for a Type II bordered graph
-    cut = cycle.vertex_set() if tree is None else pend[next_witness]
-    bordered_rest = forest_decomposition(g, (frozenset(range(g.n)) - pend[v] | {v}) - cut)
+    path, headless = ((), cycle.vertices) if tree is None else (cycle.path_around(next_witness), ())
+    bordered_rest = forest_decomposition(g, piece({**pend, v: {v: -1}}, path, headless))
     if _recursion(cycle.length, tree, bordered_rest) < rest_d.nullity:
         return CASE_TI4
     if u not in rest_d.support and w not in rest_d.support:
@@ -268,8 +263,8 @@ def _type1_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
     """Kernel basis of a Type I unicyclic graph built from subforest kernels."""
     v = cls.witness
     u, w = cls.cycle.neighbors_on_cycle(v)
-    tree = cls.pendant_trees[v]
-    rest_basis = null_basis_on(g.adjacency, frozenset(range(g.n)) - tree)
+    pend = cls.pendant_trees
+    rest_basis = null_basis_on(g.adjacency, piece(pend, cls.cycle.path_around(v), ()))
 
     def cycle_sum(vec: Vector) -> Fraction:
         return vec.get(u, ZERO) + vec.get(w, ZERO)
@@ -277,7 +272,7 @@ def _type1_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
     tagged: list[tuple[Vector, str]] = []
     pivot = next((vec for vec in rest_basis if cycle_sum(vec) != 0), None)
     if pivot is not None:  # without one, every complement kernel vector already extends
-        sub = tree - {v}
+        sub = piece(pend, (), [v])
         neighbors = [t for t in g.neighbors(v) if t in sub]
         # The neighbor-sum must be nonzero or the corrected vector falls into the
         # extended pendant-tree span; full_support_vector raises if it cannot be.
@@ -290,7 +285,7 @@ def _type1_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
             if vec is not pivot
         ]
     tagged += [(vec, EXTENDED_COMPLEMENT) for vec in rest_basis]
-    tagged += [(vec, EXTENDED_PENDANT) for vec in forest_null_basis_on(g.adjacency, tree)]
+    tagged += [(vec, EXTENDED_PENDANT) for vec in forest_null_basis_on(g.adjacency, pend[v])]
     return NullBasis(tuple(vec for vec, _ in tagged), tuple(tag for _, tag in tagged))
 
 
@@ -310,7 +305,7 @@ def _type2_null_basis(g: Graph, cls: UnicyclicClass) -> NullBasis:
     z2 does: nothing here is eliminated.
     """
     cyc = cls.cycle.vertices
-    vectors = forest_null_basis_on(g.adjacency, frozenset(range(g.n)) - cls.cycle.vertex_set())
+    vectors = forest_null_basis_on(g.adjacency, piece(cls.pendant_trees, (), cyc))
     provenance = [EXTENDED_FOREST] * len(vectors)
 
     if cls.cycle.length % 4 == 0:
@@ -337,7 +332,7 @@ def constructed_null_basis(g: Graph, cls: UnicyclicClass | None) -> NullBasis:
     not checked, but a cycle under None raises NotForest.
     """
     if cls is None:
-        return _canonical(forest_null_basis_on(g.adjacency, range(g.n)))
+        return _canonical(forest_null_basis_on(g.adjacency, rooted_forest(g)))
     if cls.tag == TYPE1:
         return _type1_null_basis(g, cls)
     return _type2_null_basis(g, cls)

@@ -18,7 +18,7 @@ from nulldecomp import Graph, GeneratorSpec, classify, constructed_null_basis, g
 from nulldecomp.checks import _kernel_case, _kernel_decomposition
 from nulldecomp.linalg import null_basis_on
 from nulldecomp.trees import forest_decomposition
-from nulldecomp.unicyclic import rref_null_basis
+from nulldecomp.unicyclic import piece, rref_null_basis
 
 # 18-vertex Type I example: 4-cycle e-g-f-v with an 11-vertex tree at v.
 EXAMPLE_TYPE1 = """
@@ -224,13 +224,62 @@ def forests_with_subsets(draw):
     return g, [v for v in range(n) if keep[v]]
 
 
-def unicyclic_pieces(g: Graph) -> list[frozenset[int]]:
-    """Every forest the structural layer decomposes: T_v, T_v - v, G - T_v and G - C."""
+def rooted(g: Graph, vertices, rnd=None) -> dict[int, int]:
+    """The forest ``vertices`` induce in g, rooted by a breadth-first search: vertex -> parent, -1 at a root.
+
+    Each component is rooted at its smallest vertex, or, with ``rnd``, at the
+    first of a shuffled order, since the forest routines must answer alike
+    under every rooting.  Parents come before their children.  Fails on a
+    vertex set that induces a cycle.
+    """
+    order = sorted(vertices)
+    if rnd is not None:
+        rnd.shuffle(order)
+    inside = set(order)
+    parent: dict[int, int] = {}
+    for root in order:
+        if root in parent:
+            continue
+        parent[root] = -1
+        queue = [root]
+        for x in queue:  # grows while it is read
+            for y in g.adjacency[x]:
+                if y in inside and y != parent[x]:
+                    assert y not in parent, f"{sorted(inside)} induces a cycle"
+                    parent[y] = x
+                    queue.append(y)
+    return parent
+
+
+def assert_rooted_forest(g: Graph, forest: dict[int, int], vertices=None) -> None:
+    """``forest`` is the subgraph of g its key set induces, rooted, every parent before its children.
+
+    Each parent is a neighbor listed earlier, and the parent edges are all
+    the edges the key set induces.  With ``vertices``, the key set is that.
+    """
+    listed: set[int] = set()
+    for x, p in forest.items():
+        assert p == -1 or (p in listed and p in g.adjacency[x]), (g.to_edge_list(), x, p)
+        listed.add(x)
+    induced = sum(y in forest for x in forest for y in g.adjacency[x]) // 2
+    assert induced == sum(p >= 0 for p in forest.values()), g.to_edge_list()
+    if vertices is not None:
+        assert forest.keys() == set(vertices), (g.to_edge_list(), sorted(forest), sorted(vertices))
+
+
+def unicyclic_pieces(g: Graph) -> list[dict[int, int]]:
+    """Every forest the structural layer decomposes, cut by ``unicyclic.piece``: T_v, T_v - v, G - T_v and G - C.
+
+    With them, for each cycle vertex v, the complement of its successor x in
+    the bordered graph (T_v shrunk to v) that ``classify`` decides TI-4 on.
+    """
     cls = classify(g)
-    everything = frozenset(range(g.n))
-    pieces = [everything - cls.cycle.vertex_set()]
-    for v, tree in cls.pendant_trees.items():
-        pieces += [tree, tree - {v}, everything - tree]
+    trees, cycle = cls.pendant_trees, cls.cycle
+    pieces = [piece(trees, (), cycle.vertices)]
+    for v, tree in trees.items():
+        x = cycle.neighbors_on_cycle(v)[1]
+        pieces += [tree, piece(trees, (), [v]), piece(trees, cycle.path_around(v), ())]
+        pieces.append(piece({**trees, v: {v: -1}}, cycle.path_around(x), ()))
     return pieces
 
 
@@ -320,13 +369,12 @@ def random_corpus() -> list[Graph]:
 
 @pytest.fixture
 def decomposition_calls(monkeypatch) -> Counter:
-    """Counts ``forest_decomposition`` calls by (graph, vertex set), in every module that calls it."""
+    """Counts ``forest_decomposition`` calls by (graph, the rooted forest's key set), in every module that calls it."""
     seen: Counter = Counter()
 
-    def counting(h, vertices):
-        vertices = frozenset(vertices)
-        seen[h, vertices] += 1
-        return forest_decomposition(h, vertices)
+    def counting(h, forest):
+        seen[h, frozenset(forest)] += 1
+        return forest_decomposition(h, forest)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("nulldecomp") and getattr(module, "forest_decomposition", None) is forest_decomposition:

@@ -103,7 +103,7 @@ def test_criterion_6_formulas_vs_oracle(random_corpus):
         cycle = d.cls.cycle
         pend = d.cls.pendant_trees
         derived = [g.delete_vertices(cycle.vertices)]
-        derived += [g.induced_subgraph(sorted(pend[v] - {v})) for v in cycle.vertices]
+        derived += [g.induced_subgraph(sorted(pend[v].keys() - {v})) for v in cycle.vertices]
         for forest in derived:
             if forest.n == 0:
                 continue

@@ -7,10 +7,11 @@ import time
 
 import pytest
 
-from nulldecomp import checks, cli, parse_edge_list, unicyclic
+from nulldecomp import GeneratorSpec, checks, cli, generate_unicyclic, linalg, parse_edge_list, unicyclic
 from nulldecomp.cli import build_parser, main
 from nulldecomp.decomposition import analyze, decomposition_from_basis
 from nulldecomp.errors import InternalCheckError, NormalizationFailure
+from nulldecomp.unicyclic import TYPE1
 
 from conftest import EXAMPLE_FOUR_CYCLE, EXAMPLE_TYPE1
 
@@ -196,6 +197,49 @@ def test_a_type2_graph_with_a_long_pendant_path_in_linear_time(tmp_path, capsys,
         assert elapsed < 1.0, argv
         if argv[0] == "analyze":
             assert data["case"] == case
+
+
+def hub_edges(copies: int) -> str:
+    """A 4-cycle with ``copies`` six-vertex trees joined to one cycle vertex: TII-4k."""
+    return "".join(f"a{i} a{(i + 1) % 4}\n" for i in range(4)) + "".join(
+        f"a0 h{k:03d}x0\nh{k:03d}x0 h{k:03d}x1\nh{k:03d}x0 h{k:03d}x2\n"
+        f"h{k:03d}x0 h{k:03d}x4\nh{k:03d}x1 h{k:03d}x3\nh{k:03d}x3 h{k:03d}x5\n"
+        for k in range(copies)
+    )
+
+
+PEELED = {
+    "cycle": ("".join(f"c{i:02d} c{(i + 1) % 12:02d}\n" for i in range(12)), 1),
+    "hub": (hub_edges(6), 1),
+    "type1": (generate_unicyclic(GeneratorSpec(n=40, seed=3, class_bias=TYPE1)).to_edge_list(), 1),
+    "ti4": (cycle_with_a_pendant_path(6, 3), 1),
+    "forest": (spider_edges(3, 4) + "x y\nz\n", 2),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PEELED))
+def test_one_peel_roots_every_forest_a_command_reads(tmp_path, capsys, monkeypatch, family):
+    # classify's leaf peel roots the pendant trees, and every forest piece
+    # is cut from them: no piece is rooted again.  A forest is peeled by
+    # classify and once more where it is decomposed or its basis is read.
+    edges, most = PEELED[family]
+    real, calls = linalg.peel, []
+
+    def counted(adjacency):
+        calls.append(len(adjacency))
+        return real(adjacency)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nulldecomp") and getattr(module, "peel", None) is real:
+            monkeypatch.setattr(module, "peel", counted)
+    path = tmp_path / "g.edges"
+    path.write_text(edges)
+    n = parse_edge_list(edges).n
+    for argv in (["analyze", "--json"], ["basis", "--json"], ["basis", "--json", "--method", "rref"]):
+        calls.clear()
+        code, out, _ = run(capsys, [argv[0], str(path), *argv[1:]])
+        assert code == 0 and out, argv
+        assert 1 <= len(calls) <= most and set(calls) == {n}, (argv, calls)
 
 
 def test_basis_structural_c4(capsys, monkeypatch):

@@ -194,7 +194,7 @@ def kernel_case_tag(g: Graph, cls) -> str:
     v = cls.witness
     u, w = cls.cycle.neighbors_on_cycle(v)
     pend = cls.pendant_trees[v]
-    rest_vertices = sorted(set(range(g.n)) - pend)
+    rest_vertices = sorted(set(range(g.n)) - pend.keys())
     pos = {vertex: j for j, vertex in enumerate(rest_vertices)}
     basis = null_space_basis(g.induced_subgraph(rest_vertices).adjacency_matrix())
     if any(vec[pos[u]] + vec[pos[w]] != 0 for vec in basis):

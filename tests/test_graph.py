@@ -114,7 +114,7 @@ def test_pendant_trees_example_sets(ex_type1, ex_four_cycle):
 
 def test_pendant_trees_plain_cycle():
     c4 = cycle_graph(4)
-    assert all(s == {v} for v, s in classify(c4).pendant_trees.items())
+    assert all(s == {v: -1} for v, s in classify(c4).pendant_trees.items())
 
 
 def test_induced_subgraph_identity_and_empty(ex_type1):

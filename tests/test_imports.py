@@ -11,8 +11,10 @@ No module but ``unicyclic`` imports a production kernel or the pass that
 reduces a constructed basis to the canonical one, so a constructed basis
 turns canonical in ``rref_null_basis(basis)`` alone, where a canonical basis
 is printed or checked; ``analyze`` reads the constructed basis as it is.
-No module but ``linalg`` imports its one sparse elimination.  No module
-loops over all subsets of anything: the oracle answers every question
+No module but ``linalg`` imports its one sparse elimination.  One leaf
+peel, ``linalg.peel``, roots every forest: no other function records a
+parent while it walks adjacency lists.  No module loops over all subsets
+of anything: the oracle answers every question
 with one search, never by enumeration.
 
 Edge lists are validated in one place: ``SelfLoop`` and ``DuplicateEdge``
@@ -122,7 +124,7 @@ def test_the_battery_imports_no_sparse_kernel():
 DENSE_REFERENCE = {"rref", "null_space_basis", "same_span", "row_space_signature", "mat_vec", "is_zero_vector"}
 # The production kernels, which return kernel vectors: the two sparse ones, and the pass that
 # brings a constructed basis to the canonical one; and the one sparse elimination the first
-# and the last run through.  ``forest_parents``, which ``trees`` imports too, returns none.
+# and the last run through.  ``peel``, which ``trees`` and ``unicyclic`` import too, returns none.
 KERNELS = {"null_basis_on", "forest_null_basis_on", "reduced_echelon_basis", "_gauss_jordan"}
 
 
@@ -270,3 +272,68 @@ def test_the_subset_loop_guard_sees_a_planted_loop(tmp_path):
         encoding="utf-8",
     )
     assert subset_loops(module) == [3, 6]
+
+
+def parent_recorders(path: Path) -> list[str]:
+    """Every function in one source file that roots a forest by search, as "name".
+
+    Such a function stores into a map whose name holds "parent" inside a loop
+    over an adjacency list (``adjacency[...]`` or ``neighbors(...)``).
+    """
+    found = []
+    for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for loop in ast.walk(func):
+            reads = isinstance(loop, ast.For) and any(
+                isinstance(node, ast.Name) and node.id == "adjacency"
+                or isinstance(node, ast.Attribute) and node.attr in ("adjacency", "neighbors")
+                for node in ast.walk(loop.iter)
+            )
+            if reads and any(
+                isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and "parent" in node.value.id
+                for node in ast.walk(loop)
+            ):
+                found.append(func.name)
+                break
+    return found
+
+
+def test_one_peel_roots_every_forest():
+    # The peel that finds the cycle keeps each vertex's parent; every forest
+    # the package decomposes or reads a kernel from is cut from that rooted
+    # forest, so no module searches a vertex set to root it again.
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources, f"no package sources under {PACKAGE}"
+    recorders = [f"{path.name}: {name}" for path in sources for name in parent_recorders(path)]
+    assert recorders == ["linalg.py: peel"]
+    defined = {node.name for path in sources for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef)}
+    assert "forest_parents" not in defined
+
+
+def test_the_rooting_guard_sees_a_planted_search(tmp_path):
+    module = tmp_path / "planted.py"
+    module.write_text(
+        "def forest_parents(adjacency, vertices):\n"
+        "    inside, parent = set(vertices), {}\n"
+        "    for root in inside:\n"
+        "        parent.setdefault(root, -1)\n"
+        "        stack = [root]\n"
+        "        while stack:\n"
+        "            x = stack.pop()\n"
+        "            for y in adjacency[x]:\n"
+        "                if y in inside and y not in parent:\n"
+        "                    parent[y] = x\n"
+        "                    stack.append(y)\n"
+        "    return parent\n"
+        "def walk(g, parents, start):\n"
+        "    for y in g.neighbors(start):\n"
+        "        parents[y] = start\n"
+        "def fill(adjacency, vec):\n"
+        "    for y in adjacency[0]:\n"
+        "        vec[y] = 1\n",
+        encoding="utf-8",
+    )
+    assert parent_recorders(module) == ["forest_parents", "walk"]

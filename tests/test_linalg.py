@@ -23,6 +23,7 @@ from nulldecomp.linalg import (
     rref,
     same_span,
 )
+from nulldecomp.trees import rooted_forest
 
 from conftest import (
     assert_zero_free_inside,
@@ -31,6 +32,7 @@ from conftest import (
     forests_with_subsets,
     hub_forest,
     path_graph,
+    rooted,
     unicyclic_pieces,
 )
 
@@ -433,8 +435,13 @@ def test_kernel_on_vertex_set_edge_cases():
 
 
 def assert_forest_kernel_matches(g: Graph, vertices) -> None:
-    """``forest_null_basis_on`` equals ``null_basis_on`` tuple for tuple and the placed dense kernel, all entries ±1."""
-    got = forest_null_basis_on(g.adjacency, vertices)
+    """``forest_null_basis_on`` equals ``null_basis_on`` tuple for tuple and the placed dense kernel, all entries ±1.
+
+    The forest is rooted twice, at each component's smallest vertex and at
+    shuffled roots, and both rootings give the same basis.
+    """
+    got = forest_null_basis_on(g.adjacency, rooted(g, vertices))
+    assert got == forest_null_basis_on(g.adjacency, rooted(g, vertices, random.Random(len(got))))
     assert got == null_basis_on(g.adjacency, vertices), (g.to_edge_list(), sorted(vertices))
     assert [dense(vec, g.n) for vec in got] == placed_reference(g, vertices)
     assert_zero_free_inside(got, vertices)
@@ -506,10 +513,11 @@ def test_forest_kernel_on_isolated_vertices_and_edge_cases():
     for g in (isolated, one, edge):
         for vertices in ([], range(g.n), [0], [g.n - 1]):
             assert_forest_kernel_matches(g, vertices)
-    assert forest_null_basis_on((), []) == []
-    assert forest_null_basis_on(one.adjacency, [0]) == [{0: Fraction(1)}]
-    assert forest_null_basis_on(edge.adjacency, [0, 1]) == []
-    assert len(forest_null_basis_on(isolated.adjacency, range(isolated.n))) == 3
+    assert forest_null_basis_on((), {}) == []
+    assert forest_null_basis_on(one.adjacency, {0: -1}) == [{0: Fraction(1)}]
+    assert forest_null_basis_on(edge.adjacency, {0: -1, 1: 0}) == []
+    assert forest_null_basis_on(edge.adjacency, {1: -1, 0: 1}) == []
+    assert len(forest_null_basis_on(isolated.adjacency, rooted_forest(isolated))) == 3
 
 
 def triangle_with_a_leaf() -> Graph:
@@ -519,11 +527,12 @@ def triangle_with_a_leaf() -> Graph:
 @pytest.mark.parametrize("make", [lambda: cycle_graph(4), theta_graph, triangle_with_a_leaf])
 def test_forest_kernel_refuses_a_cycle(make):
     # The matching search and the walk assume a forest; on a cycle they
-    # could loop, so the kernel refuses one, and so does the constructed
-    # basis of a graph passed in as a forest (class None).
+    # could loop, so a whole graph with a cycle is never rooted as a forest,
+    # and the constructed basis of one passed in as a forest (class None)
+    # is refused.
     g = make()
     with pytest.raises(NotForest):
-        forest_null_basis_on(g.adjacency, range(g.n))
+        rooted_forest(g)
     with pytest.raises(NotForest):
         constructed_null_basis(g, None)
     acyclic = frozenset(range(1, g.n))  # each of the three loses its cycle with vertex 0
@@ -604,5 +613,5 @@ def test_one_elimination_serves_both_sparse_eliminations(monkeypatch):
     assert reduced_echelon_basis(mixed(canonical, random.Random(3))) == canonical
     assert len(orders) == 2 and orders[1] == sorted(orders[1], reverse=True)
     tree = path_graph(7)
-    assert len(forest_null_basis_on(tree.adjacency, range(tree.n))) == 1
+    assert len(forest_null_basis_on(tree.adjacency, rooted_forest(tree))) == 1
     assert len(orders) == 2

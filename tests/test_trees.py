@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from nulldecomp import Graph, GeneratorSpec, classify, generate_unicyclic
 from nulldecomp.errors import EmptyBasis, InternalCheckError, NotForest
 from nulldecomp.linalg import null_basis_on, null_space_basis
 from nulldecomp.decomposition import alpha, nu
-from nulldecomp.trees import Decomposition, forest_decomposition, full_support_vector, tree_decomposition
+from nulldecomp.trees import Decomposition, forest_decomposition, full_support_vector, rooted_forest, tree_decomposition
 
 from conftest import (
     cycle_graph,
@@ -18,6 +19,7 @@ from conftest import (
     cycle_with_attachments,
     forests_with_subsets,
     path_graph,
+    rooted,
     star_graph,
     unicyclic_pieces,
 )
@@ -209,8 +211,10 @@ def kernel_decomposition(g: Graph, vertices) -> Decomposition:
 @given(forests_with_subsets())
 def test_forest_decomposition_matches_kernel_on_random_forests(drawn):
     g, subset = drawn
-    assert forest_decomposition(g, range(g.n)) == kernel_decomposition(g, range(g.n))
-    assert forest_decomposition(g, subset) == kernel_decomposition(g, subset)
+    assert tree_decomposition(g) == kernel_decomposition(g, range(g.n))
+    for vertices in (range(g.n), subset):  # rooted at the smallest vertices and at shuffled ones
+        assert forest_decomposition(g, rooted(g, vertices)) == kernel_decomposition(g, vertices)
+        assert forest_decomposition(g, rooted(g, vertices, random.Random(len(subset)))) == kernel_decomposition(g, vertices)
 
 
 @settings(max_examples=60, deadline=None)
@@ -232,12 +236,14 @@ def test_forest_decomposition_matches_kernel_on_seeded_sample():
 
 
 def test_forest_decomposition_rejects_the_cycle():
+    # A rooted forest holds no cycle, so the refusal is the whole graph's, in
+    # its rooting: tree_decomposition and rooted_forest refuse g.
     g = cycle_with_attachments(5, tails={0: 2, 2: 1})
     cycle = classify(g).cycle.vertex_set()
     with pytest.raises(NotForest):
-        forest_decomposition(g, cycle)
+        tree_decomposition(g)
     with pytest.raises(NotForest):
-        forest_decomposition(g, range(g.n))
-    assert forest_decomposition(g, cycle - {min(cycle)}).nullity == kernel_decomposition(
+        rooted_forest(g)
+    assert forest_decomposition(g, rooted(g, cycle - {min(cycle)})).nullity == kernel_decomposition(
         g, cycle - {min(cycle)}
     ).nullity

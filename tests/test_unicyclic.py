@@ -26,12 +26,14 @@ from nulldecomp.unicyclic import (
     TYPE2,
     NullBasis,
     cycle_nullity,
+    piece,
     recursion_nullity,
     rref_null_basis,
 )
 
 from conftest import (
     assert_reduced_basis_is_eliminated_basis,
+    assert_rooted_forest,
     assert_zero_free_inside,
     cycle_graph,
     cycle_with_attachments,
@@ -120,9 +122,9 @@ def test_classify_triage_matches_the_class_tests():
         assert list(cls.pendant_trees) == list(cyc)
         assert sorted(v for tree in cls.pendant_trees.values() for v in tree) == list(range(g.n))
         for v, tree in cls.pendant_trees.items():
-            assert tree & set(cyc) == {v}
-            assert g.induced_subgraph(tree).is_connected()
-            forest_decomposition(g, tree)  # raises NotForest on a cycle
+            assert tree.keys() & set(cyc) == {v} and tree[v] == -1
+            assert g.induced_subgraph(sorted(tree)).is_connected()
+            assert_rooted_forest(g, tree)
     assert outcomes == {"forest", "refused", "unicyclic"}
 
 
@@ -169,10 +171,13 @@ def test_carried_decompositions_are_right_and_invisible(ex_type1, ex_four_cycle)
         tags.add(cls.tag)
         assert list(cls.pendant_decompositions) == list(cls.pendant_trees)
         for v, tree in cls.pendant_trees.items():
-            assert cls.pendant_decompositions[v] == forest_decomposition(g, tree) == _kernel_decomposition(g, tree)
-        cut = cls.cycle.vertex_set() if cls.witness is None else cls.pendant_trees[cls.witness]
-        rest = frozenset(range(g.n)) - cut
-        assert cls.complement == forest_decomposition(g, rest) == _kernel_decomposition(g, rest), g.to_edge_list()
+            assert cls.pendant_decompositions[v] == forest_decomposition(g, tree) == _kernel_decomposition(
+                g, frozenset(tree)
+            )
+        rest = _complement(g, cls)
+        assert cls.complement == forest_decomposition(g, rest) == _kernel_decomposition(
+            g, frozenset(rest)
+        ), g.to_edge_list()
         again = classify(g)
         assert again == cls and hash(again) == hash(cls)
         assert "Decomposition" not in repr(cls) and "pendant" not in repr(cls) and "complement" not in repr(cls)
@@ -441,11 +446,39 @@ def test_reduced_basis_is_eliminated_basis_on_random_shuffled_graphs(n, seed):
 
 
 def assert_pendant_kernels_are_eliminated_kernels(g: Graph) -> None:
-    """For each pendant tree T_v, ``forest_null_basis_on`` on T_v and T_v - v equals ``null_basis_on``, tuple for tuple."""
-    for v, tree in classify(g).pendant_trees.items():
-        for vertices in (tree, tree - {v}):
-            got = forest_null_basis_on(g.adjacency, vertices)
-            assert got == null_basis_on(g.adjacency, vertices), (g.to_edge_list(), sorted(vertices))
+    """For each pendant tree T_v, ``forest_null_basis_on`` on T_v and T_v - v equals ``null_basis_on``, tuple for tuple.
+
+    T_v - v is cut by ``piece``, which must root the vertex set T_v less v.
+    """
+    trees = classify(g).pendant_trees
+    for v, tree in trees.items():
+        headless = piece(trees, (), [v])
+        assert_rooted_forest(g, headless, tree.keys() - {v})
+        for forest in (tree, headless):
+            got = forest_null_basis_on(g.adjacency, forest)
+            assert got == null_basis_on(g.adjacency, forest), (g.to_edge_list(), sorted(forest))
+
+
+def assert_pieces_are_cut_right(g: Graph) -> None:
+    """Each forest ``piece`` cuts is the rooted forest its vertex set, by set arithmetic, induces in g."""
+    cls = classify(g)
+    trees, cycle = cls.pendant_trees, cls.cycle
+    everything = set(range(g.n))
+    assert_rooted_forest(g, piece(trees, (), cycle.vertices), everything - cycle.vertex_set())
+    for v, tree in trees.items():
+        x = cycle.neighbors_on_cycle(v)[1]
+        assert_rooted_forest(g, tree, tree.keys())
+        assert_rooted_forest(g, piece(trees, (), [v]), tree.keys() - {v})
+        assert_rooted_forest(g, piece(trees, cycle.path_around(v), ()), everything - tree.keys())
+        bordered = piece({**trees, v: {v: -1}}, cycle.path_around(x), ())
+        assert_rooted_forest(g, bordered, everything - tree.keys() - trees[x].keys() | {v})
+
+
+def test_piece_cuts_every_forest_piece():
+    graphs = [_unicyclic_graph(seq) for n in range(3, MAX_N + 1) for seq in unicyclic_graphs(n)]
+    graphs += [g for seed in range(120) if (g := _shuffled_unicyclic(5 + seed % 30, seed)) is not None]
+    for g in graphs:
+        assert_pieces_are_cut_right(g)
 
 
 def test_pendant_kernels_are_eliminated_kernels_on_every_small_unicyclic_graph():
@@ -472,11 +505,20 @@ def test_pendant_kernels_are_eliminated_kernels_on_shuffled_generated_graphs():
 
 def assert_complement_kernel_is_eliminated_kernel(g: Graph) -> None:
     """``forest_null_basis_on`` on G - C (Type II) or G - T_v (Type I, witness v) equals ``null_basis_on``, tuple for tuple."""
-    cls = classify(g)
-    cut = cls.cycle.vertex_set() if cls.tag == TYPE2 else cls.pendant_trees[cls.witness]
-    vertices = frozenset(range(g.n)) - cut
-    got = forest_null_basis_on(g.adjacency, vertices)
-    assert got == null_basis_on(g.adjacency, vertices), (g.to_edge_list(), sorted(vertices))
+    forest = _complement(g, classify(g))
+    got = forest_null_basis_on(g.adjacency, forest)
+    assert got == null_basis_on(g.adjacency, forest), (g.to_edge_list(), sorted(forest))
+
+
+def _complement(g: Graph, cls) -> dict[int, int]:
+    """G - C (Type II) or G - T_v (Type I, witness v), cut by ``piece`` and checked against set arithmetic."""
+    trees, cycle = cls.pendant_trees, cls.cycle
+    if cls.tag == TYPE2:
+        forest, cut = piece(trees, (), cycle.vertices), cycle.vertex_set()
+    else:
+        forest, cut = piece(trees, cycle.path_around(cls.witness), ()), trees[cls.witness].keys()
+    assert_rooted_forest(g, forest, set(range(g.n)) - cut)
+    return forest
 
 
 def test_complement_kernel_is_eliminated_kernel_on_every_small_unicyclic_graph():
