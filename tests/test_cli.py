@@ -14,6 +14,7 @@ from nulldecomp.errors import InternalCheckError, NormalizationFailure
 from nulldecomp.unicyclic import TYPE1
 
 from conftest import EXAMPLE_FOUR_CYCLE, EXAMPLE_TYPE1
+from test_scale import _hub
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -199,18 +200,9 @@ def test_a_type2_graph_with_a_long_pendant_path_in_linear_time(tmp_path, capsys,
             assert data["case"] == case
 
 
-def hub_edges(copies: int) -> str:
-    """A 4-cycle with ``copies`` six-vertex trees joined to one cycle vertex: TII-4k."""
-    return "".join(f"a{i} a{(i + 1) % 4}\n" for i in range(4)) + "".join(
-        f"a0 h{k:03d}x0\nh{k:03d}x0 h{k:03d}x1\nh{k:03d}x0 h{k:03d}x2\n"
-        f"h{k:03d}x0 h{k:03d}x4\nh{k:03d}x1 h{k:03d}x3\nh{k:03d}x3 h{k:03d}x5\n"
-        for k in range(copies)
-    )
-
-
 PEELED = {
     "cycle": ("".join(f"c{i:02d} c{(i + 1) % 12:02d}\n" for i in range(12)), 1),
-    "hub": (hub_edges(6), 1),
+    "hub": (_hub(6), 1),
     "type1": (generate_unicyclic(GeneratorSpec(n=40, seed=3, class_bias=TYPE1)).to_edge_list(), 1),
     "ti4": (cycle_with_a_pendant_path(6, 3), 1),
     "forest": (spider_edges(3, 4) + "x y\nz\n", 2),
