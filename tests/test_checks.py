@@ -5,8 +5,9 @@ matching route's sets are held to the kernel reading on forests too, the
 case is held to its kernel definition, a check that raises fails only
 itself, a constructed basis that raises fails every check on its vectors
 (a forest's too), each set-valued check fails on a misplaced vertex and
-holds exactly its own claim, long cycles with a pendant tree at every cycle
-vertex pass in every case, and one run decomposes no vertex set twice."""
+holds exactly its own claim, ten more checks each read False on a planted
+wrong value, long cycles with a pendant tree at every cycle vertex pass in
+every case, and one run decomposes no vertex set twice."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from nulldecomp import Graph, checks, classify, constructed_null_basis, decompos
 from nulldecomp.checks import minimize_failing_graph
 from nulldecomp.cli import main
 from nulldecomp.errors import CaseContradiction, NormalizationFailure, OddNSet
+from nulldecomp.oracle import brute_alpha
 from nulldecomp.unicyclic import recursion_nullity
 
 from conftest import cycle_with_attachments, path_graph
@@ -200,21 +202,69 @@ def test_structural_matches_basis_fails_on_a_wrong_forest_support(monkeypatch):
     # that route's sets to the kernel reading on forests too.
     g = path_graph(7)
     assert run_checks(g)["structural_matches_basis"]
-    real = checks.structural_decomposition
-
-    def one_vertex_moved(h, cls):
-        d = real(h, cls)
-        v = min(d.support)
-        return replace(d, support=d.support - {v}, n_vertices=d.n_vertices | {v})
-
-    monkeypatch.setattr(checks, "structural_decomposition", one_vertex_moved)
+    v = min(decomposition.decomposition_from_basis(g).support)
+    _plant_route(monkeypatch, lambda d: replace(d, support=d.support - {v}, n_vertices=d.n_vertices | {v}))
     assert run_checks(g)["structural_matches_basis"] is False
+
+
+def _plant_route(monkeypatch, plant):
+    """The matching route under test goes through ``plant``."""
+    real = checks.structural_decomposition
+    monkeypatch.setattr(checks, "structural_decomposition", lambda h, cls: plant(real(h, cls)))
 
 
 def _plant_kernel_reading(monkeypatch, plant):
     """The decomposition the battery reads off g's own reference kernel goes through ``plant``."""
     real = checks.decomposition_from_basis
     monkeypatch.setattr(checks, "decomposition_from_basis", lambda h, basis: plant(real(h, basis)))
+
+
+def _plant_complement(monkeypatch, g):
+    """The battery's one classification carries G - T_v / G - C with a support vertex moved into its core.
+
+    So that piece's alpha drops by one and its nu grows by one, with its N-set unchanged.
+    """
+    cls = classify(g)
+    c = cls.complement
+    v = min(c.support)
+    planted = replace(cls, complement=replace(c, support=c.support - {v}, core=c.core | {v}))
+    monkeypatch.setattr(decomposition, "classify", lambda h: planted)
+
+
+def _plant_every_vertex_supported(monkeypatch, g):
+    """Every reference-kernel reading of a vertex set other than g's own holds the whole set as support."""
+    real = checks._kernel_decomposition
+    monkeypatch.setattr(checks, "_kernel_decomposition", lambda h, vs: replace(real(h, vs), support=vs))
+
+
+# Each check, the graph it runs on and a plant that makes one value it reads wrong without raising.
+WRONG_VALUES = {
+    "alpha_oracle": ("path", lambda mp, g: mp.setattr(checks, "brute_alpha", lambda h: brute_alpha(h) + 1)),
+    "even_n_set": ("path", lambda mp, g: _plant_kernel_reading(
+        mp, lambda d: replace(d, support=d.support - {0}, n_vertices=d.n_vertices | {0})
+    )),
+    "supp_core_disjoint": ("path", lambda mp, g: _plant_kernel_reading(mp, lambda d: replace(d, core=d.core | {0}))),
+    # Any partition with an even N-set satisfies the sum, so two vertices sit in two sets each.
+    "formula_sum": ("path", lambda mp, g: _plant_route(mp, lambda d: replace(d, n_vertices=d.n_vertices | {0, 2}))),
+    "supp_core_rule": ("ex_type1", lambda mp, g: _plant_kernel_reading(
+        mp, lambda d: replace(d, core=d.core | {min(d.support)})
+    )),
+    "cycle_tree_neighbors_unsupported": ("ex_four_cycle", _plant_every_vertex_supported),
+    "alpha_splits_at_witness": ("ex_type1", _plant_complement),
+    "nu_splits_at_witness": ("ex_type1", _plant_complement),
+    "alpha_splits_at_cycle": ("ex_four_cycle", _plant_complement),
+    "nu_splits_at_cycle": ("ex_four_cycle", _plant_complement),
+}
+
+
+@pytest.mark.parametrize("check", list(WRONG_VALUES))
+def test_each_check_fails_on_a_planted_wrong_value(monkeypatch, request, check):
+    # P_3 is the forest: its leaves 0 and 2 are the support, 1 the core.
+    example, plant = WRONG_VALUES[check]
+    g = path_graph(3) if example == "path" else request.getfixturevalue(example)
+    assert run_checks(g)[check]
+    plant(monkeypatch, g)
+    assert run_checks(g)[check] is False
 
 
 @pytest.mark.parametrize(

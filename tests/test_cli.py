@@ -14,7 +14,7 @@ from nulldecomp.errors import InternalCheckError, NormalizationFailure
 from nulldecomp.unicyclic import TYPE1
 
 from conftest import EXAMPLE_FOUR_CYCLE, EXAMPLE_TYPE1
-from test_scale import _hub
+from test_scale import _hub, _path, _pendant_path, _spider
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -129,21 +129,13 @@ def test_analyze_a_long_path_in_linear_time(tmp_path, capsys):
     # which clears every earlier pivot row, takes about a minute on this path.
     n = 6_400
     path = tmp_path / "path.edges"
-    path.write_text("".join(f"p{i:05d} p{i + 1:05d}\n" for i in range(n - 1)))
+    path.write_text(_path(n))
     started = time.perf_counter()
     code, out, _ = run(capsys, ["analyze", str(path), "--json"])
     elapsed = time.perf_counter() - started
     data = json.loads(out)
     assert code == 0 and (data["nullity"], data["alpha"], data["nu"]) == (0, n // 2, n // 2)
     assert elapsed < 1.0
-
-
-def spider_edges(legs: int, length: int) -> str:
-    """One hub joined to ``legs`` paths of ``length`` vertices each, labels in leg order."""
-    return "".join(
-        f"h l{k:02d}v000\n" + "".join(f"l{k:02d}v{i:03d} l{k:02d}v{i + 1:03d}\n" for i in range(length - 1))
-        for k in range(legs)
-    )
 
 
 @pytest.mark.parametrize("family, nullity", [("path", 0), ("spider", 1)])
@@ -154,9 +146,9 @@ def test_basis_of_a_large_forest_in_linear_time(tmp_path, capsys, family, nullit
     # 47-61 s on the 6,401-vertex spider of 16 legs of 400 vertices, whose
     # kernel the matching gives in 0.015 s.
     if family == "path":
-        edges, coordinates = "".join(f"p{i:05d} p{i + 1:05d}\n" for i in range(6_399)), 0
+        edges, coordinates = _path(6_400), 0
     else:
-        edges, coordinates = spider_edges(16, 400), 3_201
+        edges, coordinates = _spider(16, 400), 3_201
     path = tmp_path / "forest.edges"
     path.write_text(edges)
     for method in ("structural", "rref"):
@@ -175,12 +167,6 @@ def test_basis_of_a_large_forest_in_linear_time(tmp_path, capsys, family, nullit
     assert elapsed < 1.0
 
 
-def cycle_with_a_pendant_path(length: int, path: int) -> str:
-    """The cycle a0 .. a{length - 1} with a path of ``path`` vertices joined at a0, labels in path order."""
-    cycle = "".join(f"a{i} a{(i + 1) % length}\n" for i in range(length))
-    return cycle + "a0 p00000\n" + "".join(f"p{i:05d} p{i + 1:05d}\n" for i in range(path - 1))
-
-
 @pytest.mark.parametrize("length, case, nullity", [(4, "TII-4k", 2), (5, "TII-non4k", 0)])
 def test_a_type2_graph_with_a_long_pendant_path_in_linear_time(tmp_path, capsys, length, case, nullity):
     # A Type II graph's kernel is built from kernels read off maximum
@@ -188,7 +174,7 @@ def test_a_type2_graph_with_a_long_pendant_path_in_linear_time(tmp_path, capsys,
     # the canonical one in one reduction pass, so nothing is eliminated.
     # Eliminating G - C, here the 6,400-vertex path, took 41-54 s per command.
     path = tmp_path / "g.edges"
-    path.write_text(cycle_with_a_pendant_path(length, 6_400))
+    path.write_text(_pendant_path(length, 6_400))
     for argv in (["analyze", "--json"], ["basis", "--json"], ["basis", "--json", "--method", "rref"]):
         started = time.perf_counter()
         code, out, _ = run(capsys, [argv[0], str(path), *argv[1:]])
@@ -204,8 +190,8 @@ PEELED = {
     "cycle": ("".join(f"c{i:02d} c{(i + 1) % 12:02d}\n" for i in range(12)), 1),
     "hub": (_hub(6), 1),
     "type1": (generate_unicyclic(GeneratorSpec(n=40, seed=3, class_bias=TYPE1)).to_edge_list(), 1),
-    "ti4": (cycle_with_a_pendant_path(6, 3), 1),
-    "forest": (spider_edges(3, 4) + "x y\nz\n", 2),
+    "ti4": (_pendant_path(6, 3), 1),
+    "forest": (_spider(3, 4) + "x y\nz\n", 2),
 }
 
 

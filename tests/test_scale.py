@@ -1,22 +1,32 @@
-"""Pinned bytes at user scale: every command's output on graphs of thousands of vertices.
+"""Pinned bytes at user scale: one list of inputs, run at two sizes.
 
 ``tests/golden/outputs.json`` pins graphs of at most 30 vertices and the
-benchmark's digests graphs of at most 150.  For each family below,
-``tests/golden/scale.json`` holds the sha256 of ``analyze --json``,
-``basis --json`` and ``basis --method rref --json``, run in-process through
-``cli.main``: a path and a random tree of 10⁴ vertices, plain cycles of
-6,400 and 6,401 vertices (TII-4k and TII-non4k), the TII-4k hub with 800
-pendant trees on one cycle vertex, C₄ and C₅ with a 6,400-vertex pendant
-path, and two generated graphs, ``generate --n 1600 --seed 3`` (TI-1) and
-``generate --n 800 --seed 3`` (TI-4).  The whole module takes about 4 s.
+benchmark's digests graphs of at most 150.  The builders below make every
+user-scale input, and ``tests/golden/scale.json`` holds, per input and
+command, the sha256 of its stdout, or ``exit N`` for a command that exits N.
+Two lists name the inputs and the commands each runs:
+
+- ``TIER1``, run in-process through ``cli.main`` by this module in about
+  4 s: a path, a random tree and a star of 10⁴ vertices (the star 10⁴
+  leaves), the 6,401-vertex spider, plain cycles of 6,400 and 6,401
+  vertices (TII-4k and TII-non4k), the TII-4k hub with 800 pendant trees
+  on one cycle vertex, the TI-4 hub with 400, C₄ and C₅ with a 6,400-vertex
+  pendant path, ``generate --n 1600 --seed 3`` (TI-1),
+  ``generate --n 800 --seed 3`` (TI-4), and the 400-vertex theta, which
+  ``analyze`` and ``basis`` refuse with exit 3;
+- ``CI``, run each in a fresh process under a time cap by
+  ``tests/scale_ci.py``, which tier-1 does not collect: the same families
+  at 10⁵ vertices, ``generate --n 6400 --seed 3``, the 1,600-vertex theta,
+  the check battery on ``generate --n 400 --seed 3`` and a ``verify``
+  campaign at the oracle's search budget.
 
 The digests were recorded once and are not regenerated to make a change
-pass.  A family added to ``FAMILIES`` is recorded with
+pass.  An input added to either list is recorded with
 
     PYTHONPATH=src python tests/test_scale.py
 
-which writes only the digests the file lacks and refuses to change one it
-holds.
+which runs every input in-process, writes only the digests the file lacks
+and refuses to change one it holds.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ import random
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -40,7 +51,10 @@ COMMANDS = {
     "analyze": ["analyze", "--json"],
     "basis_structural": ["basis", "--json"],
     "basis_rref": ["basis", "--json", "--method", "rref"],
+    "analyze_verify": ["analyze", "--json", "--verify"],
+    "verify": ["verify", "--count", "200", "--min-n", "15", "--max-n", "22", "--seed", "1"],
 }
+EVERY = ("analyze", "basis_structural", "basis_rref")
 
 
 def _path(n: int) -> str:
@@ -50,6 +64,18 @@ def _path(n: int) -> str:
 def _random_tree(n: int) -> str:
     r = random.Random(0)
     return "".join(f"t{i} t{r.randrange(i)}\n" for i in range(1, n))
+
+
+def _star(leaves: int) -> str:
+    return "".join(f"s l{i:05d}\n" for i in range(leaves))
+
+
+def _spider(legs: int, length: int) -> str:
+    """One hub joined to ``legs`` paths of ``length`` vertices each, labels in leg order."""
+    return "".join(
+        f"h l{k:02d}v000\n" + "".join(f"l{k:02d}v{i:03d} l{k:02d}v{i + 1:03d}\n" for i in range(length - 1))
+        for k in range(legs)
+    )
 
 
 def _cycle(n: int) -> str:
@@ -65,42 +91,94 @@ def _hub(c: int) -> str:
     )
 
 
+def _ti4_hub(c: int) -> str:
+    """A 6-cycle whose witness v carries a leaf and c six-vertex trees: TI-4."""
+    return "v w1\nw1 w2\nw2 w3\nw3 w4\nw4 u\nu v\nv zleaf\n" + "".join(
+        f"t{k:04d}x0 t{k:04d}x1\nt{k:04d}x0 t{k:04d}x2\nt{k:04d}x0 t{k:04d}x4\n"
+        f"t{k:04d}x1 t{k:04d}x3\nt{k:04d}x3 t{k:04d}x5\nv t{k:04d}x0\n"
+        for k in range(c)
+    )
+
+
 def _pendant_path(length: int, n: int) -> str:
-    """A cycle of ``length`` with an n-vertex path joined to one cycle vertex."""
+    """A cycle of ``length`` with an n-vertex path joined to one cycle vertex, labels in path order."""
     return "".join(f"a{i} a{(i + 1) % length}\n" for i in range(length)) + "a0 p000000\n" + _path(n)
+
+
+def _theta(n: int) -> str:
+    """An n-vertex path, labels in path order, with its first vertex joined to the last and to the n // 3-th."""
+    return "".join(f"x{i:05d} x{i + 1:05d}\n" for i in range(n - 1)) + f"x00000 x{n // 3:05d}\nx00000 x{n - 1:05d}\n"
 
 
 def _generated(n: int, seed: int) -> str:
     return generate_unicyclic(GeneratorSpec(n=n, seed=seed)).to_edge_list()
 
 
-FAMILIES = {
-    "path_10000": lambda: _path(10_000),
-    "random_tree_10000": lambda: _random_tree(10_000),
-    "cycle_6400": lambda: _cycle(6_400),
-    "cycle_6401": lambda: _cycle(6_401),
-    "hub_tii4k_800": lambda: _hub(800),
-    "c4_pendant_path_6400": lambda: _pendant_path(4, 6_400),
-    "c5_pendant_path_6400": lambda: _pendant_path(5, 6_400),
-    "generate_1600_seed3_ti1": lambda: _generated(1_600, 3),
-    "generate_800_seed3_ti4": lambda: _generated(800, 3),
+# Each input's edge list (None: its command reads no graph) and the commands run on it.
+Inputs = dict[str, tuple[Callable[[], str] | None, tuple[str, ...]]]
+TIER1: Inputs = {
+    "path_10000": (lambda: _path(10_000), EVERY),
+    "random_tree_10000": (lambda: _random_tree(10_000), EVERY),
+    "star_10000": (lambda: _star(10_000), EVERY),
+    "spider_16x400": (lambda: _spider(16, 400), EVERY),
+    "cycle_6400": (lambda: _cycle(6_400), EVERY),
+    "cycle_6401": (lambda: _cycle(6_401), EVERY),
+    "hub_tii4k_800": (lambda: _hub(800), EVERY),
+    "hub_ti4_400": (lambda: _ti4_hub(400), EVERY),
+    "c4_pendant_path_6400": (lambda: _pendant_path(4, 6_400), EVERY),
+    "c5_pendant_path_6400": (lambda: _pendant_path(5, 6_400), EVERY),
+    "generate_1600_seed3_ti1": (lambda: _generated(1_600, 3), EVERY),
+    "generate_800_seed3_ti4": (lambda: _generated(800, 3), EVERY),
+    "theta_400": (lambda: _theta(400), EVERY),
+}
+CI: Inputs = {
+    "path_100000": (lambda: _path(100_000), ("analyze",)),
+    "path_99999": (lambda: _path(99_999), ("basis_structural", "basis_rref")),
+    "random_tree_100000": (lambda: _random_tree(100_000), EVERY),
+    "cycle_100000": (lambda: _cycle(100_000), EVERY),
+    "cycle_99999": (lambda: _cycle(99_999), EVERY),
+    "hub_tii4k_800": TIER1["hub_tii4k_800"],
+    "c4_pendant_path_99996": (lambda: _pendant_path(4, 99_996), EVERY),
+    "c5_pendant_path_99996": (lambda: _pendant_path(5, 99_996), EVERY),
+    "generate_6400_seed3_ti1": (lambda: _generated(6_400, 3), EVERY),
+    "theta_1600": (lambda: _theta(1_600), ("basis_rref",)),
+    "generate_400_seed3": (lambda: _generated(400, 3), ("analyze_verify",)),
+    "verify_n15_22_seed1": (None, ("verify",)),
 }
 
 
-def _digest(argv: list[str], path: Path) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main([argv[0], str(path), *argv[1:]])
-    assert code == 0, (argv, code)
-    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+def argv(command: str, path: Path | None) -> list[str]:
+    """The command line of one command, reading the graph at ``path`` if it reads one."""
+    name, *options = COMMANDS[command]
+    return [name, *([str(path)] if path else []), *options]
 
 
-def digests(family: str) -> dict[str, str]:
-    """The sha256 of each command's output on one family's graph."""
+def output_digest(code: int, stdout: str) -> str:
+    """What ``scale.json`` holds for one run: the sha256 of its stdout, or ``exit N``."""
+    return hashlib.sha256(stdout.encode("utf-8")).hexdigest() if code == 0 else f"exit {code}"
+
+
+def write_input(inputs: Inputs, name: str, directory: Path) -> Path | None:
+    """Write one input's edge list into ``directory``; None when its command reads no graph."""
+    build = inputs[name][0]
+    if build is None:
+        return None
+    path = directory / f"{name}.edges"
+    path.write_text(build(), encoding="utf-8")
+    return path
+
+
+def digests(inputs: Inputs, name: str) -> dict[str, str]:
+    """The digest of each command's output on one input, run in this process."""
+    got = {}
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / f"{family}.edges"
-        path.write_text(FAMILIES[family](), encoding="utf-8")
-        return {key: _digest(argv, path) for key, argv in COMMANDS.items()}
+        path = write_input(inputs, name, Path(tmp))
+        for command in inputs[name][1]:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv(command, path))
+            got[command] = output_digest(code, out.getvalue())
+    return got
 
 
 @pytest.fixture(scope="module")
@@ -109,25 +187,29 @@ def pinned() -> dict:
 
 
 def test_every_family_is_pinned(pinned):
-    assert set(pinned) == set(FAMILIES)
+    assert set(pinned) == set(TIER1) | set(CI)
+    for inputs in (TIER1, CI):
+        assert all(set(commands) <= set(pinned[name]) for name, (_, commands) in inputs.items())
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("family", sorted(TIER1))
 def test_outputs_match_pinned_digests(pinned, family):
-    assert digests(family) == pinned[family]
+    assert digests(TIER1, family) == {command: pinned[family][command] for command in TIER1[family][1]}
 
 
 def record() -> int:
-    """Add the digests of every family ``scale.json`` lacks; refuse to change any it holds."""
+    """Add the digests of every input ``scale.json`` lacks; refuse to change any it holds."""
     table = json.loads(SCALE.read_text(encoding="utf-8")) if SCALE.is_file() else {}
-    for family in FAMILIES:
-        got = digests(family)
-        if family in table and table[family] != got:
-            print(f"{family}: output differs from the recorded digests; not overwritten", file=sys.stderr)
-            return 1
-        table[family] = got
-        SCALE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-        print(f"{family}: recorded", flush=True)
+    for inputs in (TIER1, CI):
+        for name in inputs:
+            got = digests(inputs, name)
+            held = table.setdefault(name, {})
+            if any(held.get(command, digest) != digest for command, digest in got.items()):
+                print(f"{name}: output differs from the recorded digests; not overwritten", file=sys.stderr)
+                return 1
+            held.update(got)
+            SCALE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+            print(f"{name}: recorded", flush=True)
     return 0
 
 

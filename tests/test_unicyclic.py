@@ -44,6 +44,7 @@ from conftest import (
     shuffled,
 )
 from test_exhaustive import MAX_N, _unicyclic_graph, unicyclic_graphs
+from test_scale import _ti4_hub
 
 
 def coords(g: Graph, vec) -> dict[str, Fraction]:
@@ -331,11 +332,7 @@ def test_corrected_vector_precheck_is_linear_at_a_hub():
     # Summing every vector over every neighbor took 16 s; each vector now
     # sums only its own coordinates.  The leaf sorts last, so no early vector
     # ends the precheck.
-    edges = [("v", "w1"), ("w1", "w2"), ("w2", "w3"), ("w3", "w4"), ("w4", "u"), ("u", "v"), ("v", "zleaf")]
-    for k in range(1600):
-        t = [f"t{k:04d}x{j}" for j in range(6)]
-        edges += [(t[0], t[1]), (t[0], t[2]), (t[0], t[4]), (t[1], t[3]), (t[3], t[5]), ("v", t[0])]
-    g = Graph.from_edges(edges)
+    g = parse_edge_list(_ti4_hub(1600))
     cls = classify(g)
     assert cls.case == "TI-4" and g.labels[cls.witness] == "v"
     started = time.perf_counter()
