@@ -1,22 +1,45 @@
 """Shared graphs: curated reference examples with known decompositions,
 deterministic graph families that hit each decomposition case, and the seeded
-random corpus used by the campaign-style tests; and a counter of forest
-decompositions.
+random corpus used by the campaign-style tests; a counter of forest
+decompositions; one in-process command runner and one digest recorder.
+
+Two seams plant into the package:
+
+- ``rebind(monkeypatch, real, replacement)`` rebinds a package function in
+  every ``nulldecomp`` module that bound it.  It is the only loop over
+  ``sys.modules`` in the suite.
+- ``plant_kernel(monkeypatch, fault)`` passes the kernel of every vertex set
+  S, from every production kernel that computes one, through
+  ``fault(S, basis)``.  A test that corrupts a kernel names the vertex set
+  (G - T_v, G - C, a pendant tree, the whole graph), not the ``linalg``
+  function that computes it today, so a change that reroutes a kernel moves
+  no plant.
+
+A test names a kernel function (through ``rebind``) only to claim that it
+never runs: that a route never eliminates, for example.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
+import json
 import sys
+import tempfile
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
+from typing import Callable, Iterable
 
 import pytest
 from hypothesis import strategies as st
 
 from nulldecomp import Graph, GeneratorSpec, classify, constructed_null_basis, generate_unicyclic, parse_edge_list
 from nulldecomp.checks import _kernel_case, _kernel_decomposition
-from nulldecomp.linalg import null_basis_on
+from nulldecomp.cli import main
+from nulldecomp.linalg import Vector, forest_null_basis_on, null_basis_on
 from nulldecomp.trees import forest_decomposition
 from nulldecomp.unicyclic import piece, rref_null_basis
 
@@ -367,6 +390,33 @@ def random_corpus() -> list[Graph]:
     return graphs
 
 
+def rebind(monkeypatch, real, replacement) -> None:
+    """Rebind the package function ``real`` to ``replacement`` in every ``nulldecomp`` module that bound it."""
+    name, bound = real.__name__, 0
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("nulldecomp") and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, replacement)
+            bound += 1
+    assert bound, f"no nulldecomp module binds {name}"
+
+
+def plant_kernel(monkeypatch, fault: Callable[[frozenset[int], list[Vector]], list[Vector]]) -> None:
+    """Every production kernel of a vertex set S answers ``fault(S, basis)`` for the canonical basis it computes.
+
+    It wraps ``linalg.null_basis_on`` (S given) and ``linalg.forest_null_basis_on``
+    (S the rooted forest's key set) alike.
+    """
+    def eliminated(adjacency, vertices):
+        vertices = frozenset(vertices)
+        return fault(vertices, null_basis_on(adjacency, vertices))
+
+    def matched(adjacency, forest):
+        return fault(frozenset(forest), forest_null_basis_on(adjacency, forest))
+
+    rebind(monkeypatch, null_basis_on, eliminated)
+    rebind(monkeypatch, forest_null_basis_on, matched)
+
+
 @pytest.fixture
 def decomposition_calls(monkeypatch) -> Counter:
     """Counts ``forest_decomposition`` calls by (graph, the rooted forest's key set), in every module that calls it."""
@@ -376,7 +426,47 @@ def decomposition_calls(monkeypatch) -> Counter:
         seen[h, frozenset(forest)] += 1
         return forest_decomposition(h, forest)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("nulldecomp") and getattr(module, "forest_decomposition", None) is forest_decomposition:
-            monkeypatch.setattr(module, "forest_decomposition", counting)
+    rebind(monkeypatch, forest_decomposition, counting)
     return seen
+
+
+def run_command(argv: list[str], edges: str | None) -> tuple[int, str]:
+    """Run one command in-process on the graph ``edges`` (None: it reads no graph); its exit code and stdout.
+
+    The graph is written to a file whose path follows the command name.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = []
+        if edges is not None:
+            path = [str(Path(tmp) / "g.edges")]
+            Path(path[0]).write_text(edges, encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([argv[0], *path, *argv[1:]])
+    return code, out.getvalue()
+
+
+def output_digest(code: int, stdout: str) -> str:
+    """What a digest file holds for one run: the sha256 of its stdout, or ``exit N`` for a run that exits N."""
+    return hashlib.sha256(stdout.encode("utf-8")).hexdigest() if code == 0 else f"exit {code}"
+
+
+def record_digests(path: Path, entries: Iterable[tuple[str, Callable[[], dict[str, str]]]]) -> int:
+    """Add to the JSON file at ``path`` every value it lacks; refuse to change one it holds.
+
+    Each entry is a name and the function that gives its values.  A value
+    held is never overwritten: an intended output change deletes the
+    entry by hand first, so the diff shows it.  Returns the exit code.
+    """
+    table = json.loads(path.read_text(encoding="utf-8")) if path.is_file() else {}
+    for name, values in entries:
+        got = values()
+        held = table.setdefault(name, {})
+        if any(held.get(key, value) != value for key, value in got.items()):
+            print(f"{name}: output differs from the recorded digests; not overwritten", file=sys.stderr)
+            return 1
+        held.update(got)
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"{name}: recorded", flush=True)
+    return 0

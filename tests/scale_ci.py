@@ -29,7 +29,8 @@ import pytest
 from nulldecomp import GeneratorSpec, classify, generate_unicyclic, parse_edge_list
 from nulldecomp.decomposition import decomposition_from_basis, structural_decomposition
 
-from test_scale import CI, _path, argv, output_digest, pinned, write_input  # noqa: F401 (pinned is a fixture)
+from conftest import output_digest
+from test_scale import CI, _path, argv, pinned, write_input  # noqa: F401 (pinned is a fixture)
 
 CAP_S = {"analyze_verify": 60, "verify": 60}  # seconds; every other command has 30
 

@@ -5,7 +5,7 @@ matching route's sets are held to the kernel reading on forests too, the
 case is held to its kernel definition, a check that raises fails only
 itself, a constructed basis that raises fails every check on its vectors
 (a forest's too), each set-valued check fails on a misplaced vertex and
-holds exactly its own claim, ten more checks each read False on a planted
+holds exactly its own claim, every other check reads False on a planted
 wrong value, long cycles with a pendant tree at every cycle vertex pass in
 every case, and one run decomposes no vertex set twice."""
 
@@ -21,10 +21,11 @@ from nulldecomp import Graph, checks, classify, constructed_null_basis, decompos
 from nulldecomp.checks import minimize_failing_graph
 from nulldecomp.cli import main
 from nulldecomp.errors import CaseContradiction, NormalizationFailure, OddNSet
+from nulldecomp.linalg import ONE
 from nulldecomp.oracle import brute_alpha
-from nulldecomp.unicyclic import recursion_nullity
+from nulldecomp.unicyclic import EXTENDED_FOREST, EXTENDED_PENDANT, RREF_CANONICAL, NullBasis, recursion_nullity
 
-from conftest import cycle_with_attachments, path_graph
+from conftest import cycle_with_attachments, path_graph, rebind
 
 
 def pendant_path_graph():
@@ -168,13 +169,8 @@ def test_run_checks_classifies_once(monkeypatch, capsys, request, example):
         built.append(h)
         return constructed_null_basis(h, cls)
 
-    for name, module in list(sys.modules.items()):
-        if not name.startswith("nulldecomp"):
-            continue
-        if getattr(module, "classify", None) is classify:
-            monkeypatch.setattr(module, "classify", counting)
-        if getattr(module, "constructed_null_basis", None) is constructed_null_basis:
-            monkeypatch.setattr(module, "constructed_null_basis", building)
+    rebind(monkeypatch, classify, counting)
+    rebind(monkeypatch, constructed_null_basis, building)
     assert all(run_checks(g).values())
     assert calls == built == [g]
     for argv in (["analyze", "-"], ["basis", "-", "--method", "structural"], ["basis", "-", "--method", "rref"]):
@@ -219,15 +215,23 @@ def _plant_kernel_reading(monkeypatch, plant):
     monkeypatch.setattr(checks, "decomposition_from_basis", lambda h, basis: plant(real(h, basis)))
 
 
+def _support_into_core(d):
+    """The smallest support vertex moved into the core: alpha drops by one and nu grows by one."""
+    v = min(d.support)
+    return replace(d, support=d.support - {v}, core=d.core | {v})
+
+
+def _core_into_support(d):
+    return replace(d, support=d.support | d.core, core=frozenset())
+
+
 def _plant_complement(monkeypatch, g):
     """The battery's one classification carries G - T_v / G - C with a support vertex moved into its core.
 
     So that piece's alpha drops by one and its nu grows by one, with its N-set unchanged.
     """
     cls = classify(g)
-    c = cls.complement
-    v = min(c.support)
-    planted = replace(cls, complement=replace(c, support=c.support - {v}, core=c.core | {v}))
+    planted = replace(cls, complement=_support_into_core(cls.complement))
     monkeypatch.setattr(decomposition, "classify", lambda h: planted)
 
 
@@ -237,9 +241,62 @@ def _plant_every_vertex_supported(monkeypatch, g):
     monkeypatch.setattr(checks, "_kernel_decomposition", lambda h, vs: replace(real(h, vs), support=vs))
 
 
+def _plant_reading_of(vertex_set, plant):
+    """A plant: the reference-kernel reading of the one vertex set ``vertex_set(g)`` goes through ``plant``."""
+    def planted(monkeypatch, g):
+        target, real = vertex_set(g), checks._kernel_decomposition
+        monkeypatch.setattr(checks, "_kernel_decomposition", lambda h, vs: plant(real(h, vs)) if vs == target else real(h, vs))
+
+    return planted
+
+
+def _witness_tree_less_witness(g):
+    """pend[v] - {v} for a Type I g's witness v: the forest the root-deletion checks read."""
+    cls = classify(g)
+    return frozenset(cls.pendant_trees[cls.witness]) - {cls.witness}
+
+
+def _cycle_complement(g):
+    """G - C: the forest of a Type II g."""
+    return frozenset(range(g.n)) - classify(g).cycle.vertex_set()
+
+
+def _plant_constructed(edit):
+    """A plant: the battery's constructed basis keeps its provenance tags, its vectors are ``edit(basis)``."""
+    def planted(monkeypatch, g):
+        real = checks.constructed_null_basis
+
+        def build(h, cls):
+            basis = real(h, cls)
+            return NullBasis(edit(basis), basis.provenance)
+
+        monkeypatch.setattr(checks, "constructed_null_basis", build)
+
+    return planted
+
+
+def _plant_unannihilated(tag):
+    """A plant: the first constructed vector tagged ``tag`` becomes e_0, which A(G) does not annihilate."""
+    def edit(basis):
+        i = basis.provenance.index(tag)
+        return basis.vectors[:i] + ({0: ONE},) + basis.vectors[i + 1:]
+
+    return _plant_constructed(edit)
+
+
+def _plant_supported_neighbors_into_n(monkeypatch, g):
+    """The witness's neighbors leave the support of pend[v] - {v}'s reading for its N-set."""
+    near = frozenset(g.neighbors(classify(g).witness))
+    _plant_reading_of(_witness_tree_less_witness, lambda d: replace(
+        d, support=d.support - near, n_vertices=d.n_vertices | (d.support & near)
+    ))(monkeypatch, g)
+
+
 # Each check, the graph it runs on and a plant that makes one value it reads wrong without raising.
 WRONG_VALUES = {
     "alpha_oracle": ("path", lambda mp, g: mp.setattr(checks, "brute_alpha", lambda h: brute_alpha(h) + 1)),
+    # The alpha half: test_cli's planted brute_nu fails the nu half.
+    "derived_forest_formulas": ("ex_type1", lambda mp, g: mp.setattr(checks, "brute_alpha", lambda h: brute_alpha(h) + 1)),
     "even_n_set": ("path", lambda mp, g: _plant_kernel_reading(
         mp, lambda d: replace(d, support=d.support - {0}, n_vertices=d.n_vertices | {0})
     )),
@@ -254,6 +311,27 @@ WRONG_VALUES = {
     "nu_splits_at_witness": ("ex_type1", _plant_complement),
     "alpha_splits_at_cycle": ("ex_four_cycle", _plant_complement),
     "nu_splits_at_cycle": ("ex_four_cycle", _plant_complement),
+    # Every core vertex neighbours a support vertex.
+    "support_independent": ("path", lambda mp, g: _plant_kernel_reading(mp, _core_into_support)),
+    "support_dichotomy": ("ex_type1", lambda mp, g: _plant_kernel_reading(mp, _core_into_support)),
+    "parity_rule": ("ex_type1", lambda mp, g: _plant_kernel_reading(
+        mp, lambda d: replace(d, n_vertices=d.n_vertices - {min(d.n_vertices)})
+    )),
+    "basis_exact": ("path", _plant_unannihilated(RREF_CANONICAL)),
+    "pendant_extension_null": ("ex_type1", _plant_unannihilated(EXTENDED_PENDANT)),
+    "forest_extension_null": ("ex_four_cycle", _plant_unannihilated(EXTENDED_FOREST)),
+    # Every vector is annihilated and the count is right, but the span is one short.
+    "span_equality": ("ex_type1", _plant_constructed(lambda basis: basis.vectors[:-1] + basis.vectors[:1])),
+    "supported_neighbor_after_deletion": ("ex_type1", _plant_supported_neighbors_into_n),
+    # A core vertex of G - C lies in no pendant tree's support.
+    "forest_support_in_pendant_supports": ("ex_four_cycle", _plant_reading_of(_cycle_complement, _core_into_support)),
+    "pendant_vs_forest_alpha_identity": ("ex_four_cycle", _plant_reading_of(_cycle_complement, _support_into_core)),
+    # With one support vertex into N, alpha and nu stay as they were.
+    "support_survives_root_deletion": ("ex_type1", _plant_reading_of(_witness_tree_less_witness, lambda d: replace(
+        d, support=d.support - {min(d.support)}, n_vertices=d.n_vertices | {min(d.support)}
+    ))),
+    "alpha_stable_under_root_deletion": ("ex_type1", _plant_reading_of(_witness_tree_less_witness, _support_into_core)),
+    "nu_drops_under_root_deletion": ("ex_type1", _plant_reading_of(_witness_tree_less_witness, _support_into_core)),
 }
 
 

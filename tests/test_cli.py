@@ -13,7 +13,7 @@ from nulldecomp.decomposition import analyze, decomposition_from_basis
 from nulldecomp.errors import InternalCheckError, NormalizationFailure
 from nulldecomp.unicyclic import TYPE1
 
-from conftest import EXAMPLE_FOUR_CYCLE, EXAMPLE_TYPE1
+from conftest import EXAMPLE_FOUR_CYCLE, EXAMPLE_TYPE1, rebind
 from test_scale import _hub, _path, _pendant_path, _spider
 
 
@@ -207,9 +207,7 @@ def test_one_peel_roots_every_forest_a_command_reads(tmp_path, capsys, monkeypat
         calls.append(len(adjacency))
         return real(adjacency)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("nulldecomp") and getattr(module, "peel", None) is real:
-            monkeypatch.setattr(module, "peel", counted)
+    rebind(monkeypatch, real, counted)
     path = tmp_path / "g.edges"
     path.write_text(edges)
     n = parse_edge_list(edges).n

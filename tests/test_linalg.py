@@ -252,114 +252,7 @@ def test_same_span_on_scaled_permuted_spanning_sets(m, rnd, data):
         assert not same_span(m, spanning)
 
 
-# -- the sparse production kernel against the dense reference ----------------
-
-
-def assert_sparse_matches_dense(g: Graph, vertices=None) -> None:
-    """Same canonical basis, written out densely tuple for tuple, and every coordinate a Fraction.
-
-    With ``vertices`` the comparison runs on the subgraph they induce.
-    """
-    if vertices is not None:
-        g = g.induced_subgraph(sorted(vertices))
-    sparse = null_basis_on(g.adjacency, range(g.n))
-    assert [dense(vec, g.n) for vec in sparse] == null_space_basis(g.adjacency_matrix()), g.to_edge_list()
-    assert all(type(x) is Fraction for vec in sparse for x in vec.values())
-
-
-@settings(max_examples=200, deadline=None)
-@given(forests_with_subsets())
-def test_sparse_kernel_matches_dense_on_random_forests(drawn):
-    g, subset = drawn
-    assert_sparse_matches_dense(g)
-    assert_sparse_matches_dense(g, subset)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=3, max_value=14), st.integers(min_value=0, max_value=10_000))
-def test_sparse_kernel_matches_dense_on_unicyclic_pieces(n, seed):
-    g = generate_unicyclic(GeneratorSpec(n=n, seed=seed))
-    assert_sparse_matches_dense(g)
-    for piece in unicyclic_pieces(g):
-        assert_sparse_matches_dense(g, piece)
-
-
-def test_sparse_kernel_matches_dense_on_seeded_unicyclic_pieces():
-    for i in range(100):
-        g = generate_unicyclic(GeneratorSpec(n=3 + i % 16, seed=9000 + i))
-        assert_sparse_matches_dense(g)
-        for piece in unicyclic_pieces(g):
-            assert_sparse_matches_dense(g, piece)
-
-
-@st.composite
-def graphs_with_subsets(draw):
-    """A random graph on up to 11 vertices, usually with several cycles, and a vertex subset."""
-    n = draw(st.integers(min_value=1, max_value=11))
-    labels = [f"g{i:02d}" for i in range(n)]
-    pairs = list(combinations(labels, 2))
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    g = Graph.from_edges([pair for pair, k in zip(pairs, keep) if k], isolated=labels)
-    subset = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return g, [v for v in range(n) if subset[v]]
-
-
-@settings(max_examples=200, deadline=None)
-@given(graphs_with_subsets())
-def test_sparse_kernel_matches_dense_on_graphs_with_cycles(drawn):
-    g, subset = drawn
-    assert_sparse_matches_dense(g)
-    assert_sparse_matches_dense(g, subset)
-    for vertices in (subset, [], range(g.n)):
-        assert_kernel_on_matches_subgraph(g, vertices)
-
-
-def test_sparse_kernel_matches_dense_on_several_cycles():
-    # A unicyclic graph with chords added is what `basis --method rref` may get.
-    for i in range(40):
-        g = generate_unicyclic(GeneratorSpec(n=6 + i % 20, seed=500 + i))
-        chords = [(g.labels[j], g.labels[(j * 7 + 3) % g.n]) for j in range(0, g.n, 3)]
-        edges = {frozenset((g.labels[u], g.labels[v])) for u, v in g.edges()}
-        edges |= {frozenset(c) for c in chords if c[0] != c[1]}
-        h = Graph.from_edges(tuple(sorted(e)) for e in edges)
-        assert h.edge_count > h.n
-        assert_sparse_matches_dense(h)
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph.from_edges(combinations([f"k{i}" for i in range(n)], 2))
-
-
-def test_sparse_kernel_edge_cases():
-    one = Graph.from_edges([], isolated=["v"])
-    isolated = Graph.from_edges([("a", "b")], isolated=["x", "y", "z"])
-    for g in [one, isolated, complete_graph(5), cycle_graph(8)]:
-        assert_sparse_matches_dense(g)
-    assert_sparse_matches_dense(isolated, [0, 2, 4])
-    assert null_basis_on((), range(0)) == []
-    assert null_basis_on(one.adjacency, range(one.n)) == [{0: Fraction(1)}]
-    assert len(null_basis_on(isolated.adjacency, range(isolated.n))) == 3
-    assert null_basis_on(complete_graph(5).adjacency, range(5)) == []
-    assert len(null_basis_on(cycle_graph(8).adjacency, range(8))) == 2
-
-
-# -- the kernel over a vertex set against the subgraph it induces ------------
-
-
-def theta_graph() -> Graph:
-    """Two vertices joined by three paths of lengths 2, 2 and 3: three cycles."""
-    return Graph.from_edges(
-        [("a", "x"), ("x", "b"), ("a", "y"), ("y", "b"), ("a", "z1"), ("z1", "z2"), ("z2", "b")]
-    )
-
-
-def two_disjoint_cycles() -> Graph:
-    """A 4-cycle and an 8-cycle side by side, their vertices interleaved in index order."""
-    four = [f"v{2 * i:02d}" for i in range(4)]
-    eight = [f"v{2 * i + 1:02d}" for i in range(8)]
-    return Graph.from_edges(
-        [(c[i], c[(i + 1) % len(c)]) for c in (four, eight) for i in range(len(c))]
-    )
+# -- every sparse kernel of a vertex set against the dense reference --------
 
 
 def placed_reference(g: Graph, vertices) -> list[tuple[Fraction, ...]]:
@@ -374,78 +267,32 @@ def placed_reference(g: Graph, vertices) -> list[tuple[Fraction, ...]]:
     return expected
 
 
-def assert_kernel_on_matches_subgraph(g: Graph, vertices) -> None:
-    """The placed dense kernel of the induced subgraph, tuple for tuple once written out densely."""
-    got = null_basis_on(g.adjacency, frozenset(vertices))
-    assert [dense(vec, g.n) for vec in got] == placed_reference(g, vertices), (g.to_edge_list(), sorted(vertices))
-    assert all(type(x) is Fraction for vec in got for x in vec.values())
+def assert_kernels_match_reference(g: Graph, vertices) -> None:
+    """Every sparse kernel that serves the vertex set S gives the placed dense reference kernel of S in g.
 
-
-@settings(max_examples=200, deadline=None)
-@given(forests_with_subsets(), st.integers(min_value=3, max_value=14), st.integers(min_value=0, max_value=10_000))
-def test_kernel_vectors_are_zero_free_maps_inside_the_vertex_set(drawn, n, seed):
-    # The one production vector format: a vector's keys are its support, so a
-    # key off ``vertices`` or a stored 0 would put a vertex in the wrong set.
-    forest, subset = drawn
-    g = generate_unicyclic(GeneratorSpec(n=n, seed=seed))
-    for h, vertices in [(forest, subset)] + [(g, piece) for piece in unicyclic_pieces(g)]:
-        basis = null_basis_on(h.adjacency, vertices)
-        assert_zero_free_inside(basis, vertices)
-        assert [dense(vec, h.n) for vec in basis] == placed_reference(h, vertices)
+    Tuple for tuple once written out densely, each vector a zero-free map of
+    Fractions inside S.  ``null_basis_on`` serves every S;
+    ``forest_null_basis_on`` serves an S that induces a forest, rooted at each
+    component's smallest vertex and at shuffled roots, its entries all ±1.
+    """
+    vs = frozenset(vertices)
+    kernels = [null_basis_on(g.adjacency, vs)]
+    if g.induced_subgraph(vs).is_forest():
+        kernels += [forest_null_basis_on(g.adjacency, rooted(g, vs, rnd)) for rnd in (None, random.Random(len(vs)))]
+        assert all(abs(x) == 1 for got in kernels[1:] for vec in got for x in vec.values())
+    expected = placed_reference(g, vs)
+    for got in kernels:
+        assert [dense(vec, g.n) for vec in got] == expected, (g.to_edge_list(), sorted(vs))
+        assert_zero_free_inside(got, vs)
+        assert all(type(x) is Fraction for vec in got for x in vec.values())
 
 
 @settings(max_examples=200, deadline=None)
 @given(forests_with_subsets())
-def test_kernel_on_vertex_set_matches_subgraph_on_random_forests(drawn):
+def test_sparse_kernel_matches_dense_on_random_forests(drawn):
     g, subset = drawn
-    for vertices in (subset, [], range(g.n)):
-        assert_kernel_on_matches_subgraph(g, vertices)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=3, max_value=14), st.integers(min_value=0, max_value=10_000))
-def test_kernel_on_vertex_set_matches_subgraph_on_unicyclic_pieces(n, seed):
-    g = generate_unicyclic(GeneratorSpec(n=n, seed=seed))
-    for vertices in unicyclic_pieces(g) + [frozenset(), frozenset(range(g.n))]:
-        assert_kernel_on_matches_subgraph(g, vertices)
-
-
-def test_kernel_on_vertex_set_matches_subgraph_on_several_cycles():
-    for g in (theta_graph(), complete_graph(4), two_disjoint_cycles()):
-        everything = frozenset(range(g.n))
-        subsets = [everything, frozenset(), frozenset(range(0, g.n, 2))]
-        subsets += [everything - {v} for v in range(g.n)]
-        for vertices in subsets:
-            assert_kernel_on_matches_subgraph(g, vertices)
-    theta, cycles = theta_graph(), two_disjoint_cycles()
-    assert null_basis_on(complete_graph(4).adjacency, range(4)) == []
-    assert len(null_basis_on(theta.adjacency, range(theta.n))) == 1
-    assert len(null_basis_on(cycles.adjacency, range(cycles.n))) == 2 + 2
-
-
-def test_kernel_on_vertex_set_edge_cases():
-    g = cycle_graph(4)
-    assert null_basis_on(g.adjacency, []) == []
-    assert null_basis_on((), []) == []
-    assert null_basis_on(g.adjacency, [2]) == [{2: 1}]
-    assert [dense(vec, 4) for vec in null_basis_on(g.adjacency, range(4))] == null_space_basis(g.adjacency_matrix())
-
-
-# -- the forest kernel off a maximum matching against both eliminations -------
-
-
-def assert_forest_kernel_matches(g: Graph, vertices) -> None:
-    """``forest_null_basis_on`` equals ``null_basis_on`` tuple for tuple and the placed dense kernel, all entries ±1.
-
-    The forest is rooted twice, at each component's smallest vertex and at
-    shuffled roots, and both rootings give the same basis.
-    """
-    got = forest_null_basis_on(g.adjacency, rooted(g, vertices))
-    assert got == forest_null_basis_on(g.adjacency, rooted(g, vertices, random.Random(len(got))))
-    assert got == null_basis_on(g.adjacency, vertices), (g.to_edge_list(), sorted(vertices))
-    assert [dense(vec, g.n) for vec in got] == placed_reference(g, vertices)
-    assert_zero_free_inside(got, vertices)
-    assert all(type(x) is Fraction and abs(x) == 1 for vec in got for x in vec.values())
+    for vertices in (range(g.n), subset, []):
+        assert_kernels_match_reference(g, vertices)
 
 
 @st.composite
@@ -468,15 +315,86 @@ def shuffled_forests_with_subsets(draw):
 def test_forest_kernel_matches_both_eliminations_on_shuffled_forests(drawn):
     g, subset = drawn
     for vertices in (range(g.n), subset):
-        assert_forest_kernel_matches(g, vertices)
+        assert_kernels_match_reference(g, vertices)
 
 
-@settings(max_examples=100, deadline=None)
-@given(forests_with_subsets())
-def test_forest_kernel_matches_both_eliminations_on_random_forests(drawn):
-    g, subset = drawn
-    for vertices in (range(g.n), subset):
-        assert_forest_kernel_matches(g, vertices)
+def test_sparse_kernel_matches_dense_on_unicyclic_pieces():
+    # Every forest the structural layer decomposes, and the whole graph.
+    for i in range(160):
+        g = generate_unicyclic(GeneratorSpec(n=3 + i % 16, seed=9000 + i))
+        for vertices in unicyclic_pieces(g) + [range(g.n)]:
+            assert_kernels_match_reference(g, vertices)
+
+
+@st.composite
+def graphs_with_subsets(draw):
+    """A random graph on up to 11 vertices, usually with several cycles, and a vertex subset."""
+    n = draw(st.integers(min_value=1, max_value=11))
+    labels = [f"g{i:02d}" for i in range(n)]
+    pairs = list(combinations(labels, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edges([pair for pair, k in zip(pairs, keep) if k], isolated=labels)
+    subset = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return g, [v for v in range(n) if subset[v]]
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph.from_edges(combinations([f"k{i}" for i in range(n)], 2))
+
+
+def theta_graph() -> Graph:
+    """Two vertices joined by three paths of lengths 2, 2 and 3: three cycles."""
+    return Graph.from_edges(
+        [("a", "x"), ("x", "b"), ("a", "y"), ("y", "b"), ("a", "z1"), ("z1", "z2"), ("z2", "b")]
+    )
+
+
+def two_disjoint_cycles() -> Graph:
+    """A 4-cycle and an 8-cycle side by side, their vertices interleaved in index order."""
+    four = [f"v{2 * i:02d}" for i in range(4)]
+    eight = [f"v{2 * i + 1:02d}" for i in range(8)]
+    return Graph.from_edges(
+        [(c[i], c[(i + 1) % len(c)]) for c in (four, eight) for i in range(len(c))]
+    )
+
+
+def test_sparse_kernel_matches_dense_on_graphs_with_cycles():
+    # What basis --method rref may be asked: seeded random graphs on up to 11
+    # vertices with a random vertex subset, the theta, K_4 and two disjoint
+    # cycles less each vertex, and unicyclic graphs with chords added.
+    rnd = random.Random(11)
+    for i in range(200):
+        labels = [f"g{j:02d}" for j in range(1 + i % 11)]
+        g = Graph.from_edges([pair for pair in combinations(labels, 2) if rnd.random() < 0.5], isolated=labels)
+        for vertices in (range(g.n), [v for v in range(g.n) if rnd.random() < 0.5], []):
+            assert_kernels_match_reference(g, vertices)
+    for g in (theta_graph(), complete_graph(4), two_disjoint_cycles()):
+        everything = frozenset(range(g.n))
+        for vertices in [everything, frozenset(range(0, g.n, 2))] + [everything - {v} for v in range(g.n)]:
+            assert_kernels_match_reference(g, vertices)
+    for i in range(40):
+        g = generate_unicyclic(GeneratorSpec(n=6 + i % 20, seed=500 + i))
+        chords = [(g.labels[j], g.labels[(j * 7 + 3) % g.n]) for j in range(0, g.n, 3)]
+        edges = {frozenset((g.labels[u], g.labels[v])) for u, v in g.edges()}
+        edges |= {frozenset(c) for c in chords if c[0] != c[1]}
+        h = Graph.from_edges(tuple(sorted(e)) for e in edges)
+        assert h.edge_count > h.n
+        assert_kernels_match_reference(h, range(h.n))
+
+
+def test_sparse_kernel_edge_cases():
+    one = Graph.from_edges([], isolated=["v"])
+    edge = Graph.from_edges([("a", "b")])
+    isolated = Graph.from_edges([("a", "b")], isolated=["x", "y", "z"])
+    graphs = (one, edge, isolated, complete_graph(5), cycle_graph(4), cycle_graph(8))
+    for g in graphs:
+        for vertices in ([], range(g.n), [0], [g.n - 1], range(0, g.n, 2)):
+            assert_kernels_match_reference(g, vertices)
+    assert [len(null_basis_on(g.adjacency, range(g.n))) for g in graphs] == [1, 0, 3, 0, 2, 2]
+    assert null_basis_on((), []) == forest_null_basis_on((), {}) == []
+    assert null_basis_on(one.adjacency, [0]) == forest_null_basis_on(one.adjacency, {0: -1}) == [{0: Fraction(1)}]
+    assert forest_null_basis_on(edge.adjacency, {1: -1, 0: 1}) == []
+    assert len(forest_null_basis_on(isolated.adjacency, rooted_forest(isolated))) == 3
 
 
 def labeled_path(order: list[int]) -> Graph:
@@ -492,8 +410,8 @@ def test_forest_kernel_on_paths_in_every_order(n):
     rng.shuffle(shuffled)
     for order in (list(range(n)), list(range(n))[::-1], shuffled):
         g = labeled_path(order)
-        assert_forest_kernel_matches(g, range(g.n))
-        assert_forest_kernel_matches(g, range(0, g.n, 2))
+        assert_kernels_match_reference(g, range(g.n))
+        assert_kernels_match_reference(g, range(0, g.n, 2))
 
 
 def test_forest_kernel_on_stars_and_hubs():
@@ -501,23 +419,9 @@ def test_forest_kernel_on_stars_and_hubs():
     first, last = (Graph.from_edges([(centre, f"x{i:02d}") for i in range(9)]) for centre in "az")
     assert first.index_of("a") == 0 and last.index_of("z") == last.n - 1
     for g in (first, last, hub_forest(1), hub_forest(7), hub_forest(5, extra=3)):
-        assert_forest_kernel_matches(g, range(g.n))
-        assert_forest_kernel_matches(g, range(1, g.n))
-        assert_forest_kernel_matches(g, range(0, g.n, 3))
-
-
-def test_forest_kernel_on_isolated_vertices_and_edge_cases():
-    isolated = Graph.from_edges([("a", "b")], isolated=["x", "y", "z"])
-    one = Graph.from_edges([], isolated=["v"])
-    edge = Graph.from_edges([("a", "b")])
-    for g in (isolated, one, edge):
-        for vertices in ([], range(g.n), [0], [g.n - 1]):
-            assert_forest_kernel_matches(g, vertices)
-    assert forest_null_basis_on((), {}) == []
-    assert forest_null_basis_on(one.adjacency, {0: -1}) == [{0: Fraction(1)}]
-    assert forest_null_basis_on(edge.adjacency, {0: -1, 1: 0}) == []
-    assert forest_null_basis_on(edge.adjacency, {1: -1, 0: 1}) == []
-    assert len(forest_null_basis_on(isolated.adjacency, rooted_forest(isolated))) == 3
+        assert_kernels_match_reference(g, range(g.n))
+        assert_kernels_match_reference(g, range(1, g.n))
+        assert_kernels_match_reference(g, range(0, g.n, 3))
 
 
 def triangle_with_a_leaf() -> Graph:
@@ -536,7 +440,8 @@ def test_forest_kernel_refuses_a_cycle(make):
     with pytest.raises(NotForest):
         constructed_null_basis(g, None)
     acyclic = frozenset(range(1, g.n))  # each of the three loses its cycle with vertex 0
-    assert_forest_kernel_matches(g, acyclic)
+    assert g.induced_subgraph(acyclic).is_forest()
+    assert_kernels_match_reference(g, acyclic)
 
 
 # -- the reduced echelon pass: any basis of a kernel reduces to the canonical one

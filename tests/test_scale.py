@@ -26,25 +26,23 @@ pass.  An input added to either list is recorded with
     PYTHONPATH=src python tests/test_scale.py
 
 which runs every input in-process, writes only the digests the file lacks
-and refuses to change one it holds.
+and refuses to change one it holds (``conftest.record_digests``, as
+``tests/test_golden.py`` does).  An output that changes on purpose has its
+entry deleted by hand first, so the diff shows it.
 """
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import io
 import json
 import random
-import sys
-import tempfile
 from pathlib import Path
 from typing import Callable
 
 import pytest
 
 from nulldecomp import GeneratorSpec, generate_unicyclic
-from nulldecomp.cli import main
+
+from conftest import output_digest, record_digests, run_command
 
 SCALE = Path(__file__).parent / "golden" / "scale.json"
 COMMANDS = {
@@ -153,11 +151,6 @@ def argv(command: str, path: Path | None) -> list[str]:
     return [name, *([str(path)] if path else []), *options]
 
 
-def output_digest(code: int, stdout: str) -> str:
-    """What ``scale.json`` holds for one run: the sha256 of its stdout, or ``exit N``."""
-    return hashlib.sha256(stdout.encode("utf-8")).hexdigest() if code == 0 else f"exit {code}"
-
-
 def write_input(inputs: Inputs, name: str, directory: Path) -> Path | None:
     """Write one input's edge list into ``directory``; None when its command reads no graph."""
     build = inputs[name][0]
@@ -170,15 +163,9 @@ def write_input(inputs: Inputs, name: str, directory: Path) -> Path | None:
 
 def digests(inputs: Inputs, name: str) -> dict[str, str]:
     """The digest of each command's output on one input, run in this process."""
-    got = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        path = write_input(inputs, name, Path(tmp))
-        for command in inputs[name][1]:
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                code = main(argv(command, path))
-            got[command] = output_digest(code, out.getvalue())
-    return got
+    build, commands = inputs[name]
+    edges = build() if build else None
+    return {command: output_digest(*run_command(COMMANDS[command], edges)) for command in commands}
 
 
 @pytest.fixture(scope="module")
@@ -197,21 +184,7 @@ def test_outputs_match_pinned_digests(pinned, family):
     assert digests(TIER1, family) == {command: pinned[family][command] for command in TIER1[family][1]}
 
 
-def record() -> int:
-    """Add the digests of every input ``scale.json`` lacks; refuse to change any it holds."""
-    table = json.loads(SCALE.read_text(encoding="utf-8")) if SCALE.is_file() else {}
-    for inputs in (TIER1, CI):
-        for name in inputs:
-            got = digests(inputs, name)
-            held = table.setdefault(name, {})
-            if any(held.get(command, digest) != digest for command, digest in got.items()):
-                print(f"{name}: output differs from the recorded digests; not overwritten", file=sys.stderr)
-                return 1
-            held.update(got)
-            SCALE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-            print(f"{name}: recorded", flush=True)
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(record())
+    raise SystemExit(record_digests(
+        SCALE, [(name, lambda inputs=inputs, name=name: digests(inputs, name)) for inputs in (TIER1, CI) for name in inputs]
+    ))
