@@ -295,6 +295,25 @@ def test_sparse_kernel_matches_dense_on_random_forests(drawn):
         assert_kernels_match_reference(g, vertices)
 
 
+@settings(max_examples=100, deadline=None)
+@given(forests_with_subsets())
+def test_kernel_on_vertex_set_matches_subgraph_on_random_forests(drawn):
+    # The forest less each vertex, as T_v - v is a pendant tree less its root.
+    g, _ = drawn
+    everything = frozenset(range(g.n))
+    for v in range(g.n):
+        assert_kernels_match_reference(g, everything - {v})
+
+
+@settings(max_examples=100, deadline=None)
+@given(forests_with_subsets())
+def test_forest_kernel_matches_both_eliminations_on_random_forests(drawn):
+    # What the drawn subset leaves, and every second vertex.
+    g, subset = drawn
+    for vertices in (frozenset(range(g.n)) - frozenset(subset), range(0, g.n, 2)):
+        assert_kernels_match_reference(g, vertices)
+
+
 @st.composite
 def shuffled_forests_with_subsets(draw):
     """A random forest on up to 24 vertices whose labels are a random permutation, and a vertex subset."""
@@ -324,6 +343,36 @@ def test_sparse_kernel_matches_dense_on_unicyclic_pieces():
         g = generate_unicyclic(GeneratorSpec(n=3 + i % 16, seed=9000 + i))
         for vertices in unicyclic_pieces(g) + [range(g.n)]:
             assert_kernels_match_reference(g, vertices)
+
+
+def test_sparse_kernel_matches_dense_on_seeded_unicyclic_pieces():
+    # The same vertex sets on larger graphs, 17 to 40 vertices.
+    for i in range(12):
+        g = generate_unicyclic(GeneratorSpec(n=17 + 2 * i, seed=9500 + i))
+        for vertices in unicyclic_pieces(g) + [range(g.n)]:
+            assert_kernels_match_reference(g, vertices)
+
+
+def test_kernel_on_vertex_set_matches_subgraph_on_unicyclic_pieces():
+    # What each piece leaves of the graph (G less G - C is the cycle C), and
+    # the empty set.
+    for i in range(60):
+        g = generate_unicyclic(GeneratorSpec(n=3 + i % 12, seed=7000 + i))
+        everything = frozenset(range(g.n))
+        for vertices in [everything - p.keys() for p in unicyclic_pieces(g)] + [frozenset()]:
+            assert_kernels_match_reference(g, vertices)
+
+
+def test_kernel_vectors_are_zero_free_maps_inside_the_vertex_set():
+    # The one production vector format: a vector's keys are its support, so a
+    # key off the vertex set or a stored 0 would put a vertex in the wrong
+    # set; assert_kernels_match_reference holds every kernel to it.  Here on
+    # a unicyclic graph less each vertex, on the cycle or off it.
+    for i in range(40):
+        g = generate_unicyclic(GeneratorSpec(n=3 + i % 14, seed=8000 + i))
+        everything = frozenset(range(g.n))
+        for v in range(g.n):
+            assert_kernels_match_reference(g, everything - {v})
 
 
 @st.composite
@@ -360,18 +409,29 @@ def two_disjoint_cycles() -> Graph:
 
 def test_sparse_kernel_matches_dense_on_graphs_with_cycles():
     # What basis --method rref may be asked: seeded random graphs on up to 11
-    # vertices with a random vertex subset, the theta, K_4 and two disjoint
-    # cycles less each vertex, and unicyclic graphs with chords added.
+    # vertices with a random vertex subset.
     rnd = random.Random(11)
     for i in range(200):
         labels = [f"g{j:02d}" for j in range(1 + i % 11)]
         g = Graph.from_edges([pair for pair in combinations(labels, 2) if rnd.random() < 0.5], isolated=labels)
         for vertices in (range(g.n), [v for v in range(g.n) if rnd.random() < 0.5], []):
             assert_kernels_match_reference(g, vertices)
+
+
+def test_kernel_on_vertex_set_matches_subgraph_on_several_cycles():
+    # The theta, K_4 and two disjoint cycles, each less every vertex.
     for g in (theta_graph(), complete_graph(4), two_disjoint_cycles()):
         everything = frozenset(range(g.n))
         for vertices in [everything, frozenset(range(0, g.n, 2))] + [everything - {v} for v in range(g.n)]:
             assert_kernels_match_reference(g, vertices)
+    theta, cycles = theta_graph(), two_disjoint_cycles()
+    assert null_basis_on(complete_graph(4).adjacency, range(4)) == []
+    assert len(null_basis_on(theta.adjacency, range(theta.n))) == 1
+    assert len(null_basis_on(cycles.adjacency, range(cycles.n))) == 2 + 2
+
+
+def test_sparse_kernel_matches_dense_on_several_cycles():
+    # A unicyclic graph with chords added.
     for i in range(40):
         g = generate_unicyclic(GeneratorSpec(n=6 + i % 20, seed=500 + i))
         chords = [(g.labels[j], g.labels[(j * 7 + 3) % g.n]) for j in range(0, g.n, 3)]
@@ -391,10 +451,30 @@ def test_sparse_kernel_edge_cases():
         for vertices in ([], range(g.n), [0], [g.n - 1], range(0, g.n, 2)):
             assert_kernels_match_reference(g, vertices)
     assert [len(null_basis_on(g.adjacency, range(g.n))) for g in graphs] == [1, 0, 3, 0, 2, 2]
-    assert null_basis_on((), []) == forest_null_basis_on((), {}) == []
-    assert null_basis_on(one.adjacency, [0]) == forest_null_basis_on(one.adjacency, {0: -1}) == [{0: Fraction(1)}]
+    assert null_basis_on((), []) == []
+    assert null_basis_on(one.adjacency, [0]) == [{0: Fraction(1)}]
+
+
+def test_kernel_on_vertex_set_edge_cases():
+    # C_4's empty set, one vertex, two opposite vertices and a path of three.
+    g = cycle_graph(4)
+    assert null_basis_on(g.adjacency, []) == []
+    assert null_basis_on(g.adjacency, [2]) == [{2: 1}]
+    assert len(null_basis_on(g.adjacency, [0, 2])) == 2
+    for vertices in ([0, 2], [0, 1, 2]):
+        assert_kernels_match_reference(g, vertices)
+
+
+def test_forest_kernel_on_isolated_vertices_and_edge_cases():
+    one = Graph.from_edges([], isolated=["v"])
+    edge = Graph.from_edges([("a", "b")])
+    isolated = Graph.from_edges([("a", "b")], isolated=["x", "y", "z"])
+    assert forest_null_basis_on((), {}) == []
+    assert forest_null_basis_on(one.adjacency, {0: -1}) == [{0: Fraction(1)}]
+    assert forest_null_basis_on(edge.adjacency, {0: -1, 1: 0}) == []
     assert forest_null_basis_on(edge.adjacency, {1: -1, 0: 1}) == []
     assert len(forest_null_basis_on(isolated.adjacency, rooted_forest(isolated))) == 3
+    assert forest_null_basis_on(isolated.adjacency, {2: -1, 4: -1}) == [{2: Fraction(1)}, {4: Fraction(1)}]
 
 
 def labeled_path(order: list[int]) -> Graph:
